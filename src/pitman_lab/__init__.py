@@ -32,7 +32,6 @@ from .processes import (
     QNegativeBinomial,
     ShiftedPoisson,
     chain_increment_law,
-    chain_position_prob,
     chain_transition,
     initial_pmf,
     parse_initial_law,

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .exact import RegimeError, UnsupportedExactModeError, parse_rat, prob_json
+from .exact import Approx, RegimeError, UnsupportedExactModeError, parse_rat, prob_json
 from .paths import Path, HorizonCapError
 from .processes import (
     Params,
@@ -91,6 +91,11 @@ def _level_law_arg(text: str) -> LevelLaw:
     raise ValueError(f"unknown level-law string {text!r}")
 
 
+def _require_positive(name: str, value: int, why: str):
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}: {why}")
+
+
 def _grid(text: str):
     start, stop, step = (float(v) for v in text.split(":"))
     out, x = [], start
@@ -114,6 +119,7 @@ def _thm1_shard(payload):
 
 
 def _cmd_verify_thm1(args):
+    _require_positive("--t", args.t, "t=0 compares no table")
     law = parse_initial_law(args.initial)
     candidate = _level_law_arg(args.candidate) if args.candidate else None
     if args.jobs > 1:
@@ -131,6 +137,9 @@ def _cmd_verify_thm1(args):
                 report["witness"] = shard["witness"]
             if shard["status"] == "FAIL":
                 report["status"] = "FAIL"
+            if shard.get("tolerance", 0.0) > report.get("tolerance", 0.0):
+                report["tolerance"] = shard["tolerance"]
+                report["tolerance_parts"] = shard["tolerance_parts"]
         report["t_max"] = args.t
         report["jobs"] = args.jobs
     else:
@@ -141,6 +150,7 @@ def _cmd_verify_thm1(args):
 
 
 def _cmd_verify_thm2(args):
+    _require_positive("--t", args.t, "t=0 compares no table")
     params = _params(args)
     law = parse_initial_law(args.initial)
     vlaw = v_law_from_initial(law, params, args.part)
@@ -171,6 +181,7 @@ def _cmd_verify_two_sided(args):
 
 
 def _cmd_verify_tropical(args):
+    _require_positive("--streams", args.streams, "each shard draws from its own stream")
     violations = 0
     for t in range(args.t_exhaustive + 1):
         vals = np.array(
@@ -181,7 +192,7 @@ def _cmd_verify_tropical(args):
                 rep = tropical_identities_batch(vals, g1, g2)
                 violations += sum(v for k, v in rep.items() if k != "ok")
     # random phase: one stream per shard, fresh (g1, g2) per shard
-    shards = max(1, args.streams)
+    shards = args.streams
     for i in range(shards):
         m = args.samples // shards + (1 if i < args.samples % shards else 0)
         gen = RngStream(args.seed, i).generator()
@@ -235,7 +246,10 @@ def _cmd_law(args):
     elif args.object == "level":
         glaw = g_law_from_initial(parse_initial_law(args.initial), params,
                                   args.which)
-        entries = {n: prob_json(glaw.pmf(n)) for n in range(args.nmax + 1)}
+        # float laws carry their certified error: {"value", "err"} per level
+        entries = {n: prob_json(glaw.pmf(n) if glaw.exact
+                                else Approx(glaw.pmf(n), glaw.pmf_err(n)))
+                   for n in range(args.nmax + 1)}
         return {"command": "law level", "check": "law", "params": params.to_json(),
                 "which": args.which, "pmf": entries, "status": "PASS"}
     else:  # pragma: no cover - argparse restricts choices
@@ -319,7 +333,8 @@ def _shard_sizes(total, streams):
 
 
 def _cmd_sample(args):
-    streams = max(1, args.streams)
+    _require_positive("--streams", args.streams, "each shard draws from its own stream")
+    streams = args.streams
     sizes = _shard_sizes(args.samples, streams)
     keys = [RngStream(args.seed, args.stream + i) for i in range(streams)]
 

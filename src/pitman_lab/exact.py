@@ -2,12 +2,15 @@
 
 Every exact probability in this package is a ``fractions.Fraction`` (kept
 normalized by the stdlib, arbitrary precision).  Approximate quantities are
-floats paired with a certified truncation bound, see :class:`Approx`.  The
-two modes never mix inside one computation.
+floats paired with a certified error bound (truncation plus rounding), see
+:class:`Approx` and :class:`TailSumTable`.  The two modes never mix inside
+one computation.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -20,7 +23,8 @@ APPROX_TAIL_TOL = 1e-15
 
 
 class Approx(NamedTuple):
-    """Float value together with a certified bound on the truncation error."""
+    """Float value together with a certified bound on its distance to the
+    exact value (truncation plus rounding)."""
 
     value: float
     err: float
@@ -110,6 +114,157 @@ def geometric_bracket_tail(r: Rat, a: int, b: int, q: Rat) -> Rat:
     return (geometric_tail(r, a) - q ** (b + 1) * geometric_tail(r * q, a)) / (1 - q)
 
 
+
+
+# ---------------------------------------------------------------------------
+# float mode: certified truncation plus rounding
+# ---------------------------------------------------------------------------
+
+#: unit roundoff u of IEEE double precision: fl(a op b) = (a op b)(1 + d), |d| <= u
+UNIT_ROUNDOFF = 2.0**-53
+
+#: absolute slack per float term: covers a term that underflows to a subnormal
+#: or to zero, and a bracket that overflows to inf (the true term is then
+#: below 2^-1024)
+TERM_FLOOR = 2.0**-1021
+
+
+def rel_err(*parts: float) -> float:
+    """Relative error bound of a product or quotient of factors whose own
+    relative errors are bounded by ``parts`` (one rounding counts u).
+
+    (1+a)(1+b)/(1-c) - 1 <= 1.02 (a+b+c) while a+b+c <= 0.01; the factor 1.05
+    covers that, and past 0.01 no bound is claimed (inf).
+    """
+    total = sum(parts)
+    return 1.05 * total if total <= 0.01 else math.inf
+
+
+def bracket_floats(q: Rat, count: int) -> array:
+    """[1]_q, ..., [count]_q in floats by the recurrence [j+1]_q = 1 + q [j]_q.
+
+    Each step adds two positive terms, so nothing cancels at any q > 0; the
+    relative error of [n]_q is bounded by ``bracket_rel_err``.
+    """
+    qf = float(q)
+    out, b = array("d"), 0.0
+    for _ in range(count):
+        b = 1.0 + qf * b
+        out.append(b)
+    return out
+
+
+def bracket_ratio_float(a: int, b: int, log_q: float) -> float:
+    """[a]_q / [b]_q in floats from L = log(float(q)), for a >= 0 and b >= 1.
+
+    expm1(a L)/expm1(b L) has no cancellation near q = 1; for q > 1 the form
+    q^(a-b) expm1(-a L)/expm1(-b L) keeps every factor finite.  At L = 0 it
+    is a/b.  See ``bracket_ratio_rel_err``.
+    """
+    if log_q == 0.0:
+        return a / b
+    if log_q > 0:
+        return math.exp((a - b) * log_q) * (math.expm1(-a * log_q) / math.expm1(-b * log_q))
+    return math.expm1(a * log_q) / math.expm1(b * log_q)
+
+
+def bracket_ratio_rel_err(span: int, log_q: float) -> float:
+    """Relative error bound of ``bracket_ratio_float(a, b, log_q)`` as a value
+    of [a]_q/[b]_q, for a, b <= span.
+
+    L is within 1.01u + 2u|L| of log q (float(q), then log within one ulp),
+    and log([a]_q/[b]_q) moves by at most span per unit of log q; the
+    products a L and b L move each expm1 by at most u (1 + span |L|)
+    relatively; the two expm1 calls (one ulp each) and the division add 5u.
+    For q > 1 the factor exp((a-b) L) adds at most the same again, as
+    |a - b| <= span.
+    """
+    err = rel_err(UNIT_ROUNDOFF * (1.01 * span * (1 + 4 * abs(log_q)) + 7))
+    return 2 * err if log_q > 0 else err
+
+
+def bracket_rel_err(n: int, q: Rat) -> float:
+    """Relative error bound of ``bracket_floats(q, n)[n-1]``.
+
+    [1]_q = 1 is exact, and every step adds at most 3u: one rounding each in
+    float(q), the product and the sum (a sum of positive terms keeps the
+    larger relative error of its parts).  At q = 1 the entries are exact
+    integers.
+    """
+    if q == 1 or n <= 1:
+        return 0.0
+    return rel_err(3 * (n - 1) * UNIT_ROUNDOFF)
+
+
+class TailSumTable:
+    """Float suffix sums S(n) = sum of pmf(j)/[j+1]_q over n <= j <= top, for
+    every n >= ``lo`` at once, each with a certified error bound.
+
+    ``top`` is ``trunc_n`` when given, else the law's truncation point (the
+    leftover mass P(X0 > top) is below ``APPROX_TAIL_TOL``).  The sums are
+    built once from top down to ``lo``, smallest terms first, in O(top - lo)
+    float operations; ``at(n)`` then reads one entry.
+
+    ``at(n).err`` bounds |value - sum over j >= n| by three parts:
+
+    * truncation: the terms j > top sum to at most P(X0 > top), because
+      [j+1]_q >= 1 for q > 0; the law supplies a certified float upper bound
+      (``InitialLaw.tail_mass_bound``).
+    * terms: t_j = fl(pmf_float(j) / [j+1]_q) has relative error at most
+      eta_j = rel_err(e_law(j), e_br(j+1), u), where e_law is the law's
+      ``float_rel_err`` (the float parameter, its pow and the pmf formula)
+      and e_br is ``bracket_rel_err``; TERM_FLOOR per term covers underflow.
+      Summed: E(n) = sum over n <= j <= top of (eta_j t_j + TERM_FLOOR).
+    * summation: writing each step as fl(a + b) = (a + b)/(1 + d), |d| <= u,
+      gives |S_j - (S_{j+1} + t_j)| <= u S_j, so the float suffix sum is
+      within u R(n), R(n) = sum over n <= k <= top of S_k, of the exact sum
+      of the float terms (recursive summation, Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed. 2002, §4.2).  Adding the
+      smallest terms first keeps R(n) near S(n)/(1-p) for a geometric decay
+      with ratio p, instead of the a priori (m-1) S(n) for m terms.
+
+    err(n) = truncation + 1.1 (E(n) + u R(n)).  The factor 1.1 covers the
+    division t_j/(1 - eta_j) that turns a relative error of the true term into
+    one of the float term, the float sums that form E and R (relative error
+    below 1.01 m u, m <= 10^7 terms) and the rounding of err itself.
+    """
+
+    def __init__(self, law, q: Rat, trunc_n: int = None, lo: int = 0):
+        self.law, self.q, self.lo = law, rat(q), lo
+        self.top = trunc_n if trunc_n is not None else law.truncation_point()
+        leftover = law.tail_mass_bound(self.top + 1)
+        self._brackets = bracket_floats(self.q, self.top + 1)
+        u = UNIT_ROUNDOFF
+        # packed float arrays: 8 bytes per level, not a float object each
+        values, errs = array("d"), array("d")
+        s = e = r = 0.0
+        for j in range(self.top, lo - 1, -1):
+            t = law.pmf_float(j) / self._brackets[j]
+            if t:
+                e += rel_err(law.float_rel_err(j), bracket_rel_err(j + 1, self.q), u) * t
+            e += TERM_FLOOR
+            s += t
+            r += s
+            values.append(s)
+            errs.append(leftover + 1.1 * (e + u * r))
+        values.reverse()
+        errs.reverse()
+        self._values, self._errs = values, errs
+
+    def at(self, n: int) -> Approx:
+        """Approx value of the sum of pmf(j)/[j+1]_q over j >= n."""
+        if n < self.lo:
+            raise ValueError(f"table starts at level {self.lo}, asked for {n}")
+        if n > self.top:
+            return Approx(0.0, self.law.tail_mass_bound(n))
+        return Approx(self._values[n - self.lo], self._errs[n - self.lo])
+
+    def bracket(self, n: int):
+        """([n]_q as a float, its relative error bound) for 1 <= n <= top + 1,
+        from the recurrence the terms used."""
+        return self._brackets[n - 1], bracket_rel_err(n, self.q)
+
+
 def tail_sum_ratio(law, n: int, q: Rat, mode: str = "exact", trunc_n=None):
     """Sum of P(X0 = j) / [j+1]_q over j >= n.
 
@@ -118,8 +273,8 @@ def tail_sum_ratio(law, n: int, q: Rat, mode: str = "exact", trunc_n=None):
     whose terms collapse to a geometric series (the law decides, see
     ``InitialLaw.ratio_geometric_form``); ``mode="approx"`` truncates once the
     remaining pmf mass is below ``APPROX_TAIL_TOL`` (or at the explicit cutoff
-    ``trunc_n``) and returns an :class:`Approx`.  The reported error bound is
-    the leftover pmf mass, valid because 1/[j+1]_q <= 1 for every q > 0.
+    ``trunc_n``) and returns an :class:`Approx` whose ``err`` covers the
+    truncation and the float rounding (derivation in :class:`TailSumTable`).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -128,22 +283,4 @@ def tail_sum_ratio(law, n: int, q: Rat, mode: str = "exact", trunc_n=None):
         return law.ratio_tail_exact(n, q)
     if mode != "approx":
         raise ValueError(f"unknown mode {mode!r}")
-
-    qf = float(q)
-    total = 0.0
-    j = n
-    cap = trunc_n if trunc_n is not None else 10**7
-    while j <= cap:
-        if trunc_n is None and law.tail_mass_float(j) < APPROX_TAIL_TOL:
-            break
-        pj = law.pmf_float(j)
-        if pj:
-            total += pj / _bracket_float(j + 1, qf)
-        j += 1
-    return Approx(total, law.tail_mass_float(j))
-
-
-def _bracket_float(n: int, q: float) -> float:
-    if q == 1.0:
-        return float(n)
-    return (q**n - 1.0) / (q - 1.0)
+    return TailSumTable(law, q, trunc_n, lo=n).at(n)

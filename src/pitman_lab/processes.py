@@ -12,19 +12,25 @@ initial level ("formula" route) or by mixing kernel products over the level
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
     APPROX_TAIL_TOL,
+    TERM_FLOOR,
+    UNIT_ROUNDOFF,
     Rat,
     UnsupportedExactModeError,
+    bracket_ratio_float,
+    bracket_ratio_rel_err,
     geometric_bracket_tail,
     geometric_tail,
     prob_json,
     q_bracket,
     rat,
     rat_str,
+    rel_err,
 )
 from .paths import Path, enumerate_paths, stats
 
@@ -110,7 +116,10 @@ class InitialLaw:
 
     Subclasses provide the pmf and upper-tail mass, plus (where a closed form
     exists) a geometric representation of pmf(k)/[k+1]_q used by the exact
-    tail sums.  ``exact`` marks laws with rational pmf values.
+    tail sums.  ``exact`` marks laws with rational pmf values.  Float mode
+    reads ``pmf_float``/``tail_mass_float`` with the relative error bound
+    ``float_rel_err``; laws with closed forms override all three so that no
+    Fraction power is built per term.
     """
 
     exact = True
@@ -127,6 +136,23 @@ class InitialLaw:
 
     def tail_mass_float(self, n: int) -> float:
         return float(self.tail_mass(n))
+
+    def float_rel_err(self, n: int) -> float:
+        """Bound on the relative error of ``pmf_float(n)`` and of
+        ``tail_mass_float(n)``; here each rounds one exact rational."""
+        return UNIT_ROUNDOFF
+
+    def tail_mass_bound(self, n: int) -> float:
+        """Certified float upper bound on P(X0 >= n).
+
+        With eta = float_rel_err(n) <= 0.01 the exact tail is at most
+        tail_mass_float(n) (1 + 1.02 eta); the factor 1 + 2 eta + 4u leaves
+        room for rounding the product, and TERM_FLOOR covers underflow.
+        """
+        eta = self.float_rel_err(n)
+        if eta == math.inf:
+            return math.inf
+        return self.tail_mass_float(n) * (1.0 + 2.0 * eta + 4 * UNIT_ROUNDOFF) + TERM_FLOOR
 
     def support_max(self):
         """Largest support point, or None for infinite support."""
@@ -180,13 +206,33 @@ class InitialLaw:
     # -- misc ------------------------------------------------------------------
 
     def truncation_point(self, tol: float = APPROX_TAIL_TOL) -> int:
+        """Smallest n with P(X0 > n) < tol (the top of the support when
+        finite; 10^7 if the tail is still heavier there).
+
+        The tail is non-increasing, so doubling then bisection finds n with
+        O(log n) calls of ``tail_mass_float``, which is closed form for the
+        geometric-type laws.
+        """
         top = self.support_max()
         if top is not None:
             return top
-        n = 0
-        while self.tail_mass_float(n + 1) >= tol and n < 10**7:
-            n += 1
-        return n
+
+        def below(n):
+            return self.tail_mass_float(n + 1) < tol
+
+        cap = 10**7
+        lo, hi = -1, 0  # below(lo) is False (lo = -1 stands for "none yet")
+        while not below(hi):
+            if hi >= cap:
+                return cap
+            lo, hi = hi, min(2 * hi + 1, cap)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if below(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
     def sample(self, rng, size):
         raise NotImplementedError
@@ -266,12 +312,26 @@ class Geometric(InitialLaw):
         object.__setattr__(self, "p", rat(self.p))
         if not 0 <= self.p < 1:
             raise ValueError("geometric parameter must be in [0, 1)")
+        # float twins of p and 1 - p, each one correctly rounded conversion
+        object.__setattr__(self, "_pf", float(self.p))
+        object.__setattr__(self, "_cf", float(1 - self.p))
 
     def pmf(self, n):
         return (1 - self.p) * self.p**n
 
     def tail_mass(self, n):
         return self.p**n
+
+    def pmf_float(self, n):
+        return self._cf * self._pf**n
+
+    def tail_mass_float(self, n):
+        return self._pf**n
+
+    def float_rel_err(self, n):
+        # float(p) raised to n (n u), pow within one ulp (2u), float(1 - p)
+        # and the product
+        return rel_err((n + 4) * UNIT_ROUNDOFF)
 
     def sample(self, rng, size):
         return rng.geometric(float(1 - self.p), size) - 1
@@ -299,6 +359,16 @@ class QNegativeBinomial(InitialLaw):
             raise ValueError("q must be > 0")
         if not 0 <= self.theta < 1 or self.theta * self.q >= 1:
             raise ValueError("need 0 <= theta < 1 and theta*q < 1")
+        # float twins.  For q <= 1: pmf = c theta^n [n+1]_q and
+        # P(X0 >= n) = theta^n ((1 - theta q) [n]_q + q^n), sums of positive
+        # terms.  For q > 1 both are rewritten with r = q theta and
+        # [m]_q = q^(m-1) [m]_{1/q}, so no factor overflows.
+        big = self.q > 1
+        object.__setattr__(self, "_r", float(self.q * self.theta if big else self.theta))
+        object.__setattr__(self, "_log_b", math.log(float(1 / self.q if big else self.q)))
+        object.__setattr__(self, "_cf", float((1 - self.theta) * (1 - self.theta * self.q)))
+        object.__setattr__(self, "_df", float(1 - self.theta * self.q))
+        object.__setattr__(self, "_qf", float(self.q))
 
     def pmf(self, n):
         return q_bracket(n + 1, self.q) * self.theta**n * (1 - self.theta) * (1 - self.theta * self.q)
@@ -306,6 +376,21 @@ class QNegativeBinomial(InitialLaw):
     def tail_mass(self, n):
         c = (1 - self.theta) * (1 - self.theta * self.q)
         return c * geometric_bracket_tail(self.theta, n, 0, self.q)
+
+    def pmf_float(self, n):
+        return self._cf * self._r**n * bracket_ratio_float(n + 1, 1, self._log_b)
+
+    def tail_mass_float(self, n):
+        br = self._df * bracket_ratio_float(n, 1, self._log_b)
+        if self.q > 1:
+            return self._r**n * (br / self._qf + 1.0)
+        return self._r**n * (br + self._qf**n)
+
+    def float_rel_err(self, n):
+        # r^n and q^n (n + 2 each), four conversions, four operations, and
+        # the expm1 bracket
+        return rel_err((2 * n + 12) * UNIT_ROUNDOFF,
+                       bracket_ratio_rel_err(n + 1, self._log_b))
 
     def ratio_geometric_form(self, q):
         c = (1 - self.theta) * (1 - self.theta * self.q)
@@ -336,12 +421,23 @@ class NegativeBinomial(InitialLaw):
         object.__setattr__(self, "rho0", rat(self.rho0))
         if not 0 <= self.rho0 < 1:
             raise ValueError("rho0 must be in [0, 1)")
+        # the same law as QNegativeBinomial(1, rho0), whose float twins apply
+        object.__setattr__(self, "_twin", QNegativeBinomial(Fraction(1), self.rho0))
 
     def pmf(self, n):
         return (1 - self.rho0) ** 2 * (n + 1) * self.rho0**n
 
     def tail_mass(self, n):
         return (1 - self.rho0) ** 2 * geometric_bracket_tail(self.rho0, n, 0, Fraction(1))
+
+    def pmf_float(self, n):
+        return self._twin.pmf_float(n)
+
+    def tail_mass_float(self, n):
+        return self._twin.tail_mass_float(n)
+
+    def float_rel_err(self, n):
+        return self._twin.float_rel_err(n)
 
     def ratio_geometric_form(self, q):
         if q == 1:
@@ -388,6 +484,17 @@ class ShiftedPoisson(InitialLaw):
                 # remaining mass < term / (1 - lam/(k+1))
                 total += term / (1 - self.lam / (k + 1))
                 return total
+
+    def float_rel_err(self, n):
+        # pmf: exp of -lam + (n-1) log lam - lgamma(n); with log and lgamma
+        # within two ulps and three roundings, the exponent is off by at most
+        # 6u times the sum of its parts' magnitudes, and exp adds 2u.  The
+        # tail series starts at that term, adds at most 3u per step and stops
+        # within 2 lam + 64 steps (past k = 2 lam the terms halve, and it stops
+        # once a term is below 1e-18 of the total).
+        lam = self.lam
+        parts = lam + max(n - 1, 0) * abs(math.log(lam)) + math.lgamma(max(n, 1))
+        return rel_err(UNIT_ROUNDOFF * (6 * parts + 2 + 3 * (2 * lam + 64)))
 
     def sample(self, rng, size):
         return 1 + rng.poisson(self.lam, size)
@@ -442,7 +549,9 @@ class DistTable:
     """Probability table keyed by increment paths of one fixed horizon.
 
     ``mode`` is "exact" (Fraction entries, mass exactly 1) or "approx" (float
-    entries, ``err`` bounds the total truncated mass).
+    entries).  On the formula route ``err`` bounds the summed distance of the
+    entries to the exact law, truncated mass plus rounding, and so each
+    entry's too; on the product route it is the truncated mass.
     """
 
     horizon: int
@@ -543,47 +652,73 @@ def chain_increment_law(
 
 
 def _chain_law_formula(t, law, params, mode, kmax):
+    if mode != "exact":
+        return _chain_law_formula_float(t, law, params, kmax)
     q, z, rho = params.q, params.z, params.rho
     allow_flat = params.sigma > 0
     entries = {}
-    err = 0.0
-    trunc_top = None
-    if mode == "approx":
-        trunc_top = kmax if kmax is not None else law.truncation_point()
-        err = law.tail_mass_float(trunc_top + 1)
     for x in enumerate_paths(t, allow_flat):
         st = stats(x)
+        pref = params.sigma**st.H / (z**t * rho**x.end)
+        entries[x] = pref * law.bracket_ratio_sum_exact(-st.K0, x.end, q)
+    return DistTable(t, mode, entries)
+
+
+def _chain_law_formula_float(t, law, params, kmax):
+    """Float formula route: entry(x) = pref(x) * s(-K0, x_t) with
+    pref = sigma^H / (z^t rho^(x_t)) and s(a, x_t) the sum of
+    pmf(k) [x_t+k+1]_q / [k+1]_q over a <= k <= top.
+
+    The pmf floats are read once per table, and s depends on the path only
+    through (-K0, x_t): for each end value x_t one pass from top down (small
+    terms first) yields s for every a <= t, so the table costs O(top) per
+    end value, not per path.
+
+    ``err`` bounds the summed distance of all entries to the exact law.  The
+    levels k > top carry total mass P(X0 > top) over all paths (the chain from
+    any level has mass 1).  Each entry adds its rounding: s is within
+    1.1 (E + u R) of the sum of its exact terms, as in ``exact.TailSumTable``,
+    with term errors rel_err(law.float_rel_err(k), ratio error, u), and pref
+    is within rel_err((H + t + |x_t| + 9) u) (float sigma, z, rho, their
+    powers within one ulp, the product and the quotient with s).
+    """
+    u = UNIT_ROUNDOFF
+    top = kmax if kmax is not None else law.truncation_point()
+    pmfs = array("d", (law.pmf_float(k) for k in range(top + 1)))
+    pmf_errs = array("d", (law.float_rel_err(k) for k in range(top + 1)))
+    q_is_one = params.q == 1
+    log_q = math.log(float(params.q))
+    sig, zf, rhof = float(params.sigma), float(params.z), float(params.rho)
+
+    def suffix_sums(xt):
+        # s(a, xt) and its rounding bound, kept for the a a path can have:
+        # max(0, -xt) <= a <= t
+        lo = max(0, -xt)
+        kept, s, e, r = [], 0.0, 0.0, 0.0
+        for k in range(top, lo - 1, -1):
+            a, b = xt + k + 1, k + 1
+            term = pmfs[k] * bracket_ratio_float(a, b, log_q)
+            ratio_err = u if q_is_one else bracket_ratio_rel_err(max(a, b), log_q)
+            if term:
+                e += rel_err(pmf_errs[k], ratio_err, u) * term
+            e += TERM_FLOOR
+            s += term
+            r += s
+            if k <= t:
+                kept.append((s, 1.1 * (e + u * r)))
+        return lo, kept[::-1]
+
+    by_end = {}
+    entries, rounding = {}, 0.0
+    for x in enumerate_paths(t, params.sigma > 0):
+        st = stats(x)
         a = -st.K0
-        if mode == "exact":
-            pref = params.sigma**st.H / (z**t * rho**x.end)
-            entries[x] = pref * law.bracket_ratio_sum_exact(a, x.end, q)
-        else:
-            pref = float(params.sigma) ** st.H / (float(z) ** t * float(rho) ** x.end)
-            qf = float(q)
-            s = 0.0
-            for k in range(a, trunc_top + 1):
-                pk = law.pmf_float(k)
-                if pk:
-                    s += pk * _bracket_ratio_float(x.end, k, qf)
-            entries[x] = pref * s
-    return DistTable(t, mode, entries, err=err)
+        if x.end not in by_end:
+            by_end[x.end] = suffix_sums(x.end)
+        lo, kept = by_end[x.end]
+        s, s_err = kept[a - lo] if a <= top else (0.0, 0.0)
+        pref = sig**st.H / (zf**t * rhof**x.end)
+        entries[x] = pref * s
+        rounding += pref * s_err + rel_err((st.H + t + abs(x.end) + 9) * u) * pref * s
+    return DistTable(t, "approx", entries, err=law.tail_mass_bound(top + 1) + 1.1 * rounding)
 
-
-def _bracket_ratio_float(xt, k, q):
-    if q == 1.0:
-        return (xt + k + 1) / (k + 1)
-    return math.expm1((xt + k + 1) * math.log(q)) / math.expm1((k + 1) * math.log(q))
-
-
-def chain_position_prob(positions, law: InitialLaw, params: Params) -> Rat:
-    """Convenience wrapper for position (not increment) probabilities:
-    P(X_0 = k0, ..., X_t = kt) = pmf(k0) * product of kernel factors."""
-    positions = [int(v) for v in positions]
-    if any(v < 0 for v in positions):
-        return Fraction(0)
-    prob = law.pmf(positions[0])
-    for a, b in zip(positions, positions[1:]):
-        if not prob:
-            break
-        prob *= chain_transition(a, b - a, params)
-    return prob

@@ -14,13 +14,16 @@ import math
 from fractions import Fraction
 
 from .exact import (
+    UNIT_ROUNDOFF,
+    Approx,
     Rat,
+    TailSumTable,
     UnsupportedExactModeError,
     geometric_bracket_tail,
     prob_json,
     q_bracket,
     rat,
-    tail_sum_ratio,
+    rel_err,
 )
 from .paths import Path, enumerate_paths, stats
 from .processes import (
@@ -40,7 +43,9 @@ class LevelLaw:
     Three shapes: finite support, geometric, and formula-backed (closures with
     a cache, used for level laws derived from an initial law).  The weighted
     sums needed by the conditioning formulas are available in closed form for
-    the finite and geometric shapes.
+    the finite and geometric shapes.  Float formula laws return
+    :class:`Approx` from their closures: ``pmf``/``tail`` give the value and
+    ``pmf_err``/``tail_err`` its certified error (0 for exact laws).
     """
 
     def __init__(self, kind, *, pmf_map=None, p=None, pmf_fn=None, tail_fn=None,
@@ -90,9 +95,7 @@ class LevelLaw:
             return self._pmf_map.get(n, Fraction(0))
         if self.kind == "geometric":
             return (1 - self._p) * self._p**n
-        if n not in self._pmf_cache:
-            self._pmf_cache[n] = self._pmf_fn(n)
-        return self._pmf_cache[n]
+        return _value(self._pmf_entry(n))
 
     def tail(self, n: int):
         """P(level >= n)."""
@@ -102,6 +105,26 @@ class LevelLaw:
             return sum((p for lvl, p in self._pmf_map.items() if lvl >= n), Fraction(0))
         if self.kind == "geometric":
             return self._p**n
+        return _value(self._tail_entry(n))
+
+    def pmf_err(self, n: int) -> float:
+        """Certified bound on |pmf(n) - exact pmf(n)|; 0 for exact laws."""
+        if n < 0 or self.kind != "formula":
+            return 0.0
+        return _err(self._pmf_entry(n))
+
+    def tail_err(self, n: int) -> float:
+        """Certified bound on |tail(n) - exact P(level >= n)|; 0 for exact laws."""
+        if n <= 0 or self.kind != "formula":
+            return 0.0
+        return _err(self._tail_entry(n))
+
+    def _pmf_entry(self, n):
+        if n not in self._pmf_cache:
+            self._pmf_cache[n] = self._pmf_fn(n)
+        return self._pmf_cache[n]
+
+    def _tail_entry(self, n):
         if n not in self._tail_cache:
             self._tail_cache[n] = self._tail_fn(n)
         return self._tail_cache[n]
@@ -138,6 +161,14 @@ class LevelLaw:
         return f"LevelLaw({self.label})"
 
 
+def _value(v):
+    return v.value if isinstance(v, Approx) else v
+
+
+def _err(v):
+    return v.err if isinstance(v, Approx) else 0.0
+
+
 def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
                        mode: str = None, trunc_n: int = None) -> LevelLaw:
     """Level law induced by an initial law: pmf(n) = q^n * tail_sum_ratio(law, n, q).
@@ -145,6 +176,13 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
     ``which="G"`` uses q = rho^2 (plain walk side); ``which="Gtilde"`` uses
     1/rho^2 (sign-flipped walk side).  The tail comes from the same sums:
     P(G >= n) = P(X0 >= n) - [n]_q * tail_sum_ratio(law, n, q).
+
+    In approx mode one :class:`TailSumTable` serves every level of both pmf
+    and tail.  Their errors add to the table's the rounding of the float
+    factors q^n (float(q) to the power n, pow within one ulp, the product)
+    and, for the tail, of P(X0 >= n) (the law's ``float_rel_err``), of [n]_q
+    (``bracket_rel_err``), of the product and of the difference; the factor
+    1.1 covers second-order terms and the rounding of the bound itself.
     """
     if which not in ("G", "Gtilde"):
         raise ValueError("which must be 'G' or 'Gtilde'")
@@ -161,17 +199,37 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
             label=label,
         )
 
-    qf = float(q)
+    table = TailSumTable(law, q, trunc_n)
+    qf, u = float(q), UNIT_ROUNDOFF
+    log_q = math.log(qf)
 
-    def pmf_fn(n, _cache={}):
-        if n not in _cache:
-            _cache[n] = tail_sum_ratio(law, n, q, "approx", trunc_n).value
-        return qf**n * _cache[n]
+    def bounded_by_initial_tail(n):
+        # P(G = n) and P(G >= n) both lie in [0, P(X0 >= n)], as
+        # q^n <= [j+1]_q for j >= n; used past the table's top (where
+        # P(X0 >= n) < APPROX_TAIL_TOL) and where q^n or [n]_q overflows
+        return Approx(0.0, law.tail_mass_bound(n))
+
+    def pmf_fn(n):
+        if n > table.top or n * log_q > 700:
+            return bounded_by_initial_tail(n)
+        s = table.at(n)
+        qn = qf**n
+        value = qn * s.value
+        return Approx(value, 1.1 * (qn * s.err + rel_err((n + 4) * u) * value))
 
     def tail_fn(n):
-        ts = tail_sum_ratio(law, n, q, "approx", trunc_n).value
-        br = float(n) if qf == 1.0 else (qf**n - 1.0) / (qf - 1.0)
-        return law.tail_mass_float(n) - br * ts
+        if n > table.top:
+            return bounded_by_initial_tail(n)
+        s = table.at(n)
+        br, br_err = table.bracket(n)
+        removed = br * s.value
+        if not math.isfinite(removed):
+            return bounded_by_initial_tail(n)
+        mass = law.tail_mass_float(n)
+        value = mass - removed
+        err = (law.float_rel_err(n) * mass + br * s.err
+               + rel_err(br_err, u) * removed + u * abs(value))
+        return Approx(value, 1.1 * err)
 
     return LevelLaw.from_formulas(pmf_fn, tail_fn, exact=False, label=label)
 
@@ -263,20 +321,41 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
     instead turns this into the converse test: a wrong candidate produces a
     witness path.  ``t_values`` restricts the horizons (used to shard grid
     work across workers).
+
+    In approx mode the tables are compared within a tolerance built from
+    their certified errors, reported with its parts:
+
+    * ``chain_err``: the largest ``err`` of the float chain tables;
+    * ``level_err``: the largest pmf_err(n) + tail_err(n) of the level law
+      over the levels n <= t_max the tables read.  A rhs entry is
+      P(G >= n) w0 + P(G = n) W, where w0 and W are walk probabilities of
+      disjoint paths (pref and pref * factor on the closed-form route), so
+      both are at most 1 and the entry is within pmf_err + tail_err;
+    * ``entry_rounding``: 8u per rhs table.  An entry takes at most five
+      float roundings of a value at most 1 (level values times exact
+      rationals, one sum), and the comparison one more.
+
+    A pair's distance is at most the sum of its two tables' bounds, so
+    tolerance = chain_err + 2 level_err + 2 entry_rounding covers all three
+    pairs.
     """
     if part not in ("I", "II"):
         raise ValueError("part must be 'I' or 'II'")
+    horizons = list(t_values if t_values is not None else range(1, t_max + 1))
+    if not horizons or min(horizons) < 1:
+        raise ValueError(f"thm1 needs horizons t >= 1, got t_max={t_max}: "
+                         "t=0 compares no table")
     walk_params = params if part == "I" else params.tilde()
     which = "G" if part == "I" else "Gtilde"
     glaw = candidate if candidate is not None else g_law_from_initial(law, params, which)
 
     worst, witness = Fraction(0), None
     exact = glaw.exact and law.exact and law.exact_capable(params.q)
-    trunc_err = 0.0
-    for t in (t_values if t_values is not None else range(1, t_max + 1)):
+    chain_err = 0.0
+    for t in horizons:
         chain = chain_increment_law(t, law, params,
                                     mode="exact" if exact else "approx")
-        trunc_err = max(trunc_err, chain.err)
+        chain_err = max(chain_err, chain.err)
         enum = rhs_law_enumeration(t, glaw, walk_params)
         form = rhs_law_table_formula(t, glaw, walk_params)
         d, w = compare_tables([
@@ -289,10 +368,18 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
         if witness and candidate is not None:
             break  # a single witness settles the converse question
 
+    parts = None
     if not exact:
-        tol = max(tol, trunc_err + 1e-10)
+        parts = {
+            "chain_err": chain_err,
+            "level_err": max(glaw.pmf_err(n) + glaw.tail_err(n)
+                             for n in range(max(horizons) + 1)),
+            "entry_rounding": 8 * UNIT_ROUNDOFF,
+        }
+        tol = max(tol, parts["chain_err"] + 2 * parts["level_err"]
+                  + 2 * parts["entry_rounding"])
     status = "PASS" if worst <= tol else "FAIL"
-    return {
+    report = {
         "check": "thm1",
         "part": part,
         "direction": "candidate" if candidate is not None else "forward",
@@ -305,10 +392,16 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
         "witness": witness,
         "status": status,
     }
+    if parts is not None:
+        report["tolerance"] = tol
+        report["tolerance_parts"] = parts
+    return report
 
 
 def verify_two_sided(t_max: int, law: InitialLaw, params: Params) -> dict:
     """Both transform representations (plain and sign-flipped walk) give one law."""
+    if t_max < 1:
+        raise ValueError(f"two-sided needs t_max >= 1, got {t_max}: t=0 compares no table")
     g = g_law_from_initial(law, params, "G")
     gt = g_law_from_initial(law, params, "Gtilde")
     tilde = params.tilde()

@@ -1,4 +1,6 @@
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +66,26 @@ class TestVerifyCommands:
         )
         assert code == 0 and rep["violations"] == 0
 
+    @pytest.mark.parametrize("what", ["thm1", "thm2", "two-sided"])
+    def test_zero_horizon_exits_two(self, capsys, what):
+        code, out, err = run(capsys, "verify", what, "--rho", "1/2", "--t", "0",
+                             "--initial", "point:1")
+        assert code == 2 and not out.strip()
+        assert "t=0 compares no table" in err
+
+    def test_thm1_approx_reports_tolerance(self, capsys):
+        code, rep, _ = run_json(capsys, "verify", "thm1", "--rho", "1/2", "--sigma", "1",
+                                "--t", "3", "--initial", "geo:1/3")
+        assert code == 0 and rep["exact"] is False
+        assert set(rep["tolerance_parts"]) == {"chain_err", "level_err", "entry_rounding"}
+        assert rep["max_abs_diff"]["float"] <= rep["tolerance"]
+
+    def test_tropical_zero_streams_exits_two(self, capsys):
+        code, out, err = run(capsys, "verify", "tropical", "--t-exhaustive", "2",
+                             "--samples", "10", "--streams", "0")
+        assert code == 2 and not out.strip()
+        assert "--streams" in err
+
     def test_damage(self, capsys):
         code, rep, _ = run_json(
             capsys, "verify", "damage", "--q", "1/4", "--theta", "1/2",
@@ -101,6 +123,29 @@ class TestLawCommands:
         code, rep, _ = run_json(capsys, "law", "level", "--rho", "1", "--t", "1",
                                 "--initial", "point:3", "--nmax", "4")
         assert [rep["pmf"][str(n)] for n in range(4)] == ["1/4"] * 4
+
+    def test_level_pmf_approx_carries_err(self, capsys):
+        code, rep, _ = run_json(capsys, "law", "level", "--rho", "1/2",
+                                "--initial", "geo:1/3", "--nmax", "5")
+        assert code == 0
+        for n in range(6):
+            level = rep["pmf"][str(n)]
+            assert set(level) == {"value", "err"}
+            assert 0 < level["err"] < 1e-12 and level["value"] > 0
+
+    def test_level_pmf_heavy_geometric_is_fast_and_certified(self, capsys, ratio_tails,
+                                                              within_err):
+        # one tail-sum table serves all levels: ~3400 float terms, not
+        # ~3400 per level with Fraction powers
+        start = time.perf_counter()
+        code, rep, _ = run_json(capsys, "law", "level", "--rho", "1/2",
+                                "--initial", "geo:99/100", "--nmax", "20")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        q = Fraction(1, 4)
+        for n, (lo, hi) in enumerate(ratio_tails(Fraction(99, 100), q, 20)):
+            level = rep["pmf"][str(n)]
+            assert within_err(level["value"], level["err"], q**n * lo, q**n * hi), n
 
     def test_malformed_initial_law(self, capsys):
         code, _, err = run(capsys, "law", "chain", "--rho", "1", "--initial", "junk:1")
@@ -156,6 +201,11 @@ class TestSampleCommands:
         _, rep, _ = run_json(capsys, "sample", "chain", "--rho", "1", "--t", "4",
                              "--initial", "point:2", "--samples", "2", "--seed", "0")
         assert all(p.startswith("2,") for p in rep["paths"])
+
+    def test_zero_streams_exits_two(self, capsys):
+        code, out, err = run(capsys, "sample", "walk", "--rho", "1/2", "--streams", "0")
+        assert code == 2 and not out.strip()
+        assert "--streams" in err
 
     def test_limit_process(self, capsys):
         _, rep, _ = run_json(capsys, "sample", "limit-process", "--v", "0",

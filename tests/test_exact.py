@@ -111,6 +111,27 @@ class TestTailSumRatio:
         assert abs(auto.value - long.value) <= max(auto.err, 1e-14)
 
 
+class TestApproxErrCoversRounding:
+    """Approx.err must bound the distance to the exact value, rounding included."""
+
+    def test_reference_encloses_exact_partial_sum(self, ratio_tails):
+        p, q = F(1, 3), F(1, 4)
+        law = Geometric(p)
+        for n, (lo, hi) in enumerate(ratio_tails(p, q, 3)):
+            exact_head = brute_tail_sum_ratio(law, n, q, terms=60)
+            assert lo <= exact_head + p ** (n + 60) and exact_head <= hi
+
+    @pytest.mark.parametrize("p", [F(49, 50), F(99, 100)])
+    @pytest.mark.parametrize("rho", [F(1, 2), F(2, 3)])
+    def test_err_bounds_distance_to_certified_value(self, p, rho, ratio_tails, within_err):
+        q = rho**2
+        for n, (lo, hi) in enumerate(ratio_tails(p, q, 10)):
+            approx = tail_sum_ratio(Geometric(p), n, q, mode="approx")
+            assert within_err(approx.value, approx.err, lo, hi), n
+            # a bound that stays meaningful: far below the values summed
+            assert approx.err < 1e-12
+
+
 def test_rat_serialization_round_trip():
     assert rat_str(F(-3, 7)) == "-3/7"
     assert parse_rat("-3/7") == F(-3, 7)

@@ -142,6 +142,36 @@ class TestInitialLaws:
             parse_initial_law("finite:0=1/2")
 
 
+FLOAT_LAWS = [
+    Geometric(F(1, 3)),
+    Geometric(F(99, 100)),
+    QNegativeBinomial(F(1, 4), F(1, 2)),
+    QNegativeBinomial(F(9, 4), F(2, 9)),
+    QNegativeBinomial(F(1), F(3, 4)),
+    NegativeBinomial(F(1, 2)),
+    FiniteSupport(((0, F(1, 6)), (2, F(1, 3)), (5, F(1, 2)))),
+]
+
+
+class TestFloatTwins:
+    @pytest.mark.parametrize("law", FLOAT_LAWS, ids=repr)
+    def test_within_stated_relative_error(self, law):
+        for n in (0, 1, 2, 5, 17, 60, 200):
+            eta = F(law.float_rel_err(n))
+            for got, want in ((law.pmf_float(n), law.pmf(n)),
+                              (law.tail_mass_float(n), law.tail_mass(n))):
+                assert abs(F(got) - want) <= eta * want, n
+            assert law.tail_mass_bound(n) >= law.tail_mass(n)
+
+    @pytest.mark.parametrize("law", FLOAT_LAWS + [ShiftedPoisson(1.0)], ids=repr)
+    def test_truncation_point_is_first_light_tail(self, law):
+        tol = 1e-15
+        n = law.truncation_point(tol)
+        if law.support_max() is None:
+            assert law.tail_mass_float(n + 1) < tol
+            assert n == 0 or law.tail_mass_float(n) >= tol
+
+
 class TestChainIncrementLaw:
     def test_reflecting_start(self):
         tbl = chain_increment_law(1, PointMass(0), Params(F(1)))
@@ -201,6 +231,18 @@ class TestChainIncrementLaw:
         with pytest.raises(UnsupportedExactModeError):
             chain_increment_law(2, Geometric(F(1, 3)), params,
                                 route="product", mode="exact")
+
+    def test_approx_table_mass_within_err(self):
+        tbl = chain_increment_law(5, Geometric(F(9, 10)), Params(F(1, 2), F(1)))
+        assert tbl.mode == "approx"
+        assert 0 < tbl.err < 1e-12
+        assert abs(math.fsum(tbl.entries.values()) - 1) <= tbl.err
+
+    def test_approx_formula_at_rho_above_one_stays_finite(self):
+        # q = 9/4 and ~3400 initial levels: each [k+1]_q alone overflows a float
+        tbl = chain_increment_law(2, Geometric(F(99, 100)), Params(F(3, 2), F(1)))
+        assert all(math.isfinite(v) for v in tbl.entries.values())
+        assert abs(math.fsum(tbl.entries.values()) - 1) <= tbl.err
 
     def test_approx_route_geometric_initial(self):
         params = Params(F(2, 3))

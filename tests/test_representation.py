@@ -100,6 +100,22 @@ class TestGLaw:
             )
             assert glaw_t.pmf(k) == conv
 
+    @pytest.mark.parametrize("which", ["G", "Gtilde"])
+    def test_approx_level_law_within_err(self, which, ratio_tails, within_err):
+        p, params = F(49, 50), Params(F(2, 3), F(1))
+        q = params.q if which == "G" else 1 / params.q
+        glaw = g_law_from_initial(Geometric(p), params, which)
+        assert not glaw.exact
+        if q < 1:
+            # P(G = n) = q^n S(n) and P(G >= n) = p^n - [n]_q S(n)
+            for n, (lo, hi) in enumerate(ratio_tails(p, q, 8)):
+                qn, br = q**n, q_bracket(n, q)
+                assert within_err(glaw.pmf(n), glaw.pmf_err(n), qn * lo, qn * hi), n
+                assert within_err(glaw.tail(n), glaw.tail_err(n),
+                                  p**n - br * hi, p**n - br * lo), n
+        mass = math.fsum(glaw.pmf(n) for n in range(5000))
+        assert abs(mass - 1) <= sum(glaw.pmf_err(n) for n in range(5000)) + 1e-15
+
     def test_shifted_poisson_gives_poisson(self):
         glaw = g_law_from_initial(ShiftedPoisson(1.0), Params(F(1)), "G",
                                   mode="approx", trunc_n=200)
@@ -176,6 +192,26 @@ class TestVerify:
     def test_approx_initial_law(self):
         rep = verify_thm1(3, Geometric(F(1, 3)), Params(F(2, 3)), "I")
         assert rep["status"] == "PASS" and rep["exact"] is False
+
+    def test_approx_report_names_its_tolerance(self):
+        rep = verify_thm1(3, Geometric(F(1, 3)), Params(F(2, 3)), "I")
+        assert rep["status"] == "PASS"
+        parts = rep["tolerance_parts"]
+        assert set(parts) == {"chain_err", "level_err", "entry_rounding"}
+        assert all(v > 0 for v in parts.values())
+        assert rep["tolerance"] == (parts["chain_err"] + 2 * parts["level_err"]
+                                    + 2 * parts["entry_rounding"])
+        assert rep["max_abs_diff"]["float"] <= rep["tolerance"] < 1e-12
+
+    def test_exact_report_has_no_tolerance(self):
+        rep = verify_thm1(2, PointMass(1), Params(F(1, 2)), "I")
+        assert rep["exact"] is True and "tolerance" not in rep
+
+    def test_no_horizon_is_an_error(self):
+        with pytest.raises(ValueError, match="t=0"):
+            verify_thm1(0, PointMass(1), Params(F(1, 2)), "I")
+        with pytest.raises(ValueError, match="t=0"):
+            verify_two_sided(0, PointMass(1), Params(F(1, 2)))
 
     def test_two_sided(self):
         assert verify_two_sided(4, PointMass(2), Params(F(2, 3)))["status"] == "PASS"
