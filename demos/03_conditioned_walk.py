@@ -28,7 +28,7 @@ for a in range(4):
     print(f"   P(never below -{a}) = {survival_prob(a, params)}")
 
 vlaw = v_law_from_initial(law, params, "I")
-print(f"\nconditioning level law: {vlaw.label} (degenerate at the start level)")
+print(f"\nconditioning level law: {vlaw.cli_string()} (degenerate at the start level)")
 
 t = 3
 cond = conditioned_walk_law(t, vlaw, params, "I")

@@ -11,16 +11,14 @@ __version__ = "0.1.0"
 
 from .exact import (
     Approx,
-    Rat,
     RegimeError,
     UnsupportedExactModeError,
     parse_rat,
     q_bracket,
-    rat,
     rat_str,
     tail_sum_ratio,
 )
-from .paths import HorizonCapError, Path, PathStats, enumerate_paths, path_count, stats
+from .paths import HorizonCapError, Path, enumerate_paths, path_count, stats
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -33,14 +31,12 @@ from .processes import (
     ShiftedPoisson,
     chain_increment_law,
     chain_transition,
-    initial_pmf,
     parse_initial_law,
     step_pmf,
     walk_law,
     walk_path_prob,
 )
 from .transform import (
-    PreimageSet,
     apply_T,
     preimage,
     preimage_member,
@@ -49,6 +45,7 @@ from .transform import (
     tilde_T,
     tropical_compose_check,
     tropical_identities_batch,
+    verify_tropical,
 )
 from .representation import (
     LevelLaw,
@@ -67,6 +64,7 @@ from .conditioning import (
     rejection_oracle,
     survival_prob,
     v_law_from_initial,
+    verify_thm2,
 )
 from .scaling import (
     LimitLevelLaw,
@@ -76,7 +74,6 @@ from .scaling import (
     heat_kernel,
     kernel_limit_check,
     kernel_limit_ladder,
-    limit_cdf,
     limit_process_sample,
     step_moments,
 )
@@ -86,6 +83,5 @@ from .sampling import (
     ks_distance,
     ks_two_sample_critical,
     sample_chain,
-    sample_level,
     sample_walk,
 )

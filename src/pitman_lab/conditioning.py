@@ -16,10 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import Rat, RegimeError, q_bracket
+from .exact import Rat, RegimeError, prob_json, q_bracket
 from .paths import Path, enumerate_paths, stats
-from .processes import DistTable, InitialLaw, Params, step_pmf
-from .representation import LevelLaw
+from .processes import (
+    DistTable,
+    FiniteSupport,
+    Geometric,
+    InitialLaw,
+    Params,
+    chain_increment_law,
+    step_pmf,
+)
+from .representation import table_diffs, worst_difference
 
 
 def _effective_params(params: Params, part: str) -> Params:
@@ -47,7 +55,7 @@ def survival_prob(a: int, params: Params) -> Rat:
     return 1 - params.rho ** (2 * (a + 1))
 
 
-def v_law_from_initial(law: InitialLaw, params: Params, part: str = "I") -> LevelLaw:
+def v_law_from_initial(law: InitialLaw, params: Params, part: str = "I") -> InitialLaw:
     """The level law making the conditioned walk match the chain:
     P(V = k) proportional to P(X0 = k) / [k+1]_q with q = rho^2 (part I) or
     1/rho^2 (part II)."""
@@ -59,10 +67,7 @@ def v_law_from_initial(law: InitialLaw, params: Params, part: str = "I") -> Leve
             k: law.pmf(k) / q_bracket(k + 1, q) for k in range(top + 1) if law.pmf(k)
         }
         total = sum(weights.values())
-        return LevelLaw.from_pmf(
-            {k: w / total for k, w in weights.items()},
-            label=f"V[{law.cli_string()}]",
-        )
+        return FiniteSupport(tuple((k, w / total) for k, w in weights.items()))
     form = law.ratio_geometric_form(q)
     if form is None:
         raise RegimeError(
@@ -70,10 +75,10 @@ def v_law_from_initial(law: InitialLaw, params: Params, part: str = "I") -> Leve
         )
     _, r = form
     # weights c * r^k normalize to a geometric law outright
-    return LevelLaw.geometric(r)
+    return Geometric(r)
 
 
-def conditioned_walk_law(t: int, vlaw: LevelLaw, params: Params, part: str = "I") -> DistTable:
+def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "I") -> DistTable:
     """Exact law of the first t steps of the walk conditioned on
     inf_u (S_u + V) >= 0 (sign-flipped walk for part II)."""
     eff = _effective_params(params, part)
@@ -88,7 +93,32 @@ def conditioned_walk_law(t: int, vlaw: LevelLaw, params: Params, part: str = "I"
     return DistTable(t, "exact", entries)
 
 
-def rejection_oracle(t: int, vlaw: LevelLaw, params: Params, part: str = "I",
+def verify_thm2(t_max: int, law: InitialLaw, params: Params, part: str = "I") -> dict:
+    """Check on every horizon up to t_max that the chain law equals the law of
+    the walk conditioned to stay above V.  The two sides are independent
+    closed forms: the chain route sums over the initial law
+    (``bracket_ratio_sum_exact``), the conditioned walk over V
+    (``bracket_tail``)."""
+    if t_max < 1:
+        raise ValueError(f"thm2 needs t_max >= 1, got {t_max}: t=0 compares no table")
+    vlaw = v_law_from_initial(law, params, part)
+    worst, witness = worst_difference(
+        table_diffs(t, ("chain_vs_conditioned", chain_increment_law(t, law, params),
+                        conditioned_walk_law(t, vlaw, params, part)))
+        for t in range(1, t_max + 1))
+    return {
+        "check": "thm2",
+        "part": part,
+        "params": params.to_json(),
+        "initial": law.cli_string(),
+        "t_max": t_max,
+        "max_abs_diff": prob_json(worst),
+        "witness": witness and witness["path"],
+        "status": "PASS" if worst == 0 else "FAIL",
+    }
+
+
+def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
                      horizon_pad: int = 200, n_samples: int = 200000,
                      rng=None, chunk: int = 50000) -> dict:
     """Monte Carlo cross-check: sample V and a length-(t+pad) walk, keep the
@@ -107,8 +137,6 @@ def rejection_oracle(t: int, vlaw: LevelLaw, params: Params, part: str = "I",
     T = t + horizon_pad
     probs = step_pmf(eff)
     p_up, p_flat = float(probs[1]), float(probs[0])
-    pmf = vlaw.pmf_floats()
-    cum_v = np.cumsum(pmf)
 
     counts = {}
     accepted = 0
@@ -121,7 +149,7 @@ def rejection_oracle(t: int, vlaw: LevelLaw, params: Params, part: str = "I",
         u = gen.random((m, T))
         steps = np.where(u < p_up, 1, np.where(u < p_up + p_flat, 0, -1)).astype(np.int32)
         s = np.cumsum(steps, axis=1)
-        v = np.searchsorted(cum_v, gen.random(m), side="right").clip(0, len(pmf) - 1)
+        v = vlaw.sample(gen, m)
         keep = (s.min(axis=1) + v) >= 0
         accepted += int(keep.sum())
         dip_mass += float(np.sum(rho_f ** (2.0 * (s[keep, -1] + v[keep] + 1))))

@@ -209,7 +209,7 @@ class TailSumTable:
 
     * truncation: the terms j > top sum to at most P(X0 > top), because
       [j+1]_q >= 1 for q > 0; the law supplies a certified float upper bound
-      (``InitialLaw.tail_mass_bound``).
+      (``InitialLaw.tail_bound``).
     * terms: t_j = fl(pmf_float(j) / [j+1]_q) has relative error at most
       eta_j = rel_err(e_law(j), e_br(j+1), u), where e_law is the law's
       ``float_rel_err`` (the float parameter, its pow and the pmf formula)
@@ -232,7 +232,7 @@ class TailSumTable:
     def __init__(self, law, q: Rat, trunc_n: int = None, lo: int = 0):
         self.law, self.q, self.lo = law, rat(q), lo
         self.top = trunc_n if trunc_n is not None else law.truncation_point()
-        leftover = law.tail_mass_bound(self.top + 1)
+        leftover = law.tail_bound(self.top + 1)
         self._brackets = bracket_floats(self.q, self.top + 1)
         u = UNIT_ROUNDOFF
         # packed float arrays: 8 bytes per level, not a float object each
@@ -256,7 +256,7 @@ class TailSumTable:
         if n < self.lo:
             raise ValueError(f"table starts at level {self.lo}, asked for {n}")
         if n > self.top:
-            return Approx(0.0, self.law.tail_mass_bound(n))
+            return Approx(0.0, self.law.tail_bound(n))
         return Approx(self._values[n - self.lo], self._errs[n - self.lo])
 
     def bracket(self, n: int):

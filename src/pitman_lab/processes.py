@@ -107,17 +107,23 @@ def chain_transition(k: int, delta: int, params: Params) -> Rat:
 
 
 # ---------------------------------------------------------------------------
-# initial-law catalog
+# the law catalog
 # ---------------------------------------------------------------------------
+
+#: largest truncation point, and so the largest Poisson mean, of float mode
+TRUNCATION_CAP = 10**7
 
 
 class InitialLaw:
-    """Base class for laws of the chain's starting level on Z>=0.
+    """A law on Z>=0: the chain's starting level X0, a transform level G or a
+    conditioning level V.  The one law type of the package.
 
-    Subclasses provide the pmf and upper-tail mass, plus (where a closed form
-    exists) a geometric representation of pmf(k)/[k+1]_q used by the exact
-    tail sums.  ``exact`` marks laws with rational pmf values.  Float mode
-    reads ``pmf_float``/``tail_mass_float`` with the relative error bound
+    Subclasses provide the pmf and upper tail (pmf(n) = 0 for n < 0 and
+    tail(n) = 1 for n <= 0), plus (where a closed form exists) a geometric
+    representation of pmf(k)/[k+1]_q used by the exact tail sums.  ``exact``
+    marks laws with rational pmf values; ``pmf_err``/``tail_err`` bound the
+    error of the values of the others.  Float mode reads
+    ``pmf_float``/``tail_float`` with the relative error bound
     ``float_rel_err``; laws with closed forms override all three so that no
     Fraction power is built per term.
     """
@@ -127,32 +133,40 @@ class InitialLaw:
     def pmf(self, n: int):
         raise NotImplementedError
 
-    def tail_mass(self, n: int):
-        """P(X0 >= n)."""
+    def tail(self, n: int):
+        """P(X >= n)."""
         raise NotImplementedError
+
+    def pmf_err(self, n: int) -> float:
+        """Certified bound on |pmf(n) - exact pmf(n)|; 0 for exact laws."""
+        return 0.0 if self.exact else self.float_rel_err(n) * self.pmf_float(n)
+
+    def tail_err(self, n: int) -> float:
+        """Certified bound on |tail(n) - exact P(X >= n)|; 0 for exact laws."""
+        return 0.0 if self.exact else self.float_rel_err(n) * self.tail_float(n)
 
     def pmf_float(self, n: int) -> float:
         return float(self.pmf(n))
 
-    def tail_mass_float(self, n: int) -> float:
-        return float(self.tail_mass(n))
+    def tail_float(self, n: int) -> float:
+        return float(self.tail(n))
 
     def float_rel_err(self, n: int) -> float:
         """Bound on the relative error of ``pmf_float(n)`` and of
-        ``tail_mass_float(n)``; here each rounds one exact rational."""
+        ``tail_float(n)``; here each rounds one exact rational."""
         return UNIT_ROUNDOFF
 
-    def tail_mass_bound(self, n: int) -> float:
+    def tail_bound(self, n: int) -> float:
         """Certified float upper bound on P(X0 >= n).
 
         With eta = float_rel_err(n) <= 0.01 the exact tail is at most
-        tail_mass_float(n) (1 + 1.02 eta); the factor 1 + 2 eta + 4u leaves
+        tail_float(n) (1 + 1.02 eta); the factor 1 + 2 eta + 4u leaves
         room for rounding the product, and TERM_FLOOR covers underflow.
         """
         eta = self.float_rel_err(n)
         if eta == math.inf:
             return math.inf
-        return self.tail_mass_float(n) * (1.0 + 2.0 * eta + 4 * UNIT_ROUNDOFF) + TERM_FLOOR
+        return self.tail_float(n) * (1.0 + 2.0 * eta + 4 * UNIT_ROUNDOFF) + TERM_FLOOR
 
     def support_max(self):
         """Largest support point, or None for infinite support."""
@@ -200,17 +214,27 @@ class InitialLaw:
         c, r = form
         return c * geometric_bracket_tail(r, a, b, q)
 
+    def bracket_tail(self, a: int, b: int, q: Rat) -> Rat:
+        """Sum of pmf(j) * [j+b+1]_q over j >= a, the conditioning-level sum;
+        its own code, apart from the chain route's ``bracket_ratio_sum_exact``."""
+        top = self.support_max()
+        if top is None:
+            raise UnsupportedExactModeError(
+                f"no closed-form bracket sum for {self.cli_string()!r}")
+        return sum((self.pmf(j) * q_bracket(j + b + 1, q)
+                    for j in range(a, top + 1) if self.pmf(j)), Fraction(0))
+
     def exact_capable(self, q: Rat) -> bool:
         return self.support_max() is not None or self.ratio_geometric_form(q) is not None
 
     # -- misc ------------------------------------------------------------------
 
     def truncation_point(self, tol: float = APPROX_TAIL_TOL) -> int:
-        """Smallest n with P(X0 > n) < tol (the top of the support when
-        finite; 10^7 if the tail is still heavier there).
+        """Smallest n with P(X > n) < tol (the top of the support when
+        finite; TRUNCATION_CAP if the tail is still heavier there).
 
         The tail is non-increasing, so doubling then bisection finds n with
-        O(log n) calls of ``tail_mass_float``, which is closed form for the
+        O(log n) calls of ``tail_float``, which is closed form for the
         geometric-type laws.
         """
         top = self.support_max()
@@ -218,9 +242,9 @@ class InitialLaw:
             return top
 
         def below(n):
-            return self.tail_mass_float(n + 1) < tol
+            return self.tail_float(n + 1) < tol
 
-        cap = 10**7
+        cap = TRUNCATION_CAP
         lo, hi = -1, 0  # below(lo) is False (lo = -1 stands for "none yet")
         while not below(hi):
             if hi >= cap:
@@ -255,7 +279,7 @@ class PointMass(InitialLaw):
     def pmf(self, n):
         return Fraction(1) if n == self.n else Fraction(0)
 
-    def tail_mass(self, n):
+    def tail(self, n):
         return Fraction(1) if self.n >= n else Fraction(0)
 
     def support_max(self):
@@ -281,11 +305,12 @@ class FiniteSupport(InitialLaw):
         if sum(p for _, p in pairs) != 1:
             raise ValueError("masses must sum to 1 exactly")
         object.__setattr__(self, "masses", pairs)
+        object.__setattr__(self, "_pmf", dict(pairs))
 
     def pmf(self, n):
-        return dict(self.masses).get(n, Fraction(0))
+        return self._pmf.get(n, Fraction(0))
 
-    def tail_mass(self, n):
+    def tail(self, n):
         return sum((p for lvl, p in self.masses if lvl >= n), Fraction(0))
 
     def support_max(self):
@@ -304,7 +329,8 @@ class FiniteSupport(InitialLaw):
 
 @dataclass(frozen=True, repr=False)
 class Geometric(InitialLaw):
-    """P(X0 = n) = (1-p) p^n.  Exact pmf, but no closed-form tail ratio."""
+    """P(X = n) = (1-p) p^n.  Exact pmf and bracket sums, but no closed-form
+    tail ratio."""
 
     p: Rat
 
@@ -317,15 +343,18 @@ class Geometric(InitialLaw):
         object.__setattr__(self, "_cf", float(1 - self.p))
 
     def pmf(self, n):
-        return (1 - self.p) * self.p**n
+        return (1 - self.p) * self.p**n if n >= 0 else Fraction(0)
 
-    def tail_mass(self, n):
-        return self.p**n
+    def tail(self, n):
+        return self.p ** max(n, 0)
+
+    def bracket_tail(self, a, b, q):
+        return (1 - self.p) * geometric_bracket_tail(self.p, a, b, rat(q))
 
     def pmf_float(self, n):
         return self._cf * self._pf**n
 
-    def tail_mass_float(self, n):
+    def tail_float(self, n):
         return self._pf**n
 
     def float_rel_err(self, n):
@@ -371,16 +400,18 @@ class QNegativeBinomial(InitialLaw):
         object.__setattr__(self, "_qf", float(self.q))
 
     def pmf(self, n):
+        if n < 0:
+            return Fraction(0)
         return q_bracket(n + 1, self.q) * self.theta**n * (1 - self.theta) * (1 - self.theta * self.q)
 
-    def tail_mass(self, n):
+    def tail(self, n):
         c = (1 - self.theta) * (1 - self.theta * self.q)
-        return c * geometric_bracket_tail(self.theta, n, 0, self.q)
+        return c * geometric_bracket_tail(self.theta, max(n, 0), 0, self.q)
 
     def pmf_float(self, n):
         return self._cf * self._r**n * bracket_ratio_float(n + 1, 1, self._log_b)
 
-    def tail_mass_float(self, n):
+    def tail_float(self, n):
         br = self._df * bracket_ratio_float(n, 1, self._log_b)
         if self.q > 1:
             return self._r**n * (br / self._qf + 1.0)
@@ -425,16 +456,16 @@ class NegativeBinomial(InitialLaw):
         object.__setattr__(self, "_twin", QNegativeBinomial(Fraction(1), self.rho0))
 
     def pmf(self, n):
-        return (1 - self.rho0) ** 2 * (n + 1) * self.rho0**n
+        return (1 - self.rho0) ** 2 * (n + 1) * self.rho0**n if n >= 0 else Fraction(0)
 
-    def tail_mass(self, n):
-        return (1 - self.rho0) ** 2 * geometric_bracket_tail(self.rho0, n, 0, Fraction(1))
+    def tail(self, n):
+        return (1 - self.rho0) ** 2 * geometric_bracket_tail(self.rho0, max(n, 0), 0, Fraction(1))
 
     def pmf_float(self, n):
         return self._twin.pmf_float(n)
 
-    def tail_mass_float(self, n):
-        return self._twin.tail_mass_float(n)
+    def tail_float(self, n):
+        return self._twin.tail_float(n)
 
     def float_rel_err(self, n):
         return self._twin.float_rel_err(n)
@@ -461,15 +492,18 @@ class ShiftedPoisson(InitialLaw):
     exact = False
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
+        # the tail series runs past k = lam, and float mode truncates at
+        # TRUNCATION_CAP at most; nan fails the comparison too
+        if not 0 < self.lam <= TRUNCATION_CAP:
+            raise ValueError(f"lam must be in (0, {TRUNCATION_CAP:.0e}], got {self.lam}")
+        object.__setattr__(self, "lam", float(self.lam))
 
     def pmf(self, n):
         if n < 1:
             return 0.0
         return math.exp(-self.lam + (n - 1) * math.log(self.lam) - math.lgamma(n))
 
-    def tail_mass(self, n):
+    def tail(self, n):
         # P(Poisson >= n-1), summed far enough that the ratio bound below
         # certifies the remainder
         if n <= 1:
@@ -500,19 +534,17 @@ class ShiftedPoisson(InitialLaw):
         return 1 + rng.poisson(self.lam, size)
 
     def cli_string(self):
-        return f"spoisson:{self.lam:g}"
-
-
-def initial_pmf(law: InitialLaw, n: int):
-    """pmf of the initial level at n (exact for rational classes)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return law.pmf(n)
+        # the short :g form where it is exact, else repr: either way
+        # parse_initial_law gives this law back
+        short = f"{self.lam:g}"
+        return f"spoisson:{short if float(short) == self.lam else repr(self.lam)}"
 
 
 def parse_initial_law(text: str) -> InitialLaw:
-    """Parse CLI law strings: point:2, finite:0=1/3,2=2/3, geo:1/3,
-    qnb:q=1/4,theta=1/2, nb:rho0=1/2, spoisson:1."""
+    """Parse a law string: point:2, finite:0=1/3,2=2/3, geo:1/3,
+    qnb:q=1/4,theta=1/2, nb:rho0=1/2, spoisson:1.  One grammar for every
+    law the CLI reads (--initial, --candidate, --glaw); ``cli_string`` is
+    its inverse."""
     kind, _, arg = text.partition(":")
     kind = kind.strip().lower()
     try:
@@ -535,8 +567,8 @@ def parse_initial_law(text: str) -> InitialLaw:
         if kind == "spoisson":
             return ShiftedPoisson(float(arg))
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed initial-law string {text!r}: {exc}") from exc
-    raise ValueError(f"unknown initial-law kind {kind!r}")
+        raise ValueError(f"malformed law string {text!r}: {exc}") from exc
+    raise ValueError(f"unknown law kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +665,7 @@ def chain_increment_law(
     entries, err = {}, 0.0
     if top is None:
         top = kmax if kmax is not None else law.truncation_point()
-        err = law.tail_mass_float(top + 1)
+        err = law.tail_float(top + 1)
     levels = [k for k in range(top + 1) if law.pmf(k)]
     weights = [law.pmf(k) for k in levels]
     for x in enumerate_paths(t, allow_flat):
@@ -720,5 +752,5 @@ def _chain_law_formula_float(t, law, params, kmax):
         pref = sig**st.H / (zf**t * rhof**x.end)
         entries[x] = pref * s
         rounding += pref * s_err + rel_err((st.H + t + abs(x.end) + 9) * u) * pref * s
-    return DistTable(t, "approx", entries, err=law.tail_mass_bound(top + 1) + 1.1 * rounding)
+    return DistTable(t, "approx", entries, err=law.tail_bound(top + 1) + 1.1 * rounding)
 

@@ -10,16 +10,14 @@ sets and by the closed-form expression, so every comparison is dual-route.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from .exact import (
     UNIT_ROUNDOFF,
     Approx,
-    Rat,
     TailSumTable,
-    UnsupportedExactModeError,
-    geometric_bracket_tail,
     prob_json,
     q_bracket,
     rat,
@@ -28,8 +26,11 @@ from .exact import (
 from .paths import Path, enumerate_paths, stats
 from .processes import (
     DistTable,
+    FiniteSupport,
+    Geometric,
     InitialLaw,
     Params,
+    PointMass,
     chain_increment_law,
     walk_law,
     walk_path_prob,
@@ -37,128 +38,50 @@ from .processes import (
 from .transform import preimage_member
 
 
-class LevelLaw:
-    """A pmf on Z>=0 with an exact upper-tail accessor P(level >= n).
+class LevelLaw(InitialLaw):
+    """The law of a level G derived from an initial law by
+    :func:`g_law_from_initial`: pmf and tail are closures, cached per level
+    on this object.  Exact closures return Fractions; float ones return
+    :class:`Approx`, whose value ``pmf``/``tail`` give and whose certified
+    error ``pmf_err``/``tail_err`` give.
 
-    Three shapes: finite support, geometric, and formula-backed (closures with
-    a cache, used for level laws derived from an initial law).  The weighted
-    sums needed by the conditioning formulas are available in closed form for
-    the finite and geometric shapes.  Float formula laws return
-    :class:`Approx` from their closures: ``pmf``/``tail`` give the value and
-    ``pmf_err``/``tail_err`` its certified error (0 for exact laws).
+    Every other level law is a catalog law; ``point``, ``from_pmf`` and
+    ``geometric`` build the catalog's PointMass, FiniteSupport and Geometric.
     """
 
-    def __init__(self, kind, *, pmf_map=None, p=None, pmf_fn=None, tail_fn=None,
-                 exact=True, label=""):
-        self.kind = kind
-        self.exact = exact
-        self.label = label or kind
-        self._pmf_map = pmf_map
-        self._p = p
-        self._pmf_fn = pmf_fn
-        self._tail_fn = tail_fn
-        self._pmf_cache = {}
-        self._tail_cache = {}
+    point = staticmethod(PointMass)
+    geometric = staticmethod(Geometric)
 
-    # -- constructors ---------------------------------------------------------
+    @staticmethod
+    def from_pmf(masses: dict) -> FiniteSupport:
+        return FiniteSupport(tuple(masses.items()))
 
-    @classmethod
-    def point(cls, n: int) -> "LevelLaw":
-        return cls.from_pmf({n: Fraction(1)}, label=f"point({n})")
-
-    @classmethod
-    def from_pmf(cls, masses: dict, label="finite") -> "LevelLaw":
-        pairs = {int(n): rat(p) for n, p in masses.items() if p}
-        if any(n < 0 or p < 0 for n, p in pairs.items()):
-            raise ValueError("levels in Z>=0 with nonnegative masses required")
-        if sum(pairs.values()) != 1:
-            raise ValueError("masses must sum to 1 exactly")
-        return cls("finite", pmf_map=pairs, label=label)
-
-    @classmethod
-    def geometric(cls, p) -> "LevelLaw":
-        p = rat(p)
-        if not 0 <= p < 1:
-            raise ValueError("geometric parameter must be in [0, 1)")
-        return cls("geometric", p=p, label=f"geo({p})")
-
-    @classmethod
-    def from_formulas(cls, pmf_fn, tail_fn, exact=True, label="formula") -> "LevelLaw":
-        return cls("formula", pmf_fn=pmf_fn, tail_fn=tail_fn, exact=exact, label=label)
-
-    # -- accessors --------------------------------------------------------------
+    def __init__(self, pmf_fn, tail_fn, exact: bool, label: str):
+        self.exact, self._label = exact, label
+        self._pmf_entry = functools.lru_cache(maxsize=None)(pmf_fn)
+        self._tail_entry = functools.lru_cache(maxsize=None)(tail_fn)
 
     def pmf(self, n: int):
         if n < 0:
             return Fraction(0) if self.exact else 0.0
-        if self.kind == "finite":
-            return self._pmf_map.get(n, Fraction(0))
-        if self.kind == "geometric":
-            return (1 - self._p) * self._p**n
         return _value(self._pmf_entry(n))
 
     def tail(self, n: int):
         """P(level >= n)."""
         if n <= 0:
             return Fraction(1) if self.exact else 1.0
-        if self.kind == "finite":
-            return sum((p for lvl, p in self._pmf_map.items() if lvl >= n), Fraction(0))
-        if self.kind == "geometric":
-            return self._p**n
         return _value(self._tail_entry(n))
 
     def pmf_err(self, n: int) -> float:
-        """Certified bound on |pmf(n) - exact pmf(n)|; 0 for exact laws."""
-        if n < 0 or self.kind != "formula":
-            return 0.0
-        return _err(self._pmf_entry(n))
+        return _err(self._pmf_entry(n)) if n >= 0 else 0.0
 
     def tail_err(self, n: int) -> float:
-        """Certified bound on |tail(n) - exact P(level >= n)|; 0 for exact laws."""
-        if n <= 0 or self.kind != "formula":
-            return 0.0
-        return _err(self._tail_entry(n))
+        return _err(self._tail_entry(n)) if n > 0 else 0.0
 
-    def _pmf_entry(self, n):
-        if n not in self._pmf_cache:
-            self._pmf_cache[n] = self._pmf_fn(n)
-        return self._pmf_cache[n]
-
-    def _tail_entry(self, n):
-        if n not in self._tail_cache:
-            self._tail_cache[n] = self._tail_fn(n)
-        return self._tail_cache[n]
-
-    def bracket_tail(self, a: int, b: int, q: Rat):
-        """Sum of pmf(j) * [j+b+1]_q over j >= a (closed form where possible)."""
-        q = rat(q)
-        if self.kind == "finite":
-            return sum(
-                (p * q_bracket(lvl + b + 1, q) for lvl, p in self._pmf_map.items() if lvl >= a),
-                Fraction(0),
-            )
-        if self.kind == "geometric":
-            return (1 - self._p) * geometric_bracket_tail(self._p, a, b, q)
-        raise UnsupportedExactModeError(
-            f"no closed-form bracket sum for level law {self.label!r}"
-        )
-
-    def support_max(self):
-        if self.kind == "finite":
-            return max(self._pmf_map)
-        return None
-
-    def pmf_floats(self, tol=1e-12, nmax=100000):
-        """Float pmf array long enough that the leftover tail is < tol."""
-        out = []
-        n = 0
-        while float(self.tail(n)) >= tol and n <= nmax:
-            out.append(float(self.pmf(n)))
-            n += 1
-        return out
-
-    def __repr__(self):
-        return f"LevelLaw({self.label})"
+    def cli_string(self) -> str:
+        """The law it derives from, as G[...] or Gtilde[...]; not a law
+        string of the parser."""
+        return self._label
 
 
 def _value(v):
@@ -192,9 +115,9 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
     label = f"{which}[{law.cli_string()}]"
 
     if mode == "exact":
-        return LevelLaw.from_formulas(
+        return LevelLaw(
             lambda n: q**n * law.ratio_tail_exact(n, q),
-            lambda n: law.tail_mass(n) - q_bracket(n, q) * law.ratio_tail_exact(n, q),
+            lambda n: law.tail(n) - q_bracket(n, q) * law.ratio_tail_exact(n, q),
             exact=True,
             label=label,
         )
@@ -207,7 +130,7 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
         # P(G = n) and P(G >= n) both lie in [0, P(X0 >= n)], as
         # q^n <= [j+1]_q for j >= n; used past the table's top (where
         # P(X0 >= n) < APPROX_TAIL_TOL) and where q^n or [n]_q overflows
-        return Approx(0.0, law.tail_mass_bound(n))
+        return Approx(0.0, law.tail_bound(n))
 
     def pmf_fn(n):
         if n > table.top or n * log_q > 700:
@@ -225,13 +148,13 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
         removed = br * s.value
         if not math.isfinite(removed):
             return bounded_by_initial_tail(n)
-        mass = law.tail_mass_float(n)
+        mass = law.tail_float(n)
         value = mass - removed
         err = (law.float_rel_err(n) * mass + br * s.err
                + rel_err(br_err, u) * removed + u * abs(value))
         return Approx(value, 1.1 * err)
 
-    return LevelLaw.from_formulas(pmf_fn, tail_fn, exact=False, label=label)
+    return LevelLaw(pmf_fn, tail_fn, exact=False, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +162,7 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
 # ---------------------------------------------------------------------------
 
 
-def rhs_law_formula(x: Path, glaw: LevelLaw, params: Params):
+def rhs_law_formula(x: Path, glaw: InitialLaw, params: Params):
     """Closed form for P(2(M-G)_+ - S follows x):
 
         sigma^H rho^(x_t) / z^t * ( P(G >= -K)
@@ -261,7 +184,7 @@ def rhs_law_formula(x: Path, glaw: LevelLaw, params: Params):
     return value if glaw.exact else float(value)
 
 
-def rhs_law_enumeration(t: int, glaw: LevelLaw, params: Params) -> DistTable:
+def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     """Pushforward over each path's preimage set:
 
         P(x) = P(G >= -K) * walk_prob(-x)
@@ -281,7 +204,7 @@ def rhs_law_enumeration(t: int, glaw: LevelLaw, params: Params) -> DistTable:
     return DistTable(t, "exact" if glaw.exact else "approx", entries)
 
 
-def rhs_law_table_formula(t: int, glaw: LevelLaw, params: Params) -> DistTable:
+def rhs_law_table_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     allow_flat = params.sigma > 0
     entries = {x: rhs_law_formula(x, glaw, params) for x in enumerate_paths(t, allow_flat)}
     return DistTable(t, "exact" if glaw.exact else "approx", entries)
@@ -298,20 +221,32 @@ def _diff_json(diff):
     return {"exact": False, "value": float(diff), "float": float(diff)}
 
 
-def compare_tables(pairs):
-    """Worst discrepancy over labelled table pairs -> (diff, witness dict|None)."""
-    worst = Fraction(0)
-    witness = None
+def table_diffs(t: int, *pairs):
+    """(difference, witness) of each labelled table pair of horizon t."""
     for label, ta, tb in pairs:
         d, w = ta.max_abs_diff(tb)
-        if d > worst:
-            worst = d
-            witness = {"pair": label, "path": str(w), "horizon": ta.horizon}
+        yield d, {"pair": label, "path": str(w), "horizon": t}
+
+
+def worst_difference(rounds, stop_at_witness: bool = False):
+    """The loop every verifier shares: over ``rounds`` (one per horizon or
+    shard, each an iterable of (difference, witness) pairs) keep the largest
+    difference and the witness that first reached it.  ``stop_at_witness``
+    ends the loop after the first round that has one, as a single witness
+    settles a converse question; pass ``rounds`` as a generator so later
+    rounds are not built."""
+    worst, witness = Fraction(0), None
+    for diffs in rounds:
+        for d, w in diffs:
+            if d > worst:
+                worst, witness = d, w
+        if witness is not None and stop_at_witness:
+            break
     return worst, witness
 
 
 def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
-                candidate: LevelLaw = None, tol: float = 0.0,
+                candidate: InitialLaw = None, tol: float = 0.0,
                 t_values=None) -> dict:
     """Check the representation identity on every horizon up to t_max.
 
@@ -349,29 +284,24 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
     which = "G" if part == "I" else "Gtilde"
     glaw = candidate if candidate is not None else g_law_from_initial(law, params, which)
 
-    worst, witness = Fraction(0), None
     exact = glaw.exact and law.exact and law.exact_capable(params.q)
-    chain_err = 0.0
-    for t in horizons:
-        chain = chain_increment_law(t, law, params,
-                                    mode="exact" if exact else "approx")
-        chain_err = max(chain_err, chain.err)
+    chain_errs = [0.0]
+
+    def horizon(t):
+        chain = chain_increment_law(t, law, params, mode="exact" if exact else "approx")
+        chain_errs.append(chain.err)
         enum = rhs_law_enumeration(t, glaw, walk_params)
         form = rhs_law_table_formula(t, glaw, walk_params)
-        d, w = compare_tables([
-            ("chain_vs_enumeration", chain, enum),
-            ("chain_vs_formula", chain, form),
-            ("enumeration_vs_formula", enum, form),
-        ])
-        if d > worst:
-            worst, witness = d, w
-        if witness and candidate is not None:
-            break  # a single witness settles the converse question
+        return table_diffs(t, ("chain_vs_enumeration", chain, enum),
+                           ("chain_vs_formula", chain, form),
+                           ("enumeration_vs_formula", enum, form))
 
+    worst, witness = worst_difference((horizon(t) for t in horizons),
+                                      stop_at_witness=candidate is not None)
     parts = None
     if not exact:
         parts = {
-            "chain_err": chain_err,
+            "chain_err": max(chain_errs),
             "level_err": max(glaw.pmf_err(n) + glaw.tail_err(n)
                              for n in range(max(horizons) + 1)),
             "entry_rounding": 8 * UNIT_ROUNDOFF,
@@ -385,7 +315,7 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
         "direction": "candidate" if candidate is not None else "forward",
         "params": params.to_json(),
         "initial": law.cli_string(),
-        "level_law": glaw.label,
+        "level_law": glaw.cli_string(),
         "t_max": t_max,
         "exact": exact,
         "max_abs_diff": _diff_json(worst),
@@ -405,13 +335,10 @@ def verify_two_sided(t_max: int, law: InitialLaw, params: Params) -> dict:
     g = g_law_from_initial(law, params, "G")
     gt = g_law_from_initial(law, params, "Gtilde")
     tilde = params.tilde()
-    worst, witness = Fraction(0), None
-    for t in range(1, t_max + 1):
-        a = rhs_law_enumeration(t, g, params)
-        b = rhs_law_enumeration(t, gt, tilde)
-        d, w = compare_tables([("plain_vs_flipped", a, b)])
-        if d > worst:
-            worst, witness = d, w
+    worst, witness = worst_difference(
+        table_diffs(t, ("plain_vs_flipped", rhs_law_enumeration(t, g, params),
+                        rhs_law_enumeration(t, gt, tilde)))
+        for t in range(1, t_max + 1))
     return {
         "check": "two-sided",
         "params": params.to_json(),
@@ -423,21 +350,17 @@ def verify_two_sided(t_max: int, law: InitialLaw, params: Params) -> dict:
     }
 
 
-def walk_match_report(glaw: LevelLaw, params: Params, t_max: int) -> dict:
+def walk_match_report(glaw: InitialLaw, params: Params, t_max: int) -> dict:
     """Does 2(M-G)_+ - S reproduce the plain walk law?  (It should exactly when
     G is geometric with parameter rho^2 and rho < 1, and for no other law.)"""
-    worst, witness = Fraction(0), None
-    for t in range(1, t_max + 1):
-        d, w = compare_tables([
-            ("transform_vs_walk", rhs_law_enumeration(t, glaw, params), walk_law(t, params))
-        ])
-        if d > worst:
-            worst, witness = d, w
-        if witness:
-            break
+    worst, witness = worst_difference(
+        (table_diffs(t, ("transform_vs_walk", rhs_law_enumeration(t, glaw, params),
+                         walk_law(t, params)))
+         for t in range(1, t_max + 1)),
+        stop_at_witness=True)
     return {
         "check": "walk-match",
-        "level_law": glaw.label,
+        "level_law": glaw.cli_string(),
         "params": params.to_json(),
         "t_max": t_max,
         "max_abs_diff": _diff_json(worst),

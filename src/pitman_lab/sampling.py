@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .processes import InitialLaw, Params, step_pmf
-from .representation import LevelLaw
 
 
 @dataclass(frozen=True)
@@ -82,16 +81,6 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
             k = k + np.where(u < up, 1, np.where(u < up + dn, -1, 0))
         out[:, j] = k
     return out
-
-
-def sample_level(level_law: LevelLaw, rng, n: int = 1) -> np.ndarray:
-    """n draws from a level law on Z>=0."""
-    gen = _gen(rng)
-    if level_law.kind == "geometric":
-        return gen.geometric(float(1 - level_law._p), n) - 1
-    pmf = level_law.pmf_floats()
-    cum = np.cumsum(pmf)
-    return np.searchsorted(cum, gen.random(n), side="right").clip(0, len(pmf) - 1)
 
 
 # ---------------------------------------------------------------------------

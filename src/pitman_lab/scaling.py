@@ -210,13 +210,6 @@ class LimitLevelLaw:
         return self.ppf(gen.random(size))
 
 
-def limit_cdf(x: float, lll: LimitLevelLaw) -> float:
-    """CDF of the continuum level law at x > 0."""
-    if x <= 0:
-        raise ValueError("the limit CDF is evaluated on (0, inf)")
-    return lll.cdf(x)
-
-
 # ---------------------------------------------------------------------------
 # scaling configuration and the continuity check
 # ---------------------------------------------------------------------------

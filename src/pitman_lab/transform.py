@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import Path, stats
+from .paths import Path, enumerate_paths, stats
+from .sampling import RngStream
 
 
 def apply_T(g: int, s: Path) -> Path:
@@ -155,3 +156,39 @@ def tropical_compose_check(x: Path, g1: int, g2: int) -> dict:
     report = tropical_identities_batch(vals, g1, g2)
     report.update({"path": str(x), "g1": g1, "g2": g2})
     return report
+
+
+def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
+                    seed: int, streams: int) -> dict:
+    """The max-plus identities on every path up to t_exhaustive at every pair
+    of levels g1, g2 <= t + 1, then on ``samples`` random paths of horizon
+    t_random, split over ``streams`` shards with one rng stream and one
+    random (g1, g2) <= g_max each."""
+    if streams < 1:
+        raise ValueError(f"streams must be >= 1, got {streams}: each shard draws "
+                         "from its own stream")
+    violations = 0
+
+    def count(vals, g1, g2):
+        rep = tropical_identities_batch(vals, g1, g2)
+        return sum(v for k, v in rep.items() if k != "ok")
+
+    for t in range(t_exhaustive + 1):
+        vals = np.array([p.values for p in enumerate_paths(t)], dtype=np.int64).reshape(-1, t + 1)
+        violations += sum(count(vals, g1, g2) for g1 in range(t + 2) for g2 in range(t + 2))
+    for i in range(streams):
+        m = samples // streams + (1 if i < samples % streams else 0)
+        gen = RngStream(seed, i).generator()
+        steps = gen.integers(-1, 2, size=(m, t_random))
+        vals = np.concatenate([np.zeros((m, 1), dtype=np.int64), np.cumsum(steps, axis=1)],
+                              axis=1)
+        g1, g2 = (int(g) for g in gen.integers(0, g_max + 1, size=2))
+        violations += count(vals, g1, g2)
+    return {
+        "check": "tropical",
+        "t_exhaustive": t_exhaustive,
+        "random": {"samples": samples, "t": t_random, "g_max": g_max,
+                   "seed": seed, "streams": streams},
+        "violations": violations,
+        "status": "PASS" if violations == 0 else "FAIL",
+    }

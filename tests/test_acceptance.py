@@ -100,11 +100,11 @@ def _perturbed_level_laws(q):
         masses[i] -= delta
         masses[i + 1] += delta
         masses[39] += 1 - sum(masses.values())
-        laws.append(pl.LevelLaw.from_pmf(masses, label=f"tilt{i}"))
+        laws.append(pl.LevelLaw.from_pmf(masses))
     laws += [pl.LevelLaw.geometric(p) for p in (F(1, 7), F(1, 3), F(3, 5), q / 2, (1 + q) / 2)]
     laws += [pl.LevelLaw.point(n) for n in range(4)]
     laws += [
-        pl.LevelLaw.from_pmf({n: F(1, k + 1) for n in range(k + 1)}, label=f"unif{k}")
+        pl.LevelLaw.from_pmf({n: F(1, k + 1) for n in range(k + 1)})
         for k in range(2, 9)
     ]
     return laws[:20]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pitman_lab.cli import main
+from pitman_lab.processes import parse_initial_law
 
 
 def run(capsys, *argv):
@@ -94,6 +95,57 @@ class TestVerifyCommands:
         assert code == 0 and rep["rao_rubin_holds"]
 
 
+    @pytest.mark.parametrize("initial", ["qnb:q=1/4,theta=1/2", "geo:9/10", "geo:1/3"])
+    def test_thm1_jobs_gives_the_serial_report(self, capsys, initial):
+        argv = ("verify", "thm1", "--rho", "1/2", "--sigma", "1", "--t", "4",
+                "--initial", initial)
+        code, serial, _ = run_json(capsys, *argv)
+        code_jobs, sharded, _ = run_json(capsys, *argv, "--jobs", "2")
+        assert code == code_jobs == 0
+        assert sharded == {**serial, "jobs": 2}
+
+    def test_thm1_jobs_candidate_stops_at_the_first_witness(self, capsys):
+        argv = ("verify", "thm1", "--rho", "1/2", "--t", "4", "--initial", "point:1",
+                "--candidate", "geo:1/4")
+        code, serial, _ = run_json(capsys, *argv)
+        code_jobs, sharded, _ = run_json(capsys, *argv, "--jobs", "2")
+        assert code == code_jobs == 1
+        assert sharded == {**serial, "jobs": 2}
+
+    def test_thm1_jobs_starts_no_more_workers_than_horizons(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        code, rep, _ = run_json(capsys, "verify", "thm1", "--rho", "1/2", "--t", "2",
+                                "--initial", "point:1", "--jobs", "10000")
+        assert code == 0 and rep["jobs"] == 10000
+        assert started == [2]
+
+    @pytest.mark.parametrize("candidate", ["point:0", "finite:0=1/2,3=1/2", "geo:1/8",
+                                           "qnb:q=1/4,theta=1/2", "nb:rho0=1/2", "spoisson:1"])
+    def test_thm1_candidate_reads_every_law_string(self, capsys, candidate):
+        code, rep, _ = run_json(capsys, "verify", "thm1", "--rho", "1/2", "--t", "3",
+                                "--initial", "qnb:q=1/4,theta=1/2", "--candidate", candidate)
+        assert code == (0 if candidate == "geo:1/8" else 1)
+        assert rep["level_law"] == candidate
+        assert parse_initial_law(rep["level_law"]) == parse_initial_law(candidate)
+
+
 class TestPreimageCommand:
     def test_matches_hand_example(self, capsys):
         code, rep, _ = run_json(capsys, "preimage", "--path", "0,1")
@@ -147,6 +199,22 @@ class TestLawCommands:
             level = rep["pmf"][str(n)]
             assert within_err(level["value"], level["err"], q**n * lo, q**n * hi), n
 
+    @pytest.mark.parametrize("glaw", ["geo:1/4", "point:2", "qnb:q=1/4,theta=1/2",
+                                      "nb:rho0=1/2"])
+    def test_rhs_glaw_reads_every_law_string(self, capsys, glaw):
+        code, rep, _ = run_json(capsys, "law", "rhs", "--rho", "1/2", "--t", "2",
+                                "--glaw", glaw)
+        assert code == 0 and rep["mass"] == "1/1"
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "1e300"])
+    def test_unusable_poisson_mean_exits_two_at_once(self, capsys, lam):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "law", "chain", "--rho", "1", "--t", "2",
+                             "--initial", f"spoisson:{lam}")
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and not out.strip()
+        assert "lam must be in" in err
+
     def test_malformed_initial_law(self, capsys):
         code, _, err = run(capsys, "law", "chain", "--rho", "1", "--initial", "junk:1")
         assert code == 2
@@ -186,6 +254,18 @@ class TestScalingCommands:
             "--initial", "geo:1/3", "--samples", "200", "--steps", "64",
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize("argv", [
+        ("scaling", "continuity", "--grid", "0.1:3.0:0"),
+        ("sample", "limit-process", "--grid", "0:1:-0.5"),
+    ])
+    def test_grid_step_not_positive_exits_two_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and not out.strip()
+        assert "--grid step must be > 0" in err
 
 
 class TestSampleCommands:

@@ -17,6 +17,7 @@ from pitman_lab import (
     sample_walk,
     survival_prob,
     v_law_from_initial,
+    verify_thm2,
 )
 
 
@@ -130,3 +131,34 @@ class TestRejectionOracle:
         res = rejection_oracle(2, vlaw, params, "I", horizon_pad=60,
                                n_samples=20000, rng=RngStream(5))
         assert res["truncation_bound"] < 1e-10
+
+
+class TestVerifyThm2:
+    @pytest.mark.parametrize("law,rho,part", [
+        (PointMass(1), F(1, 2), "I"),
+        (FiniteSupport(((0, F(1, 3)), (2, F(2, 3)))), F(2, 3), "I"),
+        (QNegativeBinomial(F(4), F(1, 8)), F(2), "II"),
+    ], ids=repr)
+    def test_routes_agree(self, law, rho, part):
+        rep = verify_thm2(4, law, Params(rho, F(1)), part)
+        assert rep["status"] == "PASS" and rep["max_abs_diff"] == "0/1"
+        assert rep["witness"] is None and rep["initial"] == law.cli_string()
+
+    def test_no_horizon_is_an_error(self):
+        with pytest.raises(ValueError, match="t=0 compares no table"):
+            verify_thm2(0, PointMass(1), Params(F(1, 2)))
+
+
+def test_rejection_oracle_samples_a_geometric_level_unclipped():
+    # qnb at q = rho^2 conditions on V ~ geo(theta): drawn by the law's own
+    # sampler, with no level cut off
+    params = Params(F(1, 2))
+    law = QNegativeBinomial(params.q, F(1, 2))
+    vlaw = v_law_from_initial(law, params, "I")
+    assert vlaw == LevelLaw.geometric(F(1, 2))
+    res = rejection_oracle(2, vlaw, params, "I", horizon_pad=80, n_samples=40000,
+                           rng=RngStream(3))
+    exact = chain_increment_law(2, law, params)
+    for path, p in exact.as_float().items():
+        se = np.sqrt(p * (1 - p) / res["accepted"])
+        assert abs(res["table"][path] - p) <= 4.5 * se + res["truncation_bound"] + 1e-12

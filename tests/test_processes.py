@@ -2,10 +2,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pitman_lab import (
     FiniteSupport,
     Geometric,
+    InitialLaw,
+    LevelLaw,
     NegativeBinomial,
     Params,
     Path,
@@ -16,7 +19,7 @@ from pitman_lab import (
     chain_increment_law,
     chain_transition,
     enumerate_paths,
-    initial_pmf,
+    g_law_from_initial,
     parse_initial_law,
     q_bracket,
     step_pmf,
@@ -101,10 +104,10 @@ class TestChainTransition:
 class TestInitialLaws:
     def test_pmf_examples(self):
         q, theta = F(1, 4), F(1, 2)
-        assert initial_pmf(QNegativeBinomial(q, theta), 0) == (1 - theta) * (1 - theta * q)
-        assert initial_pmf(NegativeBinomial(F(1, 2)), 3) == F(1, 4) * 4 * F(1, 8)
-        assert initial_pmf(ShiftedPoisson(1.0), 1) == pytest.approx(math.exp(-1))
-        assert initial_pmf(ShiftedPoisson(1.0), 0) == 0
+        assert QNegativeBinomial(q, theta).pmf(0) == (1 - theta) * (1 - theta * q)
+        assert NegativeBinomial(F(1, 2)).pmf(3) == F(1, 4) * 4 * F(1, 8)
+        assert ShiftedPoisson(1.0).pmf(1) == pytest.approx(math.exp(-1))
+        assert ShiftedPoisson(1.0).pmf(0) == 0
 
     def test_mass_one(self):
         for law in (
@@ -114,8 +117,8 @@ class TestInitialLaws:
             QNegativeBinomial(F(9, 4), F(2, 9)),
             NegativeBinomial(F(1, 2)),
         ):
-            assert law.tail_mass(0) == 1
-        assert ShiftedPoisson(1.0).tail_mass(0) == pytest.approx(1.0, abs=1e-12)
+            assert law.tail(0) == 1
+        assert ShiftedPoisson(1.0).tail(0) == pytest.approx(1.0, abs=1e-12)
 
     def test_qnb_is_two_geometric_convolution(self):
         q, theta = F(1, 4), F(1, 2)
@@ -159,17 +162,17 @@ class TestFloatTwins:
         for n in (0, 1, 2, 5, 17, 60, 200):
             eta = F(law.float_rel_err(n))
             for got, want in ((law.pmf_float(n), law.pmf(n)),
-                              (law.tail_mass_float(n), law.tail_mass(n))):
+                              (law.tail_float(n), law.tail(n))):
                 assert abs(F(got) - want) <= eta * want, n
-            assert law.tail_mass_bound(n) >= law.tail_mass(n)
+            assert law.tail_bound(n) >= law.tail(n)
 
     @pytest.mark.parametrize("law", FLOAT_LAWS + [ShiftedPoisson(1.0)], ids=repr)
     def test_truncation_point_is_first_light_tail(self, law):
         tol = 1e-15
         n = law.truncation_point(tol)
         if law.support_max() is None:
-            assert law.tail_mass_float(n + 1) < tol
-            assert n == 0 or law.tail_mass_float(n) >= tol
+            assert law.tail_float(n + 1) < tol
+            assert n == 0 or law.tail_float(n) >= tol
 
 
 class TestChainIncrementLaw:
@@ -249,3 +252,83 @@ class TestChainIncrementLaw:
         tbl = chain_increment_law(3, Geometric(F(1, 2)), params)
         assert tbl.mode == "approx"
         assert tbl.mass() == pytest.approx(1.0, abs=1e-12)
+
+
+# -- one law type -----------------------------------------------------------------
+
+rationals = st.fractions(min_value=0, max_value=1, max_denominator=50)
+unit_open = rationals.filter(lambda p: p < 1)
+
+
+@st.composite
+def finite_laws(draw):
+    levels = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True))
+    weights = [draw(st.integers(1, 20)) for _ in levels]
+    return FiniteSupport(tuple((n, F(w, sum(weights))) for n, w in zip(levels, weights)))
+
+
+@st.composite
+def qnb_laws(draw):
+    q = draw(st.fractions(min_value=F(1, 50), max_value=4, max_denominator=50))
+    theta = draw(unit_open.filter(lambda th: th * q < 1))
+    return QNegativeBinomial(q, theta)
+
+
+CATALOG_LAWS = st.one_of(
+    st.builds(PointMass, st.integers(0, 10**6)),
+    finite_laws(),
+    st.builds(Geometric, unit_open),
+    qnb_laws(),
+    st.builds(NegativeBinomial, unit_open),
+    st.builds(ShiftedPoisson, st.floats(min_value=1e-6, max_value=1e7, allow_nan=False)),
+)
+
+
+@given(CATALOG_LAWS)
+def test_law_string_round_trip(law):
+    assert parse_initial_law(law.cli_string()) == law
+
+
+def test_spoisson_string_is_exact():
+    law = ShiftedPoisson(1 / 3)
+    assert parse_initial_law(law.cli_string()) == law
+    assert ShiftedPoisson(1.0).cli_string() == "spoisson:1"
+
+
+def _every_kind_of_law():
+    params = Params(F(1, 2), F(1))
+    return [
+        PointMass(2), FiniteSupport(((0, F(1, 3)), (4, F(2, 3)))), Geometric(F(1, 2)),
+        QNegativeBinomial(F(1, 4), F(1, 2)), QNegativeBinomial(F(9, 4), F(2, 9)),
+        NegativeBinomial(F(1, 2)), ShiftedPoisson(1.0),
+        LevelLaw.point(1), LevelLaw.geometric(F(1, 3)), LevelLaw.from_pmf({0: F(1, 2), 3: F(1, 2)}),
+        g_law_from_initial(QNegativeBinomial(params.q, F(1, 2)), params, "G"),
+        g_law_from_initial(Geometric(F(1, 3)), params, "Gtilde"),
+    ]
+
+
+@pytest.mark.parametrize("law", _every_kind_of_law(), ids=repr)
+def test_every_law_is_zero_below_and_whole_at_the_bottom(law):
+    assert isinstance(law, InitialLaw)
+    for n in (-3, -2, -1):
+        assert law.pmf(n) == 0
+    for n in (-3, -1, 0):
+        assert law.tail(n) == 1
+    if law.exact:
+        assert law.tail(1) == 1 - law.pmf(0)
+
+
+def test_level_law_constructors_give_catalog_laws():
+    assert LevelLaw.point(3) == PointMass(3)
+    assert LevelLaw.geometric(F(1, 3)) == Geometric(F(1, 3))
+    assert LevelLaw.from_pmf({2: F(3, 4), 0: F(1, 4)}) == FiniteSupport(((0, F(1, 4)), (2, F(3, 4))))
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "1e300", "-inf", "0", "-1", "10000001"])
+def test_shifted_poisson_rejects_unusable_means(lam):
+    with pytest.raises(ValueError, match="lam"):
+        parse_initial_law(f"spoisson:{lam}")
+
+
+def test_shifted_poisson_accepts_means_up_to_the_cap():
+    assert parse_initial_law("spoisson:1e7") == ShiftedPoisson(1e7)

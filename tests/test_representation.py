@@ -29,6 +29,7 @@ from pitman_lab import (
     walk_law,
     walk_path_prob,
 )
+from pitman_lab.representation import worst_difference
 
 FS3 = FiniteSupport(((0, F(1, 6)), (2, F(1, 3)), (5, F(1, 2))))
 
@@ -247,3 +248,23 @@ class TestDamage:
         assert rep["status"] == "PASS"
         assert rep["sup_level_law_error"] <= 1e-12
         assert rep["sup_marginal_error"] <= 1e-12
+
+
+class TestWorstDifference:
+    def test_first_strict_maximum_keeps_its_witness(self):
+        rounds = [[(F(1, 3), "a"), (F(1, 2), "b")], [(F(1, 2), "c")], [(F(0), "d")]]
+        assert worst_difference(rounds) == (F(1, 2), "b")
+
+    def test_no_difference_has_no_witness(self):
+        assert worst_difference([[(F(0), "a")], [(0.0, "b")]]) == (F(0), None)
+
+    def test_stop_at_witness_builds_no_later_round(self):
+        built = []
+
+        def rounds():
+            for t in range(1, 5):
+                built.append(t)
+                yield [(F(t - 1, 10), t)]
+
+        assert worst_difference(rounds(), stop_at_witness=True) == (F(1, 10), 2)
+        assert built == [1, 2]

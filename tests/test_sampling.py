@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from pitman_lab import (
+    Geometric,
     LevelLaw,
     Params,
     PointMass,
@@ -15,7 +16,6 @@ from pitman_lab import (
     ks_distance,
     ks_two_sample_critical,
     sample_chain,
-    sample_level,
     sample_walk,
     walk_law,
 )
@@ -98,16 +98,33 @@ class TestSamplers:
         assert sps.chisquare(obs, exp).pvalue > 0.01
 
     def test_sample_level_geometric(self):
-        draws = sample_level(LevelLaw.geometric(F(1, 3)), RngStream(7), n=100000)
+        draws = LevelLaw.geometric(F(1, 3)).sample(RngStream(7).generator(), 100000)
         for k in range(5):
             p = (2 / 3) * (1 / 3) ** k
             assert abs((draws == k).mean() - p) < 4.5 * np.sqrt(p * (1 - p) / 100000)
 
     def test_sample_level_finite(self):
         lvl = LevelLaw.from_pmf({0: F(1, 4), 2: F(3, 4)})
-        draws = sample_level(lvl, RngStream(8), n=50000)
+        draws = lvl.sample(RngStream(8).generator(), 50000)
         assert set(np.unique(draws)) == {0, 2}
         assert abs((draws == 2).mean() - 0.75) < 0.01
+
+
+    @pytest.mark.parametrize("law", [LevelLaw.point(3), LevelLaw.geometric(F(1, 3)),
+                                     LevelLaw.from_pmf({0: F(1, 4), 2: F(3, 4)}),
+                                     LevelLaw.from_pmf({1: F(1, 6), 3: F(1, 3), 4: F(1, 2)})],
+                             ids=repr)
+    def test_level_draws_keep_their_seeded_values(self, law):
+        # the draws of the level sampler these laws replaced: one inverse-CDF
+        # lookup over the pmf from level 0 (geometric: numpy's geometric)
+        gen = RngStream(12).generator()
+        if isinstance(law, Geometric):
+            want = gen.geometric(float(1 - law.p), 5000) - 1
+        else:
+            top = law.support_max()
+            cum = np.cumsum([float(law.pmf(n)) for n in range(top + 1)])
+            want = np.searchsorted(cum, gen.random(5000), side="right").clip(0, top)
+        assert np.array_equal(law.sample(RngStream(12).generator(), 5000), want)
 
 
 class TestKsDistance:

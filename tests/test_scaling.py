@@ -15,7 +15,6 @@ from pitman_lab import (
     heat_kernel,
     kernel_limit_check,
     kernel_limit_ladder,
-    limit_cdf,
     limit_process_sample,
     step_moments,
     step_pmf,
@@ -35,20 +34,20 @@ class TestLimitLevelLaw:
         lll = LimitLevelLaw(0.7, MuMeasure.point(0.0))
         assert lll.atom == 1.0
         for x in (0.01, 1.0, 10.0):
-            assert limit_cdf(x, lll) == 1.0
+            assert lll.cdf(x) == 1.0
 
     def test_unit_point_mass_driftless_is_uniform(self):
         lll = LimitLevelLaw(0.0, MuMeasure.point(1.0))
         for x in (0.1, 0.5, 0.99):
-            assert limit_cdf(x, lll) == pytest.approx(x, abs=1e-12)
-        assert limit_cdf(1.5, lll) == pytest.approx(1.0, abs=1e-12)
+            assert lll.cdf(x) == pytest.approx(x, abs=1e-12)
+        assert lll.cdf(1.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_point_mass_with_drift_is_truncated_exponential(self):
         v = 0.5
         lll = LimitLevelLaw(v, MuMeasure.point(1.0))
         for x in (0.2, 0.7, 1.0):
             want = -math.expm1(-2 * v * x) / -math.expm1(-2 * v)
-            assert limit_cdf(x, lll) == pytest.approx(want, abs=1e-12)
+            assert lll.cdf(x) == pytest.approx(want, abs=1e-12)
 
     def test_hypoexponential_collapses_to_exponential(self):
         # the convolution measure with rates u+v, u-v has level law Exp(u+v)
@@ -57,9 +56,10 @@ class TestLimitLevelLaw:
             for x in (0.3, 1.0, 2.7):
                 assert lll.cdf(x) == pytest.approx(-math.expm1(-(u + v) * x), abs=1e-9)
 
-    def test_rejects_nonpositive_argument(self):
-        with pytest.raises(ValueError):
-            limit_cdf(0.0, LimitLevelLaw(0.5, MuMeasure.point(1.0)))
+    def test_cdf_at_and_below_zero(self):
+        lll = LimitLevelLaw(0.5, MuMeasure.hypoexponential(0.7, 1.3))
+        assert lll.cdf(-1.0) == 0.0
+        assert lll.cdf(0.0) == lll.atom
 
     @pytest.mark.parametrize("name,mu", CATALOG)
     @pytest.mark.parametrize("v", [-0.8, -0.3, 0.0, 0.4, 1.0])

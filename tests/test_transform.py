@@ -14,6 +14,7 @@ from pitman_lab import (
     tilde_T,
     tropical_compose_check,
     tropical_identities_batch,
+    verify_tropical,
 )
 
 step_lists = st.lists(st.sampled_from([-1, 0, 1]), max_size=30)
@@ -165,3 +166,14 @@ class TestTropical:
         assert rep["ok"] and rep["composition"] == 0
         with pytest.raises(ValueError):
             tropical_compose_check(Path.parse("0,1"), -1, 0)
+
+
+def test_verify_tropical_counts_no_violation():
+    rep = verify_tropical(t_exhaustive=3, t_random=20, samples=500, g_max=5, seed=1, streams=3)
+    assert rep["violations"] == 0 and rep["status"] == "PASS"
+    assert rep["random"] == {"samples": 500, "t": 20, "g_max": 5, "seed": 1, "streams": 3}
+
+
+def test_verify_tropical_needs_a_stream():
+    with pytest.raises(ValueError, match="streams"):
+        verify_tropical(t_exhaustive=1, t_random=5, samples=10, g_max=2, seed=0, streams=0)
