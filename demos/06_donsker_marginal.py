@@ -1,8 +1,8 @@
 """End to end: the rescaled chain meets the reflected-with-level Brownian
 functional, and the limit law ignores the sign of the drift.
 
-Takes about half a minute: 2x10^4 chains of 2500 kernel steps against 2x10^4
-Euler paths of the drifted Wiener functional 2*(sup B - gamma)_+ - B.
+Takes a few seconds: 2x10^4 chains of 2500 kernel steps against 2x10^4 exact
+draws of the drifted Wiener functional 2*(sup B - gamma)_+ - B at time 1.
 """
 
 from fractions import Fraction as F
@@ -21,7 +21,7 @@ from pitman_lab import (
     sample_chain,
 )
 
-N, n, steps, sn = 2500, 20000, 4096, 50
+N, n, sn = 2500, 20000, 50
 sigma = F(2)
 v = F(2, 5)
 params = Params(1 - v / sn, sigma)
@@ -31,7 +31,7 @@ chains = sample_chain(N, PointMass(sn), params, seed.child(1), n=n)
 k_chain = (chains[:, -1] - chains[:, 0]).astype(np.int64)
 
 gamma = LimitLevelLaw(float(v), MuMeasure.point(1.0))
-lim = limit_process_sample(float(v), gamma, [1.0], steps, seed.child(2),
+lim = limit_process_sample(float(v), gamma, [1.0], None, seed.child(2),
                            n=n, sigma=float(sigma))[:, 0]
 k_lim = np.round(lim * sn).astype(np.int64)
 
@@ -44,9 +44,9 @@ print(f"   means: chain {k_chain.mean()/sn:.4f}, limit {lim.mean():.4f}")
 u, vf = 1.0, -0.3
 mu = MuMeasure.hypoexponential(u + vf, u - vf)
 s2 = RngStream(103)
-a = limit_process_sample(vf, LimitLevelLaw(vf, mu), [1.0], steps, s2.child(1),
+a = limit_process_sample(vf, LimitLevelLaw(vf, mu), [1.0], None, s2.child(1),
                          n=n, sigma=float(sigma))[:, 0]
-b = limit_process_sample(-vf, LimitLevelLaw(-vf, mu), [1.0], steps, s2.child(2),
+b = limit_process_sample(-vf, LimitLevelLaw(-vf, mu), [1.0], None, s2.child(2),
                          n=n, sigma=float(sigma))[:, 0]
 print(f"\ndrift-flip invariance (u={u}, v={vf}): the level trades Exp(u+v)")
 print(f"for Exp(u-v) and the marginal law is unchanged:")

@@ -258,7 +258,7 @@ def _cmd_scaling_donsker(args):
     k_chain = (chains[:, -1] - chains[:, 0]).astype(np.int64)
 
     gamma = LimitLevelLaw(float(v), mu)
-    lim = limit_process_sample(float(v), gamma, [1.0], args.steps,
+    lim = limit_process_sample(float(v), gamma, [1.0], None,
                                seed.child(2), n=args.samples,
                                sigma=float(parse_rat(args.sigma)))[:, 0]
     # compare on the chain's integer lattice (nearest-point rounding is the
@@ -268,7 +268,7 @@ def _cmd_scaling_donsker(args):
     return {
         "command": "scaling donsker",
         "check": "donsker",
-        "N": args.N, "samples": args.samples, "steps": args.steps,
+        "N": args.N, "samples": args.samples,
         "seed": args.seed, "params": params.to_json(), "initial": law.cli_string(),
         "gamma_measure": mu.describe(),
         "ks": stat, "critical_1pct": crit,
@@ -299,7 +299,7 @@ def _cmd_sample(args):
         gamma = LimitLevelLaw(float(parse_rat(args.v)), MuMeasure.point(args.gamma_point))
         grid = _grid(args.grid)
         v, sig = float(parse_rat(args.v)), float(parse_rat(args.sigma))
-        vals = shard(lambda k, m: limit_process_sample(v, gamma, grid, args.steps,
+        vals = shard(lambda k, m: limit_process_sample(v, gamma, grid, None,
                                                        k, n=m, sigma=sig))
         return {"command": "sample limit-process", "check": "sample", "seed": args.seed,
                 "streams": streams, "grid": grid,
@@ -417,10 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", default="2")
     p.add_argument("--initial", default="point:0")
     p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--steps", type=int, default=4096)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=2,
-                   help="independent streams (chain side, limit side, ...)")
     p.set_defaults(fn=_cmd_scaling_donsker)
 
     sa = sub.add_parser("sample", help="reproducible draws")
@@ -440,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--v", default="0")
             p.add_argument("--gamma-point", type=float, default=0.0)
             p.add_argument("--grid", default="0.0:1.0:0.125")
-            p.add_argument("--steps", type=int, default=1024)
 
     return ap
 

@@ -29,6 +29,8 @@ from .processes import (
 )
 from .representation import table_diffs, worst_difference
 
+_REJECTION_CHUNK = 50000  # walks per batch of rejection_oracle; its draws depend on it
+
 
 def _effective_params(params: Params, part: str) -> Params:
     if part == "I":
@@ -120,7 +122,7 @@ def verify_thm2(t_max: int, law: InitialLaw, params: Params, part: str = "I") ->
 
 def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
                      horizon_pad: int = 200, n_samples: int = 200000,
-                     rng=None, chunk: int = 50000) -> dict:
+                     rng=None) -> dict:
     """Monte Carlo cross-check: sample V and a length-(t+pad) walk, keep the
     paths with min(S + V) >= 0 over the whole window, and tabulate the first t
     increments.
@@ -144,7 +146,7 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
     rho_f = float(eff.rho)
     remaining = n_samples
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_REJECTION_CHUNK, remaining)
         remaining -= m
         u = gen.random((m, T))
         steps = np.where(u < p_up, 1, np.where(u < p_up + p_flat, 0, -1)).astype(np.int32)

@@ -504,31 +504,37 @@ class ShiftedPoisson(InitialLaw):
         return math.exp(-self.lam + (n - 1) * math.log(self.lam) - math.lgamma(n))
 
     def tail(self, n):
-        # P(Poisson >= n-1), summed far enough that the ratio bound below
-        # certifies the remainder
+        # P(Poisson >= m), m = n-1: for m <= lam as 1 - P(Poisson < m) summed
+        # down from k = m-1, else summed up from k = m.  Either series starts
+        # next to the mode, in log space, so its large terms cannot underflow.
         if n <= 1:
             return 1.0
-        m = n - 1
-        total, term, k = 0.0, math.exp(-self.lam + m * math.log(self.lam) - math.lgamma(m + 1)), m
-        while True:
+        lam, m = self.lam, n - 1
+        down = m <= lam
+        k = m - 1 if down else m
+        total, term = 0.0, math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+        while term >= 1e-18 * (total + 1e-300):
             total += term
-            k += 1
-            term *= self.lam / k
-            if k > self.lam and term < 1e-18 * (total + 1e-300):
-                # remaining mass < term / (1 - lam/(k+1))
-                total += term / (1 - self.lam / (k + 1))
-                return total
+            term *= k / lam if down else lam / (k + 1)
+            k += -1 if down else 1
+        if down:
+            # terms fall by k/lam <= 1 - 1/lam per step: the rest is < 1e-18 lam total
+            return 1.0 - total
+        return total + term / (1 - lam / (k + 1))  # the rest is below this
 
     def float_rel_err(self, n):
         # pmf: exp of -lam + (n-1) log lam - lgamma(n); with log and lgamma
         # within two ulps and three roundings, the exponent is off by at most
-        # 6u times the sum of its parts' magnitudes, and exp adds 2u.  The
-        # tail series starts at that term, adds at most 3u per step and stops
-        # within 2 lam + 64 steps (past k = 2 lam the terms halve, and it stops
-        # once a term is below 1e-18 of the total).
+        # 6u times the sum of its parts' magnitudes, and exp adds 2u.  Either
+        # tail series starts at a term with no larger parts, adds at most 3u
+        # per step and stops within 2 lam + 64 steps (up: past k = 2 lam the
+        # terms halve; down: at most m <= lam steps).  Down, the tail is at
+        # least 1/2 (the Poisson median is >= lam - ln 2, Choi 1994), so the
+        # lower sum errs by at most its relative error times the tail, and
+        # 1 - sum adds u.
         lam = self.lam
         parts = lam + max(n - 1, 0) * abs(math.log(lam)) + math.lgamma(max(n, 1))
-        return rel_err(UNIT_ROUNDOFF * (6 * parts + 2 + 3 * (2 * lam + 64)))
+        return rel_err(UNIT_ROUNDOFF * (6 * parts + 3 + 3 * (2 * lam + 64)))
 
     def sample(self, rng, size):
         return 1 + rng.poisson(self.lam, size)

@@ -411,38 +411,33 @@ def kernel_limit_ladder(Ns, t, x, y, v) -> dict:
 
 
 def limit_process_sample(v: float, gamma_law: LimitLevelLaw, t_grid, steps: int,
-                         rng, n: int = 1, sigma: float = 0.0,
-                         chunk: int = 4096) -> np.ndarray:
-    """Euler samples of 2*(sup_(s<=t) B^v_s - gamma)_+ - B^v_t on t_grid.
+                         rng, n: int = 1, sigma: float = 0.0) -> np.ndarray:
+    """Exact samples of 2*(sup_(s<=t) B^v_s - gamma)_+ - B^v_t on t_grid.
 
-    B^v_t = W_(2t/(2+sigma)) + 2vt/(2+sigma); the supremum is taken over the
-    Euler grid of `steps` points per unit time, gamma is drawn by inverse CDF
-    (atom at 0 included).  Returns an (n, len(t_grid)) array.
+    B^v_t = W_(tau t) + v tau t, tau = 2/(2+sigma), is drawn at the sorted grid
+    times from its Gaussian increments, and its maximum over each interval of
+    length dtau from the Brownian-bridge law given the endpoints a, b:
+    (a + b + sqrt((b-a)^2 - 2 dtau log U))/2, U uniform on (0, 1], free of the
+    drift (Glasserman 2004, §6.4).  gamma is drawn by inverse CDF (atom at 0
+    included).  Returns an (n, len(t_grid)) array.  ``steps`` is ignored.
     """
-    gen = rng.generator() if hasattr(rng, "generator") else rng
     t_grid = np.asarray(list(t_grid), dtype=float)
-    t_max = float(t_grid.max())
-    n_steps = max(1, math.ceil(steps * t_max))
-    idx = np.minimum(np.round(t_grid * steps).astype(int), n_steps)
-    tau = 2.0 / (2.0 + sigma)
-    dtau = tau / steps
-    # keep each working array around 64 MB regardless of the grid resolution
-    chunk = max(1, min(chunk, 2**23 // (n_steps + 1)))
-
-    out = np.empty((n, len(t_grid)))
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        inc = gen.normal(loc=v * dtau, scale=math.sqrt(dtau), size=(m, n_steps))
-        b = np.empty((m, n_steps + 1))
-        b[:, 0] = 0.0
-        np.cumsum(inc, axis=1, out=b[:, 1:])
-        run_max = np.maximum.accumulate(b, axis=1)
-        gamma = gamma_law.sample(gen, m)[:, None]
-        vals = 2.0 * np.maximum(run_max - gamma, 0.0) - b
-        out[done:done + m] = vals[:, idx]
-        done += m
-    return out
+    if not (np.isfinite(t_grid).all() and (t_grid >= 0).all()):
+        raise ValueError(f"grid times must be finite and >= 0, got {t_grid.tolist()}")
+    if not sigma >= 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    gen = rng.generator() if hasattr(rng, "generator") else rng
+    times, where = np.unique(np.append(0.0, t_grid), return_inverse=True)
+    dtau = np.diff(times) * (2.0 / (2.0 + sigma))
+    b = np.zeros((n, len(times)))
+    np.cumsum(gen.normal(v * dtau, np.sqrt(dtau), size=(n, len(dtau))), axis=1, out=b[:, 1:])
+    lo, hi = b[:, :-1], b[:, 1:]
+    log_u = np.log1p(-gen.random(lo.shape))  # log U, U uniform on (0, 1]
+    run_max = np.zeros_like(b)
+    np.maximum.accumulate((lo + hi + np.sqrt((hi - lo) ** 2 - 2 * dtau * log_u)) / 2,
+                          axis=1, out=run_max[:, 1:])
+    gamma = gamma_law.sample(gen, n)[:, None]
+    return (2.0 * np.maximum(run_max - gamma, 0.0) - b)[:, where[1:]]
 
 
 def step_moments(params: Params):

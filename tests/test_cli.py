@@ -243,7 +243,7 @@ class TestScalingCommands:
         code, rep, _ = run_json(
             capsys, "scaling", "donsker", "--N", "400", "--v", "0.5",
             "--sigma", "2", "--initial", "point:20", "--samples", "2000",
-            "--steps", "512", "--seed", "2",
+            "--seed", "2",
         )
         assert code == 0 and rep["status"] == "PASS"
         assert rep["gamma_measure"].startswith("delta(1.0)")
@@ -251,9 +251,19 @@ class TestScalingCommands:
     def test_donsker_rejects_unsupported_initial(self, capsys):
         code, _, err = run(
             capsys, "scaling", "donsker", "--N", "400", "--v", "0.5",
-            "--initial", "geo:1/3", "--samples", "200", "--steps", "64",
+            "--initial", "geo:1/3", "--samples", "200",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("scaling", "donsker", "--steps", "64"),
+        ("scaling", "donsker", "--streams", "2"),
+        ("sample", "limit-process", "--steps", "64"),
+    ])
+    def test_removed_knobs_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--samples", "200")
+        assert code == 2 and not out.strip()
+        assert "unrecognized arguments" in err
 
 
     @pytest.mark.parametrize("argv", [
@@ -289,9 +299,18 @@ class TestSampleCommands:
 
     def test_limit_process(self, capsys):
         _, rep, _ = run_json(capsys, "sample", "limit-process", "--v", "0",
-                             "--samples", "2", "--seed", "1", "--steps", "128",
+                             "--samples", "2", "--seed", "1",
                              "--grid", "0.0:1.0:0.5")
         assert len(rep["paths"]) == 2 and len(rep["paths"][0]) == 3
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("--grid=-0.5:0.5:0.5",), "grid times must be finite and >= 0"),
+        (("--sigma", "-2"), "sigma must be >= 0"),
+    ])
+    def test_limit_process_bad_input_exits_two(self, capsys, argv, reason):
+        code, out, err = run(capsys, "sample", "limit-process", "--samples", "2", *argv)
+        assert code == 2 and not out.strip()
+        assert reason in err
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,6 @@
-"""Byte-for-byte CLI output of the README commands (all but the minutes-long
-`scaling donsker`), plus an approx level law and an explicit --glaw table.
+"""Byte-for-byte CLI output of the README commands (all but `scaling donsker`,
+whose 2x10^4 chains of 2500 steps take seconds), plus an approx level law and
+an explicit --glaw table.
 
 tests/data/cli_golden.json holds the stdout and exit code of each command as
 recorded before the law types were merged into one; a refactor must leave

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 
 from pitman_lab import (
     FiniteSupport,
@@ -173,6 +174,26 @@ class TestFloatTwins:
         if law.support_max() is None:
             assert law.tail_float(n + 1) < tol
             assert n == 0 or law.tail_float(n) >= tol
+
+
+class TestShiftedPoissonTail:
+    # tail(n) = P(Poisson(lam) >= n-1), the regularized lower incomplete
+    # gamma function P(n-1, lam)
+    @pytest.mark.parametrize("lam", [1.0, 760.0, 1e5])
+    def test_matches_incomplete_gamma(self, lam):
+        law = ShiftedPoisson(lam)
+        sd = math.sqrt(lam)
+        for n in sorted({2, 3, int(lam / 2) + 1, int(lam), int(lam) + 1, int(lam) + 2,
+                         int(lam + 3 * sd) + 1, int(lam + 10 * sd) + 1}):
+            if n < 2:
+                continue
+            want = special.gammainc(n - 1, lam)
+            assert abs(law.tail(n) - want) <= law.tail_err(n) + 1e-12 * want, n
+
+    @pytest.mark.parametrize("lam", [760.0, 1e5])
+    def test_truncation_point_passes_the_mean(self, lam):
+        n = ShiftedPoisson(lam).truncation_point(1e-15)
+        assert lam + 5 * math.sqrt(lam) < n < lam + 10 * math.sqrt(lam)
 
 
 class TestChainIncrementLaw:

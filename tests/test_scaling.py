@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy import special, stats
 from scipy.integrate import quad
 
 from pitman_lab import (
@@ -190,23 +191,59 @@ class TestLimitProcessSample:
         want = 2 * math.sqrt(0.5 * 2 / math.pi)
         assert vals.mean() == pytest.approx(want, abs=0.02)
 
-    def test_grid_refinement_ladder_stabilizes(self):
-        # against a fixed fine-grid reference, doubling the Euler grid twice
-        # moves the marginal KS statistic by less than the sampling noise
-        lll = LimitLevelLaw(0.4, MuMeasure.point(1.0))
-        n = 8000
-        ref = limit_process_sample(0.4, lll, [1.0], 2**15, RngStream(30), n=n,
-                                   sigma=2.0)[:, 0]
-        from pitman_lab import ks_distance, ks_two_sample_critical
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    @pytest.mark.parametrize("v", [0.0, 0.4, -0.7])
+    def test_marginals_match_closed_form(self, v, sigma):
+        # at gamma = 0 the marginal at time t is 2M - B of a BM with drift v
+        # at time s = tau t, with density sinh(vr)/v e^(-v^2 s/2) 2r
+        # e^(-r^2/2s)/(s sqrt(2 pi s)) (Pitman 1975; Rogers & Pitman 1981)
+        lll = LimitLevelLaw(v, MuMeasure.point(0.0))
+        n, grid = 100000, [0.25, 1.0]
+        vals = limit_process_sample(v, lll, grid, 1024, RngStream(40), n=n, sigma=sigma)
+        tau = 2.0 / (2.0 + sigma)
+        for col, t in enumerate(grid):
+            cdf = _two_max_minus_b_cdf(v, tau * t)
+            x = 0.7 * math.sqrt(tau * t)
+            density = lambda r: (math.sinh(v * r) / v if v else r) * math.exp(
+                -v * v * tau * t / 2 - r * r / (2 * tau * t)) * 2 * r / (
+                tau * t * math.sqrt(2 * math.pi * tau * t))
+            assert cdf(x) == pytest.approx(quad(density, 0, x)[0], abs=1e-12)
+            # 12 tests: each at level 1e-4
+            assert stats.kstest(vals[:, col], cdf).pvalue > 1e-4, (col, t)
 
-        stats_ = []
-        for i, steps in enumerate((2**10, 2**12, 2**14)):
-            cur = limit_process_sample(0.4, lll, [1.0], steps, RngStream(31, i),
-                                       n=n, sigma=2.0)[:, 0]
-            stats_.append(ks_distance(cur, ref))
-        crit = ks_two_sample_critical(n, n, 0.01)
-        assert max(stats_) < crit
-        assert max(stats_) - min(stats_) < crit / 2
+    def test_draw_does_not_depend_on_steps(self):
+        lll = LimitLevelLaw(0.4, MuMeasure.exponential(1.0))
+        a = limit_process_sample(0.4, lll, [0.5, 0.0, 1.0, 0.5], 1, RngStream(8), n=300,
+                                 sigma=1.0)
+        b = limit_process_sample(0.4, lll, [0.5, 0.0, 1.0, 0.5], 4096, RngStream(8), n=300,
+                                 sigma=1.0)
+        assert (a == b).all()
+        assert (a[:, 0] == a[:, 3]).all()
+
+    @pytest.mark.parametrize("grid, sigma", [([-0.5, 0.0, 0.5], 0.0), ([1.0], -2.0),
+                                             ([float("nan")], 0.0)])
+    def test_rejects_negative_time_or_sigma(self, grid, sigma):
+        lll = LimitLevelLaw(0.0, MuMeasure.point(0.0))
+        with pytest.raises(ValueError):
+            limit_process_sample(0.0, lll, grid, 1, RngStream(0), n=2, sigma=sigma)
+
+
+def _two_max_minus_b_cdf(v, s):
+    """CDF of 2M - B at time s for a BM with drift v: Pitman's
+    erf(x/sqrt(2s)) - sqrt(2/(pi s)) x e^(-x^2/2s) at v = 0; else the
+    density above, whose sinh splits into two shifted Gaussians, integrated
+    as (I(vs) - I(-vs))/(vs) with I(m) = int_0^x r phi_s(r - m) dr."""
+    if v == 0:
+        return lambda x: (special.erf(x / math.sqrt(2 * s))
+                          - math.sqrt(2 / (math.pi * s)) * x * np.exp(-x * x / (2 * s)))
+    rs = math.sqrt(s)
+
+    def shifted(x, m):
+        z0, z1 = -m / rs, (x - m) / rs
+        return (m * (stats.norm.cdf(z1) - stats.norm.cdf(z0))
+                + rs * (stats.norm.pdf(z0) - stats.norm.pdf(z1)))
+
+    return lambda x: (shifted(x, v * s) - shifted(x, -v * s)) / (v * s)
 
 
 class TestStepMoments:
