@@ -37,6 +37,7 @@ from .conditioning import verify_thm2
 from .scaling import (
     LimitLevelLaw,
     MuMeasure,
+    ScalingConfig,
     continuity_check,
     kernel_limit_ladder,
     limit_process_sample,
@@ -54,12 +55,10 @@ SCHEMA = "report-v1"
 
 
 def _emit(report: dict, args) -> int:
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": report.pop("command", None) or report.get("check"),
-        **report,
-    }
+    # the command is named by the subcommands on the command line
+    words = (args.cmd, getattr(args, "what", None), getattr(args, "object", None))
+    report = {"schema": SCHEMA, "version": __version__,
+              "command": " ".join(w for w in words if w), **report}
     status = report.get("status", "PASS")
     if getattr(args, "out", "json") == "csv" and "rows" in report:
         cols = list(report["rows"][0])
@@ -135,45 +134,19 @@ def _cmd_verify_thm1(args):
         report["status"] = "PASS" if worst <= report.get("tolerance", 0.0) else "FAIL"
         report["t_max"] = args.t
         report["jobs"] = args.jobs
-    else:
-        report = verify_thm1(args.t, law, _params(args), part=args.part,
-                             candidate=candidate)
-    report["command"] = "verify thm1"
-    return report
-
-
-def _cmd_verify_thm2(args):
-    report = verify_thm2(args.t, parse_initial_law(args.initial), _params(args), args.part)
-    report["command"] = "verify thm2"
-    return report
-
-
-def _cmd_verify_two_sided(args):
-    report = verify_two_sided(args.t, parse_initial_law(args.initial), _params(args))
-    report["command"] = "verify two-sided"
-    return report
+        return report
+    return verify_thm1(args.t, law, _params(args), part=args.part, candidate=candidate)
 
 
 def _cmd_verify_tropical(args):
     _require_positive("--streams", args.streams, "each shard draws from its own stream")
-    report = verify_tropical(args.t_exhaustive, args.t_random, args.samples, args.g_max,
-                             args.seed, args.streams)
-    report["command"] = "verify tropical"
-    return report
-
-
-def _cmd_verify_damage(args):
-    report = damage_check(parse_rat(args.q), parse_rat(args.theta), args.nmax)
-    report["command"] = "verify damage"
-    return report
+    return verify_tropical(args.t_exhaustive, args.t_random, args.samples, args.g_max,
+                           args.seed, args.streams)
 
 
 def _cmd_preimage(args):
     x = Path.parse(args.path)
-    report = preimage(x).to_json()
-    report.update({"command": "preimage", "check": "preimage", "path": str(x),
-                   "status": "PASS"})
-    return report
+    return {**preimage(x).to_json(), "check": "preimage", "path": str(x), "status": "PASS"}
 
 
 def _cmd_law(args):
@@ -192,27 +165,26 @@ def _cmd_law(args):
             glaw = g_law_from_initial(parse_initial_law(args.initial), params, "G")
         table = rhs_law_enumeration(args.t, glaw, params)
     elif args.object == "level":
+        if args.nmax < 0:
+            raise ValueError(f"--nmax must be >= 0, got {args.nmax}: no level would be printed")
         glaw = g_law_from_initial(parse_initial_law(args.initial), params,
                                   args.which)
         # float laws carry their certified error: {"value", "err"} per level
         entries = {n: prob_json(glaw.pmf(n) if glaw.exact
                                 else Approx(glaw.pmf(n), glaw.pmf_err(n)))
                    for n in range(args.nmax + 1)}
-        return {"command": "law level", "check": "law", "params": params.to_json(),
+        return {"check": "law", "params": params.to_json(),
                 "which": args.which, "pmf": entries, "status": "PASS"}
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.object)
-    report = {"command": f"law {args.object}", "check": "law",
-              "params": params.to_json(), "table": table.to_json(),
-              "mass": prob_json(table.mass()), "status": "PASS"}
-    return report
+    return {"check": "law", "params": params.to_json(), "table": table.to_json(),
+            "mass": prob_json(table.mass()), "status": "PASS"}
 
 
 def _cmd_scaling_continuity(args):
     report = continuity_check(args.N, parse_rat(args.v), args.regime,
                               _grid(args.grid), u=parse_rat(args.u) if args.u else None,
                               power_eps=args.power_eps, point_scale=args.point_scale)
-    report["command"] = "scaling continuity"
     report["status"] = "PASS" if report["sup_distance"] <= args.tol else "FAIL"
     report["tol"] = args.tol
     return report
@@ -221,21 +193,17 @@ def _cmd_scaling_continuity(args):
 def _cmd_scaling_kernel(args):
     Ns = [int(n) for n in args.N.split(",")]
     report = kernel_limit_ladder(Ns, args.t, args.x, args.y, args.v)
-    report["command"] = "scaling kernel"
     report["status"] = "PASS" if report["rel_errors"][-1] <= args.tol else "FAIL"
     report["tol"] = args.tol
     return report
 
 
 def _cmd_scaling_donsker(args):
-    import math
-
     seed = RngStream(args.seed)
-    sn = math.isqrt(args.N)
-    if sn * sn != args.N:
-        raise ValueError("N must be a perfect square")
     v = parse_rat(args.v)
-    params = Params(1 - v / sn, parse_rat(args.sigma))
+    # refuses N < 1, v >= sqrt(N) and an N that is not a perfect square
+    cfg = ScalingConfig(args.N, v, parse_rat(args.sigma))
+    sn, params = cfg.sqrt_n, cfg.params_exact()
     law = parse_initial_law(args.initial)
 
     from .processes import PointMass, QNegativeBinomial
@@ -266,7 +234,6 @@ def _cmd_scaling_donsker(args):
     stat = ks_distance(k_chain, np.round(lim * sn).astype(np.int64))
     crit = ks_two_sample_critical(args.samples, args.samples, 0.01)
     return {
-        "command": "scaling donsker",
         "check": "donsker",
         "N": args.N, "samples": args.samples,
         "seed": args.seed, "params": params.to_json(), "initial": law.cli_string(),
@@ -282,6 +249,7 @@ def _shard_sizes(total, streams):
 
 def _cmd_sample(args):
     _require_positive("--streams", args.streams, "each shard draws from its own stream")
+    _require_positive("--samples", args.samples, "zero samples would print no path")
     streams = args.streams
     sizes = _shard_sizes(args.samples, streams)
     keys = [RngStream(args.seed, args.stream + i) for i in range(streams)]
@@ -301,11 +269,11 @@ def _cmd_sample(args):
         v, sig = float(parse_rat(args.v)), float(parse_rat(args.sigma))
         vals = shard(lambda k, m: limit_process_sample(v, gamma, grid, None,
                                                        k, n=m, sigma=sig))
-        return {"command": "sample limit-process", "check": "sample", "seed": args.seed,
+        return {"check": "sample", "seed": args.seed,
                 "streams": streams, "grid": grid,
                 "paths": [list(map(float, row)) for row in vals],
                 "status": "PASS"}
-    return {"command": f"sample {args.object}", "check": "sample", "seed": args.seed,
+    return {"check": "sample", "seed": args.seed,
             "streams": streams, "params": _params(args).to_json(),
             "paths": [",".join(map(str, row)) for row in vals.tolist()],
             "status": "PASS"}
@@ -348,13 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=4)
     p.add_argument("--initial", required=True)
     p.add_argument("--part", choices=["I", "II"], default="I")
-    p.set_defaults(fn=_cmd_verify_thm2)
+    p.set_defaults(fn=lambda a: verify_thm2(a.t, parse_initial_law(a.initial), _params(a),
+                                            a.part))
 
     p = vsub.add_parser("two-sided", help="plain vs sign-flipped representations")
     _add_params(p)
     p.add_argument("--t", type=int, default=4)
     p.add_argument("--initial", required=True)
-    p.set_defaults(fn=_cmd_verify_two_sided)
+    p.set_defaults(fn=lambda a: verify_two_sided(a.t, parse_initial_law(a.initial), _params(a)))
 
     p = vsub.add_parser("tropical", help="max-plus operator identities")
     p.add_argument("--t-exhaustive", type=int, default=6)
@@ -370,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--nmax", type=int, default=60)
-    p.set_defaults(fn=_cmd_verify_damage)
+    p.set_defaults(fn=lambda a: damage_check(parse_rat(a.q), parse_rat(a.theta), a.nmax))
 
     p = sub.add_parser("preimage", help="complete inverse image of a path")
     p.add_argument("--path", required=True, help="comma-separated values, e.g. 0,1,0,-1")

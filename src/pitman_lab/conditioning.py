@@ -17,14 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from .exact import Rat, RegimeError, prob_json, q_bracket
-from .paths import Path, enumerate_paths, stats
+from .paths import Path, stats
 from .processes import (
     DistTable,
     FiniteSupport,
     Geometric,
     InitialLaw,
     Params,
-    chain_increment_law,
+    _chain_classes,
     step_pmf,
 )
 from .representation import table_diffs, worst_difference
@@ -82,17 +82,22 @@ def v_law_from_initial(law: InitialLaw, params: Params, part: str = "I") -> Init
 
 def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "I") -> DistTable:
     """Exact law of the first t steps of the walk conditioned on
-    inf_u (S_u + V) >= 0 (sign-flipped walk for part II)."""
+    inf_u (S_u + V) >= 0 (sign-flipped walk for part II), evaluated once per
+    class (K0, x_t, H)."""
+    return _conditioned_classes(t, vlaw, params, part).per_path()
+
+
+def _conditioned_classes(t, vlaw, params, part) -> DistTable:
     eff = _effective_params(params, part)
     q, z, rho = eff.q, eff.z, eff.rho
     c = vlaw.bracket_tail(0, 0, q)
-    allow_flat = eff.sigma > 0
-    entries = {}
-    for x in enumerate_paths(t, allow_flat):
+
+    def conditioned(x):
         st = stats(x)
         pref = eff.sigma**st.H / (rho**x.end * z**t)
-        entries[x] = pref * vlaw.bracket_tail(-st.K0, x.end, q) / c
-    return DistTable(t, "exact", entries)
+        return pref * vlaw.bracket_tail(-st.K0, x.end, q) / c
+
+    return DistTable.of_classes(t, eff.sigma > 0, "exact", conditioned)
 
 
 def verify_thm2(t_max: int, law: InitialLaw, params: Params, part: str = "I") -> dict:
@@ -105,8 +110,8 @@ def verify_thm2(t_max: int, law: InitialLaw, params: Params, part: str = "I") ->
         raise ValueError(f"thm2 needs t_max >= 1, got {t_max}: t=0 compares no table")
     vlaw = v_law_from_initial(law, params, part)
     worst, witness = worst_difference(
-        table_diffs(t, ("chain_vs_conditioned", chain_increment_law(t, law, params),
-                        conditioned_walk_law(t, vlaw, params, part)))
+        table_diffs(t, ("chain_vs_conditioned", _chain_classes(t, law, params),
+                        _conditioned_classes(t, vlaw, params, part)))
         for t in range(1, t_max + 1))
     return {
         "check": "thm2",

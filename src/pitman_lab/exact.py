@@ -41,10 +41,8 @@ class RegimeError(ValueError):
     """Parameters violate the hypothesis of the identity being checked."""
 
 
-def rat(x, den=None) -> Rat:
+def rat(x) -> Rat:
     """Coerce ints, strings like ``"2/3"``, or Fractions to a Fraction."""
-    if den is not None:
-        return Fraction(x, den)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):

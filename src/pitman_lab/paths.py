@@ -1,14 +1,18 @@
 """The discrete path space: integer sequences from 0 with steps in {-1, 0, +1}.
 
 Paths are stored as increment tuples (compact dictionary keys); the value
-sequence is materialized on construction.  Exhaustive enumeration is capped
-(default horizon 14, override with the ``PITMAN_LAB_CAP`` env var) because the
-space grows as 3^t.
+sequence is materialized on construction.  Every law of the package depends
+on a path only through its class (K0, x_t, H): global minimum, end and number
+of flat steps.  ``path_classes`` yields one representative per class with the
+class size, O(t^3) classes against the 3^t paths of ``enumerate_paths``.  Both
+are capped at the same horizon (default 14, override with the
+``PITMAN_LAB_CAP`` env var).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from typing import Iterator, NamedTuple
 
@@ -35,11 +39,8 @@ class Path:
         steps = tuple(int(s) for s in steps)
         if any(s not in _STEPS for s in steps):
             raise ValueError(f"steps must lie in {{-1,0,+1}}: {steps}")
-        vals = [0]
-        for s in steps:
-            vals.append(vals[-1] + s)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "values", tuple(vals))
+        object.__setattr__(self, "values", tuple(itertools.accumulate(steps, initial=0)))
 
     @classmethod
     def from_values(cls, values) -> "Path":
@@ -107,24 +108,28 @@ class PathStats(NamedTuple):
 
 def stats(path: Path) -> PathStats:
     vals = path.values
-    t = len(vals) - 1
-    m = [0] * (t + 1)
-    for j in range(1, t + 1):
-        m[j] = max(m[j - 1], vals[j])
-    k = [0] * (t + 1)
-    k[t] = vals[t]
-    for j in range(t - 1, -1, -1):
-        k[j] = min(vals[j], k[j + 1])
-    u = sum(1 for s in path.steps if s == 1)
-    d = sum(1 for s in path.steps if s == -1)
-    return PathStats(K=tuple(k), M=tuple(m), U=u, D=d, H=t - u - d)
+    k = tuple(itertools.accumulate(reversed(vals), min))[::-1]
+    u, d = path.steps.count(1), path.steps.count(-1)
+    return PathStats(K=k, M=tuple(itertools.accumulate(vals, max)), U=u, D=d,
+                     H=len(path.steps) - u - d)
 
 
 def path_count(t: int, allow_flat: bool = True) -> int:
     return 3**t if allow_flat else 2**t
 
 
-def enumerate_paths(t: int, allow_flat: bool = True, cap=None) -> Iterator[Path]:
+def _refuse_beyond_cap(t: int, allow_flat: bool):
+    if t < 0:
+        raise ValueError("horizon must be >= 0")
+    limit = horizon_cap()
+    if t > limit:
+        raise HorizonCapError(
+            f"horizon {t} exceeds cap {limit} "
+            f"({path_count(t, allow_flat)} paths); raise PITMAN_LAB_CAP to override"
+        )
+
+
+def enumerate_paths(t: int, allow_flat: bool = True) -> Iterator[Path]:
     """Yield every path of horizon t exactly once.
 
     The order is lexicographic in increments with -1 < 0 < +1, which makes the
@@ -132,14 +137,37 @@ def enumerate_paths(t: int, allow_flat: bool = True, cap=None) -> Iterator[Path]
     are skipped for allow_flat=False (they carry probability 0 when the flat
     weight vanishes), cutting the space from 3^t to 2^t.
     """
-    if t < 0:
-        raise ValueError("horizon must be >= 0")
-    limit = horizon_cap() if cap is None else cap
-    if t > limit:
-        raise HorizonCapError(
-            f"horizon {t} exceeds cap {limit} "
-            f"({path_count(t, allow_flat)} paths); raise PITMAN_LAB_CAP to override"
-        )
+    _refuse_beyond_cap(t, allow_flat)
     steps = _STEPS if allow_flat else (-1, 1)
     for incs in itertools.product(steps, repeat=t):
         yield Path(incs)
+
+
+def class_key(path: Path) -> tuple:
+    """(K0, x_t, H) of a path, without the running extrema of ``stats``."""
+    return min(path.values), path.end, path.steps.count(0)
+
+
+def path_classes(t: int, allow_flat: bool = True) -> Iterator[tuple]:
+    """Yield (representative, size) for every class (K0, x_t, H) of horizon t.
+
+    Of the n = t - H up/down steps, the number of walks that end at x with
+    minimum exactly K is N(2K - x) - N(2K - 2 - x), N(y) the number ending at
+    y, by the reflection principle (Feller, An Introduction to Probability
+    Theory, vol. 1, ch. III); the flat steps sit at any C(t, H) places.  The
+    representative makes its H flat steps, falls to K, climbs to x and ends
+    with up-down pairs.  Order: H, then x_t ascending, then K0 descending.
+    """
+    _refuse_beyond_cap(t, allow_flat)
+
+    def ending_at(n, y):
+        return math.comb(n, (n + y) // 2) if abs(y) <= n else 0
+
+    for h in range(t + 1 if allow_flat else 1):
+        n = t - h
+        for end in range(-n, n + 1, 2):
+            for k0 in range(min(0, end), (end - n) // 2 - 1, -1):
+                size = ending_at(n, 2 * k0 - end) - ending_at(n, 2 * k0 - 2 - end)
+                yield (Path((0,) * h + (-1,) * -k0 + (1,) * (end - k0)
+                            + (1, -1) * ((n + 2 * k0 - end) // 2)),
+                       size * math.comb(t, h))

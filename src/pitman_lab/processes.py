@@ -32,7 +32,7 @@ from .exact import (
     rat_str,
     rel_err,
 )
-from .paths import Path, enumerate_paths, stats
+from .paths import Path, class_key, enumerate_paths, path_classes, stats
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,6 @@ def walk_path_prob(path: Path, params: Params) -> Rat:
     probabilities along the increments.
     """
     st = stats(path)
-    if st.H and params.sigma == 0:
-        return Fraction(0)
     return (
         params.sigma**st.H
         * params.rho ** (st.D - st.U)
@@ -110,8 +108,10 @@ def chain_transition(k: int, delta: int, params: Params) -> Rat:
 # the law catalog
 # ---------------------------------------------------------------------------
 
-#: largest truncation point, and so the largest Poisson mean, of float mode
-TRUNCATION_CAP = 10**7
+#: largest Poisson mean, and the largest truncation point of float mode: ten
+#: standard deviations above that mean, where its tail is far below 1e-15
+POISSON_MEAN_CAP = 10**7
+TRUNCATION_CAP = POISSON_MEAN_CAP + 10 * math.isqrt(POISSON_MEAN_CAP)
 
 
 class InitialLaw:
@@ -494,8 +494,8 @@ class ShiftedPoisson(InitialLaw):
     def __post_init__(self):
         # the tail series runs past k = lam, and float mode truncates at
         # TRUNCATION_CAP at most; nan fails the comparison too
-        if not 0 < self.lam <= TRUNCATION_CAP:
-            raise ValueError(f"lam must be in (0, {TRUNCATION_CAP:.0e}], got {self.lam}")
+        if not 0 < self.lam <= POISSON_MEAN_CAP:
+            raise ValueError(f"lam must be in (0, {POISSON_MEAN_CAP:.0e}], got {self.lam}")
         object.__setattr__(self, "lam", float(self.lam))
 
     def pmf(self, n):
@@ -590,24 +590,45 @@ class DistTable:
     entries).  On the formula route ``err`` bounds the summed distance of the
     entries to the exact law, truncated mass plus rounding, and so each
     entry's too; on the product route it is the truncated mass.
+
+    A class table has ``sizes``: it holds one entry per class (K0, x_t, H),
+    keyed by the representative x from ``path_classes``, and that entry is
+    the value of each of the ``sizes[x]`` paths of the class.
     """
 
     horizon: int
     mode: str
     entries: dict
     err: float = 0.0
+    sizes: dict = None
+
+    @classmethod
+    def of_classes(cls, t: int, allow_flat: bool, mode: str, value) -> "DistTable":
+        """The class table of ``value(x)``, a route that reads a path only
+        through its class: one evaluation per class representative x."""
+        sizes = dict(path_classes(t, allow_flat))
+        return cls(t, mode, {x: value(x) for x in sizes}, sizes=sizes)
+
+    def per_path(self) -> "DistTable":
+        """Every path of the horizon with the entry of its class."""
+        by_class = {class_key(x): v for x, v in self.entries.items()}
+        allow_flat = any(0 in x.steps for x in self.entries)
+        return DistTable(self.horizon, self.mode,
+                         {x: by_class[class_key(x)]
+                          for x in enumerate_paths(self.horizon, allow_flat)}, self.err)
 
     def mass(self):
-        return sum(self.entries.values())
+        return sum(v * (self.sizes or {}).get(x, 1) for x, v in self.entries.items())
 
     def __getitem__(self, path: Path):
         zero = Fraction(0) if self.mode == "exact" else 0.0
         return self.entries.get(path, zero)
 
     def max_abs_diff(self, other: "DistTable"):
-        """Largest entrywise discrepancy and a path witnessing it."""
+        """Largest entrywise discrepancy and the first path, in entry order,
+        that reaches it."""
         worst, witness = Fraction(0) if self.mode == "exact" == other.mode else 0.0, None
-        for p in set(self.entries) | set(other.entries):
+        for p in {**self.entries, **other.entries}:
             d = abs(self[p] - other[p])
             if d > worst:
                 worst, witness = d, p
@@ -630,19 +651,16 @@ class DistTable:
 
 def walk_law(t: int, params: Params) -> DistTable:
     """Exact table of the plain walk's paths over horizon t."""
-    allow_flat = params.sigma > 0
-    entries = {p: walk_path_prob(p, params) for p in enumerate_paths(t, allow_flat)}
-    return DistTable(t, "exact", entries)
+    return _walk_classes(t, params).per_path()
 
 
-def chain_increment_law(
-    t: int,
-    law: InitialLaw,
-    params: Params,
-    route: str = "formula",
-    mode: str = None,
-    kmax: int = None,
-) -> DistTable:
+def _walk_classes(t: int, params: Params) -> DistTable:
+    return DistTable.of_classes(t, params.sigma > 0, "exact",
+                                lambda x: walk_path_prob(x, params))
+
+
+def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "formula",
+                        mode: str = None, kmax: int = None) -> DistTable:
     """Exact finite-dimensional law of the chain increments (X_j - X_0).
 
     formula route: per path x, sigma^H / (z^t rho^(x_t)) times the closed-form
@@ -652,14 +670,30 @@ def chain_increment_law(
     product route: mixes the kernel products over the initial level directly;
     exact for finite-support laws, truncated (with certified leftover mass in
     ``err``) otherwise.
+
+    Either route is evaluated once per class (K0, x_t, H); see
+    :meth:`DistTable.of_classes`.
     """
+    return _chain_classes(t, law, params, route, mode, kmax).per_path()
+
+
+def _chain_classes(t, law, params, route="formula", mode=None, kmax=None) -> DistTable:
     q = params.q
     if mode is None:
         mode = "exact" if (law.exact and law.exact_capable(q)) else "approx"
     allow_flat = params.sigma > 0
 
     if route == "formula":
-        return _chain_law_formula(t, law, params, mode, kmax)
+        if mode != "exact":
+            return _chain_law_formula_float(t, law, params, kmax)
+        z, rho = params.z, params.rho
+
+        def formula(x):
+            st = stats(x)
+            pref = params.sigma**st.H / (z**t * rho**x.end)
+            return pref * law.bracket_ratio_sum_exact(-st.K0, x.end, q)
+
+        return DistTable.of_classes(t, allow_flat, mode, formula)
     if route != "product":
         raise ValueError(f"unknown route {route!r}")
 
@@ -668,38 +702,27 @@ def chain_increment_law(
         raise UnsupportedExactModeError(
             "product route is exact only for finite-support laws; use mode='approx'"
         )
-    entries, err = {}, 0.0
+    err = 0.0
     if top is None:
         top = kmax if kmax is not None else law.truncation_point()
         err = law.tail_float(top + 1)
     levels = [k for k in range(top + 1) if law.pmf(k)]
     weights = [law.pmf(k) for k in levels]
-    for x in enumerate_paths(t, allow_flat):
+
+    def product(x):
+        # the kernel product is exact, so every path of a class gets one value
         total = Fraction(0)
         for k, w in zip(levels, weights):
-            if k + min(x.values) < 0:
-                continue
-            prod = w
-            for a, b in zip(x.values, x.values[1:]):
-                prod *= chain_transition(k + a, b - a, params)
-                if not prod:
-                    break
-            total += prod
-        entries[x] = total if mode == "exact" else float(total)
-    return DistTable(t, mode, entries, err=err)
+            if k + min(x.values) >= 0:
+                prod = Fraction(1)
+                for a, b in zip(x.values, x.values[1:]):
+                    prod *= chain_transition(k + a, b - a, params)
+                total += w * prod
+        return total if mode == "exact" else float(total)
 
-
-def _chain_law_formula(t, law, params, mode, kmax):
-    if mode != "exact":
-        return _chain_law_formula_float(t, law, params, kmax)
-    q, z, rho = params.q, params.z, params.rho
-    allow_flat = params.sigma > 0
-    entries = {}
-    for x in enumerate_paths(t, allow_flat):
-        st = stats(x)
-        pref = params.sigma**st.H / (z**t * rho**x.end)
-        entries[x] = pref * law.bracket_ratio_sum_exact(-st.K0, x.end, q)
-    return DistTable(t, mode, entries)
+    table = DistTable.of_classes(t, allow_flat, mode, product)
+    table.err = err
+    return table
 
 
 def _chain_law_formula_float(t, law, params, kmax):
@@ -707,18 +730,18 @@ def _chain_law_formula_float(t, law, params, kmax):
     pref = sigma^H / (z^t rho^(x_t)) and s(a, x_t) the sum of
     pmf(k) [x_t+k+1]_q / [k+1]_q over a <= k <= top.
 
-    The pmf floats are read once per table, and s depends on the path only
-    through (-K0, x_t): for each end value x_t one pass from top down (small
-    terms first) yields s for every a <= t, so the table costs O(top) per
-    end value, not per path.
+    The pmf floats are read once per table, and for each end value x_t one
+    pass from top down (small terms first) yields s for every a <= t, so the
+    table costs O(top) per end value, not per class.
 
     ``err`` bounds the summed distance of all entries to the exact law.  The
     levels k > top carry total mass P(X0 > top) over all paths (the chain from
-    any level has mass 1).  Each entry adds its rounding: s is within
-    1.1 (E + u R) of the sum of its exact terms, as in ``exact.TailSumTable``,
-    with term errors rel_err(law.float_rel_err(k), ratio error, u), and pref
-    is within rel_err((H + t + |x_t| + 9) u) (float sigma, z, rho, their
-    powers within one ulp, the product and the quotient with s).
+    any level has mass 1).  Each entry adds its rounding, once per path of its
+    class: s is within 1.1 (E + u R) of the sum of its exact terms, as in
+    ``exact.TailSumTable``, with term errors rel_err(law.float_rel_err(k),
+    ratio error, u), and pref is within rel_err((H + t + |x_t| + 9) u) (float
+    sigma, z, rho, their powers within one ulp, the product and the quotient
+    with s).
     """
     u = UNIT_ROUNDOFF
     top = kmax if kmax is not None else law.truncation_point()
@@ -746,9 +769,9 @@ def _chain_law_formula_float(t, law, params, kmax):
                 kept.append((s, 1.1 * (e + u * r)))
         return lo, kept[::-1]
 
-    by_end = {}
-    entries, rounding = {}, 0.0
-    for x in enumerate_paths(t, params.sigma > 0):
+    by_end, rounding = {}, {}
+
+    def formula(x):
         st = stats(x)
         a = -st.K0
         if x.end not in by_end:
@@ -756,7 +779,10 @@ def _chain_law_formula_float(t, law, params, kmax):
         lo, kept = by_end[x.end]
         s, s_err = kept[a - lo] if a <= top else (0.0, 0.0)
         pref = sig**st.H / (zf**t * rhof**x.end)
-        entries[x] = pref * s
-        rounding += pref * s_err + rel_err((st.H + t + abs(x.end) + 9) * u) * pref * s
-    return DistTable(t, "approx", entries, err=law.tail_bound(top + 1) + 1.1 * rounding)
+        rounding[x] = pref * s_err + rel_err((st.H + t + abs(x.end) + 9) * u) * pref * s
+        return pref * s
 
+    table = DistTable.of_classes(t, params.sigma > 0, "approx", formula)
+    table.err = law.tail_bound(top + 1) + 1.1 * sum(
+        table.sizes[x] * r for x, r in rounding.items())
+    return table

@@ -23,7 +23,7 @@ from .exact import (
     rat,
     rel_err,
 )
-from .paths import Path, enumerate_paths, stats
+from .paths import Path, stats
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -31,11 +31,11 @@ from .processes import (
     InitialLaw,
     Params,
     PointMass,
-    chain_increment_law,
-    walk_law,
+    _chain_classes,
+    _walk_classes,
     walk_path_prob,
 )
-from .transform import preimage_member
+from .transform import preimage
 
 
 class LevelLaw(InitialLaw):
@@ -172,8 +172,6 @@ def rhs_law_formula(x: Path, glaw: InitialLaw, params: Params):
     """
     st = stats(x)
     k0 = st.K0
-    if params.sigma == 0 and st.H:
-        return Fraction(0) if glaw.exact else 0.0
     q = params.q
     if q == 1:
         factor = x.end - k0
@@ -188,26 +186,33 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     """Pushforward over each path's preimage set:
 
         P(x) = P(G >= -K) * walk_prob(-x)
-               + P(G = -K) * sum over sporadic members of walk_prob(s^(r)).
+               + P(G = -K) * sum over sporadic members of walk_prob(s^(r)),
+
+    evaluated once per class (K0, x_t, H): the members' step counts are
+    functions of it (``transform.preimage_stats``).
     """
-    allow_flat = params.sigma > 0
-    entries = {}
-    for x in enumerate_paths(t, allow_flat):
-        k0 = stats(x).K0
-        val = glaw.tail(-k0) * walk_path_prob(preimage_member(x, k0), params)
-        sporadic = glaw.pmf(-k0) * sum(
-            (walk_path_prob(preimage_member(x, r), params) for r in range(k0 + 1, x.end + 1)),
-            Fraction(0),
-        )
-        val = val + sporadic
-        entries[x] = val if glaw.exact else float(val)
-    return DistTable(t, "exact" if glaw.exact else "approx", entries)
+    return _rhs_enumeration_classes(t, glaw, params).per_path()
+
+
+def _rhs_enumeration_classes(t, glaw, params) -> DistTable:
+    def pushforward(x):
+        pre = preimage(x)
+        sporadic = sum((walk_path_prob(s, params) for _, s in pre.sporadic), Fraction(0))
+        val = (glaw.tail(pre.ray_g_min) * walk_path_prob(pre.ray_path, params)
+               + glaw.pmf(pre.ray_g_min) * sporadic)
+        return val if glaw.exact else float(val)
+
+    return DistTable.of_classes(t, params.sigma > 0, "exact" if glaw.exact else "approx",
+                                pushforward)
 
 
 def rhs_law_table_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
-    allow_flat = params.sigma > 0
-    entries = {x: rhs_law_formula(x, glaw, params) for x in enumerate_paths(t, allow_flat)}
-    return DistTable(t, "exact" if glaw.exact else "approx", entries)
+    return _rhs_formula_classes(t, glaw, params).per_path()
+
+
+def _rhs_formula_classes(t, glaw, params) -> DistTable:
+    return DistTable.of_classes(t, params.sigma > 0, "exact" if glaw.exact else "approx",
+                                lambda x: rhs_law_formula(x, glaw, params))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +227,13 @@ def _diff_json(diff):
 
 
 def table_diffs(t: int, *pairs):
-    """(difference, witness) of each labelled table pair of horizon t."""
+    """(difference, witness) of each labelled table pair of horizon t.  An
+    exact table whose mass is not exactly 1 raises ArithmeticError: a route
+    that lost or double-counted paths must not PASS."""
     for label, ta, tb in pairs:
+        for table in (ta, tb):
+            if table.mode == "exact" and table.mass() != 1:
+                raise ArithmeticError(f"{label}: a table of horizon {t} has mass {table.mass()}")
         d, w = ta.max_abs_diff(tb)
         yield d, {"pair": label, "path": str(w), "horizon": t}
 
@@ -252,7 +262,9 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
 
     Forward direction (candidate=None): derive the level law from the initial
     law and require the chain table, the preimage pushforward and the closed
-    form to agree (exactly, in exact mode).  Passing a candidate level law
+    form to agree (exactly, in exact mode).  The tables are class tables
+    (:meth:`DistTable.of_classes`); a witness is the representative of the
+    first class that reaches the worst difference.  Passing a candidate level law
     instead turns this into the converse test: a wrong candidate produces a
     witness path.  ``t_values`` restricts the horizons (used to shard grid
     work across workers).
@@ -288,10 +300,10 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
     chain_errs = [0.0]
 
     def horizon(t):
-        chain = chain_increment_law(t, law, params, mode="exact" if exact else "approx")
+        chain = _chain_classes(t, law, params, mode="exact" if exact else "approx")
         chain_errs.append(chain.err)
-        enum = rhs_law_enumeration(t, glaw, walk_params)
-        form = rhs_law_table_formula(t, glaw, walk_params)
+        enum = _rhs_enumeration_classes(t, glaw, walk_params)
+        form = _rhs_formula_classes(t, glaw, walk_params)
         return table_diffs(t, ("chain_vs_enumeration", chain, enum),
                            ("chain_vs_formula", chain, form),
                            ("enumeration_vs_formula", enum, form))
@@ -336,8 +348,8 @@ def verify_two_sided(t_max: int, law: InitialLaw, params: Params) -> dict:
     gt = g_law_from_initial(law, params, "Gtilde")
     tilde = params.tilde()
     worst, witness = worst_difference(
-        table_diffs(t, ("plain_vs_flipped", rhs_law_enumeration(t, g, params),
-                        rhs_law_enumeration(t, gt, tilde)))
+        table_diffs(t, ("plain_vs_flipped", _rhs_enumeration_classes(t, g, params),
+                        _rhs_enumeration_classes(t, gt, tilde)))
         for t in range(1, t_max + 1))
     return {
         "check": "two-sided",
@@ -354,8 +366,8 @@ def walk_match_report(glaw: InitialLaw, params: Params, t_max: int) -> dict:
     """Does 2(M-G)_+ - S reproduce the plain walk law?  (It should exactly when
     G is geometric with parameter rho^2 and rho < 1, and for no other law.)"""
     worst, witness = worst_difference(
-        (table_diffs(t, ("transform_vs_walk", rhs_law_enumeration(t, glaw, params),
-                         walk_law(t, params)))
+        (table_diffs(t, ("transform_vs_walk", _rhs_enumeration_classes(t, glaw, params),
+                         _walk_classes(t, params)))
          for t in range(1, t_max + 1)),
         stop_at_witness=True)
     return {

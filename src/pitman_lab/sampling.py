@@ -39,6 +39,8 @@ def _step_thresholds(params: Params):
 
 def sample_walk(t: int, params: Params, rng, n: int = 1) -> np.ndarray:
     """n walk paths of horizon t; returns values of shape (n, t+1)."""
+    if t < 0:
+        raise ValueError(f"horizon t must be >= 0, got {t}")
     gen = _gen(rng)
     p_up, p_upflat = _step_thresholds(params)
     u = gen.random((n, t))
@@ -55,6 +57,8 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
     computed through expm1 so the q -> 1 and level-0 cases stay exact in
     floating point.
     """
+    if t < 0:
+        raise ValueError(f"horizon t must be >= 0, got {t}")
     gen = _gen(rng)
     z = float(params.z)
     rho = float(params.rho)

@@ -226,6 +226,8 @@ class ScalingConfig:
     sigma: Fraction = Fraction(0)
 
     def __post_init__(self):
+        if self.N < 1:
+            raise ValueError(f"N must be >= 1, got {self.N}: space is scaled by sqrt(N)")
         object.__setattr__(self, "v", rat(self.v) if not isinstance(self.v, float) else self.v)
         object.__setattr__(self, "sigma", rat(self.sigma))
         if float(self.rho_float) <= 0:
@@ -354,10 +356,8 @@ def kernel_limit_check(N: int, t: float, x: float, y: float, v: float) -> dict:
     The finite-N probability is the two-binomial difference (path counts do
     not depend on the interior) evaluated in log space.
     """
+    rho = ScalingConfig(N, v).rho_float  # refuses N < 1 and v >= sqrt(N)
     sn = math.sqrt(N)
-    rho = 1.0 - v / sn
-    if rho <= 0:
-        raise ValueError("need v < sqrt(N)")
     T = _even_floor(t * N)
     x0 = _even_floor(x * sn)
     xt = _even_floor(y * sn)

@@ -167,6 +167,9 @@ def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
     if streams < 1:
         raise ValueError(f"streams must be >= 1, got {streams}: each shard draws "
                          "from its own stream")
+    if min(t_exhaustive, t_random, samples, g_max) < 0:
+        raise ValueError("t_exhaustive, t_random, samples and g_max must be >= 0, got "
+                         f"{t_exhaustive}, {t_random}, {samples}, {g_max}")
     violations = 0
 
     def count(vals, g1, g2):

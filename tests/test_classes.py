@@ -1,0 +1,174 @@
+"""The class-lumped engine against per-path enumeration, its oracle at small t.
+
+Every route reads a path only through its class (K0, x_t, H).  Feeding the
+same route every path with weight 1 in place of ``path_classes`` evaluates it
+path by path; the class table must give each path exactly that value, and the
+public per-path table must equal it.
+"""
+
+from collections import Counter
+from fractions import Fraction as F
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pitman_lab import (
+    FiniteSupport,
+    Geometric,
+    HorizonCapError,
+    NegativeBinomial,
+    Params,
+    Path,
+    PointMass,
+    QNegativeBinomial,
+    ShiftedPoisson,
+    chain_increment_law,
+    conditioned_walk_law,
+    enumerate_paths,
+    g_law_from_initial,
+    processes,
+    representation,
+    rhs_law_enumeration,
+    rhs_law_table_formula,
+    stats,
+    v_law_from_initial,
+    verify_thm1,
+    walk_law,
+)
+from pitman_lab.conditioning import _conditioned_classes
+from pitman_lab.paths import class_key, path_classes
+from pitman_lab.processes import _chain_classes, _walk_classes
+from pitman_lab.representation import _rhs_enumeration_classes, _rhs_formula_classes
+
+
+def every_path(t, allow_flat=True):
+    return ((x, 1) for x in enumerate_paths(t, allow_flat))
+
+
+class TestPathClasses:
+    @pytest.mark.parametrize("allow_flat", [True, False])
+    def test_sizes_are_the_enumerated_counts(self, allow_flat):
+        for t in range(11):
+            counts = Counter(class_key(x) for x in enumerate_paths(t, allow_flat))
+            classes = list(path_classes(t, allow_flat))
+            assert len(classes) == len(counts)  # one representative per class
+            assert {class_key(x): n for x, n in classes} == counts
+            assert sum(n for _, n in classes) == (3 if allow_flat else 2) ** t
+
+    def test_class_counts(self):
+        assert sum(len(list(path_classes(t))) for t in range(1, 9)) == 294
+        assert len(list(path_classes(12, allow_flat=False))) == 49
+
+    @given(st.lists(st.sampled_from([-1, 0, 1]), max_size=30))
+    def test_class_key_reads_the_statistics(self, steps):
+        x = Path(steps)
+        s = stats(x)
+        assert class_key(x) == (s.K0, x.end, s.H)
+
+    def test_cap_as_for_enumeration(self, monkeypatch):
+        with pytest.raises(HorizonCapError, match="14348907"):
+            next(path_classes(15))
+        monkeypatch.setenv("PITMAN_LAB_CAP", "15")
+        next(path_classes(15))
+
+
+def per_path_oracle(build):
+    """The class table ``build()`` and its per-path evaluation; checks that
+    every path gets the value of its class."""
+    classes = build()
+    with mock.patch.object(processes, "path_classes", every_path):
+        oracle = build()
+    by_class = {class_key(x): v for x, v in classes.entries.items()}
+    assert len(oracle.entries) == sum(classes.sizes.values())
+    for x, v in oracle.entries.items():
+        assert v == by_class[class_key(x)], x
+    assert oracle.mode == classes.mode
+    if classes.mode == "exact":
+        assert classes.mass() == oracle.mass() == 1
+    else:
+        assert classes.err == pytest.approx(oracle.err, rel=1e-9, abs=0)
+    return oracle
+
+
+def make_law(kind, params):
+    return {
+        "point": lambda: PointMass(2),
+        "finite": lambda: FiniteSupport(((0, F(1, 3)), (3, F(2, 3)))),
+        "geo": lambda: Geometric(F(1, 3)),
+        "qnb": lambda: QNegativeBinomial(params.q, F(1, 5)),
+        "nb": lambda: NegativeBinomial(F(1, 3)),
+        "spoisson": lambda: ShiftedPoisson(1.5),
+    }[kind]()
+
+
+@settings(max_examples=15, deadline=None)
+@given(t=st.integers(0, 7),
+       rho=st.sampled_from([F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]),
+       sigma=st.sampled_from([F(0), F(1, 2), F(1)]),
+       kind=st.sampled_from(["point", "finite", "geo", "qnb", "nb", "spoisson"]))
+@example(t=7, rho=F(2, 3), sigma=F(1), kind="qnb")
+@example(t=7, rho=F(3, 2), sigma=F(1, 2), kind="finite")
+@example(t=7, rho=F(1), sigma=F(1), kind="spoisson")
+@example(t=7, rho=F(1, 2), sigma=F(0), kind="geo")
+def test_every_route_is_constant_on_every_class(t, rho, sigma, kind):
+    params = Params(rho, sigma)
+    law = make_law(kind, params)
+
+    # chain formula in its own mode (exact where the law allows) and in floats
+    oracle = per_path_oracle(lambda: _chain_classes(t, law, params))
+    assert chain_increment_law(t, law, params).entries == oracle.entries
+    oracle = per_path_oracle(lambda: _chain_classes(t, law, params, mode="approx", kmax=12))
+    assert chain_increment_law(t, law, params, mode="approx", kmax=12).entries == oracle.entries
+    # chain product: exact over a finite support, truncated in floats otherwise
+    mode = "exact" if law.support_max() is not None and law.exact else "approx"
+    oracle = per_path_oracle(
+        lambda: _chain_classes(t, law, params, route="product", mode=mode, kmax=4))
+    assert chain_increment_law(t, law, params, route="product", mode=mode,
+                               kmax=4).entries == oracle.entries
+
+    glaw = g_law_from_initial(law, params, "G")
+    oracle = per_path_oracle(lambda: _rhs_enumeration_classes(t, glaw, params))
+    assert rhs_law_enumeration(t, glaw, params).entries == oracle.entries
+    oracle = per_path_oracle(lambda: _rhs_formula_classes(t, glaw, params))
+    assert rhs_law_table_formula(t, glaw, params).entries == oracle.entries
+
+    oracle = per_path_oracle(lambda: _walk_classes(t, params))
+    assert walk_law(t, params).entries == oracle.entries
+
+    if rho != 1 and (law.support_max() is not None or kind == "qnb"):
+        part = "I" if rho < 1 else "II"
+        vlaw = v_law_from_initial(law, params, part)
+        oracle = per_path_oracle(lambda: _conditioned_classes(t, vlaw, params, part))
+        assert conditioned_walk_law(t, vlaw, params, part).entries == oracle.entries
+
+
+def test_a_dropped_class_fails_the_mass_check(monkeypatch):
+    params, law = Params(F(1, 2), F(1)), PointMass(1)
+    assert verify_thm1(3, law, params)["status"] == "PASS"
+    build = representation._rhs_formula_classes
+
+    def dropping_a_class(t, glaw, walk_params):
+        table = build(t, glaw, walk_params)
+        del table.entries[max(table.entries, key=table.entries.get)]
+        return table
+
+    monkeypatch.setattr(representation, "_rhs_formula_classes", dropping_a_class)
+    with pytest.raises(ArithmeticError, match="mass"):
+        verify_thm1(3, law, params)
+
+
+def test_witness_is_a_class_representative_at_the_worst_difference():
+    params = Params(F(1, 2), F(1))
+    law = QNegativeBinomial(params.q, F(1, 2))
+    rep = verify_thm1(4, law, params, candidate=Geometric(F(1, 3)))
+    assert rep["status"] == "FAIL"
+    t, witness = rep["witness"]["horizon"], Path.parse(rep["witness"]["path"])
+    assert witness in dict(path_classes(t))
+    glaw = Geometric(F(1, 3))
+    tables = {"chain": _chain_classes(t, law, params),
+              "enumeration": _rhs_enumeration_classes(t, glaw, params),
+              "formula": _rhs_formula_classes(t, glaw, params)}
+    a, b = rep["witness"]["pair"].split("_vs_")
+    assert abs(tables[a].entries[witness] - tables[b].entries[witness]) == F(
+        rep["max_abs_diff"]["value"])

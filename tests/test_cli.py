@@ -320,3 +320,24 @@ def test_version_flag(capsys):
 
 def test_unknown_command_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("sample", "chain", "--rho", "1/2", "--t", "-1"), "horizon t must be >= 0"),
+    (("sample", "walk", "--rho", "1/2", "--t", "-1"), "horizon t must be >= 0"),
+    (("sample", "walk", "--rho", "1/2", "--samples", "0"), "--samples must be >= 1"),
+    (("sample", "chain", "--rho", "1/2", "--samples", "0"), "--samples must be >= 1"),
+    (("scaling", "kernel", "--N", "0"), "N must be >= 1"),
+    (("scaling", "continuity", "--N", "0"), "N must be >= 1"),
+    (("scaling", "donsker", "--N", "0", "--samples", "200"), "N must be >= 1"),
+    (("verify", "tropical", "--t-exhaustive", "-1", "--samples", "0"), "must be >= 0"),
+    (("verify", "tropical", "--g-max", "-1"), "must be >= 0"),
+    (("law", "level", "--rho", "1/2", "--initial", "geo:1/2", "--nmax", "-1"),
+     "--nmax must be >= 0"),
+])
+def test_out_of_range_input_exits_two_with_a_reason(capsys, argv, reason):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and not out.strip()
+    assert reason in json.loads(err)["error"]

@@ -195,6 +195,13 @@ class TestShiftedPoissonTail:
         n = ShiftedPoisson(lam).truncation_point(1e-15)
         assert lam + 5 * math.sqrt(lam) < n < lam + 10 * math.sqrt(lam)
 
+    def test_truncation_point_reaches_the_tail_at_the_largest_mean(self):
+        # P(X0 > n) = P(Poisson(lam) >= n), the regularized gammainc(n, lam)
+        law = ShiftedPoisson(1e7)
+        n = law.truncation_point()
+        assert law.tail_float(n + 1) < 1e-15
+        assert special.gammainc(n, 1e7) < 1e-15
+
 
 class TestChainIncrementLaw:
     def test_reflecting_start(self):

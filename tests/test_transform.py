@@ -177,3 +177,10 @@ def test_verify_tropical_counts_no_violation():
 def test_verify_tropical_needs_a_stream():
     with pytest.raises(ValueError, match="streams"):
         verify_tropical(t_exhaustive=1, t_random=5, samples=10, g_max=2, seed=0, streams=0)
+
+
+@pytest.mark.parametrize("sizes", [(-1, 5, 0, 2), (1, -1, 10, 2), (1, 5, -1, 2), (1, 5, 10, -1)])
+def test_verify_tropical_refuses_negative_sizes(sizes):
+    t_exhaustive, t_random, samples, g_max = sizes
+    with pytest.raises(ValueError, match="must be >= 0"):
+        verify_tropical(t_exhaustive, t_random, samples, g_max, seed=0, streams=1)
