@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .representation import (
     rhs_law_enumeration,
     verify_thm1,
     verify_two_sided,
-    worst_difference,
 )
 from .conditioning import verify_thm2
 from .scaling import (
@@ -95,46 +93,10 @@ def _grid(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _thm1_shard(payload):
-    rho, sigma, initial, part, candidate, t = payload
-    law = parse_initial_law(initial)
-    cand = parse_initial_law(candidate) if candidate else None
-    return verify_thm1(t, law, Params(parse_rat(rho), parse_rat(sigma)),
-                       part=part, candidate=cand, t_values=[t])
-
-
 def _cmd_verify_thm1(args):
     _require_positive("--t", args.t, "t=0 compares no table")
     law = parse_initial_law(args.initial)
     candidate = parse_initial_law(args.candidate) if args.candidate else None
-    if args.jobs > 1:
-        # one shard per horizon; results merged in horizon order
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [(args.rho, args.sigma, args.initial, args.part,
-                     args.candidate, t) for t in range(1, args.t + 1)]
-        # no more workers than shards: a fork pool starts all of them at once
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
-            shards = list(pool.map(_thm1_shard, payloads))
-
-        def shard_diff(shard):
-            d = shard["max_abs_diff"]
-            return [(Fraction(d["value"]) if d["exact"] else d["value"], shard)]
-
-        worst, worst_shard = worst_difference(map(shard_diff, shards),
-                                              stop_at_witness=candidate is not None)
-        report = shards[0]
-        if worst_shard is not None:
-            report["max_abs_diff"] = worst_shard["max_abs_diff"]
-            report["witness"] = worst_shard["witness"]
-        widest = max(shards, key=lambda shard: shard.get("tolerance", 0.0))
-        if "tolerance" in widest:
-            report["tolerance"] = widest["tolerance"]
-            report["tolerance_parts"] = widest["tolerance_parts"]
-        report["status"] = "PASS" if worst <= report.get("tolerance", 0.0) else "FAIL"
-        report["t_max"] = args.t
-        report["jobs"] = args.jobs
-        return report
     return verify_thm1(args.t, law, _params(args), part=args.part, candidate=candidate)
 
 
@@ -307,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", required=True)
     p.add_argument("--part", choices=["I", "II"], default="I")
     p.add_argument("--candidate", help="level law to test instead of the derived one")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (one horizon per shard)")
     p.set_defaults(fn=_cmd_verify_thm1)
 
     p = vsub.add_parser("thm2", help="chain law == conditioned-walk law")

@@ -145,8 +145,7 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
     probs = step_pmf(eff)
     p_up, p_flat = float(probs[1]), float(probs[0])
 
-    counts = {}
-    accepted = 0
+    heads = []
     dip_mass = 0.0
     rho_f = float(eff.rho)
     remaining = n_samples
@@ -154,19 +153,19 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
         m = min(_REJECTION_CHUNK, remaining)
         remaining -= m
         u = gen.random((m, T))
-        steps = np.where(u < p_up, 1, np.where(u < p_up + p_flat, 0, -1)).astype(np.int32)
-        s = np.cumsum(steps, axis=1)
+        # +1 below p_up, -1 at or above p_up + p_flat, 0 between
+        steps = (u < p_up).view(np.int8) - (u >= p_up + p_flat).view(np.int8)
+        s = np.cumsum(steps, axis=1, dtype=np.int32)
         v = vlaw.sample(gen, m)
         keep = (s.min(axis=1) + v) >= 0
-        accepted += int(keep.sum())
         dip_mass += float(np.sum(rho_f ** (2.0 * (s[keep, -1] + v[keep] + 1))))
-        for row in s[keep, :t]:
-            key = tuple(row.tolist())
-            counts[key] = counts.get(key, 0) + 1
+        heads.append(s[keep, :t])
 
-    entries = {
-        Path.from_values((0,) + k): c / accepted for k, c in counts.items()
-    }
+    heads = np.concatenate(heads)
+    accepted = len(heads)
+    keys, first, counts = np.unique(heads, axis=0, return_index=True, return_counts=True)
+    entries = {Path.from_values((0,) + tuple(keys[i].tolist())): int(counts[i]) / accepted
+               for i in np.argsort(first)}  # first-seen order
     return {
         "table": DistTable(t, "approx", entries),
         "accepted": accepted,

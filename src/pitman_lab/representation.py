@@ -266,8 +266,8 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
     (:meth:`DistTable.of_classes`); a witness is the representative of the
     first class that reaches the worst difference.  Passing a candidate level law
     instead turns this into the converse test: a wrong candidate produces a
-    witness path.  ``t_values`` restricts the horizons (used to shard grid
-    work across workers).
+    witness path.  ``t_values`` restricts the horizons, so a caller can
+    verify chosen horizons without the ones below them.
 
     In approx mode the tables are compared within a tolerance built from
     their certified errors, reported with its parts:

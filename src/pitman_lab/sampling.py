@@ -53,38 +53,47 @@ def sample_walk(t: int, params: Params, rng, n: int = 1) -> np.ndarray:
 def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np.ndarray:
     """n chain paths of horizon t (values include the random start level).
 
-    One vectorized kernel step per time unit; the up/down probabilities are
-    computed through expm1 so the q -> 1 and level-0 cases stay exact in
-    floating point.
+    The up/down probabilities are tabulated once, through expm1 so the q -> 1
+    and level-0 cases stay exact in floating point, over one block of levels
+    per run of start levels less than 2t+2 apart: the levels the chains can
+    reach.  Each step is then one uniform per chain and a table lookup.
     """
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
+    if n == 0:
+        return np.empty((0, t + 1), dtype=np.int64)
     gen = _gen(rng)
-    z = float(params.z)
-    rho = float(params.rho)
-    sigma = float(params.sigma)
+    z, rho = float(params.z), float(params.rho)
     lnq = 2.0 * math.log(rho)
     c_up, c_dn = 1.0 / (rho * z), rho / z
 
-    out = np.empty((n, t + 1), dtype=np.int64)
-    k = law.sample(gen, n).astype(np.float64)
-    out[:, 0] = k
+    start = law.sample(gen, n).astype(np.int64)
+    s, which = np.unique(start, return_inverse=True)
+    opens = np.diff(s, prepend=s[:1] - 2 * t - 2) > 2 * t + 1
+    lo = np.maximum(s[opens] - t, 0)
+    size = s[np.append(opens[1:], True)] + t - lo + 1
+    base = lo - (np.cumsum(size) - size)  # table index = level - base of its block
+    k = (np.arange(size.sum()) + np.repeat(base, size)).astype(np.float64)
+    if lnq == 0.0:
+        up = c_up * (k + 2) / (k + 1)
+        dn = c_dn * k / (k + 1)
+    else:
+        denom = np.expm1((k + 1) * lnq)
+        up = c_up * np.expm1((k + 2) * lnq) / denom
+        dn = c_dn * np.expm1(k * lnq) / denom
+    # at sigma = 0, up + dn = 1 up to rounding: u < 2 keeps every step +-1
+    up_dn = up + dn if float(params.sigma) else np.full_like(up, 2.0)
+
+    chain_base = base[np.cumsum(opens) - 1][which]
+    idx = start - chain_base
+    out = np.empty((t + 1, n), dtype=np.int64)
+    out[0] = start
     for j in range(1, t + 1):
-        if lnq == 0.0:
-            up = c_up * (k + 2) / (k + 1)
-            dn = c_dn * k / (k + 1)
-        else:
-            denom = np.expm1((k + 1) * lnq)
-            up = c_up * np.expm1((k + 2) * lnq) / denom
-            dn = c_dn * np.expm1(k * lnq) / denom
         u = gen.random(n)
-        if sigma == 0.0:
-            # up + dn = 1 up to rounding; never emit a flat step here
-            k = k + np.where(u < up, 1, -1)
-        else:
-            k = k + np.where(u < up, 1, np.where(u < up + dn, -1, 0))
-        out[:, j] = k
-    return out
+        # +1 below up, -1 in [up, up + dn), 0 above
+        idx += 2 * (u < up[idx]) - (u < up_dn[idx])
+        np.add(idx, chain_base, out=out[j])
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +113,12 @@ def ks_distance(samples_a, samples_b=None, cdf=None) -> float:
     if (samples_b is None) == (cdf is None):
         raise ValueError("pass exactly one of samples_b / cdf")
     if cdf is not None:
-        f = np.array([cdf(x) for x in a])
+        try:  # one call on the array, or one per point if cdf takes scalars only
+            f = np.asarray(cdf(a), dtype=float)
+        except (TypeError, ValueError):
+            f = None
+        if f is None or f.shape != a.shape:
+            f = np.array([cdf(x) for x in a])
         n = len(a)
         up = np.arange(1, n + 1) / n - f
         dn = f - np.arange(0, n) / n

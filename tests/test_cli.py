@@ -94,48 +94,6 @@ class TestVerifyCommands:
         )
         assert code == 0 and rep["rao_rubin_holds"]
 
-
-    @pytest.mark.parametrize("initial", ["qnb:q=1/4,theta=1/2", "geo:9/10", "geo:1/3"])
-    def test_thm1_jobs_gives_the_serial_report(self, capsys, initial):
-        argv = ("verify", "thm1", "--rho", "1/2", "--sigma", "1", "--t", "4",
-                "--initial", initial)
-        code, serial, _ = run_json(capsys, *argv)
-        code_jobs, sharded, _ = run_json(capsys, *argv, "--jobs", "2")
-        assert code == code_jobs == 0
-        assert sharded == {**serial, "jobs": 2}
-
-    def test_thm1_jobs_candidate_stops_at_the_first_witness(self, capsys):
-        argv = ("verify", "thm1", "--rho", "1/2", "--t", "4", "--initial", "point:1",
-                "--candidate", "geo:1/4")
-        code, serial, _ = run_json(capsys, *argv)
-        code_jobs, sharded, _ = run_json(capsys, *argv, "--jobs", "2")
-        assert code == code_jobs == 1
-        assert sharded == {**serial, "jobs": 2}
-
-    def test_thm1_jobs_starts_no_more_workers_than_horizons(self, capsys, monkeypatch):
-        import concurrent.futures
-
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        code, rep, _ = run_json(capsys, "verify", "thm1", "--rho", "1/2", "--t", "2",
-                                "--initial", "point:1", "--jobs", "10000")
-        assert code == 0 and rep["jobs"] == 10000
-        assert started == [2]
-
     @pytest.mark.parametrize("candidate", ["point:0", "finite:0=1/2,3=1/2", "geo:1/8",
                                            "qnb:q=1/4,theta=1/2", "nb:rho0=1/2", "spoisson:1"])
     def test_thm1_candidate_reads_every_law_string(self, capsys, candidate):
@@ -255,10 +213,21 @@ class TestScalingCommands:
         )
         assert code == 2
 
+    def test_donsker_level_law_past_the_grid_exits_two(self, capsys):
+        # rates u + v = 1e-7 and u - v: gamma is Exp(1e-7), with 0.9 of its
+        # mass above 2^20, where the tabulated inverse CDF ends
+        code, out, err = run(
+            capsys, "scaling", "donsker", "--N", "4", "--v=-1/2", "--sigma", "0",
+            "--initial", "qnb:q=25/16,theta=14999999/25000000", "--samples", "200",
+        )
+        assert code == 2 and not out.strip()
+        assert "leaves mass 0.9 above x = 1.04858e+06" in err
+
     @pytest.mark.parametrize("argv", [
         ("scaling", "donsker", "--steps", "64"),
         ("scaling", "donsker", "--streams", "2"),
         ("sample", "limit-process", "--steps", "64"),
+        ("verify", "thm1", "--rho", "1/2", "--initial", "point:1", "--jobs", "2"),
     ])
     def test_removed_knobs_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--samples", "200")

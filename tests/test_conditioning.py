@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pitman_lab import (
+    DistTable,
     FiniteSupport,
     LevelLaw,
     Params,
+    Path,
     PointMass,
     QNegativeBinomial,
     RegimeError,
@@ -15,6 +17,7 @@ from pitman_lab import (
     conditioned_walk_law,
     rejection_oracle,
     sample_walk,
+    step_pmf,
     survival_prob,
     v_law_from_initial,
     verify_thm2,
@@ -109,6 +112,33 @@ class TestConditionedWalkLaw:
             conditioned_walk_law(2, LevelLaw.point(0), Params(F(1, 2)), "II")
 
 
+def _reference_rejection(t, vlaw, params, horizon_pad, n_samples, rng):
+    """The nested-np.where, per-row loop rejection_oracle replaced; the
+    vectorized oracle must give the same table (in the same order), the same
+    acceptance count and the same truncation bound."""
+    gen = rng.generator()
+    probs = step_pmf(params)
+    p_up, p_flat = float(probs[1]), float(probs[0])
+    counts, accepted, dip_mass = {}, 0, 0.0
+    remaining = n_samples
+    while remaining > 0:
+        m = min(50000, remaining)
+        remaining -= m
+        u = gen.random((m, t + horizon_pad))
+        steps = np.where(u < p_up, 1, np.where(u < p_up + p_flat, 0, -1)).astype(np.int32)
+        s = np.cumsum(steps, axis=1)
+        v = vlaw.sample(gen, m)
+        keep = (s.min(axis=1) + v) >= 0
+        accepted += int(keep.sum())
+        dip_mass += float(np.sum(float(params.rho) ** (2.0 * (s[keep, -1] + v[keep] + 1))))
+        for row in s[keep, :t]:
+            key = tuple(row.tolist())
+            counts[key] = counts.get(key, 0) + 1
+    entries = {Path.from_values((0,) + k): c / accepted for k, c in counts.items()}
+    return {"table": DistTable(t, "approx", entries), "accepted": accepted,
+            "truncation_bound": dip_mass / max(accepted, 1)}
+
+
 class TestRejectionOracle:
     def test_agrees_with_exact_law(self):
         params = Params(F(1, 2))
@@ -124,6 +154,18 @@ class TestRejectionOracle:
             se = np.sqrt(p * (1 - p) / n_acc)
             tol = 4.5 * se + res["truncation_bound"] + 1e-12
             assert abs(res["table"][path] - p) <= tol
+
+    @pytest.mark.parametrize("t,rho,sigma,n", [(3, F(1, 2), F(1), 200000),
+                                               (4, F(1, 3), F(0), 60001), (0, F(1, 2), F(1), 500)])
+    def test_same_table_as_the_per_row_loop(self, t, rho, sigma, n):
+        params = Params(rho, sigma)
+        vlaw = v_law_from_initial(PointMass(1), params, "I")
+        got = rejection_oracle(t, vlaw, params, "I", horizon_pad=50, n_samples=n,
+                               rng=RngStream(13))
+        want = _reference_rejection(t, vlaw, params, 50, n, RngStream(13))
+        assert list(got["table"].entries.items()) == list(want["table"].entries.items())
+        assert got["accepted"] == want["accepted"]
+        assert got["truncation_bound"] == want["truncation_bound"]
 
     def test_truncation_bound_is_tiny(self):
         params = Params(F(1, 2))

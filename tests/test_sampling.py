@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +8,8 @@ from scipy import stats as sps
 from pitman_lab import (
     Geometric,
     LevelLaw,
+    LimitLevelLaw,
+    MuMeasure,
     Params,
     PointMass,
     QNegativeBinomial,
@@ -127,6 +130,59 @@ class TestSamplers:
         assert np.array_equal(law.sample(RngStream(12).generator(), 5000), want)
 
 
+def _reference_chain(t, law, params, rng, n):
+    """The per-step kernel sample_chain replaced: three expm1 calls per step
+    on the chains' levels.  The table-driven sampler must draw the same
+    paths from the same stream."""
+    gen = rng.generator()
+    z, rho, sigma = float(params.z), float(params.rho), float(params.sigma)
+    lnq = 2.0 * math.log(rho)
+    c_up, c_dn = 1.0 / (rho * z), rho / z
+    out = np.empty((n, t + 1), dtype=np.int64)
+    k = law.sample(gen, n).astype(np.float64)
+    out[:, 0] = k
+    for j in range(1, t + 1):
+        if lnq == 0.0:
+            up = c_up * (k + 2) / (k + 1)
+            dn = c_dn * k / (k + 1)
+        else:
+            denom = np.expm1((k + 1) * lnq)
+            up = c_up * np.expm1((k + 2) * lnq) / denom
+            dn = c_dn * np.expm1(k * lnq) / denom
+        u = gen.random(n)
+        if sigma == 0.0:
+            k = k + np.where(u < up, 1, -1)
+        else:
+            k = k + np.where(u < up, 1, np.where(u < up + dn, -1, 0))
+        out[:, j] = k
+    return out
+
+
+class TestChainKernelTable:
+    @pytest.mark.parametrize("law", [PointMass(3), Geometric(F(1, 2)),
+                                     QNegativeBinomial(F(4, 9), F(1, 2))], ids=repr)
+    @pytest.mark.parametrize("rho,sigma", [(F(2, 3), F(1)), (F(1), F(1)), (F(3, 2), F(0))],
+                             ids=["rho<1", "rho=1", "rho>1,sigma=0"])
+    def test_same_draws_as_the_per_step_kernel(self, law, rho, sigma):
+        params = Params(rho, sigma)
+        got = sample_chain(80, law, params, RngStream(6), n=700)
+        want = _reference_chain(80, law, params, RngStream(6), n=700)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert (got == want).all()
+
+    def test_far_apart_starts_get_their_own_blocks(self):
+        # starts 0 and 10^9: the table covers two windows of 2t+1 levels,
+        # not the 10^9 levels between them
+        law = LevelLaw.from_pmf({0: F(1, 2), 10**9: F(1, 2)})
+        params = Params(F(1), F(1))
+        got = sample_chain(30, law, params, RngStream(2), n=400)
+        assert set(got[:, 0].tolist()) == {0, 10**9}
+        assert (got == _reference_chain(30, law, params, RngStream(2), n=400)).all()
+
+    def test_no_chains(self):
+        assert sample_chain(5, PointMass(1), Params(F(1, 2)), RngStream(0), n=0).shape == (0, 6)
+
+
 class TestKsDistance:
     def test_identical_samples(self):
         x = np.linspace(0, 1, 500)
@@ -138,6 +194,15 @@ class TestKsDistance:
     def test_uniform_against_cdf(self):
         u = RngStream(9).generator().random(100000)
         assert ks_distance(u, cdf=lambda x: min(max(x, 0.0), 1.0)) < 0.01
+
+    def test_array_cdf_gives_the_per_point_statistic(self):
+        lll = LimitLevelLaw(-0.3, MuMeasure.hypoexponential(0.7, 1.3))
+        draws = lll.sample(RngStream(8), 500)
+        per_point = lambda x: float(lll.cdf(x))  # float() refuses an array
+        want = ks_distance(draws, cdf=per_point)
+        assert ks_distance(draws, cdf=lll.cdf) == want
+        # one number for the whole array: ks_distance asks per point instead
+        assert ks_distance(draws, cdf=lambda x: 0.5 if np.ndim(x) else per_point(x)) == want
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):

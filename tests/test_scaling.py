@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -97,6 +98,94 @@ class TestLimitLevelLaw:
     def test_atom_sampling(self):
         lll = LimitLevelLaw(0.5, MuMeasure.point(0.0))
         assert (lll.sample(RngStream(1), 1000) == 0.0).all()
+
+
+ACCURACY_X = [1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.9, 1.0, 1.7, 2.5, 4.0, 9.0, 17.0, 40.0]
+
+
+@mp.workdps(18)
+def _reference_law(v, mu, x):
+    """(F(x), f(x)) in mpmath at 18 digits, from the defining integrals in
+    the scaling module docstring: int_x^inf c e^(-l y)/(1 - e^(-2vy)) dy by
+    tanh-sinh quadrature, c E1(l x) at v = 0."""
+    x, v = mp.mpf(x), mp.mpf(v)
+
+    def kernel(y):  # 1/(1 - e^(-2vy)), or 1/y at v = 0
+        return 1 / y if v == 0 else 1 / -mp.expm1(-2 * v * y)
+
+    tail = sum(mp.mpf(w) * kernel(loc) for loc, w in mu.atoms if loc > x)
+    at_x = sum(mp.mpf(w) * kernel(loc) for loc, w in mu.atoms if loc == x)
+    mass = sum(mp.mpf(w) for loc, w in mu.atoms if loc <= x)
+    for c, l in mu.exp_terms:
+        c, l = mp.mpf(c), mp.mpf(l)
+        if v == 0:
+            tail += c * mp.e1(l * x)
+        else:
+            # up to 1 in y = x e^u, past it in y = y0 + s; each piece scaled
+            # to 1 at its start, since mpmath's quad stops at an absolute error
+            f = lambda y: c * mp.exp(-l * y) * kernel(y)
+            y0 = max(x, 1)
+            if x < 1:
+                top = mp.log(1 / x)
+                tail += f(x) * x * mp.quad(lambda u: f(x * mp.exp(u)) * mp.exp(u) / f(x),
+                                           mp.linspace(0, top, int(top / 8) + 2))
+            cuts = [0] + [2**i / (l + 2 * max(-v, 0)) for i in range(-2, 6)] + [mp.inf]
+            tail += f(y0) * mp.quad(lambda s: f(y0 + s) / f(y0), cuts)
+        mass += c / l * -mp.expm1(-l * x)
+    scale = x if v == 0 else -mp.expm1(-2 * v * x)
+    slope = 1 if v == 0 else 2 * v * mp.exp(-2 * v * x)
+    return mp.mpf(min(mass + scale * tail, 1)), slope * (tail + at_x)
+
+
+class TestLevelLawKernel:
+    @pytest.mark.parametrize("name,mu", CATALOG)
+    @pytest.mark.parametrize("v", [-0.8, -0.3, 0.0, 0.4, 1.0])
+    def test_cdf_and_pdf_match_mpmath(self, name, mu, v):
+        lll = LimitLevelLaw(v, mu)
+        cdf, pdf = lll.cdf(np.array(ACCURACY_X)), lll.pdf(np.array(ACCURACY_X))
+        for x, got_cdf, got_pdf in zip(ACCURACY_X, cdf, pdf):
+            want_cdf, want_pdf = _reference_law(v, mu, x)
+            assert abs(got_cdf - want_cdf) <= 1e-12 * want_cdf, (x, got_cdf, want_cdf)
+            assert abs(got_pdf - want_pdf) <= 1e-12 * want_pdf, (x, got_pdf, want_pdf)
+
+    @pytest.mark.parametrize("name,mu", CATALOG)
+    @pytest.mark.parametrize("v", [-0.8, 0.0, 0.4])
+    def test_array_call_is_the_scalar_calls(self, name, mu, v):
+        lll = LimitLevelLaw(v, mu)
+        xs = np.concatenate([np.geomspace(1e-9, 40.0, 200), [0.0, -1.0, 1.0, 2.5]])
+        cdf = lll.cdf(xs.reshape(2, -1))
+        assert cdf.shape == (2, 102)
+        assert cdf.ravel().tolist() == [lll.cdf(x) for x in xs]
+        pdf = lll.pdf(xs[:200])
+        assert pdf.tolist() == [lll.pdf(x) for x in xs[:200]]
+
+    def test_scalar_in_float_out(self):
+        lll = LimitLevelLaw(0.4, MuMeasure.hypoexponential(0.7, 1.3))
+        for x in (0.7, np.float64(0.7), 3, -1.0, 0.0):
+            assert type(lll.cdf(x)) is float
+        assert type(lll.pdf(0.7)) is float
+        assert lll.cdf(0.7) == lll.cdf(np.array([0.7]))[0]
+
+    def test_pdf_refuses_points_off_the_half_line(self):
+        lll = LimitLevelLaw(0.4, MuMeasure.exponential(1.0))
+        with pytest.raises(ValueError, match="density lives on"):
+            lll.pdf(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("v", [0.0, 1e-7])
+    def test_sampling_refuses_to_clip_mass_past_the_grid(self, v):
+        # mu = Exp(1e-7) leaves 0.71 (v = 0) or 0.62 (v = 1e-7) of the level's
+        # mass above 2^20, where the tabulated inverse CDF ends
+        lll = LimitLevelLaw(v, MuMeasure.exponential(1e-7))
+        with pytest.raises(ValueError, match=r"leaves mass 0\.(7|6)"):
+            lll.sample(RngStream(1), 10000)
+
+    def test_large_rate_over_drift(self):
+        # b = rate/(2|v|) = 5e4: Euler-Maclaurin from the first term on
+        lll = LimitLevelLaw(1e-5, MuMeasure.exponential(1.0))
+        for x in (1e-3, 0.5, 3.0):
+            want_cdf, want_pdf = _reference_law(1e-5, lll.mu, x)
+            assert lll.cdf(x) == pytest.approx(float(want_cdf), rel=1e-12)
+            assert lll.pdf(x) == pytest.approx(float(want_pdf), rel=1e-12)
 
 
 class TestContinuity:
