@@ -63,11 +63,9 @@ def v_law_from_initial(law: InitialLaw, params: Params, part: str = "I") -> Init
     1/rho^2 (part II)."""
     eff = _effective_params(params, part)
     q = eff.q
-    top = law.support_max()
-    if top is not None:
-        weights = {
-            k: law.pmf(k) / q_bracket(k + 1, q) for k in range(top + 1) if law.pmf(k)
-        }
+    atoms = law.atoms()
+    if atoms is not None:
+        weights = {k: p / q_bracket(k + 1, q) for k, p in atoms}
         total = sum(weights.values())
         return FiniteSupport(tuple((k, w / total) for k, w in weights.items()))
     form = law.ratio_geometric_form(q)
@@ -163,8 +161,10 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
 
     heads = np.concatenate(heads)
     accepted = len(heads)
-    keys, first, counts = np.unique(heads, axis=0, return_index=True, return_counts=True)
-    entries = {Path.from_values((0,) + tuple(keys[i].tolist())): int(counts[i]) / accepted
+    # each row as one fixed-width byte string: a 1-d np.unique, ~6x faster than axis=0
+    rows = heads.view(np.dtype((np.void, heads.itemsize * t)))[:, 0] if t else np.zeros(accepted)
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    entries = {Path.from_values((0,) + tuple(heads[first[i]].tolist())): int(counts[i]) / accepted
                for i in np.argsort(first)}  # first-seen order
     return {
         "table": DistTable(t, "approx", entries),

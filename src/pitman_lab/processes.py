@@ -168,9 +168,14 @@ class InitialLaw:
             return math.inf
         return self.tail_float(n) * (1.0 + 2.0 * eta + 4 * UNIT_ROUNDOFF) + TERM_FLOOR
 
+    def atoms(self):
+        """((level, mass > 0), ...) ascending for a finite law, else None."""
+        return None
+
     def support_max(self):
         """Largest support point, or None for infinite support."""
-        return None
+        atoms = self.atoms()
+        return atoms[-1][0] if atoms else None
 
     def ratio_geometric_form(self, q: Rat):
         """(c, r) such that pmf(k)/[k+1]_q = c * r^k for all k, else None."""
@@ -180,12 +185,9 @@ class InitialLaw:
 
     def ratio_tail_exact(self, n: int, q: Rat) -> Rat:
         """Sum of pmf(j)/[j+1]_q over j >= n, in closed form."""
-        top = self.support_max()
-        if top is not None:
-            return sum(
-                (self.pmf(j) / q_bracket(j + 1, q) for j in range(n, top + 1) if self.pmf(j)),
-                Fraction(0),
-            )
+        atoms = self.atoms()
+        if atoms is not None:
+            return sum((p / q_bracket(j + 1, q) for j, p in atoms if j >= n), Fraction(0))
         form = self.ratio_geometric_form(q)
         if form is None:
             raise UnsupportedExactModeError(
@@ -196,16 +198,10 @@ class InitialLaw:
 
     def bracket_ratio_sum_exact(self, a: int, b: int, q: Rat) -> Rat:
         """Sum of pmf(k) * [k+b+1]_q / [k+1]_q over k >= a, in closed form."""
-        top = self.support_max()
-        if top is not None:
-            return sum(
-                (
-                    self.pmf(k) * q_bracket(k + b + 1, q) / q_bracket(k + 1, q)
-                    for k in range(a, top + 1)
-                    if self.pmf(k)
-                ),
-                Fraction(0),
-            )
+        atoms = self.atoms()
+        if atoms is not None:
+            return sum((p * q_bracket(k + b + 1, q) / q_bracket(k + 1, q)
+                        for k, p in atoms if k >= a), Fraction(0))
         form = self.ratio_geometric_form(q)
         if form is None:
             raise UnsupportedExactModeError(
@@ -217,15 +213,14 @@ class InitialLaw:
     def bracket_tail(self, a: int, b: int, q: Rat) -> Rat:
         """Sum of pmf(j) * [j+b+1]_q over j >= a, the conditioning-level sum;
         its own code, apart from the chain route's ``bracket_ratio_sum_exact``."""
-        top = self.support_max()
-        if top is None:
+        atoms = self.atoms()
+        if atoms is None:
             raise UnsupportedExactModeError(
                 f"no closed-form bracket sum for {self.cli_string()!r}")
-        return sum((self.pmf(j) * q_bracket(j + b + 1, q)
-                    for j in range(a, top + 1) if self.pmf(j)), Fraction(0))
+        return sum((p * q_bracket(j + b + 1, q) for j, p in atoms if j >= a), Fraction(0))
 
     def exact_capable(self, q: Rat) -> bool:
-        return self.support_max() is not None or self.ratio_geometric_form(q) is not None
+        return self.atoms() is not None or self.ratio_geometric_form(q) is not None
 
     # -- misc ------------------------------------------------------------------
 
@@ -282,8 +277,8 @@ class PointMass(InitialLaw):
     def tail(self, n):
         return Fraction(1) if self.n >= n else Fraction(0)
 
-    def support_max(self):
-        return self.n
+    def atoms(self):
+        return ((self.n, Fraction(1)),)
 
     def sample(self, rng, size):
         import numpy as np
@@ -306,6 +301,7 @@ class FiniteSupport(InitialLaw):
             raise ValueError("masses must sum to 1 exactly")
         object.__setattr__(self, "masses", pairs)
         object.__setattr__(self, "_pmf", dict(pairs))
+        object.__setattr__(self, "_atoms", tuple((n, p) for n, p in pairs if p))
 
     def pmf(self, n):
         return self._pmf.get(n, Fraction(0))
@@ -313,8 +309,8 @@ class FiniteSupport(InitialLaw):
     def tail(self, n):
         return sum((p for lvl, p in self.masses if lvl >= n), Fraction(0))
 
-    def support_max(self):
-        return self.masses[-1][0]
+    def atoms(self):
+        return self._atoms
 
     def sample(self, rng, size):
         import numpy as np
@@ -697,22 +693,21 @@ def _chain_classes(t, law, params, route="formula", mode=None, kmax=None) -> Dis
     if route != "product":
         raise ValueError(f"unknown route {route!r}")
 
-    top = law.support_max()
-    if mode == "exact" and top is None:
+    atoms = law.atoms()
+    if mode == "exact" and atoms is None:
         raise UnsupportedExactModeError(
             "product route is exact only for finite-support laws; use mode='approx'"
         )
     err = 0.0
-    if top is None:
+    if atoms is None:
         top = kmax if kmax is not None else law.truncation_point()
         err = law.tail_float(top + 1)
-    levels = [k for k in range(top + 1) if law.pmf(k)]
-    weights = [law.pmf(k) for k in levels]
+        atoms = [(k, w) for k in range(top + 1) if (w := law.pmf(k))]
 
     def product(x):
         # the kernel product is exact, so every path of a class gets one value
         total = Fraction(0)
-        for k, w in zip(levels, weights):
+        for k, w in atoms:
             if k + min(x.values) >= 0:
                 prod = Fraction(1)
                 for a, b in zip(x.values, x.values[1:]):

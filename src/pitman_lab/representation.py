@@ -11,7 +11,9 @@ sets and by the closed-form expression, so every comparison is dual-route.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .exact import (
@@ -403,14 +405,19 @@ def damage_check(q, theta, nmax: int = 60) -> dict:
     violations = 0
     worst = Fraction(0)
 
-    def joint(r, d):
-        n = r + d
-        return law.pmf(n) * q**r / q_bracket(n + 1, q)
+    def powers(x):  # x^0, ..., x^nmax, one multiplication each
+        return list(itertools.accumulate([x] * nmax, operator.mul, initial=Fraction(1)))
+
+    # each factor built once per level: the joint P(R=r, D=n-r) is
+    # pmf(n)/[n+1]_q times q^r, the product geo(q theta)(r) x geo(theta)(n-r)
+    per_n = [law.pmf(n) / q_bracket(n + 1, q) for n in range(nmax + 1)]
+    q_pow = powers(q)
+    survivor = [(1 - q * theta) * p for p in powers(q * theta)]
+    damaged = [(1 - theta) * p for p in powers(theta)]
 
     for n in range(nmax + 1):
         for r in range(n + 1):
-            product = (1 - q * theta) * (q * theta) ** r * (1 - theta) * theta ** (n - r)
-            d = abs(joint(r, n - r) - product)
+            d = abs(per_n[n] * q_pow[r] - survivor[r] * damaged[n - r])
             if d:
                 violations += 1
                 worst = max(worst, d)
@@ -418,19 +425,13 @@ def damage_check(q, theta, nmax: int = 60) -> dict:
     # marginals straight from the joint: summing out d gives
     # P(R=r) = q^r * sum_{n>=r} pmf(n)/[n+1]_q, and summing out r gives
     # P(D=d) = q^-d * sum_{n>=d} pmf(n)/[n+1]_{1/q}
-    marg_ok = all(
-        q**r * law.ratio_tail_exact(r, q) == (1 - q * theta) * (q * theta) ** r
-        for r in range(nmax + 1)
-    ) and all(
-        law.ratio_tail_exact(d, 1 / q) / q**d == (1 - theta) * theta**d
-        for d in range(nmax + 1)
-    )
+    marg_r = [q_pow[r] * law.ratio_tail_exact(r, q) for r in range(nmax + 1)]
+    marg_ok = marg_r == survivor and all(
+        law.ratio_tail_exact(d, 1 / q) / q_pow[d] == damaged[d] for d in range(nmax + 1))
 
     # Rao-Rubin: P(R=r, D=0)/P(D=0) against the marginal of R
     p_d0 = law.ratio_tail_exact(0, 1 / q)
-    rao_rubin = all(
-        joint(r, 0) / p_d0 == q**r * law.ratio_tail_exact(r, q) for r in range(nmax + 1)
-    )
+    rao_rubin = all(per_n[r] * q_pow[r] / p_d0 == marg_r[r] for r in range(nmax + 1))
 
     ok = violations == 0 and marg_ok and rao_rubin
     return {

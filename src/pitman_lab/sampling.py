@@ -32,17 +32,13 @@ def _gen(rng) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngStream) else rng
 
 
-def _step_thresholds(params: Params):
-    pm = step_pmf(params)
-    return float(pm[1]), float(pm[1] + pm[0])
-
-
 def sample_walk(t: int, params: Params, rng, n: int = 1) -> np.ndarray:
     """n walk paths of horizon t; returns values of shape (n, t+1)."""
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     gen = _gen(rng)
-    p_up, p_upflat = _step_thresholds(params)
+    pm = step_pmf(params)
+    p_up, p_upflat = float(pm[1]), float(pm[1] + pm[0])
     u = gen.random((n, t))
     steps = np.where(u < p_up, 1, np.where(u < p_upflat, 0, -1))
     out = np.zeros((n, t + 1), dtype=np.int64)
@@ -77,10 +73,17 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
     if lnq == 0.0:
         up = c_up * (k + 2) / (k + 1)
         dn = c_dn * k / (k + 1)
-    else:
+    elif lnq < 0.0:
         denom = np.expm1((k + 1) * lnq)
         up = c_up * np.expm1((k + 2) * lnq) / denom
         dn = c_dn * np.expm1(k * lnq) / denom
+    else:
+        # q > 1 in negative exponents, finite at every level (expm1((k+2) ln q)
+        # overflows near k = 709/ln q): [k+2]_q/[k+1]_q = q expm1(-(k+2) ln q)/
+        # expm1(-(k+1) ln q), and [k]_q/[k+1]_q likewise over q
+        denom = np.expm1(-(k + 1) * lnq)
+        up = c_up * math.exp(lnq) * np.expm1(-(k + 2) * lnq) / denom
+        dn = c_dn * math.exp(-lnq) * np.expm1(-k * lnq) / denom
     # at sigma = 0, up + dn = 1 up to rounding: u < 2 keeps every step +-1
     up_dn = up + dn if float(params.sigma) else np.full_like(up, 2.0)
 

@@ -14,16 +14,17 @@ Everything here is float-mode.  The level law's CDF and density cut their
 series below 1e-17 relative, so their error is float rounding: within 1e-12
 relative of mpmath for the catalog measures, v in [-0.8, 1] and x in
 [1e-9, 40] (tests/test_scaling.py).  The other checks report measured values.
+``scipy.special`` is imported where it is used: importing the package skips it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import bernoulli, exp1, gammaln
 
 from .exact import rat
 from .processes import Params, PointMass, QNegativeBinomial, step_pmf
@@ -92,8 +93,14 @@ class MuMeasure:
 # in the last ulp, and `scaling continuity` prints every digit
 _exp = np.vectorize(math.exp, otypes=[float])
 _expm1 = np.vectorize(math.expm1, otypes=[float])
-# B_2j/(2j)!, j = 1..12: the Euler-Maclaurin corrections of _exp_kernel
-_EM_COEF = [float(bernoulli(2 * j)[-1]) / math.factorial(2 * j) for j in range(1, 13)]
+
+
+@functools.cache
+def _em_coef() -> list:
+    """B_2j/(2j)!, j = 1..12: the Euler-Maclaurin corrections of _exp_kernel,
+    from scipy's B_2j (the exact rationals differ from them by a few ulps)."""
+    from scipy.special import bernoulli
+    return [float(bernoulli(2 * j)[-1]) / math.factorial(2 * j) for j in range(1, 13)]
 
 
 def _exp_kernel(rate, v, x):
@@ -110,6 +117,7 @@ def _exp_kernel(rate, v, x):
     to under a fifth of the 1/2, so S carries only the rounding of its
     positive terms: a few ulps times (1 + rate x).
     """
+    from scipy.special import exp1
     w = 2 * abs(v) * x
     b = rate / (2 * abs(v)) + (v < 0)
     e = rate * x
@@ -126,11 +134,12 @@ def _exp_kernel(rate, v, x):
     head = sum((np.exp(-(e + w * k)) / (b + k) for k in range(m)), np.zeros_like(w))
     bm = b + m
     c, wn, tail = np.ones_like(w), np.ones_like(w), np.full_like(w, 0.5)
-    for n in range(1, 2 * len(_EM_COEF)):
+    coef = _em_coef()
+    for n in range(1, 2 * len(coef)):
         wn = wn * w
         c = wn + n / bm * c
         if n % 2:
-            tail += _EM_COEF[n // 2] * c
+            tail += coef[n // 2] * c
     out[near] = head + np.exp(w * (v < 0)) * exp1(w * bm) + np.exp(-(e + w * m)) * tail / bm
     return out
 
@@ -165,6 +174,7 @@ class LimitLevelLaw:
         return _on_array(self._cdf, x)
 
     def _cdf(self, x):
+        from scipy.special import exp1
         out = np.where(x < 0, 0.0, self.atom)
         pos = x > 0
         x, v = x[pos], self.v
@@ -186,6 +196,7 @@ class LimitLevelLaw:
         return _on_array(self._pdf, x)
 
     def _pdf(self, x):
+        from scipy.special import exp1
         if (x <= 0).any():
             raise ValueError("density lives on (0, inf)")
         v, u = self.v, abs(self.v)
@@ -305,15 +316,13 @@ def continuity_check(N: int, v, regime: str, grid, u=None,
     if regime == "point":
         m = math.floor(point_scale * sn)
         law = PointMass(m)
-        lll = LimitLevelLaw(vf, MuMeasure.point(point_scale))
-        limit_fn = lll.cdf
+        limit_fn = LimitLevelLaw(vf, MuMeasure.point(point_scale)).cdf
     elif regime == "power":
         if vf <= 0:
             raise ValueError("the power regime needs v > 0")
         m = math.floor(N ** (0.5 + power_eps))
         law = PointMass(m)
         limit_fn = lambda x: -math.expm1(-2 * vf * x)
-        lll = None
     elif regime == "corollary":
         if u is None:
             raise ValueError("the corollary regime needs u")
@@ -322,25 +331,16 @@ def continuity_check(N: int, v, regime: str, grid, u=None,
             raise ValueError("need u > 0 and u + v > 0 and u - v > 0")
         rho0 = 1 - rat(u) / sn
         law = QNegativeBinomial(params.q, rho0 / params.rho)
-        lll = LimitLevelLaw(vf, MuMeasure.hypoexponential(uf + vf, uf - vf))
-        limit_fn = lll.cdf
+        limit_fn = LimitLevelLaw(vf, MuMeasure.hypoexponential(uf + vf, uf - vf)).cdf
     else:
         raise ValueError(f"unknown regime {regime!r}; choose from {CONTINUITY_REGIMES}")
 
     glaw = g_law_from_initial(law, params, "G")
-    # cumulative sums of the exact pmf up to the largest grid index
-    xs = list(grid)
-    top = max(int(math.floor(x * sn)) for x in xs)
-    cum, run = {}, Fraction(0)
-    for n in range(top + 1):
-        run += glaw.pmf(n)
-        cum[n] = run
-
     rows = []
     sup = 0.0
-    for x in xs:
-        j = int(math.floor(x * sn))
-        exact = float(cum[j]) if j <= top else 1.0
+    for x in grid:
+        # P(G <= floor(x sqrt N)) as one minus one exact tail
+        exact = float(1 - glaw.tail(math.floor(x * sn) + 1))
         lim = limit_fn(float(x))
         rows.append({"x": float(x), "exact": exact, "limit": lim,
                      "diff": exact - lim})
@@ -389,6 +389,7 @@ def kernel_limit_check(N: int, t: float, x: float, y: float, v: float) -> dict:
     xt = _even_floor(y * sn)
     if T <= 0 or x0 <= 0 or xt < 0:
         raise ValueError("scaled coordinates collapsed; increase N")
+    from scipy.special import gammaln
 
     def log_binom(n, k):
         if k < 0 or k > n:

@@ -24,6 +24,7 @@ from pitman_lab import (
     parse_initial_law,
     q_bracket,
     step_pmf,
+    v_law_from_initial,
     walk_law,
     walk_path_prob,
 )
@@ -360,3 +361,62 @@ def test_shifted_poisson_rejects_unusable_means(lam):
 
 def test_shifted_poisson_accepts_means_up_to_the_cap():
     assert parse_initial_law("spoisson:1e7") == ShiftedPoisson(1e7)
+
+
+# -- finite laws summed over their atoms -------------------------------------------
+
+
+@st.composite
+def finite_laws_with_zero_atoms(draw):
+    levels = draw(st.lists(st.integers(0, 25), min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(0, 5), min_size=len(levels), max_size=len(levels))
+                   .filter(any))
+    return FiniteSupport(tuple((n, F(w, sum(weights))) for n, w in zip(levels, weights)))
+
+
+FINITE_LAWS = st.one_of(finite_laws_with_zero_atoms(), st.builds(PointMass, st.integers(0, 25)))
+QS = st.sampled_from([F(1, 4), F(4, 9), F(1), F(9, 4), F(3)])
+
+
+@given(FINITE_LAWS, QS, st.integers(0, 30), st.integers(0, 4))
+def test_exact_sums_equal_their_per_level_definitions(law, q, a, b):
+    # every level from a up to the top, zero masses included, as written in
+    # the definitions; a may lie past the top
+    levels = range(a, law.masses[-1][0] + 1 if isinstance(law, FiniteSupport) else law.n + 1)
+    assert law.ratio_tail_exact(a, q) == sum(
+        (law.pmf(j) / q_bracket(j + 1, q) for j in levels), F(0))
+    for b_shift in (b, -min(a, b)):  # [k+b+1]_q with k >= a needs b >= -a
+        assert law.bracket_ratio_sum_exact(a, b_shift, q) == sum(
+            (law.pmf(k) * q_bracket(k + b_shift + 1, q) / q_bracket(k + 1, q) for k in levels),
+            F(0))
+        assert law.bracket_tail(a, b_shift, q) == sum(
+            (law.pmf(j) * q_bracket(j + b_shift + 1, q) for j in levels), F(0))
+
+
+@given(FINITE_LAWS, st.sampled_from([(F(1, 2), "I"), (F(2, 3), "I"), (F(3, 2), "II")]))
+def test_v_law_equals_its_per_level_definition(law, rho_part):
+    rho, part = rho_part
+    params = Params(rho, F(1))
+    q = params.q if part == "I" else 1 / params.q
+    top = law.support_max()
+    weights = [law.pmf(k) / q_bracket(k + 1, q) for k in range(top + 1)]
+    vlaw = v_law_from_initial(law, params, part)
+    for k in range(top + 3):
+        assert vlaw.pmf(k) == (weights[k] / sum(weights) if k <= top else 0)
+
+
+def test_point_mass_exact_sums_read_one_atom(monkeypatch):
+    # probing every level below the atom took ~10^5 pmf calls per sum
+    calls = []
+    pmf = PointMass.pmf
+    monkeypatch.setattr(PointMass, "pmf", lambda self, n: calls.append(n) or pmf(self, n))
+    law, params = PointMass(10**5), Params(F(1, 2), F(1))
+    q = params.q
+    glaw = g_law_from_initial(law, params, "G")
+    assert law.ratio_tail_exact(3, q) == 1 / q_bracket(10**5 + 1, q)
+    law.bracket_ratio_sum_exact(0, 2, q)
+    law.bracket_tail(0, 2, q)
+    glaw.pmf(7), glaw.tail(7)
+    assert v_law_from_initial(law, params, "I").pmf(10**5) == 1
+    chain_increment_law(2, law, params, route="product")
+    assert len(calls) <= 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,6 +16,7 @@ from pitman_lab import (
     QNegativeBinomial,
     RngStream,
     chain_increment_law,
+    chain_transition,
     empirical_table,
     ks_distance,
     ks_two_sample_critical,
@@ -181,6 +183,19 @@ class TestChainKernelTable:
 
     def test_no_chains(self):
         assert sample_chain(5, PointMass(1), Params(F(1, 2)), RngStream(0), n=0).shape == (0, 6)
+
+    @pytest.mark.parametrize("sigma", [F(1), F(0)])
+    def test_high_levels_at_rho_above_one(self, sigma):
+        # expm1((k+2) ln q) overflows near level 873 at rho = 3/2; the first
+        # step from level 1000 must still follow the exact kernel
+        params, n = Params(F(3, 2), sigma), 40000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = sample_chain(1, PointMass(1000), params, RngStream(4), n=n)
+        steps = paths[:, 1] - paths[:, 0]
+        for delta in (-1, 0, 1):
+            p = float(chain_transition(1000, delta, params))
+            assert abs((steps == delta).mean() - p) <= 4.5 * math.sqrt(p * (1 - p) / n)
 
 
 class TestKsDistance:

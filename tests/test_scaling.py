@@ -1,4 +1,9 @@
+import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -14,10 +19,12 @@ from pitman_lab import (
     RngStream,
     ScalingConfig,
     continuity_check,
+    g_law_from_initial,
     heat_kernel,
     kernel_limit_check,
     kernel_limit_ladder,
     limit_process_sample,
+    parse_initial_law,
     step_moments,
     step_pmf,
 )
@@ -215,6 +222,28 @@ class TestContinuity:
     def test_rows_are_self_describing(self):
         rep = continuity_check(2500, F(1, 2), "point", [0.5, 1.0])
         assert {"x", "exact", "limit", "diff"} <= set(rep["rows"][0])
+
+    @pytest.mark.parametrize("N", [400, 2500])
+    @pytest.mark.parametrize("v,regime,kw", [(F(1, 2), "point", {}), (F(1, 2), "power", {}),
+                                             (F(-3, 10), "corollary", {"u": F(1)})])
+    def test_exact_column_is_the_cumulative_pmf(self, N, v, regime, kw):
+        # the oracle: the running Fraction sum of the level law's pmf up to
+        # floor(x sqrt N), converted to a float once
+        rep = continuity_check(N, v, regime, self.GRID, **kw)
+        sn = math.isqrt(N)
+        glaw = g_law_from_initial(parse_initial_law(rep["initial"]), Params(1 - v / sn), "G")
+        cum = list(itertools.accumulate(glaw.pmf(n) for n in range(3 * sn + 1)))
+        assert [row["exact"] for row in rep["rows"]] == [
+            float(cum[math.floor(x * sn)]) for x in self.GRID]
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    src = pathlib.Path(__import__("pitman_lab").__file__).parents[1]
+    code = ("import sys, pitman_lab, pitman_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 class TestScalingConfig:
