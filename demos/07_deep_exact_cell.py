@@ -1,0 +1,52 @@
+"""One exact horizon far past per-path enumeration: t = 32.
+
+The three routes of the representation identity (chain formula, preimage
+pushforward, closed form) are evaluated once per class (K0, x_t, H), so a
+horizon of 3^32 paths costs a few thousand class entries.  This script lifts
+the horizon cap for its own process, times each route's class table, then
+verifies the single horizon t = 32 with ``verify_thm1(t_values=[32])``: the
+three tables must agree exactly and each must have mass exactly 1.
+
+Takes a few seconds.  Exits 1 on FAIL.
+"""
+
+import os
+import sys
+import time
+from fractions import Fraction as F
+
+T = 32
+os.environ["PITMAN_LAB_CAP"] = str(T)
+
+from pitman_lab import Params, QNegativeBinomial, g_law_from_initial, verify_thm1  # noqa: E402
+from pitman_lab.processes import _chain_classes  # noqa: E402
+from pitman_lab.representation import (  # noqa: E402
+    _rhs_enumeration_classes,
+    _rhs_formula_classes,
+)
+
+params = Params(F(2, 3), F(1))
+law = QNegativeBinomial(params.q, F(1, 2))
+glaw = g_law_from_initial(law, params, "G")
+print(f"initial law {law.cli_string()}, rho={params.rho}, sigma={params.sigma}, t={T}")
+
+ok = True
+routes = (("chain formula", lambda: _chain_classes(T, law, params)),
+          ("preimage pushforward", lambda: _rhs_enumeration_classes(T, glaw, params)),
+          ("closed form", lambda: _rhs_formula_classes(T, glaw, params)))
+for name, build in routes:
+    start = time.perf_counter()
+    table = build()
+    elapsed = time.perf_counter() - start
+    mass = table.mass()
+    ok &= mass == 1
+    print(f"   {name:<21} {elapsed:6.2f} s  {len(table.entries)} classes "
+          f"({sum(table.sizes.values())} paths), mass {mass}")
+
+start = time.perf_counter()
+report = verify_thm1(T, law, params, "I", t_values=[T])
+elapsed = time.perf_counter() - start
+ok &= report["status"] == "PASS"
+print(f"verify_thm1 at t={T} alone: {report['status']}, max |difference| "
+      f"{report['max_abs_diff']['value']}, {elapsed:.2f} s")
+sys.exit(0 if ok else 1)

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from typing import Iterator, NamedTuple
 
 DEFAULT_HORIZON_CAP = 14
 
 _STEPS = (-1, 0, 1)
+_STEP_SET = frozenset(_STEPS)
 
 
 class HorizonCapError(ValueError):
@@ -36,18 +38,26 @@ class Path:
     __slots__ = ("steps", "values")
 
     def __init__(self, steps=()):
-        steps = tuple(int(s) for s in steps)
-        if any(s not in _STEPS for s in steps):
+        steps = tuple(map(int, steps))
+        if not _STEP_SET.issuperset(steps):
             raise ValueError(f"steps must lie in {{-1,0,+1}}: {steps}")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "values", tuple(itertools.accumulate(steps, initial=0)))
 
     @classmethod
+    def _trusted(cls, steps: tuple) -> "Path":
+        """A path from a tuple of int steps already known to lie in {-1,0,+1}."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        object.__setattr__(path, "values", tuple(itertools.accumulate(steps, initial=0)))
+        return path
+
+    @classmethod
     def from_values(cls, values) -> "Path":
-        values = [int(v) for v in values]
+        values = tuple(map(int, values))
         if not values or values[0] != 0:
             raise ValueError("a path must start at 0")
-        return cls(b - a for a, b in zip(values, values[1:]))
+        return cls(map(operator.sub, values[1:], values))
 
     @classmethod
     def parse(cls, text: str) -> "Path":
@@ -63,7 +73,7 @@ class Path:
         return self.values[-1]
 
     def negate(self) -> "Path":
-        return Path(-s for s in self.steps)
+        return Path._trusted(tuple(map(operator.neg, self.steps)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Path is immutable")
@@ -81,7 +91,7 @@ class Path:
         return self.steps < other.steps
 
     def __str__(self):
-        return ",".join(str(v) for v in self.values)
+        return ",".join(map(str, self.values))
 
     def __repr__(self):
         return f"Path({self})"
@@ -140,7 +150,7 @@ def enumerate_paths(t: int, allow_flat: bool = True) -> Iterator[Path]:
     _refuse_beyond_cap(t, allow_flat)
     steps = _STEPS if allow_flat else (-1, 1)
     for incs in itertools.product(steps, repeat=t):
-        yield Path(incs)
+        yield Path._trusted(incs)
 
 
 def class_key(path: Path) -> tuple:
@@ -168,6 +178,6 @@ def path_classes(t: int, allow_flat: bool = True) -> Iterator[tuple]:
         for end in range(-n, n + 1, 2):
             for k0 in range(min(0, end), (end - n) // 2 - 1, -1):
                 size = ending_at(n, 2 * k0 - end) - ending_at(n, 2 * k0 - 2 - end)
-                yield (Path((0,) * h + (-1,) * -k0 + (1,) * (end - k0)
-                            + (1, -1) * ((n + 2 * k0 - end) // 2)),
+                yield (Path._trusted((0,) * h + (-1,) * -k0 + (1,) * (end - k0)
+                                     + (1, -1) * ((n + 2 * k0 - end) // 2)),
                        size * math.comb(t, h))

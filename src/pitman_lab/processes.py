@@ -597,6 +597,7 @@ class DistTable:
     entries: dict
     err: float = 0.0
     sizes: dict = None
+    _zero = Fraction(0)  # not a field: the missing entry of an exact table
 
     @classmethod
     def of_classes(cls, t: int, allow_flat: bool, mode: str, value) -> "DistTable":
@@ -614,18 +615,26 @@ class DistTable:
                           for x in enumerate_paths(self.horizon, allow_flat)}, self.err)
 
     def mass(self):
-        return sum(v * (self.sizes or {}).get(x, 1) for x, v in self.entries.items())
+        sizes = self.sizes or {}
+        if self.mode != "exact":
+            return sum(v * sizes.get(x, 1) for x, v in self.entries.items())
+        # one Fraction at the end: integer numerators over the denominators' lcm
+        lcm = math.lcm(*(v.denominator for v in self.entries.values()))
+        return Fraction(sum(v.numerator * (lcm // v.denominator) * sizes.get(x, 1)
+                            for x, v in self.entries.items()), lcm)
 
     def __getitem__(self, path: Path):
-        zero = Fraction(0) if self.mode == "exact" else 0.0
-        return self.entries.get(path, zero)
+        return self.entries.get(path, self._zero if self.mode == "exact" else 0.0)
 
     def max_abs_diff(self, other: "DistTable"):
         """Largest entrywise discrepancy and the first path, in entry order,
         that reaches it."""
         worst, witness = Fraction(0) if self.mode == "exact" == other.mode else 0.0, None
         for p in {**self.entries, **other.entries}:
-            d = abs(self[p] - other[p])
+            a, b = self[p], other[p]
+            if a == b:  # no subtraction where the entries agree (all, in a PASS)
+                continue
+            d = abs(a - b)
             if d > worst:
                 worst, witness = d, p
         return worst, witness

@@ -9,6 +9,7 @@ of finitely many "sporadic" members at level g = -K plus an infinite ray
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +81,22 @@ class PreimageSet:
 
 
 def preimage(x: Path) -> PreimageSet:
+    """The inverse image with one ``stats`` call.  s^(K0) = -x, and s^(r) exceeds
+    s^(r-1) by 2 exactly where K_j >= r: K is non-decreasing, so that is a
+    suffix of the values, and only the step into it changes, from -1 to +1."""
     st = stats(x)
     k0 = st.K0
-    sporadic = tuple((-k0, preimage_member(x, r)) for r in range(k0 + 1, x.end + 1))
+    ray = x.negate()
+    steps, sporadic = list(ray.steps), []
+    for r in range(k0 + 1, x.end + 1):
+        steps[bisect.bisect_left(st.K, r) - 1] = 1
+        sporadic.append((-k0, Path._trusted(tuple(steps))))
     return PreimageSet(
         K0=k0,
         end=x.end,
-        ray_path=preimage_member(x, k0),
+        ray_path=ray,
         ray_g_min=-k0,
-        sporadic=sporadic,
+        sporadic=tuple(sporadic),
     )
 
 

@@ -31,6 +31,23 @@ class TestPath:
             Path.from_values([1, 2])
         with pytest.raises(ValueError):
             Path.from_values([0, 2])
+        with pytest.raises(ValueError):
+            Path((0, 2))
+        with pytest.raises(ValueError):
+            Path.parse("0,1,3")
+
+    def test_enumerated_paths_equal_validated_ones(self):
+        # enumerate_paths and path_classes skip validation; the result must
+        # be the path the public constructors build
+        from pitman_lab.paths import path_classes
+
+        for t in range(6):
+            built = list(enumerate_paths(t)) + [x for x, _ in path_classes(t)]
+            for p in built:
+                q = Path(p.steps)
+                assert q == p and q.values == p.values
+                assert Path.from_values(p.values).steps == p.steps
+                assert p.negate() == Path(-s for s in p.steps)
 
     def test_immutable_and_hashable(self):
         p = Path((1, -1))

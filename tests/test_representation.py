@@ -190,6 +190,24 @@ class TestVerify:
         rep = verify_thm1(4, FS3, Params(F(2, 3), F(1)), "II")
         assert rep["status"] == "PASS"
 
+    def test_an_exact_horizon_past_the_default_cap(self, monkeypatch):
+        monkeypatch.setenv("PITMAN_LAB_CAP", "24")
+        params = Params(F(2, 3), F(1))
+        law = QNegativeBinomial(params.q, F(1, 2))
+        rep = verify_thm1(24, law, params, "I", t_values=[24])
+        assert rep["status"] == "PASS" and rep["exact"] is True
+        assert rep["max_abs_diff"]["value"] == "0/1" and rep["witness"] is None
+
+    def test_each_table_mass_is_checked_once(self, monkeypatch):
+        from pitman_lab import DistTable
+
+        calls = []
+        mass = DistTable.mass
+        monkeypatch.setattr(DistTable, "mass", lambda self: calls.append(self) or mass(self))
+        rep = verify_thm1(3, FS3, Params(F(2, 3), F(1)), "I")
+        assert rep["status"] == "PASS"
+        assert len(calls) == len({id(table) for table in calls}) == 3 * 3
+
     def test_approx_initial_law(self):
         rep = verify_thm1(3, Geometric(F(1, 3)), Params(F(2, 3)), "I")
         assert rep["status"] == "PASS" and rep["exact"] is False

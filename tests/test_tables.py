@@ -1,0 +1,109 @@
+"""DistTable's mass and max_abs_diff against the plain loops they replace:
+exact mass as a left-to-right Fraction sum, approx mass as the same float sum
+bit for bit, and the difference and witness of subtracting every entry."""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from pitman_lab import DistTable, enumerate_paths
+from pitman_lab.paths import path_classes
+
+# dyadic and non-dyadic denominators, so some exact entries equal a float
+exact_values = st.builds(F, st.integers(0, 10**12),
+                         st.one_of(st.sampled_from([1, 2, 8, 1024, 3**20]),
+                                   st.integers(1, 10**12)))
+approx_values = st.one_of(st.floats(0, 1), exact_values.map(float))
+
+
+def values(mode):
+    return exact_values if mode == "exact" else approx_values
+
+
+@st.composite
+def keys_and_sizes(draw):
+    """The keys of a class table (with its sizes) or of a per-path table."""
+    allow_flat = draw(st.booleans())
+    if draw(st.booleans()):
+        sizes = dict(path_classes(draw(st.integers(0, 9)), allow_flat))
+        return list(sizes), sizes
+    return list(enumerate_paths(draw(st.integers(0, 4)), allow_flat)), None
+
+
+@st.composite
+def tables(draw):
+    keys, sizes = draw(keys_and_sizes())
+    mode = draw(st.sampled_from(["exact", "approx"]))
+    entries = {x: draw(values(mode)) for x in keys}
+    return DistTable(0, mode, entries, sizes=sizes)
+
+
+def float_sum(table):
+    return sum(v * (table.sizes or {}).get(x, 1) for x, v in table.entries.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+def test_mass_equals_the_entry_sum(table):
+    mass = table.mass()
+    if table.mode == "exact":
+        total = F(0)
+        for x, v in table.entries.items():
+            total = total + v * (table.sizes or {}).get(x, 1)
+        assert isinstance(mass, F) and mass == total
+    else:
+        assert mass.hex() == float(float_sum(table)).hex()
+
+
+def test_exact_mass_of_an_empty_table():
+    assert DistTable(0, "exact", {}).mass() == 0
+
+
+@st.composite
+def table_pairs(draw):
+    """Two tables over the same keys: per key the entries agree, differ (by
+    less than a float can show, for "nearly"), or one or both sides lack it;
+    each side exact or approx."""
+    keys, sizes = draw(keys_and_sizes())
+    mode_a, mode_b = (draw(st.sampled_from(["exact", "approx"])) for _ in "ab")
+    # a few kinds per pair, so the small differences are often the largest
+    kinds = draw(st.lists(st.sampled_from(["equal", "nearly", "differ", "only a", "only b",
+                                           "neither"]), min_size=1, max_size=3, unique=True))
+    a, b = {}, {}
+    for x in keys:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "equal":
+            a[x] = draw(values(mode_a))
+            b[x] = a[x] if mode_a == mode_b else (F(a[x]) if mode_b == "exact"
+                                                  else float(a[x]))
+        if kind == "nearly":
+            a[x] = draw(values(mode_a))
+            near = F(a[x]) + F(1, 10**40)
+            b[x] = near if mode_b == "exact" else float(near)
+        if kind in ("differ", "only a"):
+            a[x] = draw(values(mode_a))
+        if kind in ("differ", "only b"):
+            b[x] = draw(values(mode_b))
+    return DistTable(0, mode_a, a, sizes=sizes), DistTable(0, mode_b, b, sizes=sizes)
+
+
+def subtract_every_entry(ta, tb):
+    def zero(table):
+        return F(0) if table.mode == "exact" else 0.0
+
+    worst, witness = F(0) if ta.mode == "exact" == tb.mode else 0.0, None
+    for p in {**ta.entries, **tb.entries}:
+        d = abs(ta.entries.get(p, zero(ta)) - tb.entries.get(p, zero(tb)))
+        if d > worst:
+            worst, witness = d, p
+    return worst, witness
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_pairs())
+def test_max_abs_diff_equals_subtracting_every_entry(pair):
+    ta, tb = pair
+    for x, y in ((ta, tb), (tb, ta)):
+        got, expected = x.max_abs_diff(y), subtract_every_entry(x, y)
+        assert got == expected
+        assert type(got[0]) is type(expected[0])

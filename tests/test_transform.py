@@ -87,6 +87,25 @@ class TestPreimage:
                 for g, s in pre.members(t + 3):
                     assert apply_T(g, s) == x
 
+    @staticmethod
+    def assert_members_match_definition(x):
+        pre = preimage(x)
+        assert pre.ray_path == x.negate() == preimage_member(x, pre.K0)
+        assert len(pre.sporadic) == x.end - pre.K0
+        for r, (g, s) in enumerate(pre.sporadic, start=pre.K0 + 1):
+            expected = preimage_member(x, r)
+            assert g == -pre.K0
+            assert s == expected and s.values == expected.values
+
+    def test_incremental_members_equal_the_definition_exhaustive(self):
+        for t in range(8):
+            for x in enumerate_paths(t):
+                self.assert_members_match_definition(x)
+
+    @given(st.lists(st.sampled_from([-1, 0, 1]), max_size=40))
+    def test_incremental_members_equal_the_definition_long(self, steps):
+        self.assert_members_match_definition(Path(steps))
+
     @pytest.mark.parametrize("t", range(6))
     def test_brute_force_equality(self, t):
         g_max = t  # largest possible running maximum at horizon t
