@@ -18,11 +18,14 @@ from fractions import Fraction as F
 T = 32
 os.environ["PITMAN_LAB_CAP"] = str(T)
 
-from pitman_lab import Params, QNegativeBinomial, g_law_from_initial, verify_thm1  # noqa: E402
-from pitman_lab.processes import _chain_classes  # noqa: E402
-from pitman_lab.representation import (  # noqa: E402
-    _rhs_enumeration_classes,
-    _rhs_formula_classes,
+from pitman_lab import (  # noqa: E402
+    Params,
+    QNegativeBinomial,
+    chain_increment_law,
+    g_law_from_initial,
+    rhs_law_enumeration,
+    rhs_law_table_formula,
+    verify_thm1,
 )
 
 params = Params(F(2, 3), F(1))
@@ -31,16 +34,16 @@ glaw = g_law_from_initial(law, params, "G")
 print(f"initial law {law.cli_string()}, rho={params.rho}, sigma={params.sigma}, t={T}")
 
 ok = True
-routes = (("chain formula", lambda: _chain_classes(T, law, params)),
-          ("preimage pushforward", lambda: _rhs_enumeration_classes(T, glaw, params)),
-          ("closed form", lambda: _rhs_formula_classes(T, glaw, params)))
+routes = (("chain formula", lambda: chain_increment_law(T, law, params)),
+          ("preimage pushforward", lambda: rhs_law_enumeration(T, glaw, params)),
+          ("closed form", lambda: rhs_law_table_formula(T, glaw, params)))
 for name, build in routes:
     start = time.perf_counter()
     table = build()
     elapsed = time.perf_counter() - start
     mass = table.mass()
     ok &= mass == 1
-    print(f"   {name:<21} {elapsed:6.2f} s  {len(table.entries)} classes "
+    print(f"   {name:<21} {elapsed:6.2f} s  {len(table.values)} classes "
           f"({sum(table.sizes.values())} paths), mass {mass}")
 
 start = time.perf_counter()

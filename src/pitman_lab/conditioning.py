@@ -24,10 +24,11 @@ from .processes import (
     Geometric,
     InitialLaw,
     Params,
-    _chain_classes,
+    chain_increment_law,
     step_pmf,
 )
 from .representation import table_diffs, worst_difference
+from .sampling import _gen
 
 _REJECTION_CHUNK = 50000  # walks per batch of rejection_oracle; its draws depend on it
 
@@ -82,10 +83,6 @@ def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "
     """Exact law of the first t steps of the walk conditioned on
     inf_u (S_u + V) >= 0 (sign-flipped walk for part II), evaluated once per
     class (K0, x_t, H)."""
-    return _conditioned_classes(t, vlaw, params, part).per_path()
-
-
-def _conditioned_classes(t, vlaw, params, part) -> DistTable:
     eff = _effective_params(params, part)
     q, z, rho = eff.q, eff.z, eff.rho
     c = vlaw.bracket_tail(0, 0, q)
@@ -108,8 +105,8 @@ def verify_thm2(t_max: int, law: InitialLaw, params: Params, part: str = "I") ->
         raise ValueError(f"thm2 needs t_max >= 1, got {t_max}: t=0 compares no table")
     vlaw = v_law_from_initial(law, params, part)
     worst, witness = worst_difference(
-        table_diffs(t, ("chain_vs_conditioned", _chain_classes(t, law, params),
-                        _conditioned_classes(t, vlaw, params, part)))
+        table_diffs(t, ("chain_vs_conditioned", chain_increment_law(t, law, params),
+                        conditioned_walk_law(t, vlaw, params, part)))
         for t in range(1, t_max + 1))
     return {
         "check": "thm2",
@@ -138,7 +135,7 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
     eff = _effective_params(params, part)
     if rng is None:
         rng = np.random.default_rng(0)
-    gen = rng.generator() if hasattr(rng, "generator") else rng
+    gen = _gen(rng)
     T = t + horizon_pad
     probs = step_pmf(eff)
     p_up, p_flat = float(probs[1]), float(probs[0])

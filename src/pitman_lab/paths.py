@@ -32,13 +32,21 @@ def horizon_cap() -> int:
     return int(env) if env else DEFAULT_HORIZON_CAP
 
 
+def _integer(entry) -> int:
+    """``entry`` as an int; refuses what int() would truncate, such as 1.5."""
+    try:
+        return operator.index(entry)
+    except TypeError:
+        raise ValueError(f"path entries must be integers, got {entry!r}") from None
+
+
 class Path:
     """An element of the path space over horizon t (values x_0=0,...,x_t)."""
 
     __slots__ = ("steps", "values")
 
     def __init__(self, steps=()):
-        steps = tuple(map(int, steps))
+        steps = tuple(map(_integer, steps))
         if not _STEP_SET.issuperset(steps):
             raise ValueError(f"steps must lie in {{-1,0,+1}}: {steps}")
         object.__setattr__(self, "steps", steps)
@@ -54,7 +62,7 @@ class Path:
 
     @classmethod
     def from_values(cls, values) -> "Path":
-        values = tuple(map(int, values))
+        values = tuple(map(_integer, values))
         if not values or values[0] != 0:
             raise ValueError("a path must start at 0")
         return cls(map(operator.sub, values[1:], values))

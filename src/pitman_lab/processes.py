@@ -11,6 +11,7 @@ initial level ("formula" route) or by mixing kernel products over the level
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -587,17 +588,19 @@ class DistTable:
     entries to the exact law, truncated mass plus rounding, and so each
     entry's too; on the product route it is the truncated mass.
 
-    A class table has ``sizes``: it holds one entry per class (K0, x_t, H),
-    keyed by the representative x from ``path_classes``, and that entry is
-    the value of each of the ``sizes[x]`` paths of the class.
+    ``values`` is the stored table.  A class table has ``sizes``: it holds one
+    value per class (K0, x_t, H), keyed by the representative x from
+    ``path_classes``, and that value is the entry of each of the ``sizes[x]``
+    paths of the class.  ``entries`` is the per-path view, built on first
+    read; without ``sizes`` it is ``values`` itself.
     """
 
     horizon: int
     mode: str
-    entries: dict
+    values: dict
     err: float = 0.0
     sizes: dict = None
-    _zero = Fraction(0)  # not a field: the missing entry of an exact table
+    _ZERO = {"exact": Fraction(0), "approx": 0.0}  # not a field: the missing entry per mode
 
     @classmethod
     def of_classes(cls, t: int, allow_flat: bool, mode: str, value) -> "DistTable":
@@ -606,32 +609,36 @@ class DistTable:
         sizes = dict(path_classes(t, allow_flat))
         return cls(t, mode, {x: value(x) for x in sizes}, sizes=sizes)
 
-    def per_path(self) -> "DistTable":
-        """Every path of the horizon with the entry of its class."""
-        by_class = {class_key(x): v for x, v in self.entries.items()}
-        allow_flat = any(0 in x.steps for x in self.entries)
-        return DistTable(self.horizon, self.mode,
-                         {x: by_class[class_key(x)]
-                          for x in enumerate_paths(self.horizon, allow_flat)}, self.err)
+    @functools.cached_property
+    def entries(self) -> dict:
+        """Every path of the horizon with the value of its class."""
+        if self.sizes is None:
+            return self.values
+        by_class = {class_key(x): v for x, v in self.values.items()}
+        allow_flat = any(0 in x.steps for x in self.values)
+        return {x: by_class[class_key(x)] for x in enumerate_paths(self.horizon, allow_flat)}
 
     def mass(self):
         sizes = self.sizes or {}
         if self.mode != "exact":
-            return sum(v * sizes.get(x, 1) for x, v in self.entries.items())
+            return sum(v * sizes.get(x, 1) for x, v in self.values.items())
         # one Fraction at the end: integer numerators over the denominators' lcm
-        lcm = math.lcm(*(v.denominator for v in self.entries.values()))
+        lcm = math.lcm(*(v.denominator for v in self.values.values()))
         return Fraction(sum(v.numerator * (lcm // v.denominator) * sizes.get(x, 1)
-                            for x, v in self.entries.items()), lcm)
+                            for x, v in self.values.items()), lcm)
 
     def __getitem__(self, path: Path):
-        return self.entries.get(path, self._zero if self.mode == "exact" else 0.0)
+        return self.entries.get(path, self._ZERO[self.mode])
 
     def max_abs_diff(self, other: "DistTable"):
-        """Largest entrywise discrepancy and the first path, in entry order,
-        that reaches it."""
+        """Largest entrywise discrepancy and the first key, in entry order,
+        that reaches it: class by class between two class tables (the
+        witness is a class representative), else path by path."""
+        by_class = self.sizes is not None and other.sizes is not None
+        a_of, b_of = (self.values, other.values) if by_class else (self.entries, other.entries)
         worst, witness = Fraction(0) if self.mode == "exact" == other.mode else 0.0, None
-        for p in {**self.entries, **other.entries}:
-            a, b = self[p], other[p]
+        for p in {**a_of, **b_of}:
+            a, b = a_of.get(p, self._ZERO[self.mode]), b_of.get(p, other._ZERO[other.mode])
             if a == b:  # no subtraction where the entries agree (all, in a PASS)
                 continue
             d = abs(a - b)
@@ -656,10 +663,6 @@ class DistTable:
 
 def walk_law(t: int, params: Params) -> DistTable:
     """Exact table of the plain walk's paths over horizon t."""
-    return _walk_classes(t, params).per_path()
-
-
-def _walk_classes(t: int, params: Params) -> DistTable:
     return DistTable.of_classes(t, params.sigma > 0, "exact",
                                 lambda x: walk_path_prob(x, params))
 
@@ -679,10 +682,6 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     Either route is evaluated once per class (K0, x_t, H); see
     :meth:`DistTable.of_classes`.
     """
-    return _chain_classes(t, law, params, route, mode, kmax).per_path()
-
-
-def _chain_classes(t, law, params, route="formula", mode=None, kmax=None) -> DistTable:
     q = params.q
     if mode is None:
         mode = "exact" if (law.exact and law.exact_capable(q)) else "approx"

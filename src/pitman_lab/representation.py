@@ -33,8 +33,8 @@ from .processes import (
     InitialLaw,
     Params,
     PointMass,
-    _chain_classes,
-    _walk_classes,
+    chain_increment_law,
+    walk_law,
 )
 from .transform import preimage
 
@@ -192,10 +192,6 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     evaluated once per class (K0, x_t, H): the members' step counts are
     functions of it (``transform.preimage_stats``).
     """
-    return _rhs_enumeration_classes(t, glaw, params).per_path()
-
-
-def _rhs_enumeration_classes(t, glaw, params) -> DistTable:
     z_t = params.z**t
 
     @functools.cache
@@ -217,10 +213,6 @@ def _rhs_enumeration_classes(t, glaw, params) -> DistTable:
 
 
 def rhs_law_table_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
-    return _rhs_formula_classes(t, glaw, params).per_path()
-
-
-def _rhs_formula_classes(t, glaw, params) -> DistTable:
     return DistTable.of_classes(t, params.sigma > 0, "exact" if glaw.exact else "approx",
                                 lambda x: rhs_law_formula(x, glaw, params))
 
@@ -314,10 +306,10 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
     chain_errs = [0.0]
 
     def horizon(t):
-        chain = _chain_classes(t, law, params, mode="exact" if exact else "approx")
+        chain = chain_increment_law(t, law, params, mode="exact" if exact else "approx")
         chain_errs.append(chain.err)
-        enum = _rhs_enumeration_classes(t, glaw, walk_params)
-        form = _rhs_formula_classes(t, glaw, walk_params)
+        enum = rhs_law_enumeration(t, glaw, walk_params)
+        form = rhs_law_table_formula(t, glaw, walk_params)
         return table_diffs(t, ("chain_vs_enumeration", chain, enum),
                            ("chain_vs_formula", chain, form),
                            ("enumeration_vs_formula", enum, form))
@@ -362,8 +354,8 @@ def verify_two_sided(t_max: int, law: InitialLaw, params: Params) -> dict:
     gt = g_law_from_initial(law, params, "Gtilde")
     tilde = params.tilde()
     worst, witness = worst_difference(
-        table_diffs(t, ("plain_vs_flipped", _rhs_enumeration_classes(t, g, params),
-                        _rhs_enumeration_classes(t, gt, tilde)))
+        table_diffs(t, ("plain_vs_flipped", rhs_law_enumeration(t, g, params),
+                        rhs_law_enumeration(t, gt, tilde)))
         for t in range(1, t_max + 1))
     return {
         "check": "two-sided",
@@ -380,8 +372,8 @@ def walk_match_report(glaw: InitialLaw, params: Params, t_max: int) -> dict:
     """Does 2(M-G)_+ - S reproduce the plain walk law?  (It should exactly when
     G is geometric with parameter rho^2 and rho < 1, and for no other law.)"""
     worst, witness = worst_difference(
-        (table_diffs(t, ("transform_vs_walk", _rhs_enumeration_classes(t, glaw, params),
-                         _walk_classes(t, params)))
+        (table_diffs(t, ("transform_vs_walk", rhs_law_enumeration(t, glaw, params),
+                         walk_law(t, params)))
          for t in range(1, t_max + 1)),
         stop_at_witness=True)
     return {

@@ -32,6 +32,11 @@ def _gen(rng) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngStream) else rng
 
 
+def shard_sizes(total: int, streams: int) -> list:
+    """``total`` draws split over ``streams`` shards, the first ones one larger."""
+    return [total // streams + (1 if i < total % streams else 0) for i in range(streams)]
+
+
 def sample_walk(t: int, params: Params, rng, n: int = 1) -> np.ndarray:
     """n walk paths of horizon t; returns values of shape (n, t+1)."""
     if t < 0:

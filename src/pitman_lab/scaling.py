@@ -29,6 +29,7 @@ import numpy as np
 from .exact import rat
 from .processes import Params, PointMass, QNegativeBinomial, step_pmf
 from .representation import g_law_from_initial
+from .sampling import _gen
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +244,7 @@ class LimitLevelLaw:
         return np.where(u <= self.atom, 0.0, out)
 
     def sample(self, rng, size) -> np.ndarray:
-        gen = rng.generator() if hasattr(rng, "generator") else rng
-        return self.ppf(gen.random(size))
+        return self.ppf(_gen(rng).random(size))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +453,7 @@ def limit_process_sample(v: float, gamma_law: LimitLevelLaw, t_grid, steps: int,
         raise ValueError(f"grid times must be finite and >= 0, got {t_grid.tolist()}")
     if not sigma >= 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    gen = rng.generator() if hasattr(rng, "generator") else rng
+    gen = _gen(rng)
     times, where = np.unique(np.append(0.0, t_grid), return_inverse=True)
     dtau = np.diff(times) * (2.0 / (2.0 + sigma))
     b = np.zeros((n, len(times)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import Path, enumerate_paths, stats
-from .sampling import RngStream
+from .sampling import RngStream, shard_sizes
 
 
 def apply_T(g: int, s: Path) -> Path:
@@ -187,8 +187,7 @@ def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
     for t in range(t_exhaustive + 1):
         vals = np.array([p.values for p in enumerate_paths(t)], dtype=np.int64).reshape(-1, t + 1)
         violations += sum(count(vals, g1, g2) for g1 in range(t + 2) for g2 in range(t + 2))
-    for i in range(streams):
-        m = samples // streams + (1 if i < samples % streams else 0)
+    for i, m in enumerate(shard_sizes(samples, streams)):
         gen = RngStream(seed, i).generator()
         steps = gen.integers(-1, 2, size=(m, t_random))
         vals = np.concatenate([np.zeros((m, 1), dtype=np.int64), np.cumsum(steps, axis=1)],

@@ -2,8 +2,8 @@
 
 Every route reads a path only through its class (K0, x_t, H).  Feeding the
 same route every path with weight 1 in place of ``path_classes`` evaluates it
-path by path; the class table must give each path exactly that value, and the
-public per-path table must equal it.
+path by path; the class table must give each path exactly that value, and its
+per-path view ``entries`` must equal it.
 """
 
 from collections import Counter
@@ -36,10 +36,7 @@ from pitman_lab import (
     verify_thm1,
     walk_law,
 )
-from pitman_lab.conditioning import _conditioned_classes
 from pitman_lab.paths import class_key, path_classes
-from pitman_lab.processes import _chain_classes, _walk_classes
-from pitman_lab.representation import _rhs_enumeration_classes, _rhs_formula_classes
 
 
 def every_path(t, allow_flat=True):
@@ -74,21 +71,24 @@ class TestPathClasses:
 
 
 def per_path_oracle(build):
-    """The class table ``build()`` and its per-path evaluation; checks that
-    every path gets the value of its class."""
+    """The class table ``build()`` against its per-path evaluation: every
+    path gets the value of its class, and the class table's per-path view
+    ``entries`` equals the evaluation.  The evaluation is read through its
+    stored values; its own ``entries`` would lump the paths back into
+    classes."""
     classes = build()
     with mock.patch.object(processes, "path_classes", every_path):
         oracle = build()
-    by_class = {class_key(x): v for x, v in classes.entries.items()}
-    assert len(oracle.entries) == sum(classes.sizes.values())
-    for x, v in oracle.entries.items():
+    by_class = {class_key(x): v for x, v in classes.values.items()}
+    assert len(oracle.values) == sum(classes.sizes.values())
+    for x, v in oracle.values.items():
         assert v == by_class[class_key(x)], x
     assert oracle.mode == classes.mode
     if classes.mode == "exact":
         assert classes.mass() == oracle.mass() == 1
     else:
         assert classes.err == pytest.approx(oracle.err, rel=1e-9, abs=0)
-    return oracle
+    assert classes.entries == oracle.values
 
 
 def make_law(kind, params):
@@ -116,44 +116,34 @@ def test_every_route_is_constant_on_every_class(t, rho, sigma, kind):
     law = make_law(kind, params)
 
     # chain formula in its own mode (exact where the law allows) and in floats
-    oracle = per_path_oracle(lambda: _chain_classes(t, law, params))
-    assert chain_increment_law(t, law, params).entries == oracle.entries
-    oracle = per_path_oracle(lambda: _chain_classes(t, law, params, mode="approx", kmax=12))
-    assert chain_increment_law(t, law, params, mode="approx", kmax=12).entries == oracle.entries
+    per_path_oracle(lambda: chain_increment_law(t, law, params))
+    per_path_oracle(lambda: chain_increment_law(t, law, params, mode="approx", kmax=12))
     # chain product: exact over a finite support, truncated in floats otherwise
     mode = "exact" if law.support_max() is not None and law.exact else "approx"
-    oracle = per_path_oracle(
-        lambda: _chain_classes(t, law, params, route="product", mode=mode, kmax=4))
-    assert chain_increment_law(t, law, params, route="product", mode=mode,
-                               kmax=4).entries == oracle.entries
+    per_path_oracle(lambda: chain_increment_law(t, law, params, route="product", mode=mode, kmax=4))
 
     glaw = g_law_from_initial(law, params, "G")
-    oracle = per_path_oracle(lambda: _rhs_enumeration_classes(t, glaw, params))
-    assert rhs_law_enumeration(t, glaw, params).entries == oracle.entries
-    oracle = per_path_oracle(lambda: _rhs_formula_classes(t, glaw, params))
-    assert rhs_law_table_formula(t, glaw, params).entries == oracle.entries
-
-    oracle = per_path_oracle(lambda: _walk_classes(t, params))
-    assert walk_law(t, params).entries == oracle.entries
+    per_path_oracle(lambda: rhs_law_enumeration(t, glaw, params))
+    per_path_oracle(lambda: rhs_law_table_formula(t, glaw, params))
+    per_path_oracle(lambda: walk_law(t, params))
 
     if rho != 1 and (law.support_max() is not None or kind == "qnb"):
         part = "I" if rho < 1 else "II"
         vlaw = v_law_from_initial(law, params, part)
-        oracle = per_path_oracle(lambda: _conditioned_classes(t, vlaw, params, part))
-        assert conditioned_walk_law(t, vlaw, params, part).entries == oracle.entries
+        per_path_oracle(lambda: conditioned_walk_law(t, vlaw, params, part))
 
 
 def test_a_dropped_class_fails_the_mass_check(monkeypatch):
     params, law = Params(F(1, 2), F(1)), PointMass(1)
     assert verify_thm1(3, law, params)["status"] == "PASS"
-    build = representation._rhs_formula_classes
+    build = representation.rhs_law_table_formula
 
     def dropping_a_class(t, glaw, walk_params):
         table = build(t, glaw, walk_params)
-        del table.entries[max(table.entries, key=table.entries.get)]
+        del table.values[max(table.values, key=table.values.get)]
         return table
 
-    monkeypatch.setattr(representation, "_rhs_formula_classes", dropping_a_class)
+    monkeypatch.setattr(representation, "rhs_law_table_formula", dropping_a_class)
     with pytest.raises(ArithmeticError, match="mass"):
         verify_thm1(3, law, params)
 
@@ -166,9 +156,27 @@ def test_witness_is_a_class_representative_at_the_worst_difference():
     t, witness = rep["witness"]["horizon"], Path.parse(rep["witness"]["path"])
     assert witness in dict(path_classes(t))
     glaw = Geometric(F(1, 3))
-    tables = {"chain": _chain_classes(t, law, params),
-              "enumeration": _rhs_enumeration_classes(t, glaw, params),
-              "formula": _rhs_formula_classes(t, glaw, params)}
+    tables = {"chain": chain_increment_law(t, law, params),
+              "enumeration": rhs_law_enumeration(t, glaw, params),
+              "formula": rhs_law_table_formula(t, glaw, params)}
     a, b = rep["witness"]["pair"].split("_vs_")
-    assert abs(tables[a].entries[witness] - tables[b].entries[witness]) == F(
+    assert abs(tables[a].values[witness] - tables[b].values[witness]) == F(
         rep["max_abs_diff"]["value"])
+
+
+def test_verifiers_build_no_per_path_table():
+    """Class tables enumerate no path until a caller reads ``entries``."""
+    params = Params(F(1, 2), F(1))
+    law = QNegativeBinomial(params.q, F(1, 2))
+    glaw = g_law_from_initial(law, params, "G")
+    refuse = AssertionError("enumerate_paths called")
+    with mock.patch.object(processes, "enumerate_paths", side_effect=refuse) as enumerate_mock:
+        tables = [chain_increment_law(4, law, params),
+                  rhs_law_enumeration(4, glaw, params),
+                  conditioned_walk_law(4, v_law_from_initial(law, params, "I"), params, "I")]
+        assert verify_thm1(4, law, params)["status"] == "PASS"
+        enumerate_mock.assert_not_called()
+        for table in tables:
+            with pytest.raises(AssertionError, match="enumerate_paths called"):
+                table.entries
+        assert enumerate_mock.call_count == len(tables)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,6 +36,14 @@ class TestPath:
             Path((0, 2))
         with pytest.raises(ValueError):
             Path.parse("0,1,3")
+        # int() would truncate these to valid paths
+        with pytest.raises(ValueError, match="1.5"):
+            Path((1.5,))
+        with pytest.raises(ValueError, match="0.5"):
+            Path.from_values((0, 0.5))
+        # numpy integers are integers
+        assert Path(np.array([1, 0, -1])) == Path((1, 0, -1))
+        assert Path.from_values(np.array([0, -1], dtype=np.int32)).steps == (-1,)
 
     def test_enumerated_paths_equal_validated_ones(self):
         # enumerate_paths and path_classes skip validation; the result must

@@ -1,12 +1,13 @@
 """DistTable's mass and max_abs_diff against the plain loops they replace:
 exact mass as a left-to-right Fraction sum, approx mass as the same float sum
-bit for bit, and the difference and witness of subtracting every entry."""
+bit for bit, and the difference and witness of subtracting every stored
+value; a class table against a per-path one is compared path by path."""
 
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from pitman_lab import DistTable, enumerate_paths
+from pitman_lab import DistTable, Params, enumerate_paths, walk_law
 from pitman_lab.paths import path_classes
 
 # dyadic and non-dyadic denominators, so some exact entries equal a float
@@ -39,7 +40,7 @@ def tables(draw):
 
 
 def float_sum(table):
-    return sum(v * (table.sizes or {}).get(x, 1) for x, v in table.entries.items())
+    return sum(v * (table.sizes or {}).get(x, 1) for x, v in table.values.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -48,7 +49,7 @@ def test_mass_equals_the_entry_sum(table):
     mass = table.mass()
     if table.mode == "exact":
         total = F(0)
-        for x, v in table.entries.items():
+        for x, v in table.values.items():
             total = total + v * (table.sizes or {}).get(x, 1)
         assert isinstance(mass, F) and mass == total
     else:
@@ -92,8 +93,8 @@ def subtract_every_entry(ta, tb):
         return F(0) if table.mode == "exact" else 0.0
 
     worst, witness = F(0) if ta.mode == "exact" == tb.mode else 0.0, None
-    for p in {**ta.entries, **tb.entries}:
-        d = abs(ta.entries.get(p, zero(ta)) - tb.entries.get(p, zero(tb)))
+    for p in {**ta.values, **tb.values}:
+        d = abs(ta.values.get(p, zero(ta)) - tb.values.get(p, zero(tb)))
         if d > worst:
             worst, witness = d, p
     return worst, witness
@@ -107,3 +108,14 @@ def test_max_abs_diff_equals_subtracting_every_entry(pair):
         got, expected = x.max_abs_diff(y), subtract_every_entry(x, y)
         assert got == expected
         assert type(got[0]) is type(expected[0])
+
+
+def test_a_class_table_against_a_per_path_table_compares_paths():
+    classes = walk_law(3, Params(F(1, 2), F(1)))
+    paths = DistTable(3, "exact", dict(classes.entries))
+    assert paths.entries is paths.values  # no sizes: the stored dict is the view
+    assert classes.max_abs_diff(paths) == paths.max_abs_diff(classes) == (0, None)
+    # a path that is not its class's representative
+    x = next(p for p in paths.values if p not in classes.sizes)
+    paths.values[x] += F(1, 7)
+    assert classes.max_abs_diff(paths) == paths.max_abs_diff(classes) == (F(1, 7), x)
