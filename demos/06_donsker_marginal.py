@@ -3,8 +3,10 @@ functional, and the limit law ignores the sign of the drift.
 
 Takes a few seconds: 2x10^4 chains of 2500 kernel steps against 2x10^4 exact
 draws of the drifted Wiener functional 2*(sup B - gamma)_+ - B at time 1.
+Exits 1 when either two-sample KS statistic reaches its 1% critical value.
 """
 
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -50,4 +52,6 @@ b = limit_process_sample(-vf, LimitLevelLaw(-vf, mu), [1.0], None, s2.child(2),
                          n=n, sigma=float(sigma))[:, 0]
 print(f"\ndrift-flip invariance (u={u}, v={vf}): the level trades Exp(u+v)")
 print(f"for Exp(u-v) and the marginal law is unchanged:")
-print(f"   two-sample KS = {ks_distance(a, b):.4f}, critical {crit:.4f}")
+flip = ks_distance(a, b)
+print(f"   two-sample KS = {flip:.4f}, critical {crit:.4f}")
+sys.exit(0 if max(stat, flip) < crit else 1)

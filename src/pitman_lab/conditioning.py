@@ -28,7 +28,7 @@ from .processes import (
     step_pmf,
 )
 from .representation import table_diffs, worst_difference
-from .sampling import _gen
+from .sampling import _gen, block_rows
 
 _REJECTION_CHUNK = 50000  # walks per batch of rejection_oracle; its draws depend on it
 
@@ -131,14 +131,33 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
     the leftover is estimated from the accepted sample itself via the exact
     later-dip probability rho^(2(S_T + V + 1)), reported as
     ``truncation_bound``.
+
+    Walks are drawn in batches of _REJECTION_CHUNK, each batch's uniforms in
+    blocks of about 1 MiB of rows (``sampling.block_rows``) and then the
+    batch's levels V.  Only each walk's minimum, last value and first t
+    values are kept, so memory stays near one block.  A block of rows is the
+    same stretch of the stream as the whole batch's array, so seeded results
+    do not depend on the block size.
     """
     eff = _effective_params(params, part)
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if horizon_pad < 0 or t + horizon_pad < 1:
+        raise ValueError(f"horizon_pad must be >= 0 and t + horizon_pad >= 1, got "
+                         f"horizon_pad={horizon_pad} at t={t}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if rng is None:
         rng = np.random.default_rng(0)
     gen = _gen(rng)
     T = t + horizon_pad
     probs = step_pmf(eff)
     p_up, p_flat = float(probs[1]), float(probs[0])
+    rows = block_rows(T)
+    batch = min(_REJECTION_CHUNK, n_samples)
+    low, last = np.empty(batch, dtype=np.int32), np.empty(batch, dtype=np.int32)
+    head = np.empty((batch, t), dtype=np.int32)
+    s = np.empty((min(rows, batch), T), dtype=np.int32)
 
     heads = []
     dip_mass = 0.0
@@ -147,14 +166,19 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
     while remaining > 0:
         m = min(_REJECTION_CHUNK, remaining)
         remaining -= m
-        u = gen.random((m, T))
-        # +1 below p_up, -1 at or above p_up + p_flat, 0 between
-        steps = (u < p_up).view(np.int8) - (u >= p_up + p_flat).view(np.int8)
-        s = np.cumsum(steps, axis=1, dtype=np.int32)
+        for r in range(0, m, rows):
+            u = gen.random((min(rows, m - r), T))
+            walks, at = s[:len(u)], slice(r, r + len(u))
+            # +1 below p_up, -1 at or above p_up + p_flat, 0 between
+            steps = (u < p_up).view(np.int8) - (u >= p_up + p_flat).view(np.int8)
+            np.cumsum(steps, axis=1, dtype=np.int32, out=walks)
+            walks.min(axis=1, out=low[at])
+            last[at] = walks[:, -1]
+            head[at] = walks[:, :t]
         v = vlaw.sample(gen, m)
-        keep = (s.min(axis=1) + v) >= 0
-        dip_mass += float(np.sum(rho_f ** (2.0 * (s[keep, -1] + v[keep] + 1))))
-        heads.append(s[keep, :t])
+        keep = (low[:m] + v) >= 0
+        dip_mass += float(np.sum(rho_f ** (2.0 * (last[:m][keep] + v[keep] + 1))))
+        heads.append(head[:m][keep])
 
     heads = np.concatenate(heads)
     accepted = len(heads)

@@ -15,6 +15,8 @@ import numpy as np
 
 from .processes import InitialLaw, Params, step_pmf
 
+_BLOCK_BYTES = 1 << 20  # uniforms drawn per block by the samplers, in bytes of float64
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -35,6 +37,11 @@ def _gen(rng) -> np.random.Generator:
 def shard_sizes(total: int, streams: int) -> list:
     """``total`` draws split over ``streams`` shards, the first ones one larger."""
     return [total // streams + (1 if i < total % streams else 0) for i in range(streams)]
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` float64 uniforms in one block of about _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * width))
 
 
 def sample_walk(t: int, params: Params, rng, n: int = 1) -> np.ndarray:
@@ -58,6 +65,10 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
     and level-0 cases stay exact in floating point, over one block of levels
     per run of start levels less than 2t+2 apart: the levels the chains can
     reach.  Each step is then one uniform per chain and a table lookup.
+
+    The uniforms are drawn in blocks of about 1 MiB, ``block_rows(n)`` steps
+    at a time.  A block of rows is the same stretch of the stream as that
+    many draws of n, so seeded paths do not depend on the block size.
     """
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
@@ -96,11 +107,18 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
     idx = start - chain_base
     out = np.empty((t + 1, n), dtype=np.int64)
     out[0] = start
-    for j in range(1, t + 1):
-        u = gen.random(n)
-        # +1 below up, -1 in [up, up + dn), 0 above
-        idx += 2 * (u < up[idx]) - (u < up_dn[idx])
-        np.add(idx, chain_base, out=out[j])
+    rows = block_rows(n)
+    below_up, below_up_dn = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    step = np.empty(n, dtype=np.int8)
+    for j0 in range(1, t + 1, rows):
+        for j, u in enumerate(gen.random((min(rows, t + 1 - j0), n)), start=j0):
+            # +1 below up, -1 in [up, up + dn), 0 above: 2 [u < up] - [u < up + dn]
+            np.less(u, up[idx], out=below_up)
+            np.less(u, up_dn[idx], out=below_up_dn)
+            np.subtract(below_up.view(np.int8), below_up_dn.view(np.int8), out=step)
+            step += below_up
+            idx += step
+            np.add(idx, chain_base, out=out[j])
     return out.T
 
 

@@ -126,32 +126,55 @@ def running_max_identity_check(x: Path, r: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tilde_batch(vals: np.ndarray, g: int) -> np.ndarray:
-    """tilde_T over a batch: rows are value sequences starting at 0."""
-    m = np.maximum.accumulate(vals, axis=1)
-    return vals - 2 * np.maximum(m - g, 0)
+def _tilde_batch(vals: np.ndarray, m: np.ndarray, g: int, out: np.ndarray) -> np.ndarray:
+    """tilde_T_g over a batch, vals - 2*(m - g)_+ for value rows ``vals`` with
+    running max ``m``, written into ``out``."""
+    np.subtract(m, g, out=out)
+    np.maximum(out, 0, out=out)
+    out *= 2
+    return np.subtract(vals, out, out=out)
 
 
-def tropical_identities_batch(vals: np.ndarray, g1: int, g2: int) -> dict:
+def tropical_identities_batch(vals: np.ndarray, g1, g2) -> dict:
     """Pointwise check of the three max-plus identities on a batch of paths.
 
     1. running_max(tilde_T_g(x)) == min(g, running_max(x))
     2. tilde_T_g2(tilde_T_g1(x)) == tilde_T_{min(g1,g2)}(x)
     3. 2*running_max - id applied after tilde_T_g equals 2*running_max - id
 
-    Returns violation counts per identity (expected all zero).
+    Returns violation counts per identity (expected all zero).  ``g1`` and
+    ``g2`` are levels or 1-d arrays of distinct levels; with arrays each
+    count is summed over every pair (g1, g2) of their product, as a loop
+    over the pairs would sum it.  Each level's running max is taken once,
+    and the work runs in four arrays the size of ``vals``.
     """
     vals = np.asarray(vals)
-    report = {}
+    levels1, levels2 = np.atleast_1d(g1).tolist(), np.atleast_1d(g2).tolist()
+    g1, g2 = set(levels1), set(levels2)
+    if len(g1) < len(levels1) or len(g2) < len(levels2):
+        raise ValueError(f"level arrays must not repeat a level, got {levels1} and {levels2}")
     m = np.maximum.accumulate(vals, axis=1)
-    for tag, g in (("g1", g1), ("g2", g2)):
-        y = _tilde_batch(vals, g)
-        my = np.maximum.accumulate(y, axis=1)
-        report[f"max_of_transform[{tag}]"] = int(np.sum(my != np.minimum(g, m)))
-        report[f"two_max_minus_id[{tag}]"] = int(np.sum((2 * my - y) != (2 * m - vals)))
-    lhs = _tilde_batch(_tilde_batch(vals, g1), g2)
-    rhs = _tilde_batch(vals, min(g1, g2))
-    report["composition"] = int(np.sum(lhs != rhs))
+    y, my, a, b = (np.empty_like(m) for _ in range(4))
+    report = {f"{key}[{tag}]": 0 for tag in ("g1", "g2")
+              for key in ("max_of_transform", "two_max_minus_id")}
+    report["composition"] = 0
+    for g in sorted(g1 | g2):
+        _tilde_batch(vals, m, g, out=y)
+        np.maximum.accumulate(y, axis=1, out=my)
+        wrong_max = int(np.count_nonzero(my != np.minimum(m, g, out=a)))
+        np.multiply(my, 2, out=a)
+        a -= y
+        np.multiply(m, 2, out=b)
+        b -= vals
+        wrong_two_max = int(np.count_nonzero(a != b))
+        # g is in len(g2) pairs as g1 and in len(g1) pairs as g2
+        for tag, n_pairs in (("g1", len(g2) * (g in g1)), ("g2", len(g1) * (g in g2))):
+            report[f"max_of_transform[{tag}]"] += n_pairs * wrong_max
+            report[f"two_max_minus_id[{tag}]"] += n_pairs * wrong_two_max
+        for h in sorted(g2) if g in g1 else ():
+            # tilde_T_h(y) through y's running max my, taken once above
+            lhs, rhs = _tilde_batch(y, my, h, out=a), _tilde_batch(vals, m, min(g, h), out=b)
+            report["composition"] += int(np.count_nonzero(lhs != rhs))
     report["ok"] = all(v == 0 for k, v in report.items() if k != "ok")
     return report
 
@@ -186,7 +209,7 @@ def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
 
     for t in range(t_exhaustive + 1):
         vals = np.array([p.values for p in enumerate_paths(t)], dtype=np.int64).reshape(-1, t + 1)
-        violations += sum(count(vals, g1, g2) for g1 in range(t + 2) for g2 in range(t + 2))
+        violations += count(vals, np.arange(t + 2), np.arange(t + 2))
     for i, m in enumerate(shard_sizes(samples, streams)):
         gen = RngStream(seed, i).generator()
         steps = gen.integers(-1, 2, size=(m, t_random))

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -22,6 +23,8 @@ from pitman_lab import (
     v_law_from_initial,
     verify_thm2,
 )
+from pitman_lab.conditioning import _REJECTION_CHUNK
+from pitman_lab.sampling import block_rows
 
 
 class TestSurvivalProb:
@@ -156,7 +159,12 @@ class TestRejectionOracle:
             assert abs(res["table"][path] - p) <= tol
 
     @pytest.mark.parametrize("t,rho,sigma,n", [(3, F(1, 2), F(1), 200000),
-                                               (4, F(1, 3), F(0), 60001), (0, F(1, 2), F(1), 500)])
+                                               (4, F(1, 3), F(0), 60001), (0, F(1, 2), F(1), 500),
+                                               # below one row block of t + 50 columns
+                                               (3, F(2, 3), F(1), block_rows(53) - 1),
+                                               (2, F(2, 3), F(1), _REJECTION_CHUNK + 1),
+                                               (0, F(1, 3), F(1), 2 * block_rows(50)),
+                                               (0, F(1, 2), F(0), _REJECTION_CHUNK + 1)])
     def test_same_table_as_the_per_row_loop(self, t, rho, sigma, n):
         params = Params(rho, sigma)
         vlaw = v_law_from_initial(PointMass(1), params, "I")
@@ -166,6 +174,30 @@ class TestRejectionOracle:
         assert list(got["table"].entries.items()) == list(want["table"].entries.items())
         assert got["accepted"] == want["accepted"]
         assert got["truncation_bound"] == want["truncation_bound"]
+
+    def test_memory_stays_near_one_row_block(self):
+        params = Params(F(1, 2))
+        vlaw = v_law_from_initial(PointMass(1), params, "I")
+        tracemalloc.start()
+        try:
+            rejection_oracle(3, vlaw, params, "I", horizon_pad=200, n_samples=200000,
+                             rng=RngStream(11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n_samples": 0}, "n_samples"), ({"n_samples": -5}, "n_samples"),
+        ({"horizon_pad": -1}, "horizon_pad"), ({"horizon_pad": -3}, "horizon_pad"),
+        ({"t": 0, "horizon_pad": 0}, "horizon_pad"), ({"t": -1}, "t"),
+    ])
+    def test_refuses_bad_sizes(self, kwargs, name):
+        params = Params(F(1, 2))
+        args = {"t": 3, "vlaw": LevelLaw.point(1), "params": params, "rng": RngStream(1)}
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            rejection_oracle(**args)
 
     def test_truncation_bound_is_tiny(self):
         params = Params(F(1, 2))

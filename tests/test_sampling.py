@@ -24,6 +24,8 @@ from pitman_lab import (
     sample_walk,
     walk_law,
 )
+from pitman_lab import sampling
+from pitman_lab.sampling import block_rows
 
 
 def gof_pvalue(samples_rows, table, n):
@@ -196,6 +198,27 @@ class TestChainKernelTable:
         for delta in (-1, 0, 1):
             p = float(chain_transition(1000, delta, params))
             assert abs((steps == delta).mean() - p) <= 4.5 * math.sqrt(p * (1 - p) / n)
+
+
+class TestChainBlocks:
+    BLOCK = block_rows(700)
+
+    @pytest.mark.parametrize("n", [0, 1, 700])
+    @pytest.mark.parametrize("t", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+    def test_block_edges_draw_the_reference_chain(self, t, n):
+        params = Params(F(2, 3), F(1))
+        got = sample_chain(t, Geometric(F(1, 2)), params, RngStream(9), n=n)
+        want = _reference_chain(t, Geometric(F(1, 2)), params, RngStream(9), n=n)
+        assert got.shape == want.shape == (n, t + 1) and (got == want).all()
+
+    @pytest.mark.parametrize("n", [1, 5, 700])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
+    def test_draws_do_not_depend_on_the_block_size(self, monkeypatch, n, rows):
+        params = Params(F(1), F(1))
+        want = sample_chain(40, PointMass(2), params, RngStream(4), n=n)
+        monkeypatch.setattr(sampling, "_BLOCK_BYTES", 8 * n * rows)
+        assert block_rows(n) == rows
+        assert (sample_chain(40, PointMass(2), params, RngStream(4), n=n) == want).all()
 
 
 class TestKsDistance:

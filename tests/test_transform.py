@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pitman_lab import (
     Path,
+    RngStream,
     apply_T,
     enumerate_paths,
     preimage,
@@ -16,6 +19,8 @@ from pitman_lab import (
     tropical_identities_batch,
     verify_tropical,
 )
+from pitman_lab import transform
+from pitman_lab.sampling import shard_sizes
 
 step_lists = st.lists(st.sampled_from([-1, 0, 1]), max_size=30)
 
@@ -185,6 +190,88 @@ class TestTropical:
         assert rep["ok"] and rep["composition"] == 0
         with pytest.raises(ValueError):
             tropical_compose_check(Path.parse("0,1"), -1, 0)
+
+
+def _reference_identities(vals, g1, g2):
+    """The per-pair check the level-array form replaced: every transform
+    takes its own running max, eight accumulates per pair (g1, g2)."""
+    def tilde(v, g):
+        return v - 2 * np.maximum(np.maximum.accumulate(v, axis=1) - g, 0)
+
+    m = np.maximum.accumulate(vals, axis=1)
+    report = {}
+    for tag, g in (("g1", g1), ("g2", g2)):
+        y = tilde(vals, g)
+        my = np.maximum.accumulate(y, axis=1)
+        report[f"max_of_transform[{tag}]"] = int(np.sum(my != np.minimum(g, m)))
+        report[f"two_max_minus_id[{tag}]"] = int(np.sum((2 * my - y) != (2 * m - vals)))
+    report["composition"] = int(np.sum(tilde(tilde(vals, g1), g2) != tilde(vals, min(g1, g2))))
+    return report
+
+
+def _counts(report):
+    return {k: v for k, v in report.items() if k != "ok"}
+
+
+def _rows_off_the_identities():
+    """Rows that start away from 0 and rows with +-2 steps: inputs on which
+    every identity fails somewhere."""
+    rng = np.random.default_rng(7)
+    shifted = np.cumsum(rng.integers(-1, 2, size=(300, 9)), axis=1) + rng.integers(-3, 4, (300, 1))
+    jumps = np.cumsum(rng.integers(-2, 3, size=(300, 9)), axis=1)
+    jumps[:, 0] = 0
+    return np.concatenate([shifted, jumps])
+
+
+class TestLevelArrays:
+    def test_scalar_levels_count_as_the_reference(self):
+        vals = _rows_off_the_identities()
+        for g1 in range(6):
+            for g2 in range(6):
+                got = tropical_identities_batch(vals, g1, g2)
+                want = _reference_identities(vals, g1, g2)
+                assert list(got) == list(want) + ["ok"]
+                assert _counts(got) == want and got["ok"] == (sum(want.values()) == 0)
+
+    def test_level_arrays_sum_the_pair_calls(self):
+        vals = _rows_off_the_identities()
+        g1, g2 = np.array([0, 2, 5, 7]), np.array([1, 2, 4])  # a shared level
+        want = dict.fromkeys(_reference_identities(vals, 0, 0), 0)
+        for a in g1.tolist():
+            for b in g2.tolist():
+                for key, v in tropical_identities_batch(vals, a, b).items():
+                    if key != "ok":
+                        want[key] += v
+        assert all(want.values())
+        got = tropical_identities_batch(vals, g1, g2)
+        assert _counts(got) == want and not got["ok"]
+
+    def test_level_arrays_refuse_a_repeated_level(self):
+        with pytest.raises(ValueError, match="repeat a level"):
+            tropical_identities_batch(_rows_off_the_identities(), np.array([0, 2, 2]), 1)
+
+
+def test_verify_tropical_counts_as_a_pair_loop(monkeypatch):
+    # every enumerated path shifted up by one: the identities fail at each horizon
+    def shifted_paths(t):
+        return [SimpleNamespace(values=tuple(v + 1 for v in p.values))
+                for p in enumerate_paths(t)]
+
+    monkeypatch.setattr(transform, "enumerate_paths", shifted_paths)
+    rep = verify_tropical(t_exhaustive=4, t_random=12, samples=300, g_max=5, seed=3, streams=2)
+    want = 0
+    for t in range(5):
+        vals = np.array([p.values for p in shifted_paths(t)], dtype=np.int64).reshape(-1, t + 1)
+        want += sum(sum(_reference_identities(vals, g1, g2).values())
+                    for g1 in range(t + 2) for g2 in range(t + 2))
+    for i, m in enumerate(shard_sizes(300, 2)):
+        gen = RngStream(3, i).generator()
+        steps = gen.integers(-1, 2, size=(m, 12))
+        vals = np.concatenate([np.zeros((m, 1), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1)
+        g1, g2 = (int(g) for g in gen.integers(0, 6, size=2))
+        want += sum(_reference_identities(vals, g1, g2).values())
+    assert want > 0
+    assert rep["violations"] == want and rep["status"] == "FAIL"
 
 
 def test_verify_tropical_counts_no_violation():
