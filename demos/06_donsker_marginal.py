@@ -9,39 +9,25 @@ Exits 1 when either two-sample KS statistic reaches its 1% critical value.
 import sys
 from fractions import Fraction as F
 
-import numpy as np
-
 from pitman_lab import (
     LimitLevelLaw,
     MuMeasure,
-    Params,
     PointMass,
     RngStream,
+    donsker_check,
     ks_distance,
-    ks_two_sample_critical,
     limit_process_sample,
-    sample_chain,
 )
 
 N, n, sn = 2500, 20000, 50
 sigma = F(2)
 v = F(2, 5)
-params = Params(1 - v / sn, sigma)
 
-seed = RngStream(0)
-chains = sample_chain(N, PointMass(sn), params, seed.child(1), n=n)
-k_chain = (chains[:, -1] - chains[:, 0]).astype(np.int64)
-
-gamma = LimitLevelLaw(float(v), MuMeasure.point(1.0))
-lim = limit_process_sample(float(v), gamma, [1.0], None, seed.child(2),
-                           n=n, sigma=float(sigma))[:, 0]
-k_lim = np.round(lim * sn).astype(np.int64)
-
-crit = ks_two_sample_critical(n, n, alpha=0.01)
-stat = ks_distance(k_chain, k_lim)
+rep = donsker_check(N, v, sigma, PointMass(sn), n, seed=0)
+stat, crit = rep["ks"], rep["critical_1pct"]
 print(f"chain marginal (N={N}, start at sqrt(N)) vs Brownian functional:")
 print(f"   two-sample KS = {stat:.4f}, 1% critical value {crit:.4f}")
-print(f"   means: chain {k_chain.mean()/sn:.4f}, limit {lim.mean():.4f}")
+print(f"   limit measure of X0/sqrt(N): {rep['gamma_measure']}")
 
 u, vf = 1.0, -0.3
 mu = MuMeasure.hypoexponential(u + vf, u - vf)

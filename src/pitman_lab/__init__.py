@@ -41,9 +41,6 @@ from .transform import (
     preimage,
     preimage_member,
     preimage_stats,
-    running_max_identity_check,
-    tilde_T,
-    tropical_compose_check,
     tropical_identities_batch,
     verify_tropical,
 )
@@ -71,15 +68,14 @@ from .scaling import (
     MuMeasure,
     ScalingConfig,
     continuity_check,
+    donsker_check,
     heat_kernel,
     kernel_limit_check,
     kernel_limit_ladder,
     limit_process_sample,
-    step_moments,
 )
 from .sampling import (
     RngStream,
-    empirical_table,
     ks_distance,
     ks_two_sample_critical,
     sample_chain,

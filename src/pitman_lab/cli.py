@@ -35,19 +35,12 @@ from .conditioning import verify_thm2
 from .scaling import (
     LimitLevelLaw,
     MuMeasure,
-    ScalingConfig,
     continuity_check,
+    donsker_check,
     kernel_limit_ladder,
     limit_process_sample,
 )
-from .sampling import (
-    RngStream,
-    ks_distance,
-    ks_two_sample_critical,
-    sample_chain,
-    sample_walk,
-    shard_sizes,
-)
+from .sampling import RngStream, sample_chain, sample_walk, shard_sizes
 from .transform import preimage, verify_tropical
 
 SCHEMA = "report-v1"
@@ -161,51 +154,6 @@ def _cmd_scaling_kernel(args):
     report["status"] = "PASS" if report["rel_errors"][-1] <= args.tol else "FAIL"
     report["tol"] = args.tol
     return report
-
-
-def _cmd_scaling_donsker(args):
-    seed = RngStream(args.seed)
-    v = parse_rat(args.v)
-    # refuses N < 1, v >= sqrt(N) and an N that is not a perfect square
-    cfg = ScalingConfig(args.N, v, parse_rat(args.sigma))
-    sn, params = cfg.sqrt_n, cfg.params_exact()
-    law = parse_initial_law(args.initial)
-
-    from .processes import PointMass, QNegativeBinomial
-
-    if isinstance(law, PointMass):
-        mu = MuMeasure.point(law.n / sn)
-    elif isinstance(law, QNegativeBinomial) and law.q == params.q:
-        rho0 = law.theta * params.rho
-        u = float((1 - rho0) * sn)
-        if not (u + float(v) > 0 and u - float(v) > 0):
-            raise ValueError("qnb donsker check needs u - |v| > 0")
-        mu = MuMeasure.hypoexponential(u + float(v), u - float(v))
-    else:
-        raise ValueError(
-            f"donsker check supports point:<n> and matched qnb initial laws, "
-            f"got {law.cli_string()!r}"
-        )
-
-    chains = sample_chain(args.N, law, params, seed.child(1), n=args.samples)
-    k_chain = (chains[:, -1] - chains[:, 0]).astype(np.int64)
-
-    gamma = LimitLevelLaw(float(v), mu)
-    lim = limit_process_sample(float(v), gamma, [1.0], None,
-                               seed.child(2), n=args.samples,
-                               sigma=float(parse_rat(args.sigma)))[:, 0]
-    # compare on the chain's integer lattice (nearest-point rounding is the
-    # local-CLT continuity correction)
-    stat = ks_distance(k_chain, np.round(lim * sn).astype(np.int64))
-    crit = ks_two_sample_critical(args.samples, args.samples, 0.01)
-    return {
-        "check": "donsker",
-        "N": args.N, "samples": args.samples,
-        "seed": args.seed, "params": params.to_json(), "initial": law.cli_string(),
-        "gamma_measure": mu.describe(),
-        "ks": stat, "critical_1pct": crit,
-        "status": "PASS" if stat < crit else "FAIL",
-    }
 
 
 def _cmd_sample(args):
@@ -346,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", default="point:0")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_scaling_donsker)
+    p.set_defaults(fn=lambda a: donsker_check(a.N, parse_rat(a.v), parse_rat(a.sigma),
+                                              parse_initial_law(a.initial), a.samples,
+                                              a.seed))
 
     sa = sub.add_parser("sample", help="reproducible draws")
     sasub = sa.add_subparsers(dest="object_parser", required=True)

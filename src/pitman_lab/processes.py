@@ -439,46 +439,18 @@ class QNegativeBinomial(InitialLaw):
         return f"qnb:q={rat_str(self.q)},theta={rat_str(self.theta)}"
 
 
-@dataclass(frozen=True, repr=False)
-class NegativeBinomial(InitialLaw):
-    """P(X0 = n) = (1-rho0)^2 (n+1) rho0^n, the two-geometric convolution."""
+class NegativeBinomial(QNegativeBinomial):
+    """P(X0 = n) = (1-rho0)^2 (n+1) rho0^n: the q = 1 member of the
+    q-negative-binomial family, theta = rho0, written ``nb:rho0=...``."""
 
-    rho0: Rat
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho0", rat(self.rho0))
-        if not 0 <= self.rho0 < 1:
+    def __init__(self, rho0: Rat):
+        rho0 = rat(rho0)
+        if not 0 <= rho0 < 1:
             raise ValueError("rho0 must be in [0, 1)")
-        # the same law as QNegativeBinomial(1, rho0), whose float twins apply
-        object.__setattr__(self, "_twin", QNegativeBinomial(Fraction(1), self.rho0))
-
-    def pmf(self, n):
-        return (1 - self.rho0) ** 2 * (n + 1) * self.rho0**n if n >= 0 else Fraction(0)
-
-    def tail(self, n):
-        return (1 - self.rho0) ** 2 * geometric_bracket_tail(self.rho0, max(n, 0), 0, Fraction(1))
-
-    def pmf_float(self, n):
-        return self._twin.pmf_float(n)
-
-    def tail_float(self, n):
-        return self._twin.tail_float(n)
-
-    def float_rel_err(self, n):
-        return self._twin.float_rel_err(n)
-
-    def ratio_geometric_form(self, q):
-        if q == 1:
-            # the (n+1) factor cancels against [n+1]_1
-            return ((1 - self.rho0) ** 2, self.rho0)
-        return None
-
-    def sample(self, rng, size):
-        p = float(1 - self.rho0)
-        return (rng.geometric(p, size) - 1) + (rng.geometric(p, size) - 1)
+        super().__init__(Fraction(1), rho0)
 
     def cli_string(self):
-        return f"nb:rho0={rat_str(self.rho0)}"
+        return f"nb:rho0={rat_str(self.theta)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -584,9 +556,9 @@ class DistTable:
     """Probability table keyed by increment paths of one fixed horizon.
 
     ``mode`` is "exact" (Fraction entries, mass exactly 1) or "approx" (float
-    entries).  On the formula route ``err`` bounds the summed distance of the
+    entries).  On either route ``err`` bounds the summed distance of the
     entries to the exact law, truncated mass plus rounding, and so each
-    entry's too; on the product route it is the truncated mass.
+    entry's too.
 
     ``values`` is the stored table.  A class table has ``sizes``: it holds one
     value per class (K0, x_t, H), keyed by the representative x from
@@ -646,9 +618,6 @@ class DistTable:
                 worst, witness = d, p
         return worst, witness
 
-    def as_float(self) -> dict:
-        return {p: float(v) for p, v in self.entries.items()}
-
     def items_sorted(self):
         return sorted(self.entries.items(), key=lambda kv: kv[0].steps)
 
@@ -675,9 +644,15 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     sum over initial levels k >= -K of pmf(k) [x_t+k+1]_q / [k+1]_q; levels
     outside the support contribute exact zeros.
 
-    product route: mixes the kernel products over the initial level directly;
-    exact for finite-support laws, truncated (with certified leftover mass in
-    ``err``) otherwise.
+    product route: mixes the kernel products P_k(x) over the levels k <= top
+    directly; exact for finite-support laws, truncated otherwise.  In approx
+    mode ``err`` bounds the summed distance of the entries to the exact law:
+    ``tail_bound(top + 1)`` for the levels past top, the sum of pmf_err(k) for
+    float weights w_k (the P_k(x) sum to at most 1 over the paths), and per
+    path its entry s's rounding, (m + 3) u s + m TERM_FLOOR: m = 1 for one
+    rounded Fraction sum, else a float sum of m <= len(atoms) terms
+    fl(w_k fl(P_k)), each within rel_err(2u) of w_k P_k, whose running sums
+    stay below s.  The factor 1.1 covers the float sums that make ``err``.
 
     Either route is evaluated once per class (K0, x_t, H); see
     :meth:`DistTable.of_classes`.
@@ -709,7 +684,7 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     err = 0.0
     if atoms is None:
         top = kmax if kmax is not None else law.truncation_point()
-        err = law.tail_float(top + 1)
+        err = law.tail_bound(top + 1)
         atoms = [(k, w) for k in range(top + 1) if (w := law.pmf(k))]
 
     def product(x):
@@ -724,7 +699,11 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
         return total if mode == "exact" else float(total)
 
     table = DistTable.of_classes(t, allow_flat, mode, product)
-    table.err = err
+    if mode != "exact":
+        m = 1 if law.exact else len(atoms)
+        rounding = sum(size * ((m + 3) * UNIT_ROUNDOFF * table.values[x] + m * TERM_FLOOR)
+                       for x, size in table.sizes.items())
+        table.err = err + 1.1 * (sum(law.pmf_err(k) for k, _ in atoms) + rounding)
     return table
 
 

@@ -162,11 +162,3 @@ def ks_two_sample_critical(n: int, m: int, alpha: float = 0.01) -> float:
     """Asymptotic two-sample rejection threshold at level alpha."""
     c = math.sqrt(-0.5 * math.log(alpha / 2.0))
     return c * math.sqrt((n + m) / (n * m))
-
-
-def empirical_table(value_rows: np.ndarray):
-    """Map from increment tuples to empirical frequencies."""
-    rows = np.asarray(value_rows)
-    keys, counts = np.unique(rows, axis=0, return_counts=True)
-    total = counts.sum()
-    return {tuple(k.tolist()): c / total for k, c in zip(keys, counts)}

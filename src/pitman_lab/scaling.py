@@ -27,9 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import rat
-from .processes import Params, PointMass, QNegativeBinomial, step_pmf
+from .processes import InitialLaw, Params, PointMass, QNegativeBinomial
 from .representation import g_law_from_initial
-from .sampling import _gen
+from .sampling import RngStream, _gen, ks_distance, ks_two_sample_critical, sample_chain
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +467,37 @@ def limit_process_sample(v: float, gamma_law: LimitLevelLaw, t_grid, steps: int,
     return (2.0 * np.maximum(run_max - gamma, 0.0) - b)[:, where[1:]]
 
 
-def step_moments(params: Params):
-    """Exact mean and variance of one walk step."""
-    pm = step_pmf(params)
-    mean = pm[1] - pm[-1]
-    var = pm[1] + pm[-1] - mean**2
-    return mean, var
+def donsker_check(N: int, v, sigma, law: InitialLaw, samples: int, seed: int) -> dict:
+    """KS test of the chain's X_N - X_0 under rho = 1 - v/sqrt(N), started
+    from ``law``, against sqrt(N) times the limit process at time 1 rounded
+    to the chain's lattice (the local-CLT continuity correction); PASS below
+    the 1% critical value.  mu is the point mass at n/sqrt(N) for point:n,
+    and for a qnb law with the chain's q the hypoexponential with rates u +- v,
+    u = (1 - theta rho) sqrt(N).  The chain draws from child 1 of
+    ``RngStream(seed)``, the limit from child 2.
+    """
+    stream, vf = RngStream(seed), float(v)
+    # refuses N < 1, v >= sqrt(N) and an N that is not a perfect square
+    cfg = ScalingConfig(N, v, sigma)
+    sn, params = cfg.sqrt_n, cfg.params_exact()
+    if isinstance(law, PointMass):
+        mu = MuMeasure.point(law.n / sn)
+    elif type(law) is QNegativeBinomial and law.q == params.q:
+        # not nb, the q = 1 member: it matches only at v = 0, where u + v = u - v
+        u = float((1 - law.theta * params.rho) * sn)
+        if not (u + vf > 0 and u - vf > 0):
+            raise ValueError("qnb donsker check needs u - |v| > 0")
+        mu = MuMeasure.hypoexponential(u + vf, u - vf)
+    else:
+        raise ValueError(f"donsker check supports point:<n> and matched qnb initial laws, "
+                         f"got {law.cli_string()!r}")
+    chains = sample_chain(N, law, params, stream.child(1), n=samples)
+    lim = limit_process_sample(vf, LimitLevelLaw(vf, mu), [1.0], None,
+                               stream.child(2), n=samples, sigma=float(sigma))[:, 0]
+    stat = ks_distance((chains[:, -1] - chains[:, 0]).astype(np.int64),
+                       np.round(lim * sn).astype(np.int64))
+    crit = ks_two_sample_critical(samples, samples, 0.01)
+    return {"check": "donsker", "N": N, "samples": samples, "seed": seed,
+            "params": params.to_json(), "initial": law.cli_string(),
+            "gamma_measure": mu.describe(), "ks": stat, "critical_1pct": crit,
+            "status": "PASS" if stat < crit else "FAIL"}

@@ -32,11 +32,6 @@ def apply_T(g: int, s: Path) -> Path:
     return Path.from_values(out)
 
 
-def tilde_T(g: int, x: Path) -> Path:
-    """The sign-flipped transform x_j - 2*(max_{i<=j} x_i - g)_+ (= -apply_T)."""
-    return apply_T(g, x).negate()
-
-
 def preimage_member(x: Path, r: int) -> Path:
     """The preimage path s^(r), r in [K0(x), x_t]:
     s^(r)_j = 2*(min(r, K_j) - K0) - x_j."""
@@ -109,18 +104,6 @@ def preimage_stats(x: Path, r: int):
     return (r - st.K0 + st.D, st.K0 - r + st.U, st.H)
 
 
-def running_max_identity_check(x: Path, r: int) -> bool:
-    """max_{i<=j} (s^(r)_i + K0)_+ == min(r, K_j) - K0 for every j."""
-    st = stats(x)
-    s = preimage_member(x, r)
-    m = 0
-    for j, sv in enumerate(s.values):
-        m = max(m, sv + st.K0, 0)
-        if m != min(r, st.K[j]) - st.K0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # tropical operator identities
 # ---------------------------------------------------------------------------
@@ -176,16 +159,6 @@ def tropical_identities_batch(vals: np.ndarray, g1, g2) -> dict:
             lhs, rhs = _tilde_batch(y, my, h, out=a), _tilde_batch(vals, m, min(g, h), out=b)
             report["composition"] += int(np.count_nonzero(lhs != rhs))
     report["ok"] = all(v == 0 for k, v in report.items() if k != "ok")
-    return report
-
-
-def tropical_compose_check(x: Path, g1: int, g2: int) -> dict:
-    """Single-path wrapper around :func:`tropical_identities_batch`."""
-    if g1 < 0 or g2 < 0:
-        raise ValueError("levels must be >= 0")
-    vals = np.asarray([x.values], dtype=np.int64)
-    report = tropical_identities_batch(vals, g1, g2)
-    report.update({"path": str(x), "g1": g1, "g2": g2})
     return report
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from pitman_lab import preimage_member, stats
+
 
 def certified_ratio_tails(p: Fraction, q: Fraction, nmax: int, bits: int = 200,
                           remainder: Fraction = Fraction(1, 2**80)):
@@ -44,6 +46,23 @@ def within(approx_value: float, err: float, lo: Fraction, hi: Fraction) -> bool:
     compared exactly as rationals."""
     v, e = Fraction(approx_value), Fraction(err)
     return v - e <= lo and hi <= v + e
+
+
+def running_max_identity_check(x, r: int) -> bool:
+    """max_{i<=j} (s^(r)_i + K0)_+ == min(r, K_j) - K0 for every j, with
+    s^(r) the preimage member of x at r."""
+    st = stats(x)
+    m = 0
+    for j, sv in enumerate(preimage_member(x, r).values):
+        m = max(m, sv + st.K0, 0)
+        if m != min(r, st.K[j]) - st.K0:
+            return False
+    return True
+
+
+@pytest.fixture
+def running_max_identity():
+    return running_max_identity_check
 
 
 @pytest.fixture

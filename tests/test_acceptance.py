@@ -57,7 +57,7 @@ def test_criterion_1_representation_identity_exact():
 # -- 2: preimage completeness ---------------------------------------------------
 
 
-def test_criterion_2_preimage_completeness():
+def test_criterion_2_preimage_completeness(running_max_identity):
     violations = 0
     paths_checked = 0
     for t in range(8):
@@ -77,7 +77,7 @@ def test_criterion_2_preimage_completeness():
                 direct = pl.stats(member)
                 if pl.preimage_stats(x, r) != (direct.U, direct.D, direct.H):
                     violations += 1
-                if not pl.running_max_identity_check(x, r):
+                if not running_max_identity(x, r):
                     violations += 1
                 if pl.apply_T(-k0, member) != x:
                     violations += 1
@@ -157,7 +157,8 @@ def test_criterion_4_conditioning_identity():
     exact = pl.chain_increment_law(3, law, params)
     mc_ok = True
     worst_mc = 0.0
-    for path, p in exact.as_float().items():
+    for path, p in exact.entries.items():
+        p = float(p)
         se = math.sqrt(p * (1 - p) / res["accepted"])
         gap = abs(res["table"][path] - p)
         worst_mc = max(worst_mc, gap - 4.5 * se)

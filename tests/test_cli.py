@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from pitman_lab import donsker_check
 from pitman_lab.cli import main
 from pitman_lab.processes import parse_initial_law
 
@@ -207,11 +208,30 @@ class TestScalingCommands:
         assert rep["gamma_measure"].startswith("delta(1.0)")
 
     def test_donsker_rejects_unsupported_initial(self, capsys):
-        code, _, err = run(
-            capsys, "scaling", "donsker", "--N", "400", "--v", "0.5",
-            "--initial", "geo:1/3", "--samples", "200",
+        # nb is the q = 1 qnb, which matches the chain only at v = 0, where
+        # the two rates of the hypoexponential coincide
+        for v, initial in (("0.5", "geo:1/3"), ("0", "nb:rho0=1/2")):
+            code, out, err = run(
+                capsys, "scaling", "donsker", "--N", "400", "--v", v,
+                "--initial", initial, "--samples", "200",
+            )
+            assert code == 2 and not out.strip()
+            assert "supports point:<n> and matched qnb" in err
+
+    @pytest.mark.parametrize("initial,sigma,samples,seed", [
+        ("point:20", "2", 2000, 2),
+        ("qnb:q=1521/1600,theta=4/5", "1", 3000, 5),
+    ])
+    def test_donsker_prints_the_library_report(self, capsys, initial, sigma, samples, seed):
+        code, rep, _ = run_json(
+            capsys, "scaling", "donsker", "--N", "400", "--v", "1/2", "--sigma", sigma,
+            "--initial", initial, "--samples", str(samples), "--seed", str(seed),
         )
-        assert code == 2
+        lib = donsker_check(400, Fraction(1, 2), Fraction(sigma), parse_initial_law(initial),
+                            samples, seed)
+        assert code == 0
+        payload = {k: v for k, v in rep.items() if k not in ("schema", "version", "command")}
+        assert payload == json.loads(json.dumps(lib))
 
     def test_donsker_level_law_past_the_grid_exits_two(self, capsys):
         # rates u + v = 1e-7 and u - v: gamma is Exp(1e-7), with 0.9 of its

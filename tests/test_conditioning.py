@@ -153,7 +153,8 @@ class TestRejectionOracle:
         exact = chain_increment_law(t, law, params)
         assert res["acceptance_rate"] > 0.5
         n_acc = res["accepted"]
-        for path, p in exact.as_float().items():
+        for path, p in exact.entries.items():
+            p = float(p)
             se = np.sqrt(p * (1 - p) / n_acc)
             tol = 4.5 * se + res["truncation_bound"] + 1e-12
             assert abs(res["table"][path] - p) <= tol
@@ -233,6 +234,7 @@ def test_rejection_oracle_samples_a_geometric_level_unclipped():
     res = rejection_oracle(2, vlaw, params, "I", horizon_pad=80, n_samples=40000,
                            rng=RngStream(3))
     exact = chain_increment_law(2, law, params)
-    for path, p in exact.as_float().items():
+    for path, p in exact.entries.items():
+        p = float(p)
         se = np.sqrt(p * (1 - p) / res["accepted"])
         assert abs(res["table"][path] - p) <= 4.5 * se + res["truncation_bound"] + 1e-12

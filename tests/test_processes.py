@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import special
@@ -256,7 +257,14 @@ class TestChainIncrementLaw:
         exact = chain_increment_law(t, law, params, route="formula")
         trunc = chain_increment_law(t, law, params, route="product", mode="approx")
         for p, v in exact.entries.items():
-            assert abs(float(v) - trunc[p]) <= trunc.err + 1e-12
+            assert abs(v - F(trunc[p])) <= F(trunc.err)
+
+    @pytest.mark.parametrize("text", ["geo:1/3", "geo:2/3"])
+    def test_product_err_covers_the_leftover_mass(self, text):
+        law = parse_initial_law(text)
+        table = chain_increment_law(3, law, Params(F(1, 2), F(1)), route="product")
+        assert table.mode == "approx"
+        assert F(table.err) >= law.tail(law.truncation_point() + 1)
 
     def test_product_route_exact_needs_finite_support(self):
         params = Params(F(1, 2))
@@ -322,6 +330,27 @@ def test_spoisson_string_is_exact():
     law = ShiftedPoisson(1 / 3)
     assert parse_initial_law(law.cli_string()) == law
     assert ShiftedPoisson(1.0).cli_string() == "spoisson:1"
+
+
+@given(st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda r: r < 1))
+def test_nb_is_the_q_one_qnb(rho0):
+    nb, qnb = NegativeBinomial(rho0), QNegativeBinomial(F(1), rho0)
+    assert parse_initial_law(nb.cli_string()) == nb
+    for n in (0, 1, 2, 7, 40):
+        assert (nb.pmf(n), nb.tail(n)) == (qnb.pmf(n), qnb.tail(n))
+        assert (nb.pmf_float(n), nb.tail_float(n), nb.float_rel_err(n)) == (
+            qnb.pmf_float(n), qnb.tail_float(n), qnb.float_rel_err(n))
+    for q in (F(1), F(1, 4), F(4)):
+        assert nb.ratio_geometric_form(q) == qnb.ratio_geometric_form(q)
+    assert nb.truncation_point() == qnb.truncation_point()
+    nb_draws, qnb_draws = (law.sample(np.random.default_rng(7), 64) for law in (nb, qnb))
+    assert nb_draws.dtype == qnb_draws.dtype and (nb_draws == qnb_draws).all()
+
+
+def test_nb_refuses_rho0_outside_the_unit_interval():
+    for rho0 in (F(-1, 2), F(1)):
+        with pytest.raises(ValueError, match=r"rho0 must be in \[0, 1\)"):
+            NegativeBinomial(rho0)
 
 
 def _every_kind_of_law():

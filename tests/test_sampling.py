@@ -17,7 +17,6 @@ from pitman_lab import (
     RngStream,
     chain_increment_law,
     chain_transition,
-    empirical_table,
     ks_distance,
     ks_two_sample_critical,
     sample_chain,
@@ -35,7 +34,8 @@ def gof_pvalue(samples_rows, table, n):
         key = tuple(row.tolist())
         emp[key] = emp.get(key, 0) + 1
     obs, exp = [], []
-    for path, p in table.as_float().items():
+    for path, p in table.entries.items():
+        p = float(p)
         if p * n >= 5:
             obs.append(emp.get(path.steps, 0))
             exp.append(p * n)
@@ -255,9 +255,3 @@ class TestKsDistance:
         assert ks_two_sample_critical(10**5, 10**5, 0.01) == pytest.approx(
             1.6276 * np.sqrt(2 / 10**5), rel=1e-3
         )
-
-
-def test_empirical_table():
-    rows = np.array([[1, 0], [1, 0], [0, -1], [1, 1]])
-    table = empirical_table(rows)
-    assert table[(1, 0)] == 0.5 and table[(0, -1)] == 0.25

@@ -25,8 +25,8 @@ from pitman_lab import (
     kernel_limit_ladder,
     limit_process_sample,
     parse_initial_law,
-    step_moments,
     step_pmf,
+    walk_law,
 )
 
 CATALOG = [
@@ -362,6 +362,14 @@ def _two_max_minus_b_cdf(v, s):
                 + rs * (stats.norm.pdf(z0) - stats.norm.pdf(z1)))
 
     return lambda x: (shifted(x, v * s) - shifted(x, -v * s)) / (v * s)
+
+
+def step_moments(params):
+    """Exact mean and variance of one walk step, summed over the horizon-1
+    table of the walk."""
+    table = walk_law(1, params).entries
+    mean = sum(p * x.end for x, p in table.items())
+    return mean, sum(p * x.end**2 for x, p in table.items()) - mean**2
 
 
 class TestStepMoments:

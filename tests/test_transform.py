@@ -12,10 +12,7 @@ from pitman_lab import (
     preimage,
     preimage_member,
     preimage_stats,
-    running_max_identity_check,
     stats,
-    tilde_T,
-    tropical_compose_check,
     tropical_identities_batch,
     verify_tropical,
 )
@@ -23,6 +20,15 @@ from pitman_lab import transform
 from pitman_lab.sampling import shard_sizes
 
 step_lists = st.lists(st.sampled_from([-1, 0, 1]), max_size=30)
+
+
+def tilde_T(g, x):
+    """The sign-flipped transform x_j - 2*(max_{i<=j} x_i - g)_+."""
+    out, m = [], 0
+    for v in x.values:
+        m = max(m, v)
+        out.append(v - 2 * max(m - g, 0))
+    return Path.from_values(out)
 
 
 def brute_preimage(x, g_max):
@@ -145,12 +151,12 @@ class TestPreimageStats:
             preimage_member(Path.parse("0,1"), -1)
 
 
-def test_running_max_identity_exhaustive():
+def test_running_max_identity_exhaustive(running_max_identity):
     for t in range(7):
         for x in enumerate_paths(t):
             k0 = stats(x).K0
             for r in range(k0, x.end + 1):
-                assert running_max_identity_check(x, r)
+                assert running_max_identity(x, r)
 
 
 class TestTropical:
@@ -184,12 +190,6 @@ class TestTropical:
         for _ in range(10):
             g1, g2 = rng.integers(0, 11, size=2)
             assert tropical_identities_batch(vals, int(g1), int(g2))["ok"]
-
-    def test_single_path_report(self):
-        rep = tropical_compose_check(Path.parse("0,1,0,-1,0"), 3, 1)
-        assert rep["ok"] and rep["composition"] == 0
-        with pytest.raises(ValueError):
-            tropical_compose_check(Path.parse("0,1"), -1, 0)
 
 
 def _reference_identities(vals, g1, g2):
