@@ -44,17 +44,32 @@ def block_rows(width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * width))
 
 
+def _level_dtype(top: int) -> np.dtype:
+    """The narrowest of int8, int16, int32 and int64 that holds ``top``."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def sample_walk(t: int, params: Params, rng, n: int = 1) -> np.ndarray:
-    """n walk paths of horizon t; returns values of shape (n, t+1)."""
+    """n walk paths of horizon t; returns values of shape (n, t+1).
+
+    Walk values lie in [-t, t], so the paths come in the narrowest signed
+    integer type that holds t; the difference of two entries of one path is
+    at most t in size and fits too.
+    """
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     gen = _gen(rng)
     pm = step_pmf(params)
     p_up, p_upflat = float(pm[1]), float(pm[1] + pm[0])
     u = gen.random((n, t))
-    steps = np.where(u < p_up, 1, np.where(u < p_upflat, 0, -1))
-    out = np.zeros((n, t + 1), dtype=np.int64)
-    np.cumsum(steps, axis=1, out=out[:, 1:])
+    # +1 below p_up, -1 from p_upflat on, 0 between: [u < p_up] - [u >= p_upflat]
+    steps = np.subtract((u < p_up).view(np.int8), (u >= p_upflat).view(np.int8))
+    dtype = _level_dtype(t)
+    out = np.zeros((n, t + 1), dtype=dtype)
+    np.cumsum(steps, axis=1, dtype=dtype, out=out[:, 1:])
     return out
 
 
@@ -69,11 +84,16 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
     The uniforms are drawn in blocks of about 1 MiB, ``block_rows(n)`` steps
     at a time.  A block of rows is the same stretch of the stream as that
     many draws of n, so seeded paths do not depend on the block size.
+
+    Levels are >= 0 and a chain moves at most t steps, so no level exceeds
+    max(start) + t: the paths come in the narrowest signed integer type that
+    holds it (t when n = 0, with no start drawn).  The difference of any two
+    entries is at most that bound in size and fits too.
     """
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     if n == 0:
-        return np.empty((0, t + 1), dtype=np.int64)
+        return np.empty((0, t + 1), dtype=_level_dtype(t))
     gen = _gen(rng)
     z, rho = float(params.z), float(params.rho)
     lnq = 2.0 * math.log(rho)
@@ -105,7 +125,7 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
 
     chain_base = base[np.cumsum(opens) - 1][which]
     idx = start - chain_base
-    out = np.empty((t + 1, n), dtype=np.int64)
+    out = np.empty((t + 1, n), dtype=_level_dtype(int(start.max()) + t))
     out[0] = start
     rows = block_rows(n)
     below_up, below_up_dn = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
@@ -118,7 +138,9 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
             np.subtract(below_up.view(np.int8), below_up_dn.view(np.int8), out=step)
             step += below_up
             idx += step
-            np.add(idx, chain_base, out=out[j])
+            # a narrowing write, like out[0] = start: idx + chain_base is a level
+            # <= max(start) + t, which out's type holds by construction
+            np.add(idx, chain_base, out=out[j], casting="unsafe")
     return out.T
 
 

@@ -303,7 +303,7 @@ def continuity_check(N: int, v, regime: str, grid, u=None,
       * ``power``   -- the initial level floor(N^(1/2+eps)) escapes to infinity;
                        needs v > 0, the limit is Exp(2v).
       * ``corollary`` -- theta-geometric-pair initial law with rates set by
-                       (u, v); the limit measure is the two-exponential
+                       (u, v), v != 0; the limit measure is the two-exponential
                        convolution, whose level law collapses to Exp(u+v).
 
     Returns per-grid-point rows (x, exact, limit, diff) and the sup distance.
@@ -327,6 +327,10 @@ def continuity_check(N: int, v, regime: str, grid, u=None,
         if u is None:
             raise ValueError("the corollary regime needs u")
         uf = float(u)
+        if uf + vf == uf - vf:
+            raise ValueError("the corollary regime needs --v != 0: its limit measure, "
+                             "Exp(u + v) + Exp(u - v), has equal rates at v = 0, and that "
+                             "Gamma(2, u) measure is not supported")
         if not (uf > 0 and uf + vf > 0 and uf - vf > 0):
             raise ValueError("need u > 0 and u + v > 0 and u - v > 0")
         rho0 = 1 - rat(u) / sn
@@ -473,8 +477,8 @@ def donsker_check(N: int, v, sigma, law: InitialLaw, samples: int, seed: int) ->
     to the chain's lattice (the local-CLT continuity correction); PASS below
     the 1% critical value.  mu is the point mass at n/sqrt(N) for point:n,
     and for a qnb law with the chain's q the hypoexponential with rates u +- v,
-    u = (1 - theta rho) sqrt(N).  The chain draws from child 1 of
-    ``RngStream(seed)``, the limit from child 2.
+    u = (1 - theta rho) sqrt(N), so v != 0 there.  The chain draws from
+    child 1 of ``RngStream(seed)``, the limit from child 2.
     """
     stream, vf = RngStream(seed), float(v)
     # refuses N < 1, v >= sqrt(N) and an N that is not a perfect square
@@ -485,6 +489,10 @@ def donsker_check(N: int, v, sigma, law: InitialLaw, samples: int, seed: int) ->
     elif type(law) is QNegativeBinomial and law.q == params.q:
         # not nb, the q = 1 member: it matches only at v = 0, where u + v = u - v
         u = float((1 - law.theta * params.rho) * sn)
+        if u + vf == u - vf:
+            raise ValueError(f"the donsker check of {law.cli_string()} needs --v != 0: its "
+                             f"limit measure, Exp(u + v) + Exp(u - v), has equal rates at "
+                             f"v = 0, and that Gamma(2, u) measure is not supported")
         if not (u + vf > 0 and u - vf > 0):
             raise ValueError("qnb donsker check needs u - |v| > 0")
         mu = MuMeasure.hypoexponential(u + vf, u - vf)

@@ -323,6 +323,10 @@ def test_unknown_command_usage_error(capsys):
     (("verify", "tropical", "--g-max", "-1"), "must be >= 0"),
     (("law", "level", "--rho", "1/2", "--initial", "geo:1/2", "--nmax", "-1"),
      "--nmax must be >= 0"),
+    (("scaling", "donsker", "--N", "400", "--v", "0", "--initial", "qnb:q=1,theta=1/2",
+      "--samples", "200"), "the donsker check of qnb:q=1/1,theta=1/2 needs --v != 0"),
+    (("scaling", "continuity", "--N", "100", "--v", "0", "--regime", "corollary", "--u", "1"),
+     "the corollary regime needs --v != 0"),
 ])
 def test_out_of_range_input_exits_two_with_a_reason(capsys, argv, reason):
     start = time.perf_counter()

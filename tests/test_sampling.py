@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -21,6 +22,7 @@ from pitman_lab import (
     ks_two_sample_critical,
     sample_chain,
     sample_walk,
+    step_pmf,
     walk_law,
 )
 from pitman_lab import sampling
@@ -171,7 +173,8 @@ class TestChainKernelTable:
         params = Params(rho, sigma)
         got = sample_chain(80, law, params, RngStream(6), n=700)
         want = _reference_chain(80, law, params, RngStream(6), n=700)
-        assert got.shape == want.shape and got.dtype == want.dtype
+        # starts <= 10 and 80 steps: every level fits int8, the narrowest type
+        assert got.shape == want.shape and got.dtype == np.int8
         assert (got == want).all()
 
     def test_far_apart_starts_get_their_own_blocks(self):
@@ -198,6 +201,55 @@ class TestChainKernelTable:
         for delta in (-1, 0, 1):
             p = float(chain_transition(1000, delta, params))
             assert abs((steps == delta).mean() - p) <= 4.5 * math.sqrt(p * (1 - p) / n)
+
+
+class TestLevelDtype:
+    T = 30
+
+    @pytest.mark.parametrize("law,dtype", [
+        (PointMass(127 - T), np.int8),
+        (PointMass(128 - T), np.int16),
+        (PointMass(32767 - T), np.int16),
+        (PointMass(32768 - T), np.int32),
+        (LevelLaw.from_pmf({0: F(1, 2), 10**9: F(1, 2)}), np.int32),
+        (PointMass(2**31 - 1), np.int64),
+    ], ids=repr)
+    def test_narrowest_type_holding_the_top_level(self, law, dtype):
+        # no level can exceed max(start) + t, whatever the steps
+        params = Params(F(1), F(1))
+        got = sample_chain(self.T, law, params, RngStream(2), n=400)
+        want = _reference_chain(self.T, law, params, RngStream(2), n=400)
+        assert got.dtype == dtype and (got == want).all()
+        # a signed type holding max(start) + t holds the difference of two levels
+        assert (got[:, -1] - got[:, 0] == want[:, -1] - want[:, 0]).all()
+
+    @pytest.mark.parametrize("t,dtype", [(0, np.int8), (127, np.int8), (128, np.int16)])
+    def test_walk_values_are_their_int64_cumsum(self, t, dtype):
+        params = Params(F(2, 3), F(1))
+        got = sample_walk(t, params, RngStream(3), n=300)
+        pm = step_pmf(params)
+        u = RngStream(3).generator().random((300, t))
+        steps = np.where(u < float(pm[1]), 1, np.where(u < float(pm[1] + pm[0]), 0, -1))
+        want = np.concatenate([np.zeros((300, 1), np.int64), np.cumsum(steps, axis=1)], axis=1)
+        assert got.dtype == dtype and (got == want).all()
+        assert (got[:, -1] - got[:, 0] == want[:, -1] - want[:, 0]).all()
+
+    def test_no_chains_take_the_horizon_type(self):
+        assert sample_chain(200, PointMass(1), Params(F(1)), RngStream(0), n=0).dtype == np.int16
+
+    def test_donsker_call_peaks_at_its_path_array(self):
+        # the Donsker check's chain call: levels <= 550 take two bytes each,
+        # and the working buffers beside the paths stay within 4 MiB
+        t, n = 500, 20000
+        tracemalloc.start()
+        try:
+            out = sample_chain(t, PointMass(50), Params(1 - F(2, 5) / 50, F(2)),
+                               RngStream(1), n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 2 * n * (t + 1)
+        assert peak <= out.nbytes + 4 * 2**20
 
 
 class TestChainBlocks:
