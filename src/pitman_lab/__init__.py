@@ -66,7 +66,6 @@ from .conditioning import (
 from .scaling import (
     LimitLevelLaw,
     MuMeasure,
-    ScalingConfig,
     continuity_check,
     donsker_check,
     heat_kernel,

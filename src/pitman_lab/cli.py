@@ -141,8 +141,7 @@ def _cmd_law(args):
 
 def _cmd_scaling_continuity(args):
     report = continuity_check(args.N, parse_rat(args.v), args.regime,
-                              _grid(args.grid), u=parse_rat(args.u) if args.u else None,
-                              power_eps=args.power_eps, point_scale=args.point_scale)
+                              _grid(args.grid), u=parse_rat(args.u) if args.u else None)
     report["status"] = "PASS" if report["sup_distance"] <= args.tol else "FAIL"
     report["tol"] = args.tol
     return report
@@ -272,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=["point", "power", "corollary"], default="point")
     p.add_argument("--grid", default="0.1:3.0:0.1")
     p.add_argument("--u", help="second rate for the corollary regime")
-    p.add_argument("--power-eps", type=float, default=0.2)
-    p.add_argument("--point-scale", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=0.02)
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.set_defaults(fn=_cmd_scaling_continuity)

@@ -371,6 +371,8 @@ def verify_two_sided(t_max: int, law: InitialLaw, params: Params) -> dict:
 def walk_match_report(glaw: InitialLaw, params: Params, t_max: int) -> dict:
     """Does 2(M-G)_+ - S reproduce the plain walk law?  (It should exactly when
     G is geometric with parameter rho^2 and rho < 1, and for no other law.)"""
+    if t_max < 1:
+        raise ValueError(f"walk-match needs t_max >= 1, got {t_max}: t=0 compares no table")
     worst, witness = worst_difference(
         (table_diffs(t, ("transform_vs_walk", rhs_law_enumeration(t, glaw, params),
                          walk_law(t, params)))
@@ -404,6 +406,8 @@ def damage_check(q, theta, nmax: int = 60) -> dict:
     """
     from .processes import QNegativeBinomial
 
+    if nmax < 0:
+        raise ValueError(f"--nmax must be >= 0, got {nmax}: no level would be checked")
     q, theta = rat(q), rat(theta)
     law = QNegativeBinomial(q, theta)  # validates 0 <= theta < 1, q*theta < 1
     violations = 0

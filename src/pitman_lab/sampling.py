@@ -57,19 +57,22 @@ def sample_walk(t: int, params: Params, rng, n: int = 1) -> np.ndarray:
 
     Walk values lie in [-t, t], so the paths come in the narrowest signed
     integer type that holds t; the difference of two entries of one path is
-    at most t in size and fits too.
+    at most t in size and fits too.  The uniforms are drawn ``block_rows(t)``
+    walks at a time, the same stretch of the stream as one draw of all n.
     """
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     gen = _gen(rng)
     pm = step_pmf(params)
     p_up, p_upflat = float(pm[1]), float(pm[1] + pm[0])
-    u = gen.random((n, t))
-    # +1 below p_up, -1 from p_upflat on, 0 between: [u < p_up] - [u >= p_upflat]
-    steps = np.subtract((u < p_up).view(np.int8), (u >= p_upflat).view(np.int8))
     dtype = _level_dtype(t)
     out = np.zeros((n, t + 1), dtype=dtype)
-    np.cumsum(steps, axis=1, dtype=dtype, out=out[:, 1:])
+    rows = block_rows(max(t, 1))
+    for i in range(0, n, rows):
+        u = gen.random((min(rows, n - i), t))
+        # +1 below p_up, -1 from p_upflat on, 0 between: [u < p_up] - [u >= p_upflat]
+        steps = np.subtract((u < p_up).view(np.int8), (u >= p_upflat).view(np.int8))
+        np.cumsum(steps, axis=1, dtype=dtype, out=out[i:i + len(u), 1:])
     return out
 
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,9 @@ from .sampling import RngStream, _gen, ks_distance, ks_two_sample_critical, samp
 # ---------------------------------------------------------------------------
 # catalog measures on [0, inf) and the induced level law
 # ---------------------------------------------------------------------------
+
+
+RATE_GAP = 1e-3  # the least relative gap between the rates of a hypoexponential
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,13 @@ class MuMeasure:
 
     @classmethod
     def hypoexponential(cls, l1: float, l2: float) -> "MuMeasure":
-        """Sum of independent Exp(l1) and Exp(l2), l1 != l2."""
-        if l1 == l2:
-            raise ValueError("rates must differ")
+        """Sum of independent Exp(l1) and Exp(l2), the rates at least
+        RATE_GAP apart relative to the larger: the density's two terms cancel
+        as the rates meet, and the CDF's error grows like the inverse gap
+        (5e-13 absolute against mpmath at rates 1 and 1.0001)."""
+        if abs(l1 - l2) < RATE_GAP * max(abs(l1), abs(l2)):
+            raise ValueError(f"rates must differ by at least {RATE_GAP:g} relative, "
+                             f"got {l1:g} and {l2:g}")
         c = l1 * l2 / (l2 - l1)
         return cls(exp_terms=((c, l1), (-c, l2)))
 
@@ -160,8 +166,6 @@ class LimitLevelLaw:
 
     v: float
     mu: MuMeasure
-    _grid: np.ndarray = field(default=None, repr=False)
-    _grid_cdf: np.ndarray = field(default=None, repr=False)
 
     def _atom_cdf_term(self, x, loc, w):
         if self.v == 0:
@@ -223,10 +227,10 @@ class LimitLevelLaw:
 
     # -- sampling via a tabulated inverse CDF ---------------------------------
 
-    def _ensure_grid(self):
-        if self._grid is not None:
-            return
-        # the first power of two where at most 1e-10 of the mass is left
+    @functools.cached_property
+    def _ppf_grid(self) -> tuple:
+        """(grid, CDF on it) up to the first power of two where at most 1e-10
+        of the mass is left."""
         tops = 2.0 ** np.arange(21)
         top_cdf = self.cdf(tops)
         if top_cdf[-1] < 1 - 1e-10:
@@ -235,12 +239,12 @@ class LimitLevelLaw:
                 "where its tabulated inverse CDF ends; sampling it would clip that mass")
         hi = tops[np.argmax(top_cdf >= 1 - 1e-10)]
         grid = np.linspace(1e-9, hi, 8193)
-        self._grid, self._grid_cdf = grid, np.maximum.accumulate(self.cdf(grid))
+        return grid, np.maximum.accumulate(self.cdf(grid))
 
     def ppf(self, u):
-        self._ensure_grid()
+        grid, grid_cdf = self._ppf_grid
         u = np.asarray(u, dtype=float)
-        out = np.interp(u, self._grid_cdf, self._grid)
+        out = np.interp(u, grid_cdf, grid)
         return np.where(u <= self.atom, 0.0, out)
 
     def sample(self, rng, size) -> np.ndarray:
@@ -248,59 +252,64 @@ class LimitLevelLaw:
 
 
 # ---------------------------------------------------------------------------
-# scaling configuration and the continuity check
+# diffusive scaling, the limit measure and the continuity check
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalingConfig:
-    """Diffusive-scaling bookkeeping: rho_N = 1 - v/sqrt(N), space scale
-    sqrt(N), time scale N.  Exact rho_N is available when sqrt(N) is an
-    integer and v is rational."""
+def scaled_rho(N: int, v) -> float:
+    """rho_N = 1 - v/sqrt(N) in floats: space is scaled by sqrt(N), time by N."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}: space is scaled by sqrt(N)")
+    rho = 1.0 - float(v) / math.sqrt(N)
+    if rho <= 0:
+        raise ValueError("need v < sqrt(N)")
+    return rho
 
-    N: int
-    v: Fraction
-    sigma: Fraction = Fraction(0)
 
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}: space is scaled by sqrt(N)")
-        object.__setattr__(self, "v", rat(self.v) if not isinstance(self.v, float) else self.v)
-        object.__setattr__(self, "sigma", rat(self.sigma))
-        if float(self.rho_float) <= 0:
-            raise ValueError("need v < sqrt(N)")
+def scaled_params(N: int, v, sigma=0) -> tuple:
+    """(sqrt(N), Params(1 - v/sqrt(N), sigma)) in exact rationals, for a
+    perfect-square N and a rational v."""
+    scaled_rho(N, v)
+    sn = math.isqrt(N)
+    if sn * sn != N:
+        raise ValueError("exact mode needs N to be a perfect square")
+    return sn, Params(1 - rat(v) / sn, sigma)
 
-    @property
-    def sqrt_n(self) -> int:
-        r = math.isqrt(self.N)
-        if r * r != self.N:
-            raise ValueError("exact mode needs N to be a perfect square")
-        return r
 
-    @property
-    def rho_exact(self) -> Fraction:
-        return 1 - rat(self.v) / self.sqrt_n
-
-    @property
-    def rho_float(self) -> float:
-        return 1.0 - float(self.v) / math.sqrt(self.N)
-
-    def params_exact(self) -> Params:
-        return Params(self.rho_exact, self.sigma)
+def limit_measure(law: InitialLaw, params: Params, sn: int, who: str) -> MuMeasure:
+    """mu, the limit of X0/sqrt(N) under rho = 1 - v/sqrt(N) = ``params.rho``:
+    the point mass at n/sqrt(N) for point:n, and for a qnb law with the
+    chain's q the hypoexponential with rates u +- v, u = (1 - theta rho)
+    sqrt(N), so v != 0 there.  ``who`` names the check in the refusals of v."""
+    if isinstance(law, PointMass):
+        return MuMeasure.point(law.n / sn)
+    # not nb, the q = 1 member: it matches only at v = 0, where u + v = u - v
+    if not (type(law) is QNegativeBinomial and law.q == params.q):
+        raise ValueError(f"the scaling limit supports point:<n> and matched qnb initial "
+                         f"laws, got {law.cli_string()!r}")
+    u = float((1 - law.theta * params.rho) * sn)
+    v = float((1 - params.rho) * sn)
+    if 2 * abs(v) < RATE_GAP * (u + abs(v)):
+        raise ValueError(f"{who} needs --v != 0: its limit measure, Exp(u + v) + Exp(u - v), "
+                         f"has equal rates at v = 0, and that Gamma(2, u) measure is not "
+                         f"supported; rates closer than {RATE_GAP:g} relative are refused "
+                         f"too (got u = {u:g}, v = {v:g})")
+    if not u - abs(v) > 0:
+        raise ValueError(f"{who} needs u - |v| > 0, got u = {u:g}, v = {v:g}")
+    return MuMeasure.hypoexponential(u + v, u - v)
 
 
 CONTINUITY_REGIMES = ("point", "power", "corollary")
 
 
-def continuity_check(N: int, v, regime: str, grid, u=None,
-                     power_eps: float = 0.2, point_scale: float = 1.0) -> dict:
+def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
     """Exact law of (level law at size N)/sqrt(N) against its continuum limit.
 
     Regimes:
-      * ``point``   -- the initial level is fixed at floor(point_scale*sqrt(N));
-                       the limit measure is a point mass, giving a truncated
+      * ``point``   -- the initial level is fixed at sqrt(N); the limit
+                       measure is the point mass at 1, giving a truncated
                        exponential (v != 0) or uniform (v = 0) level law.
-      * ``power``   -- the initial level floor(N^(1/2+eps)) escapes to infinity;
+      * ``power``   -- the initial level floor(N^0.7) escapes to infinity;
                        needs v > 0, the limit is Exp(2v).
       * ``corollary`` -- theta-geometric-pair initial law with rates set by
                        (u, v), v != 0; the limit measure is the two-exponential
@@ -308,36 +317,30 @@ def continuity_check(N: int, v, regime: str, grid, u=None,
 
     Returns per-grid-point rows (x, exact, limit, diff) and the sup distance.
     """
-    cfg = ScalingConfig(N, rat(v))
-    sn = cfg.sqrt_n
-    params = cfg.params_exact()
-    vf = float(v)
+    sn, params = scaled_params(N, v)
+    vf, grid = float(v), list(grid)
+    if not grid:
+        raise ValueError("the --grid holds no point: nothing would be compared")
 
-    if regime == "point":
-        m = math.floor(point_scale * sn)
-        law = PointMass(m)
-        limit_fn = LimitLevelLaw(vf, MuMeasure.point(point_scale)).cdf
-    elif regime == "power":
+    if regime == "power":
         if vf <= 0:
             raise ValueError("the power regime needs v > 0")
-        m = math.floor(N ** (0.5 + power_eps))
-        law = PointMass(m)
+        law = PointMass(math.floor(N ** 0.7))
         limit_fn = lambda x: -math.expm1(-2 * vf * x)
-    elif regime == "corollary":
-        if u is None:
-            raise ValueError("the corollary regime needs u")
-        uf = float(u)
-        if uf + vf == uf - vf:
-            raise ValueError("the corollary regime needs --v != 0: its limit measure, "
-                             "Exp(u + v) + Exp(u - v), has equal rates at v = 0, and that "
-                             "Gamma(2, u) measure is not supported")
-        if not (uf > 0 and uf + vf > 0 and uf - vf > 0):
-            raise ValueError("need u > 0 and u + v > 0 and u - v > 0")
-        rho0 = 1 - rat(u) / sn
-        law = QNegativeBinomial(params.q, rho0 / params.rho)
-        limit_fn = LimitLevelLaw(vf, MuMeasure.hypoexponential(uf + vf, uf - vf)).cdf
     else:
-        raise ValueError(f"unknown regime {regime!r}; choose from {CONTINUITY_REGIMES}")
+        if regime == "point":
+            law = PointMass(sn)
+        elif regime == "corollary":
+            if u is None:
+                raise ValueError("the corollary regime needs u")
+            if not (u > 0 and u + v > 0 and u - v > 0):
+                raise ValueError("need u > 0 and u + v > 0 and u - v > 0")
+            # theta rho = rho0 = 1 - u/sqrt(N): the limit measure's u is this u
+            law = QNegativeBinomial(params.q, (1 - rat(u) / sn) / params.rho)
+        else:
+            raise ValueError(f"unknown regime {regime!r}; choose from {CONTINUITY_REGIMES}")
+        mu = limit_measure(law, params, sn, f"the {regime} regime")
+        limit_fn = LimitLevelLaw(vf, mu).cdf
 
     glaw = g_law_from_initial(law, params, "G")
     rows = []
@@ -386,8 +389,7 @@ def kernel_limit_check(N: int, t: float, x: float, y: float, v: float) -> dict:
     The finite-N probability is the two-binomial difference (path counts do
     not depend on the interior) evaluated in log space.
     """
-    rho = ScalingConfig(N, v).rho_float  # refuses N < 1 and v >= sqrt(N)
-    sn = math.sqrt(N)
+    rho, sn = scaled_rho(N, v), math.sqrt(N)
     T = _even_floor(t * N)
     x0 = _even_floor(x * sn)
     xt = _even_floor(y * sn)
@@ -475,30 +477,12 @@ def donsker_check(N: int, v, sigma, law: InitialLaw, samples: int, seed: int) ->
     """KS test of the chain's X_N - X_0 under rho = 1 - v/sqrt(N), started
     from ``law``, against sqrt(N) times the limit process at time 1 rounded
     to the chain's lattice (the local-CLT continuity correction); PASS below
-    the 1% critical value.  mu is the point mass at n/sqrt(N) for point:n,
-    and for a qnb law with the chain's q the hypoexponential with rates u +- v,
-    u = (1 - theta rho) sqrt(N), so v != 0 there.  The chain draws from
-    child 1 of ``RngStream(seed)``, the limit from child 2.
+    the 1% critical value.  mu is ``limit_measure`` of ``law``.  The chain
+    draws from child 1 of ``RngStream(seed)``, the limit from child 2.
     """
     stream, vf = RngStream(seed), float(v)
-    # refuses N < 1, v >= sqrt(N) and an N that is not a perfect square
-    cfg = ScalingConfig(N, v, sigma)
-    sn, params = cfg.sqrt_n, cfg.params_exact()
-    if isinstance(law, PointMass):
-        mu = MuMeasure.point(law.n / sn)
-    elif type(law) is QNegativeBinomial and law.q == params.q:
-        # not nb, the q = 1 member: it matches only at v = 0, where u + v = u - v
-        u = float((1 - law.theta * params.rho) * sn)
-        if u + vf == u - vf:
-            raise ValueError(f"the donsker check of {law.cli_string()} needs --v != 0: its "
-                             f"limit measure, Exp(u + v) + Exp(u - v), has equal rates at "
-                             f"v = 0, and that Gamma(2, u) measure is not supported")
-        if not (u + vf > 0 and u - vf > 0):
-            raise ValueError("qnb donsker check needs u - |v| > 0")
-        mu = MuMeasure.hypoexponential(u + vf, u - vf)
-    else:
-        raise ValueError(f"donsker check supports point:<n> and matched qnb initial laws, "
-                         f"got {law.cli_string()!r}")
+    sn, params = scaled_params(N, v, sigma)
+    mu = limit_measure(law, params, sn, f"the donsker check of {law.cli_string()}")
     chains = sample_chain(N, law, params, stream.child(1), n=samples)
     lim = limit_process_sample(vf, LimitLevelLaw(vf, mu), [1.0], None,
                                stream.child(2), n=samples, sigma=float(sigma))[:, 0]

@@ -327,6 +327,13 @@ def test_unknown_command_usage_error(capsys):
       "--samples", "200"), "the donsker check of qnb:q=1/1,theta=1/2 needs --v != 0"),
     (("scaling", "continuity", "--N", "100", "--v", "0", "--regime", "corollary", "--u", "1"),
      "the corollary regime needs --v != 0"),
+    (("scaling", "continuity", "--N", "10000", "--v", "1/100000000000000", "--regime",
+      "corollary", "--u", "1"), "the corollary regime needs --v != 0"),
+    (("scaling", "continuity", "--N", "100", "--grid", "1:0:0.1"), "--grid holds no point"),
+    (("scaling", "continuity", "--N", "100", "--grid", "1:0:0.1", "--out", "csv"),
+     "--grid holds no point"),
+    (("verify", "damage", "--q", "1/4", "--theta", "1/2", "--nmax", "-1"),
+     "--nmax must be >= 0"),
 ])
 def test_out_of_range_input_exits_two_with_a_reason(capsys, argv, reason):
     start = time.perf_counter()

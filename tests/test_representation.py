@@ -245,6 +245,10 @@ class TestVerify:
         rep = walk_match_report(LevelLaw.geometric(F(1, 3)), params, 4)
         assert rep["status"] == "DIFFER" and rep["witness"]
 
+    def test_walk_match_refuses_an_empty_horizon_range(self):
+        with pytest.raises(ValueError, match="t=0 compares no table"):
+            walk_match_report(Geometric(F(1, 2)), Params(F(1, 2)), 0)
+
 
 class TestDamage:
     @pytest.mark.parametrize("q,theta", [(F(1, 4), F(1, 2)), (F(1), F(1, 2)), (F(4), F(1, 5))])

@@ -223,7 +223,9 @@ class TestLevelDtype:
         # a signed type holding max(start) + t holds the difference of two levels
         assert (got[:, -1] - got[:, 0] == want[:, -1] - want[:, 0]).all()
 
-    @pytest.mark.parametrize("t,dtype", [(0, np.int8), (127, np.int8), (128, np.int16)])
+    # t = 700 draws block_rows(700) = 187 walks at a time: 300 walks cross a block edge
+    @pytest.mark.parametrize("t,dtype", [(0, np.int8), (127, np.int8), (128, np.int16),
+                                         (700, np.int16)])
     def test_walk_values_are_their_int64_cumsum(self, t, dtype):
         params = Params(F(2, 3), F(1))
         got = sample_walk(t, params, RngStream(3), n=300)
@@ -233,6 +235,16 @@ class TestLevelDtype:
         want = np.concatenate([np.zeros((300, 1), np.int64), np.cumsum(steps, axis=1)], axis=1)
         assert got.dtype == dtype and (got == want).all()
         assert (got[:, -1] - got[:, 0] == want[:, -1] - want[:, 0]).all()
+
+    def test_walk_draw_peaks_at_its_path_array(self):
+        # uniforms come block_rows(t) walks at a time, not all n * t at once
+        tracemalloc.start()
+        try:
+            out = sample_walk(120, Params(F(1, 2)), RngStream(3), n=200000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * 2**20
 
     def test_no_chains_take_the_horizon_type(self):
         assert sample_chain(200, PointMass(1), Params(F(1)), RngStream(0), n=0).dtype == np.int16

@@ -17,7 +17,6 @@ from pitman_lab import (
     MuMeasure,
     Params,
     RngStream,
-    ScalingConfig,
     continuity_check,
     g_law_from_initial,
     heat_kernel,
@@ -28,6 +27,7 @@ from pitman_lab import (
     step_pmf,
     walk_law,
 )
+from pitman_lab.scaling import scaled_params, scaled_rho
 
 CATALOG = [
     ("delta0", MuMeasure.point(0.0)),
@@ -186,6 +186,17 @@ class TestLevelLawKernel:
         with pytest.raises(ValueError, match=r"leaves mass 0\.(7|6)"):
             lll.sample(RngStream(1), 10000)
 
+    def test_laws_that_have_sampled_compare_equal(self):
+        a, b = (LimitLevelLaw(0.5, MuMeasure.point(1.0)) for _ in range(2))
+        a.sample(RngStream(1), 10), b.sample(RngStream(2), 10)
+        assert a == b
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-8, 0.0])
+    def test_hypoexponential_refuses_rates_that_nearly_meet(self, gap):
+        # the two density terms cancel, and the CDF's error grows like 1/gap
+        with pytest.raises(ValueError, match="rates must differ by at least 0.001"):
+            MuMeasure.hypoexponential(1.0, 1.0 + gap)
+
     def test_large_rate_over_drift(self):
         # b = rate/(2|v|) = 5e4: Euler-Maclaurin from the first term on
         lll = LimitLevelLaw(1e-5, MuMeasure.exponential(1.0))
@@ -219,6 +230,11 @@ class TestContinuity:
         big = continuity_check(40000, F(1, 2), "point", self.GRID)
         assert big["sup_distance"] < small["sup_distance"]
 
+    def test_corollary_refuses_rates_that_nearly_meet(self):
+        # u +- v = 1 +- 1e-14: the limit CDF would cancel to 0.6328125
+        with pytest.raises(ValueError, match="the corollary regime needs --v != 0"):
+            continuity_check(10**4, F(1, 10**14), "corollary", [1.0], u=F(1))
+
     def test_rows_are_self_describing(self):
         rep = continuity_check(2500, F(1, 2), "point", [0.5, 1.0])
         assert {"x", "exact", "limit", "diff"} <= set(rep["rows"][0])
@@ -248,13 +264,12 @@ def test_importing_the_package_leaves_scipy_unloaded():
 
 class TestScalingConfig:
     def test_exact_rho(self):
-        cfg = ScalingConfig(10000, F(1, 2))
-        assert cfg.rho_exact == F(199, 200)
-        assert cfg.rho_float == pytest.approx(0.995)
+        assert scaled_params(10000, F(1, 2)) == (100, Params(F(199, 200)))
+        assert scaled_rho(10000, F(1, 2)) == pytest.approx(0.995)
 
     def test_non_square_rejected_for_exact(self):
         with pytest.raises(ValueError):
-            ScalingConfig(1000, F(1, 2)).sqrt_n
+            scaled_params(1000, F(1, 2))
 
 
 class TestHeatKernel:
