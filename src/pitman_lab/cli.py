@@ -2,15 +2,18 @@
 law table, scaling check and sampler.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage / out-of-regime
-parameters.  All randomness is governed by --seed (+ --streams sharding);
-every report embeds the schema tag, package version and the full parameter
-set, so runs are self-describing.
+parameters.  Each verdict and each refusal of a parameter's range comes
+from the library; this module parses arguments and prints reports.  All
+randomness is governed by --seed (+ --streams sharding); every report embeds
+the schema tag, package version and the full parameter set, so runs are
+self-describing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -66,13 +69,13 @@ def _params(args) -> Params:
     return Params(parse_rat(args.rho), parse_rat(args.sigma))
 
 
-def _require_positive(name: str, value: int, why: str):
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}: {why}")
-
-
 def _grid(text: str):
-    start, stop, step = (float(v) for v in text.split(":"))
+    try:
+        start, stop, step = (float(v) for v in text.split(":"))
+    except ValueError:  # a part missing or not a number: refused as non-finite below
+        start = stop = step = math.nan
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"--grid takes start:stop:step, three finite numbers, got {text!r}")
     if not step > 0:
         raise ValueError(f"--grid step must be > 0, got {step}: the grid would never end")
     out, x = [], start
@@ -85,19 +88,6 @@ def _grid(text: str):
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
-
-
-def _cmd_verify_thm1(args):
-    _require_positive("--t", args.t, "t=0 compares no table")
-    law = parse_initial_law(args.initial)
-    candidate = parse_initial_law(args.candidate) if args.candidate else None
-    return verify_thm1(args.t, law, _params(args), part=args.part, candidate=candidate)
-
-
-def _cmd_verify_tropical(args):
-    _require_positive("--streams", args.streams, "each shard draws from its own stream")
-    return verify_tropical(args.t_exhaustive, args.t_random, args.samples, args.g_max,
-                           args.seed, args.streams)
 
 
 def _cmd_preimage(args):
@@ -139,28 +129,12 @@ def _cmd_law(args):
             "mass": prob_json(mass), "status": "PASS"}
 
 
-def _cmd_scaling_continuity(args):
-    report = continuity_check(args.N, parse_rat(args.v), args.regime,
-                              _grid(args.grid), u=parse_rat(args.u) if args.u else None)
-    report["status"] = "PASS" if report["sup_distance"] <= args.tol else "FAIL"
-    report["tol"] = args.tol
-    return report
-
-
-def _cmd_scaling_kernel(args):
-    Ns = [int(n) for n in args.N.split(",")]
-    report = kernel_limit_ladder(Ns, args.t, args.x, args.y, args.v)
-    report["status"] = "PASS" if report["rel_errors"][-1] <= args.tol else "FAIL"
-    report["tol"] = args.tol
-    return report
-
-
 def _cmd_sample(args):
-    _require_positive("--streams", args.streams, "each shard draws from its own stream")
-    _require_positive("--samples", args.samples, "zero samples would print no path")
-    streams = args.streams
-    sizes = shard_sizes(args.samples, streams)
-    keys = [RngStream(args.seed, args.stream + i) for i in range(streams)]
+    sizes = shard_sizes(args.samples, args.streams)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}: "
+                         "zero samples would print no path")
+    keys = [RngStream(args.seed, args.stream + i) for i in range(args.streams)]
 
     def shard(draw):
         # one independent stream per worker slot, assembled in stream order
@@ -178,11 +152,11 @@ def _cmd_sample(args):
         vals = shard(lambda k, m: limit_process_sample(v, gamma, grid, None,
                                                        k, n=m, sigma=sig))
         return {"check": "sample", "seed": args.seed,
-                "streams": streams, "grid": grid,
+                "streams": args.streams, "grid": grid,
                 "paths": [list(map(float, row)) for row in vals],
                 "status": "PASS"}
     return {"check": "sample", "seed": args.seed,
-            "streams": streams, "params": _params(args).to_json(),
+            "streams": args.streams, "params": _params(args).to_json(),
             "paths": [",".join(map(str, row)) for row in vals.tolist()],
             "status": "PASS"}
 
@@ -215,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", required=True)
     p.add_argument("--part", choices=["I", "II"], default="I")
     p.add_argument("--candidate", help="level law to test instead of the derived one")
-    p.set_defaults(fn=_cmd_verify_thm1)
+    p.set_defaults(fn=lambda a: verify_thm1(
+        a.t, parse_initial_law(a.initial), _params(a), a.part,
+        candidate=parse_initial_law(a.candidate) if a.candidate else None))
 
     p = vsub.add_parser("thm2", help="chain law == conditioned-walk law")
     _add_params(p)
@@ -239,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--streams", type=int, default=20,
                    help="independent sample shards, one rng stream each")
-    p.set_defaults(fn=_cmd_verify_tropical)
+    p.set_defaults(fn=lambda a: verify_tropical(a.t_exhaustive, a.t_random, a.samples,
+                                                a.g_max, a.seed, a.streams))
 
     p = vsub.add_parser("damage", help="independent split of a q-negative-binomial count")
     p.add_argument("--q", required=True)
@@ -271,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=["point", "power", "corollary"], default="point")
     p.add_argument("--grid", default="0.1:3.0:0.1")
     p.add_argument("--u", help="second rate for the corollary regime")
-    p.add_argument("--tol", type=float, default=0.02)
     p.add_argument("--out", choices=["json", "csv"], default="json")
-    p.set_defaults(fn=_cmd_scaling_continuity)
+    p.set_defaults(fn=lambda a: continuity_check(a.N, parse_rat(a.v), a.regime, _grid(a.grid),
+                                                 u=parse_rat(a.u) if a.u else None))
 
     p = ssub.add_parser("kernel", help="transition-kernel limit error ladder")
     p.add_argument("--N", default="100,10000", help="comma-separated ladder")
@@ -281,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--y", type=float, default=1.0)
     p.add_argument("--v", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=0.05)
-    p.set_defaults(fn=_cmd_scaling_kernel)
+    p.set_defaults(fn=lambda a: kernel_limit_ladder([int(n) for n in a.N.split(",")],
+                                                    a.t, a.x, a.y, a.v))
 
     p = ssub.add_parser("donsker", help="chain marginal vs Brownian functional (KS)")
     p.add_argument("--N", type=int, default=2500)

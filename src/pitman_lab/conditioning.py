@@ -27,7 +27,7 @@ from .processes import (
     chain_increment_law,
     step_pmf,
 )
-from .representation import table_diffs, worst_difference
+from .representation import compare_routes
 from .sampling import _gen, block_rows
 
 _REJECTION_CHUNK = 50000  # walks per batch of rejection_oracle; its draws depend on it
@@ -101,13 +101,11 @@ def verify_thm2(t_max: int, law: InitialLaw, params: Params, part: str = "I") ->
     closed forms: the chain route sums over the initial law
     (``bracket_ratio_sum_exact``), the conditioned walk over V
     (``bracket_tail``)."""
-    if t_max < 1:
-        raise ValueError(f"thm2 needs t_max >= 1, got {t_max}: t=0 compares no table")
     vlaw = v_law_from_initial(law, params, part)
-    worst, witness = worst_difference(
-        table_diffs(t, ("chain_vs_conditioned", chain_increment_law(t, law, params),
-                        conditioned_walk_law(t, vlaw, params, part)))
-        for t in range(1, t_max + 1))
+    worst, witness = compare_routes(
+        "thm2", range(1, t_max + 1),
+        lambda t: [("chain_vs_conditioned", chain_increment_law(t, law, params),
+                    conditioned_walk_law(t, vlaw, params, part))])
     return {
         "check": "thm2",
         "part": part,

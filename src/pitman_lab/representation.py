@@ -101,9 +101,10 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
     1/rho^2 (sign-flipped walk side).  The tail comes from the same sums:
     P(G >= n) = P(X0 >= n) - [n]_q * tail_sum_ratio(law, n, q).
 
-    In approx mode one :class:`TailSumTable` serves every level of both pmf
-    and tail.  Their errors add to the table's the rounding of the float
-    factors q^n (float(q) to the power n, pow within one ulp, the product)
+    In approx mode one :class:`TailSumTable`, built at the first read (so a
+    verifier refuses its arguments before paying for it), serves every level
+    of both pmf and tail.  Their errors add to the table's the rounding of the
+    float factors q^n (float(q) to the power n, pow within one ulp, the product)
     and, for the tail, of P(X0 >= n) (the law's ``float_rel_err``), of [n]_q
     (``bracket_rel_err``), of the product and of the difference; the factor
     1.1 covers second-order terms and the rounding of the bound itself.
@@ -123,7 +124,7 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
             label=label,
         )
 
-    table = TailSumTable(law, q, trunc_n)
+    table = functools.cache(lambda: TailSumTable(law, q, trunc_n))
     qf, u = float(q), UNIT_ROUNDOFF
     log_q = math.log(qf)
 
@@ -134,18 +135,18 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
         return Approx(0.0, law.tail_bound(n))
 
     def pmf_fn(n):
-        if n > table.top or n * log_q > 700:
+        if n > table().top or n * log_q > 700:
             return bounded_by_initial_tail(n)
-        s = table.at(n)
+        s = table().at(n)
         qn = qf**n
         value = qn * s.value
         return Approx(value, 1.1 * (qn * s.err + rel_err((n + 4) * u) * value))
 
     def tail_fn(n):
-        if n > table.top:
+        if n > table().top:
             return bounded_by_initial_tail(n)
-        s = table.at(n)
-        br, br_err = table.bracket(n)
+        s = table().at(n)
+        br, br_err = table().bracket(n)
         removed = br * s.value
         if not math.isfinite(removed):
             return bounded_by_initial_tail(n)
@@ -228,42 +229,41 @@ def _diff_json(diff):
     return {"exact": False, "value": float(diff), "float": float(diff)}
 
 
-def table_diffs(t: int, *pairs):
-    """(difference, witness) of each labelled table pair of horizon t.  An
-    exact table whose mass is not exactly 1 raises ArithmeticError: a route
+def compare_routes(check: str, horizons, pairs_at, stop_at_witness: bool = False):
+    """The loop every table verifier shares.  For each horizon t, ``pairs_at(t)``
+    gives labelled table pairs (label, table_a, table_b); keep the largest
+    difference and the witness {"pair", "path", "horizon"} that first reached
+    it, and return (difference, witness).
+
+    An exact table whose mass is not exactly 1 raises ArithmeticError: a route
     that lost or double-counted paths must not PASS.  A table in several
-    pairs is checked once."""
-    checked = set()
-    for label, ta, tb in pairs:
-        for table in (ta, tb):
-            if table.mode == "exact" and id(table) not in checked:
-                checked.add(id(table))
-                if (mass := table.mass()) != 1:
-                    raise ArithmeticError(f"{label}: a table of horizon {t} has mass {mass}")
-        d, w = ta.max_abs_diff(tb)
-        yield d, {"pair": label, "path": str(w), "horizon": t}
-
-
-def worst_difference(rounds, stop_at_witness: bool = False):
-    """The loop every verifier shares: over ``rounds`` (one per horizon or
-    shard, each an iterable of (difference, witness) pairs) keep the largest
-    difference and the witness that first reached it.  ``stop_at_witness``
-    ends the loop after the first round that has one, as a single witness
-    settles a converse question; pass ``rounds`` as a generator so later
-    rounds are not built."""
+    pairs of one horizon is checked once.  ``stop_at_witness`` ends the loop
+    after the first horizon that has a witness, as a single witness settles a
+    converse question; later horizons' tables are not built.
+    """
+    horizons = list(horizons)
+    if not horizons or min(horizons) < 1:
+        raise ValueError(f"{check} needs horizons t >= 1 (--t >= 1), got "
+                         f"{horizons or 'none'}: t=0 compares no table")
     worst, witness = Fraction(0), None
-    for diffs in rounds:
-        for d, w in diffs:
+    for t in horizons:
+        checked = set()
+        for label, ta, tb in pairs_at(t):
+            for table in (ta, tb):
+                if table.mode == "exact" and id(table) not in checked:
+                    checked.add(id(table))
+                    if (mass := table.mass()) != 1:
+                        raise ArithmeticError(f"{label}: a table of horizon {t} has mass {mass}")
+            d, w = ta.max_abs_diff(tb)
             if d > worst:
-                worst, witness = d, w
+                worst, witness = d, {"pair": label, "path": str(w), "horizon": t}
         if witness is not None and stop_at_witness:
             break
     return worst, witness
 
 
 def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
-                candidate: InitialLaw = None, tol: float = 0.0,
-                t_values=None) -> dict:
+                candidate: InitialLaw = None, t_values=None) -> dict:
     """Check the representation identity on every horizon up to t_max.
 
     Forward direction (candidate=None): derive the level law from the initial
@@ -295,9 +295,6 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
     if part not in ("I", "II"):
         raise ValueError("part must be 'I' or 'II'")
     horizons = list(t_values if t_values is not None else range(1, t_max + 1))
-    if not horizons or min(horizons) < 1:
-        raise ValueError(f"thm1 needs horizons t >= 1, got t_max={t_max}: "
-                         "t=0 compares no table")
     walk_params = params if part == "I" else params.tilde()
     which = "G" if part == "I" else "Gtilde"
     glaw = candidate if candidate is not None else g_law_from_initial(law, params, which)
@@ -305,18 +302,17 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
     exact = glaw.exact and law.exact and law.exact_capable(params.q)
     chain_errs = [0.0]
 
-    def horizon(t):
+    def routes(t):
         chain = chain_increment_law(t, law, params, mode="exact" if exact else "approx")
         chain_errs.append(chain.err)
         enum = rhs_law_enumeration(t, glaw, walk_params)
         form = rhs_law_table_formula(t, glaw, walk_params)
-        return table_diffs(t, ("chain_vs_enumeration", chain, enum),
-                           ("chain_vs_formula", chain, form),
-                           ("enumeration_vs_formula", enum, form))
+        return (("chain_vs_enumeration", chain, enum), ("chain_vs_formula", chain, form),
+                ("enumeration_vs_formula", enum, form))
 
-    worst, witness = worst_difference((horizon(t) for t in horizons),
-                                      stop_at_witness=candidate is not None)
-    parts = None
+    worst, witness = compare_routes("thm1", horizons, routes,
+                                    stop_at_witness=candidate is not None)
+    parts, tol = None, 0.0
     if not exact:
         parts = {
             "chain_err": max(chain_errs),
@@ -324,8 +320,7 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
                              for n in range(max(horizons) + 1)),
             "entry_rounding": 8 * UNIT_ROUNDOFF,
         }
-        tol = max(tol, parts["chain_err"] + 2 * parts["level_err"]
-                  + 2 * parts["entry_rounding"])
+        tol = parts["chain_err"] + 2 * parts["level_err"] + 2 * parts["entry_rounding"]
     status = "PASS" if worst <= tol else "FAIL"
     report = {
         "check": "thm1",
@@ -348,15 +343,13 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
 
 def verify_two_sided(t_max: int, law: InitialLaw, params: Params) -> dict:
     """Both transform representations (plain and sign-flipped walk) give one law."""
-    if t_max < 1:
-        raise ValueError(f"two-sided needs t_max >= 1, got {t_max}: t=0 compares no table")
     g = g_law_from_initial(law, params, "G")
     gt = g_law_from_initial(law, params, "Gtilde")
     tilde = params.tilde()
-    worst, witness = worst_difference(
-        table_diffs(t, ("plain_vs_flipped", rhs_law_enumeration(t, g, params),
-                        rhs_law_enumeration(t, gt, tilde)))
-        for t in range(1, t_max + 1))
+    worst, witness = compare_routes(
+        "two-sided", range(1, t_max + 1),
+        lambda t: [("plain_vs_flipped", rhs_law_enumeration(t, g, params),
+                    rhs_law_enumeration(t, gt, tilde))])
     return {
         "check": "two-sided",
         "params": params.to_json(),
@@ -371,12 +364,10 @@ def verify_two_sided(t_max: int, law: InitialLaw, params: Params) -> dict:
 def walk_match_report(glaw: InitialLaw, params: Params, t_max: int) -> dict:
     """Does 2(M-G)_+ - S reproduce the plain walk law?  (It should exactly when
     G is geometric with parameter rho^2 and rho < 1, and for no other law.)"""
-    if t_max < 1:
-        raise ValueError(f"walk-match needs t_max >= 1, got {t_max}: t=0 compares no table")
-    worst, witness = worst_difference(
-        (table_diffs(t, ("transform_vs_walk", rhs_law_enumeration(t, glaw, params),
-                         walk_law(t, params)))
-         for t in range(1, t_max + 1)),
+    worst, witness = compare_routes(
+        "walk-match", range(1, t_max + 1),
+        lambda t: [("transform_vs_walk", rhs_law_enumeration(t, glaw, params),
+                    walk_law(t, params))],
         stop_at_witness=True)
     return {
         "check": "walk-match",

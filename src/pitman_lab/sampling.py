@@ -36,6 +36,9 @@ def _gen(rng) -> np.random.Generator:
 
 def shard_sizes(total: int, streams: int) -> list:
     """``total`` draws split over ``streams`` shards, the first ones one larger."""
+    if streams < 1:
+        raise ValueError(f"--streams must be >= 1, got {streams}: each shard draws "
+                         "from its own stream")
     return [total // streams + (1 if i < total % streams else 0) for i in range(streams)]
 
 

@@ -51,6 +51,9 @@ class MuMeasure:
     exp_terms: tuple = ()  # ((coef, rate), ...)
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for pair in self.atoms + self.exp_terms for x in pair):
+            raise ValueError(f"a measure needs finite atoms and terms, got atoms {self.atoms} "
+                             f"and terms {self.exp_terms}")
         mass = sum(w for _, w in self.atoms) + sum(c / l for c, l in self.exp_terms)
         if abs(mass - 1.0) > 1e-12:
             raise ValueError(f"measure mass {mass} != 1")
@@ -300,6 +303,8 @@ def limit_measure(law: InitialLaw, params: Params, sn: int, who: str) -> MuMeasu
 
 
 CONTINUITY_REGIMES = ("point", "power", "corollary")
+CONTINUITY_TOL = 0.02  # the largest sup distance continuity_check passes
+KERNEL_TOL = 0.05  # the largest relative error at a ladder's last N that passes
 
 
 def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
@@ -315,7 +320,8 @@ def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
                        (u, v), v != 0; the limit measure is the two-exponential
                        convolution, whose level law collapses to Exp(u+v).
 
-    Returns per-grid-point rows (x, exact, limit, diff) and the sup distance.
+    Returns per-grid-point rows (x, exact, limit, diff) and the sup distance,
+    which PASSes up to CONTINUITY_TOL.
     """
     sn, params = scaled_params(N, v)
     vf, grid = float(v), list(grid)
@@ -335,6 +341,9 @@ def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
                 raise ValueError("the corollary regime needs u")
             if not (u > 0 and u + v > 0 and u - v > 0):
                 raise ValueError("need u > 0 and u + v > 0 and u - v > 0")
+            if u > sn:
+                raise ValueError(f"the corollary regime needs --u <= sqrt(N) = {sn}, got {u}: "
+                                 "the start law's rho0 = 1 - u/sqrt(N) would be negative")
             # theta rho = rho0 = 1 - u/sqrt(N): the limit measure's u is this u
             law = QNegativeBinomial(params.q, (1 - rat(u) / sn) / params.rho)
         else:
@@ -360,6 +369,8 @@ def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
         "initial": law.cli_string(),
         "rows": rows,
         "sup_distance": sup,
+        "status": "PASS" if sup <= CONTINUITY_TOL else "FAIL",
+        "tol": CONTINUITY_TOL,
     }
 
 
@@ -429,12 +440,18 @@ def kernel_limit_check(N: int, t: float, x: float, y: float, v: float) -> dict:
 
 
 def kernel_limit_ladder(Ns, t, x, y, v) -> dict:
+    """kernel_limit_check at each N of the ladder; PASS when the relative
+    error at the last N is at most KERNEL_TOL."""
+    if not Ns:
+        raise ValueError("the --N ladder holds no N: nothing would be compared")
     reports = [kernel_limit_check(N, t, x, y, v) for N in Ns]
     return {
         "check": "kernel-ladder",
         "Ns": list(Ns),
         "rel_errors": [r["rel_error"] for r in reports],
         "reports": reports,
+        "status": "PASS" if reports[-1]["rel_error"] <= KERNEL_TOL else "FAIL",
+        "tol": KERNEL_TOL,
     }
 
 
@@ -455,6 +472,8 @@ def limit_process_sample(v: float, gamma_law: LimitLevelLaw, t_grid, steps: int,
     included).  Returns an (n, len(t_grid)) array.  ``steps`` is ignored.
     """
     t_grid = np.asarray(list(t_grid), dtype=float)
+    if not len(t_grid):
+        raise ValueError("the --grid holds no point: nothing would be sampled")
     if not (np.isfinite(t_grid).all() and (t_grid >= 0).all()):
         raise ValueError(f"grid times must be finite and >= 0, got {t_grid.tolist()}")
     if not sigma >= 0:

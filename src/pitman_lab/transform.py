@@ -168,12 +168,10 @@ def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
     of levels g1, g2 <= t + 1, then on ``samples`` random paths of horizon
     t_random, split over ``streams`` shards with one rng stream and one
     random (g1, g2) <= g_max each."""
-    if streams < 1:
-        raise ValueError(f"streams must be >= 1, got {streams}: each shard draws "
-                         "from its own stream")
     if min(t_exhaustive, t_random, samples, g_max) < 0:
         raise ValueError("t_exhaustive, t_random, samples and g_max must be >= 0, got "
                          f"{t_exhaustive}, {t_random}, {samples}, {g_max}")
+    sizes = shard_sizes(samples, streams)  # refuses streams < 1 before any work
     violations = 0
 
     def count(vals, g1, g2):
@@ -183,7 +181,7 @@ def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
     for t in range(t_exhaustive + 1):
         vals = np.array([p.values for p in enumerate_paths(t)], dtype=np.int64).reshape(-1, t + 1)
         violations += count(vals, np.arange(t + 2), np.arange(t + 2))
-    for i, m in enumerate(shard_sizes(samples, streams)):
+    for i, m in enumerate(sizes):
         gen = RngStream(seed, i).generator()
         steps = gen.integers(-1, 2, size=(m, t_random))
         vals = np.concatenate([np.zeros((m, 1), dtype=np.int64), np.cumsum(steps, axis=1)],

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import time
 from fractions import Fraction
 
@@ -254,6 +255,13 @@ class TestScalingCommands:
         assert code == 2 and not out.strip()
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("what", ["kernel", "continuity"])
+    def test_pass_bound_is_not_an_option(self, capsys, what):
+        # the PASS bound is the library's, CONTINUITY_TOL or KERNEL_TOL
+        code, out, err = run(capsys, "scaling", what, "--N", "100", "--tol", "1")
+        assert code == 2 and not out.strip()
+        assert "unrecognized arguments: --tol" in err
+
 
     @pytest.mark.parametrize("argv", [
         ("scaling", "continuity", "--grid", "0.1:3.0:0"),
@@ -334,6 +342,20 @@ def test_unknown_command_usage_error(capsys):
      "--grid holds no point"),
     (("verify", "damage", "--q", "1/4", "--theta", "1/2", "--nmax", "-1"),
      "--nmax must be >= 0"),
+    (("scaling", "continuity", "--N", "100", "--v", "1/2", "--regime", "corollary", "--u", "11"),
+     "the corollary regime needs --u <= sqrt(N) = 10, got 11"),
+    (("scaling", "continuity", "--N", "100", "--grid", "0:1"),
+     "--grid takes start:stop:step"),
+    (("scaling", "continuity", "--N", "100", "--grid", "a:1:0.1"),
+     "--grid takes start:stop:step"),
+    (("sample", "limit-process", "--grid", "0:inf:0.5", "--samples", "2"),
+     "--grid takes start:stop:step, three finite numbers"),
+    (("sample", "limit-process", "--grid", "1:0:0.1", "--samples", "2"),
+     "--grid holds no point"),
+    (("sample", "limit-process", "--gamma-point", "nan", "--samples", "2"),
+     "needs finite atoms and terms"),
+    (("sample", "limit-process", "--gamma-point", "inf", "--samples", "2"),
+     "needs finite atoms and terms"),
 ])
 def test_out_of_range_input_exits_two_with_a_reason(capsys, argv, reason):
     start = time.perf_counter()
@@ -341,3 +363,17 @@ def test_out_of_range_input_exits_two_with_a_reason(capsys, argv, reason):
     assert time.perf_counter() - start < 2.0
     assert code == 2 and not out.strip()
     assert reason in json.loads(err)["error"]
+
+
+def test_readme_commands_are_golden_cases():
+    # every `pitman-lab` command line of the README but `scaling donsker`
+    # (seconds of sampling) is pinned byte for byte in tests/data/cli_golden.json
+    root = pathlib.Path(__file__).parents[1]
+    readme = (root / "README.md").read_text()
+    lines = [line.removeprefix("pitman-lab ") for line in readme.splitlines()
+             if line.startswith("pitman-lab ")]
+    golden = {case["argv"] for case in json.loads(
+        (root / "tests" / "data" / "cli_golden.json").read_text())}
+    pinned = [line for line in lines if not line.startswith("scaling donsker")]
+    assert len(pinned) == len(lines) - 1 == 10
+    assert [line for line in pinned if line not in golden] == []

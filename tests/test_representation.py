@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -29,7 +30,7 @@ from pitman_lab import (
     walk_law,
     walk_path_prob,
 )
-from pitman_lab.representation import worst_difference
+from pitman_lab.representation import compare_routes
 
 FS3 = FiniteSupport(((0, F(1, 6)), (2, F(1, 3)), (5, F(1, 2))))
 
@@ -249,6 +250,16 @@ class TestVerify:
         with pytest.raises(ValueError, match="t=0 compares no table"):
             walk_match_report(Geometric(F(1, 2)), Params(F(1, 2)), 0)
 
+    @pytest.mark.parametrize("verify", [lambda law, p: verify_thm1(0, law, p),
+                                        lambda law, p: verify_two_sided(0, law, p)])
+    def test_refuses_t0_before_building_a_float_level_law(self, verify):
+        # geo:99999/100000 at rho = 1 has a float tail table of ~3.5M levels
+        # (several seconds); the horizon refusal must not wait for it
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="t=0 compares no table"):
+            verify(Geometric(F(99999, 100000)), Params(F(1)))
+        assert time.perf_counter() - start < 1.0
+
 
 class TestDamage:
     @pytest.mark.parametrize("q,theta", [(F(1, 4), F(1, 2)), (F(1), F(1, 2)), (F(4), F(1, 5))])
@@ -272,21 +283,45 @@ class TestDamage:
         assert rep["sup_marginal_error"] <= 1e-12
 
 
+class _FixedDiff:
+    """A float table whose difference to any table is (diff, witness)."""
+    mode = "approx"
+
+    def __init__(self, diff, witness):
+        self.diff, self.witness = diff, witness
+
+    def max_abs_diff(self, other):
+        return self.diff, self.witness
+
+
+def _pairs(rounds):
+    """pairs_at for compare_routes: horizon t compares rounds[t - 1], a list
+    of (difference, witness), each pair labelled by its witness."""
+    return lambda t: [(w, _FixedDiff(d, w), _FixedDiff(d, w)) for d, w in rounds[t - 1]]
+
+
 class TestWorstDifference:
     def test_first_strict_maximum_keeps_its_witness(self):
         rounds = [[(F(1, 3), "a"), (F(1, 2), "b")], [(F(1, 2), "c")], [(F(0), "d")]]
-        assert worst_difference(rounds) == (F(1, 2), "b")
+        assert compare_routes("test", [1, 2, 3], _pairs(rounds)) == (
+            F(1, 2), {"pair": "b", "path": "b", "horizon": 1})
 
     def test_no_difference_has_no_witness(self):
-        assert worst_difference([[(F(0), "a")], [(0.0, "b")]]) == (F(0), None)
+        rounds = [[(F(0), "a")], [(0.0, "b")]]
+        assert compare_routes("test", [1, 2], _pairs(rounds)) == (F(0), None)
 
     def test_stop_at_witness_builds_no_later_round(self):
         built = []
 
-        def rounds():
-            for t in range(1, 5):
-                built.append(t)
-                yield [(F(t - 1, 10), t)]
+        def pairs_at(t):
+            built.append(t)
+            return [(t, _FixedDiff(F(t - 1, 10), t), _FixedDiff(F(t - 1, 10), t))]
 
-        assert worst_difference(rounds(), stop_at_witness=True) == (F(1, 10), 2)
+        assert compare_routes("test", range(1, 5), pairs_at, stop_at_witness=True) == (
+            F(1, 10), {"pair": 2, "path": "2", "horizon": 2})
         assert built == [1, 2]
+
+    @pytest.mark.parametrize("horizons", [[], [0], [3, 0, 2], [-1]])
+    def test_refuses_a_horizon_below_one_naming_the_check(self, horizons):
+        with pytest.raises(ValueError, match="^two-sided needs.*t=0 compares no table"):
+            compare_routes("two-sided", horizons, _pairs([]))

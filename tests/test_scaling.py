@@ -191,6 +191,17 @@ class TestLevelLawKernel:
         a.sample(RngStream(1), 10), b.sample(RngStream(2), 10)
         assert a == b
 
+    @pytest.mark.parametrize("measure", [
+        lambda: MuMeasure.point(float("nan")),
+        lambda: MuMeasure.point(float("inf")),
+        lambda: MuMeasure(atoms=((1.0, float("nan")),)),
+        lambda: MuMeasure(exp_terms=((float("inf"), float("inf")),)),
+    ])
+    def test_measure_refuses_a_non_finite_atom_or_term(self, measure):
+        # a nan weight would pass the mass check, as abs(nan - 1) > 1e-12 is False
+        with pytest.raises(ValueError, match="needs finite atoms and terms"):
+            measure()
+
     @pytest.mark.parametrize("gap", [1e-4, 1e-8, 0.0])
     def test_hypoexponential_refuses_rates_that_nearly_meet(self, gap):
         # the two density terms cancel, and the CDF's error grows like 1/gap
@@ -212,6 +223,22 @@ class TestContinuity:
     def test_truncated_exponential_regime(self):
         rep = continuity_check(10000, F(1, 2), "point", self.GRID)
         assert rep["sup_distance"] <= 0.02
+
+    def test_report_carries_its_verdict_last(self):
+        rep = continuity_check(400, F(1, 2), "point", self.GRID)
+        assert list(rep)[-3:] == ["sup_distance", "status", "tol"]
+        assert rep["tol"] == 0.02
+        assert rep["status"] == ("PASS" if rep["sup_distance"] <= 0.02 else "FAIL")
+
+    @pytest.mark.parametrize("u", [F(11), F(101, 10)])
+    def test_corollary_refuses_u_above_sqrt_n(self, u):
+        with pytest.raises(ValueError, match=r"needs --u <= sqrt\(N\) = 10"):
+            continuity_check(100, F(1, 2), "corollary", [1.0], u=u)
+
+    def test_corollary_allows_u_at_sqrt_n(self):
+        # u = sqrt(N): rho0 = 0, so theta = 0 and the start is the point mass at 0
+        rep = continuity_check(100, F(1, 2), "corollary", [1.0], u=F(10))
+        assert rep["initial"].startswith("qnb:") and rep["initial"].endswith("theta=0/1")
 
     def test_uniform_regime(self):
         rep = continuity_check(10000, F(0), "point", self.GRID)
@@ -302,6 +329,17 @@ class TestKernelLimit:
         rep = kernel_limit_ladder([100, 10000], 1.0, 1.0, 1.0, 0.5)
         assert rep["rel_errors"][1] < rep["rel_errors"][0]
 
+    def test_ladder_judges_its_last_rung(self):
+        # relative error 0.044 at N = 10^4 and 0.070 at N = 16 (even-rounded coordinates)
+        rep = kernel_limit_ladder([10000, 16], 1.0, 1.0, 1.0, 0.5)
+        assert list(rep)[-2:] == ["status", "tol"] and rep["tol"] == 0.05
+        assert rep["rel_errors"][0] <= 0.05 < rep["rel_errors"][1]
+        assert rep["status"] == "FAIL"
+
+    def test_empty_ladder_is_refused(self):
+        with pytest.raises(ValueError, match="ladder holds no N"):
+            kernel_limit_ladder([], 1.0, 1.0, 1.0, 0.5)
+
 
 class TestLimitProcessSample:
     def test_nonnegative_when_level_is_zero(self):
@@ -354,7 +392,7 @@ class TestLimitProcessSample:
         assert (a[:, 0] == a[:, 3]).all()
 
     @pytest.mark.parametrize("grid, sigma", [([-0.5, 0.0, 0.5], 0.0), ([1.0], -2.0),
-                                             ([float("nan")], 0.0)])
+                                             ([float("nan")], 0.0), ([], 0.0)])
     def test_rejects_negative_time_or_sigma(self, grid, sigma):
         lll = LimitLevelLaw(0.0, MuMeasure.point(0.0))
         with pytest.raises(ValueError):
