@@ -7,6 +7,8 @@ The exact route uses the geometric law of the future infimum; a rejection
 sampler over a long finite window cross-checks it.
 """
 
+import math
+import sys
 from fractions import Fraction as F
 
 from pitman_lab import (
@@ -45,5 +47,18 @@ res = rejection_oracle(t, vlaw, params, "I", horizon_pad=200,
 print(f"\nrejection sampler over a window of t+200 steps:")
 print(f"   acceptance rate {res['acceptance_rate']:.3f}, "
       f"window-truncation bound {res['truncation_bound']:.1e}")
-worst = max(abs(res["table"][p] - float(v)) for p, v in cond.entries.items())
+# the rule of acceptance criterion 4: each cell within 4.5 standard errors
+# plus the truncation bound
+misses = []
+worst = 0.0
+for path, p in cond.entries.items():
+    p = float(p)
+    se = math.sqrt(p * (1 - p) / res["accepted"])
+    gap = abs(res["table"][path] - p)
+    worst = max(worst, gap)
+    if gap > 4.5 * se + res["truncation_bound"] + 1e-12:
+        misses.append(f"{path}: gap {gap:.4f} > 4.5 * {se:.4f} + {res['truncation_bound']:.1e}")
 print(f"   worst empirical gap {worst:.4f} over {res['accepted']} accepted paths")
+if misses:
+    sys.exit("rejection oracle misses the exact law:\n   " + "\n   ".join(misses))
+print("   every path within 4.5 standard errors + truncation bound")

@@ -47,6 +47,7 @@ from .sampling import RngStream, sample_chain, sample_walk, shard_sizes
 from .transform import preimage, verify_tropical
 
 SCHEMA = "report-v1"
+_GRID_CAP = 100_000  # points of one --grid
 
 
 def _emit(report: dict, args) -> int:
@@ -70,6 +71,7 @@ def _params(args) -> Params:
 
 
 def _grid(text: str):
+    """The points start, start + step, ... <= stop of ``--grid start:stop:step``."""
     try:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError:  # a part missing or not a number: refused as non-finite below
@@ -78,11 +80,25 @@ def _grid(text: str):
         raise ValueError(f"--grid takes start:stop:step, three finite numbers, got {text!r}")
     if not step > 0:
         raise ValueError(f"--grid step must be > 0, got {step}: the grid would never end")
-    out, x = [], start
-    while x <= stop + 1e-12:
-        out.append(round(x, 12))
-        x += step
-    return out
+    last = (stop + 1e-12 - start) / step  # index of the last point
+    if last >= _GRID_CAP:  # inf when stop - start overflows
+        count = math.floor(last) + 1 if math.isfinite(last) else last
+        raise ValueError(f"--grid {text} holds {count} points, more than the "
+                         f"{_GRID_CAP} allowed")
+    return [round(start + i * step, 12) for i in range(math.floor(last) + 1)]
+
+
+def _ladder(text: str) -> list:
+    """The N values of ``--N 100,10000``, each an integer >= 1."""
+    try:
+        ladder = [int(n) for n in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--N takes a comma-separated list of integers such as "
+                         f"100,10000, got {text!r}") from None
+    if min(ladder) < 1:
+        raise ValueError(f"--N must be >= 1 in every entry of its comma-separated list, "
+                         f"got {text!r}")
+    return ladder
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--y", type=float, default=1.0)
     p.add_argument("--v", type=float, default=0.5)
-    p.set_defaults(fn=lambda a: kernel_limit_ladder([int(n) for n in a.N.split(",")],
+    p.set_defaults(fn=lambda a: kernel_limit_ladder(_ladder(a.N),
                                                     a.t, a.x, a.y, a.v))
 
     p = ssub.add_parser("donsker", help="chain marginal vs Brownian functional (KS)")

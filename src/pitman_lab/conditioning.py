@@ -28,9 +28,10 @@ from .processes import (
     step_pmf,
 )
 from .representation import compare_routes
-from .sampling import _gen, block_rows
+from .sampling import _gen, _level_dtype
 
 _REJECTION_CHUNK = 50000  # walks per batch of rejection_oracle; its draws depend on it
+_PIECE_STEPS = 128  # window steps per (minimum, endpoint) draw of rejection_oracle; likewise
 
 
 def _effective_params(params: Params, part: str) -> Params:
@@ -118,11 +119,44 @@ def verify_thm2(t_max: int, law: InitialLaw, params: Params, part: str = "I") ->
     }
 
 
+def _piece_laws(lengths, probs: dict) -> dict:
+    """Joint law of (a, e) = (-min_{0<=k<=n} S_k, S_n) for an n-step walk
+    from 0 with the float step law ``probs`` ({+1, 0, -1: p}), for each n in
+    ``lengths``: {n: array P of shape (N+1, 2N+1), P[a, N + e]}, N =
+    max(lengths).
+
+    One dynamic program over (a, e) up to N steps, snapshotting each length
+    on the way: O(N^2) cells, O(N^3) work.  Every cell is a sum of products
+    of the three step probabilities, each product and sum rounded once, so
+    a cell is off its exact value by at most gamma_{4n} (n steps of one
+    product and two sums, plus the rounding of the inputs) relative.
+    """
+    p_up, p_flat, p_dn = (float(probs[s]) for s in (1, 0, -1))
+    top = max(lengths)
+    law = np.zeros((top + 1, 2 * top + 1))
+    law[0, top] = 1.0
+    low_rows = np.arange(top)
+    below_low = top - 1 - low_rows  # column of e = -a - 1 in row a
+    out = {}
+    for n in range(top + 1):
+        if n in lengths:
+            out[n] = law.copy()
+        if n == top:
+            return out
+        step = law * p_flat
+        step[:, 1:] += law[:, :-1] * p_up
+        step[:, :-1] += law[:, 1:] * p_dn
+        # a down step from the minimum e = -a makes a new minimum: row a + 1
+        step[low_rows + 1, below_low] += step[low_rows, below_low]
+        step[low_rows, below_low] = 0.0
+        law = step
+
+
 def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
                      horizon_pad: int = 200, n_samples: int = 200000,
                      rng=None) -> dict:
     """Monte Carlo cross-check: sample V and a length-(t+pad) walk, keep the
-    paths with min(S + V) >= 0 over the whole window, and tabulate the first t
+    walks with S_k + V >= 0 at every k <= t + pad, and tabulate the first t
     increments.
 
     Conditioning on a finite window instead of all time inflates acceptance;
@@ -130,12 +164,16 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
     later-dip probability rho^(2(S_T + V + 1)), reported as
     ``truncation_bound``.
 
-    Walks are drawn in batches of _REJECTION_CHUNK, each batch's uniforms in
-    blocks of about 1 MiB of rows (``sampling.block_rows``) and then the
-    batch's levels V.  Only each walk's minimum, last value and first t
-    values are kept, so memory stays near one block.  A block of rows is the
-    same stretch of the stream as the whole batch's array, so seeded results
-    do not depend on the block size.
+    Only each walk's first t values, window minimum and last value matter,
+    so only the head is drawn step by step, one uniform per step.  The
+    window past the head is cut into pieces of at most _PIECE_STEPS steps,
+    and each piece's (minimum, endpoint) pair is drawn with one uniform by
+    inverse CDF on its joint law (``_piece_laws``, a float dynamic program
+    over the same step probabilities the head compares its uniforms with; no
+    survival or level formula of the exact routes enters it).  Walks
+    come in batches of _REJECTION_CHUNK, each batch drawing its head
+    uniforms, then one uniform per piece and walk, then its levels V.
+    Seeded results therefore depend on _PIECE_STEPS and _REJECTION_CHUNK.
     """
     eff = _effective_params(params, part)
     if t < 0:
@@ -148,14 +186,18 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
     if rng is None:
         rng = np.random.default_rng(0)
     gen = _gen(rng)
-    T = t + horizon_pad
     probs = step_pmf(eff)
     p_up, p_flat = float(probs[1]), float(probs[0])
-    rows = block_rows(T)
-    batch = min(_REJECTION_CHUNK, n_samples)
-    low, last = np.empty(batch, dtype=np.int32), np.empty(batch, dtype=np.int32)
-    head = np.empty((batch, t), dtype=np.int32)
-    s = np.empty((min(rows, batch), T), dtype=np.int32)
+    full, rest = divmod(horizon_pad, _PIECE_STEPS)
+    pieces = [_PIECE_STEPS] * full + [rest] * (rest > 0)
+    laws = _piece_laws(set(pieces), probs) if pieces else {}
+    draws = {}  # piece length -> (a, e, cdf) over the cells of positive mass
+    for n, law in laws.items():
+        a, col = np.nonzero(law)
+        cdf = np.cumsum(law[a, col])
+        # the last cell takes whatever the rounded cdf leaves above cdf[-2]
+        draws[n] = a, col - (law.shape[1] // 2), cdf[:-1]
+    dtype = _level_dtype(t)
 
     heads = []
     dip_mass = 0.0
@@ -164,19 +206,23 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
     while remaining > 0:
         m = min(_REJECTION_CHUNK, remaining)
         remaining -= m
-        for r in range(0, m, rows):
-            u = gen.random((min(rows, m - r), T))
-            walks, at = s[:len(u)], slice(r, r + len(u))
-            # +1 below p_up, -1 at or above p_up + p_flat, 0 between
-            steps = (u < p_up).view(np.int8) - (u >= p_up + p_flat).view(np.int8)
-            np.cumsum(steps, axis=1, dtype=np.int32, out=walks)
-            walks.min(axis=1, out=low[at])
-            last[at] = walks[:, -1]
-            head[at] = walks[:, :t]
+        u = gen.random((m, t))
+        # +1 below p_up, -1 at or above p_up + p_flat, 0 between
+        steps = (u < p_up).view(np.int8) - (u >= p_up + p_flat).view(np.int8)
+        head = np.cumsum(steps, axis=1, dtype=dtype)
+        pos, low = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        if t:
+            pos += head[:, -1]
+            np.minimum(low, head.min(axis=1), out=low)
+        for n in pieces:
+            a, e, cdf = draws[n]
+            cell = np.searchsorted(cdf, gen.random(m), side="right")
+            np.minimum(low, pos - a[cell], out=low)
+            pos += e[cell]
         v = vlaw.sample(gen, m)
-        keep = (low[:m] + v) >= 0
-        dip_mass += float(np.sum(rho_f ** (2.0 * (last[:m][keep] + v[keep] + 1))))
-        heads.append(head[:m][keep])
+        keep = (low + v) >= 0
+        dip_mass += float(np.sum(rho_f ** (2.0 * (pos[keep] + v[keep] + 1))))
+        heads.append(head[keep])
 
     heads = np.concatenate(heads)
     accepted = len(heads)

@@ -35,10 +35,14 @@ def _gen(rng) -> np.random.Generator:
 
 
 def shard_sizes(total: int, streams: int) -> list:
-    """``total`` draws split over ``streams`` shards, the first ones one larger."""
+    """``total`` draws split over ``streams`` shards, the first ones one larger,
+    at most max(total, 1) of them."""
     if streams < 1:
         raise ValueError(f"--streams must be >= 1, got {streams}: each shard draws "
                          "from its own stream")
+    if streams > max(total, 1):
+        raise ValueError(f"--streams must be <= max(samples, 1) = {max(total, 1)}, got "
+                         f"{streams}: a shard past the last sample would draw nothing")
     return [total // streams + (1 if i < total % streams else 0) for i in range(streams)]
 
 

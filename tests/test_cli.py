@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pitman_lab import donsker_check
-from pitman_lab.cli import main
+from pitman_lab.cli import _GRID_CAP, _grid, main
 from pitman_lab.processes import parse_initial_law
 
 
@@ -274,6 +274,14 @@ class TestScalingCommands:
         assert code == 2 and not out.strip()
         assert "--grid step must be > 0" in err
 
+    def test_grid_holds_at_most_the_cap(self):
+        assert len(_grid("0:99999:1")) == _GRID_CAP
+        with pytest.raises(ValueError, match="holds 100001 points, more than the 100000"):
+            _grid("0:100000:1")
+        # a step below the spacing of floats near start once stalled a running sum
+        assert _grid("1e16:1e16:0.5") == [1e16]
+        assert _grid("0.1:3.0:0.1") == [round(0.1 * k, 12) for k in range(1, 31)]
+
 
 class TestSampleCommands:
     def test_walk_reproducible(self, capsys):
@@ -356,6 +364,21 @@ def test_unknown_command_usage_error(capsys):
      "needs finite atoms and terms"),
     (("sample", "limit-process", "--gamma-point", "inf", "--samples", "2"),
      "needs finite atoms and terms"),
+    (("verify", "tropical", "--t-random", "0", "--samples", "5", "--streams", "100000000"),
+     "--streams must be <= max(samples, 1) = 5, got 100000000"),
+    (("sample", "walk", "--rho", "1/2", "--samples", "2", "--streams", "3"),
+     "--streams must be <= max(samples, 1) = 2, got 3"),
+    (("scaling", "continuity", "--N", "100", "--grid", "0:1:1e-9"),
+     "--grid 0:1:1e-9 holds 1000000001 points, more than the 100000 allowed"),
+    (("sample", "limit-process", "--grid", "0:1:1e-6", "--samples", "2"),
+     "holds 1000001 points"),
+    (("sample", "limit-process", "--grid=-1e308:1e308:1", "--samples", "2"),
+     "holds inf points"),
+    (("scaling", "kernel", "--N", "100,abc"),
+     "--N takes a comma-separated list of integers such as 100,10000, got '100,abc'"),
+    (("scaling", "kernel", "--N", ","), "--N takes a comma-separated list of integers"),
+    (("scaling", "kernel", "--N", "100,0"),
+     "--N must be >= 1 in every entry of its comma-separated list, got '100,0'"),
 ])
 def test_out_of_range_input_exits_two_with_a_reason(capsys, argv, reason):
     start = time.perf_counter()

@@ -1,3 +1,5 @@
+import itertools
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -23,8 +25,7 @@ from pitman_lab import (
     v_law_from_initial,
     verify_thm2,
 )
-from pitman_lab.conditioning import _REJECTION_CHUNK
-from pitman_lab.sampling import block_rows
+from pitman_lab.conditioning import _PIECE_STEPS, _REJECTION_CHUNK, _piece_laws
 
 
 class TestSurvivalProb:
@@ -116,9 +117,10 @@ class TestConditionedWalkLaw:
 
 
 def _reference_rejection(t, vlaw, params, horizon_pad, n_samples, rng):
-    """The nested-np.where, per-row loop rejection_oracle replaced; the
-    vectorized oracle must give the same table (in the same order), the same
-    acceptance count and the same truncation bound."""
+    """The step-by-step oracle: one uniform per step of the whole window,
+    nested np.where steps, a per-row tally.  rejection_oracle draws the
+    window past the head by pieces, so the two agree in law, not draw for
+    draw."""
     gen = rng.generator()
     probs = step_pmf(params)
     p_up, p_flat = float(probs[1]), float(probs[0])
@@ -142,6 +144,50 @@ def _reference_rejection(t, vlaw, params, horizon_pad, n_samples, rng):
             "truncation_bound": dip_mass / max(accepted, 1)}
 
 
+def _enumerated_piece_law(n, params):
+    """{(a, e): P} over all 3^n paths: a = -min_{k<=n} S_k, e = S_n, exact."""
+    probs = step_pmf(params)
+    law = {}
+    for incs in itertools.product((-1, 0, 1), repeat=n):
+        p, s, low = F(1), 0, 0
+        for d in incs:
+            p *= probs[d]
+            s += d
+            low = min(low, s)
+        law[(-low, s)] = law.get((-low, s), 0) + p
+    return law
+
+
+class TestPieceLaws:
+    @pytest.mark.parametrize("params", [Params(F(1, 2)), Params(F(2, 3), F(1)),
+                                        Params(F(3), F(2)).tilde(), Params(F(5, 2)).tilde()],
+                             ids=["I-rho=1/2", "I-rho=2/3,sigma=1", "II-rho=3,sigma=2",
+                                  "II-rho=5/2"])
+    def test_matches_path_enumeration(self, params):
+        # every cell is a sum of n-fold products of rounded step probabilities,
+        # each step rounding one product and two sums: off by at most
+        # gamma_{4n} = 4nu / (1 - 4nu) relative, u = 2^-53; a zero cell is 0.0
+        top = 8
+        laws = _piece_laws(set(range(top + 1)), step_pmf(params))
+        assert sorted(laws) == list(range(top + 1))
+        u = F(1, 2**53)
+        for n, law in laws.items():
+            exact = _enumerated_piece_law(n, params)
+            gamma = 4 * n * u / (1 - 4 * n * u)
+            for a in range(top + 1):
+                for e in range(-top, top + 1):
+                    want = exact.get((a, e), 0)
+                    got = law[a, top + e]
+                    if want == 0:
+                        assert got == 0.0, (n, a, e)
+                    else:
+                        assert abs(F(got) - want) <= gamma * want, (n, a, e)
+
+    def test_zero_steps_is_the_start(self):
+        laws = _piece_laws({0}, step_pmf(Params(F(1, 2), F(1))))
+        assert list(laws) == [0] and laws[0].tolist() == [[1.0]]
+
+
 class TestRejectionOracle:
     def test_agrees_with_exact_law(self):
         params = Params(F(1, 2))
@@ -161,20 +207,44 @@ class TestRejectionOracle:
 
     @pytest.mark.parametrize("t,rho,sigma,n", [(3, F(1, 2), F(1), 200000),
                                                (4, F(1, 3), F(0), 60001), (0, F(1, 2), F(1), 500),
-                                               # below one row block of t + 50 columns
-                                               (3, F(2, 3), F(1), block_rows(53) - 1),
+                                               (3, F(2, 3), F(1), 2472),
                                                (2, F(2, 3), F(1), _REJECTION_CHUNK + 1),
-                                               (0, F(1, 3), F(1), 2 * block_rows(50)),
+                                               (0, F(1, 3), F(1), 5242),
                                                (0, F(1, 2), F(0), _REJECTION_CHUNK + 1)])
     def test_same_table_as_the_per_row_loop(self, t, rho, sigma, n):
+        # the same table in law, not draw for draw: two independent samples,
+        # every cell and the acceptance count within 4.5 combined standard
+        # errors; the window is one full piece and a shorter one
         params = Params(rho, sigma)
         vlaw = v_law_from_initial(PointMass(1), params, "I")
-        got = rejection_oracle(t, vlaw, params, "I", horizon_pad=50, n_samples=n,
+        pad = _PIECE_STEPS + 22
+        got = rejection_oracle(t, vlaw, params, "I", horizon_pad=pad, n_samples=n,
                                rng=RngStream(13))
-        want = _reference_rejection(t, vlaw, params, 50, n, RngStream(13))
-        assert list(got["table"].entries.items()) == list(want["table"].entries.items())
-        assert got["accepted"] == want["accepted"]
-        assert got["truncation_bound"] == want["truncation_bound"]
+        want = _reference_rejection(t, vlaw, params, pad, n, RngStream(13, 1))
+        r1, r2 = got["accepted"] / n, want["accepted"] / n
+        assert abs(r1 - r2) <= 4.5 * np.sqrt((r1 * (1 - r1) + r2 * (1 - r2)) / n)
+        n1, n2 = got["accepted"], want["accepted"]
+        for path in set(got["table"].entries) | set(want["table"].entries):
+            p1, p2 = got["table"][path], want["table"][path]
+            se = np.sqrt(p1 * (1 - p1) / n1 + p2 * (1 - p2) / n2)
+            assert abs(p1 - p2) <= 4.5 * se, path
+        assert got["table"].horizon == t
+
+    def test_wrong_level_law_is_caught(self):
+        # V from point:0 conditions the walk for a chain started at 0, not 1:
+        # the comparison that passes above must fail here
+        params = Params(F(1, 2))
+        vlaw = v_law_from_initial(PointMass(0), params, "I")
+        res = rejection_oracle(3, vlaw, params, "I", horizon_pad=200, n_samples=200000,
+                               rng=RngStream(11))
+        exact = chain_increment_law(3, PointMass(1), params)
+        misses = []
+        for path, p in exact.entries.items():
+            p = float(p)
+            se = np.sqrt(p * (1 - p) / res["accepted"])
+            if abs(res["table"][path] - p) > 4.5 * se + res["truncation_bound"] + 1e-12:
+                misses.append(path)
+        assert misses
 
     def test_memory_stays_near_one_row_block(self):
         params = Params(F(1, 2))
@@ -187,6 +257,43 @@ class TestRejectionOracle:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_long_window_is_drawn_by_pieces(self):
+        # 10^4 walks of 10^4 steps: 79 piece draws per walk, tables of
+        # (B + 1)(2B + 1) floats, never a step-by-step window
+        params = Params(F(1, 2), F(1))
+        vlaw = v_law_from_initial(PointMass(1), params, "I")
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            res = rejection_oracle(2, vlaw, params, "I", horizon_pad=10_000, n_samples=10_000,
+                                   rng=RngStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
+        table_bytes = 8 * (_PIECE_STEPS + 1) * (2 * _PIECE_STEPS + 1)
+        assert peak < 8 * table_bytes + 2 * 2**20
+        assert res["accepted"] > 0 and res["truncation_bound"] < 1e-12
+
+    def test_reads_no_exact_route(self, monkeypatch):
+        # the oracle witnesses the exact routes, so it must not call them
+        from pitman_lab import conditioning, exact, paths, processes, representation
+
+        params = Params(F(2, 3), F(1))
+        vlaw = v_law_from_initial(QNegativeBinomial(params.q, F(1, 2)), params, "I")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rejection_oracle reached an exact route")
+
+        for mod in (conditioning, exact, paths, processes, representation):
+            for name in ("survival_prob", "q_bracket", "path_classes", "bracket_tail",
+                         "conditioned_walk_law"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        res = rejection_oracle(2, vlaw, params, "I", horizon_pad=300, n_samples=2000,
+                               rng=RngStream(4))
+        assert res["accepted"] > 0
 
     @pytest.mark.parametrize("kwargs,name", [
         ({"n_samples": 0}, "n_samples"), ({"n_samples": -5}, "n_samples"),

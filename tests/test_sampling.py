@@ -67,6 +67,18 @@ class TestReproducibility:
         assert abs(corr) < 4 / np.sqrt(n)
 
 
+@pytest.mark.parametrize("total,streams,sizes", [(5, 5, [1] * 5), (7, 3, [3, 2, 2]),
+                                                 (0, 1, [0])])
+def test_shard_sizes_split_the_draws(total, streams, sizes):
+    assert sampling.shard_sizes(total, streams) == sizes
+
+
+@pytest.mark.parametrize("total,streams", [(5, 6), (0, 2), (1, 10**8)])
+def test_shard_sizes_refuse_more_streams_than_draws(total, streams):
+    with pytest.raises(ValueError, match=r"^--streams must be <= max\(samples, 1\)"):
+        sampling.shard_sizes(total, streams)
+
+
 class TestSamplers:
     def test_walk_gof(self):
         params = Params(F(2, 3), F(1))
