@@ -132,17 +132,31 @@ def _cmd_law(args):
         glaw = g_law_from_initial(parse_initial_law(args.initial), params,
                                   args.which)
         # float laws carry their certified error: {"value", "err"} per level
-        entries = {n: prob_json(glaw.pmf(n) if glaw.exact
-                                else Approx(glaw.pmf(n), glaw.pmf_err(n)))
-                   for n in range(args.nmax + 1)}
+        entries = _printable(args, lambda: {
+            n: prob_json(glaw.pmf(n) if glaw.exact else Approx(glaw.pmf(n), glaw.pmf_err(n)))
+            for n in range(args.nmax + 1)})
         return {"check": "law", "params": params.to_json(),
                 "which": args.which, "pmf": entries, "status": "PASS"}
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.object)
     # approx: the float sum of the printed entries (class values times sizes round apart)
     mass = table.mass() if table.mode == "exact" else sum(table.entries.values())
-    return {"check": "law", "params": params.to_json(), "table": table.to_json(),
-            "mass": prob_json(mass), "status": "PASS"}
+    return {"check": "law", "params": params.to_json(),
+            "table": _printable(args, table.to_json), "mass": prob_json(mass), "status": "PASS"}
+
+
+def _printable(args, to_json):
+    """to_json(), with an exact rational too long for str() (more than
+    sys.get_int_max_str_digits() digits) refused by the flag that set the law."""
+    try:
+        return to_json()
+    except ValueError:
+        if args.object == "walk":
+            raise
+        flag, law = ("--glaw", args.glaw) if args.glaw else ("--initial", args.initial)
+        raise ValueError(f"{flag} {law} gives an exact law with rationals of more than "
+                         f"{sys.get_int_max_str_digits()} digits, more than an exact table "
+                         "prints; take a start law with smaller levels") from None
 
 
 def _cmd_sample(args):
@@ -229,10 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--g-max", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=20,
-                   help="independent sample shards, one rng stream each")
-    p.set_defaults(fn=lambda a: verify_tropical(a.t_exhaustive, a.t_random, a.samples,
-                                                a.g_max, a.seed, a.streams))
+    p.add_argument("--streams", type=int,
+                   help="independent sample shards, one rng stream each "
+                        "(default min(20, max(samples, 1)))")
+    p.set_defaults(fn=lambda a: verify_tropical(
+        a.t_exhaustive, a.t_random, a.samples, a.g_max, a.seed,
+        min(20, max(a.samples, 1)) if a.streams is None else a.streams))
 
     p = vsub.add_parser("damage", help="independent split of a q-negative-binomial count")
     p.add_argument("--q", required=True)

@@ -32,6 +32,7 @@ from .sampling import _gen, _level_dtype
 
 _REJECTION_CHUNK = 50000  # walks per batch of rejection_oracle; its draws depend on it
 _PIECE_STEPS = 128  # window steps per (minimum, endpoint) draw of rejection_oracle; likewise
+_MAX_KEYED_T = 39  # the largest t whose 3^t head keys fit an int64
 
 
 def _effective_params(params: Params, part: str) -> Params:
@@ -178,6 +179,10 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
     eff = _effective_params(params, part)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if t > _MAX_KEYED_T:
+        raise ValueError(f"t must be <= {_MAX_KEYED_T}, got {t}: each head is tallied by its "
+                         "steps as base-3 digits of an int64, which 3^t overflows past "
+                         f"t = {_MAX_KEYED_T}")
     if horizon_pad < 0 or t + horizon_pad < 1:
         raise ValueError(f"horizon_pad must be >= 0 and t + horizon_pad >= 1, got "
                          f"horizon_pad={horizon_pad} at t={t}")
@@ -199,7 +204,8 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
         draws[n] = a, col - (law.shape[1] // 2), cdf[:-1]
     dtype = _level_dtype(t)
 
-    heads = []
+    heads, keys = [], []  # keys: the head's steps + 1 as base-3 digits, first step highest
+    digit = 3 ** np.arange(t - 1, -1, -1, dtype=np.int64)
     dip_mass = 0.0
     rho_f = float(eff.rho)
     remaining = n_samples
@@ -223,12 +229,11 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
         keep = (low + v) >= 0
         dip_mass += float(np.sum(rho_f ** (2.0 * (pos[keep] + v[keep] + 1))))
         heads.append(head[keep])
+        keys.append((steps[keep] + 1) @ digit)
 
-    heads = np.concatenate(heads)
+    heads, keys = np.concatenate(heads), np.concatenate(keys)
     accepted = len(heads)
-    # each row as one fixed-width byte string: a 1-d np.unique, ~6x faster than axis=0
-    rows = heads.view(np.dtype((np.void, heads.itemsize * t)))[:, 0] if t else np.zeros(accepted)
-    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     entries = {Path.from_values((0,) + tuple(heads[first[i]].tolist())): int(counts[i]) / accepted
                for i in np.argsort(first)}  # first-seen order
     return {

@@ -83,6 +83,16 @@ class TestVerifyCommands:
         assert set(rep["tolerance_parts"]) == {"chain_err", "level_err", "entry_rounding"}
         assert rep["max_abs_diff"]["float"] <= rep["tolerance"]
 
+    @pytest.mark.parametrize("samples,streams", [(5, 5), (0, 1), (19, 19), (20, 20),
+                                                 (1000, 20)])
+    def test_tropical_default_streams_fit_the_samples(self, capsys, samples, streams):
+        # the default is min(20, max(samples, 1)), the most shards the samples fill
+        code, rep, _ = run_json(capsys, "verify", "tropical", "--t-exhaustive", "2",
+                                "--samples", str(samples))
+        assert code == 0 and rep["status"] == "PASS"
+        assert rep["random"] == {"samples": samples, "t": 50, "g_max": 10, "seed": 0,
+                                 "streams": streams}
+
     def test_tropical_zero_streams_exits_two(self, capsys):
         code, out, err = run(capsys, "verify", "tropical", "--t-exhaustive", "2",
                              "--samples", "10", "--streams", "0")
@@ -379,6 +389,8 @@ def test_unknown_command_usage_error(capsys):
     (("scaling", "kernel", "--N", ","), "--N takes a comma-separated list of integers"),
     (("scaling", "kernel", "--N", "100,0"),
      "--N must be >= 1 in every entry of its comma-separated list, got '100,0'"),
+    (("law", "chain", "--rho", "1/2", "--t", "1", "--initial", "point:10000"),
+     "--initial point:10000 gives an exact law with rationals of more than"),
 ])
 def test_out_of_range_input_exits_two_with_a_reason(capsys, argv, reason):
     start = time.perf_counter()

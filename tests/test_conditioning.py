@@ -298,7 +298,7 @@ class TestRejectionOracle:
     @pytest.mark.parametrize("kwargs,name", [
         ({"n_samples": 0}, "n_samples"), ({"n_samples": -5}, "n_samples"),
         ({"horizon_pad": -1}, "horizon_pad"), ({"horizon_pad": -3}, "horizon_pad"),
-        ({"t": 0, "horizon_pad": 0}, "horizon_pad"), ({"t": -1}, "t"),
+        ({"t": 0, "horizon_pad": 0}, "horizon_pad"), ({"t": -1}, "t"), ({"t": 40}, "t"),
     ])
     def test_refuses_bad_sizes(self, kwargs, name):
         params = Params(F(1, 2))

@@ -6,7 +6,10 @@ tests/data/cli_golden.json holds the stdout and exit code of each command as
 recorded before the law types were merged into one (the sharded `sample`
 commands: before the samplers returned their narrowest integer type, so
 shards of different widths must still print the same bytes); a refactor must
-leave every byte of it unchanged.
+leave every byte of it unchanged.  The three `sample chain` cases alone were
+re-recorded once since, when the chain sampler began to read its uniforms 16
+bits at a time: a new stream, so new paths (tests/test_sampling.py checks
+them step for step against an int64 reference chain).
 """
 
 import json

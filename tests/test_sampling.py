@@ -148,10 +148,16 @@ class TestSamplers:
         assert np.array_equal(law.sample(RngStream(12).generator(), 5000), want)
 
 
-def _reference_chain(t, law, params, rng, n):
-    """The per-step kernel sample_chain replaced: three expm1 calls per step
-    on the chains' levels.  The table-driven sampler must draw the same
-    paths from the same stream."""
+def _reference_chain(t, law, params, rng, n, expect_ties=False, expect_exact_tie=False):
+    """The per-step kernel: three expm1 calls per step on the chains' levels,
+    and each step's uniform U = (H + L)/2^16 compared with up and up + dn.
+
+    H is the step's 16-bit digit, cut from the 64-bit words of the stream
+    by shifts, low bits first; L is drawn from the continuation stream only
+    when some threshold p has p 2^16 in [H, H + 1), and then U < p is
+    decided in exact rationals.  The table-driven sampler must draw the same
+    paths from the same stream.  ``expect_ties`` asserts that some step drew
+    an L, ``expect_exact_tie`` that some L met a threshold with p 2^16 = H."""
     gen = rng.generator()
     z, rho, sigma = float(params.z), float(params.rho), float(params.sigma)
     lnq = 2.0 * math.log(rho)
@@ -159,6 +165,12 @@ def _reference_chain(t, law, params, rng, n):
     out = np.empty((n, t + 1), dtype=np.int64)
     k = law.sample(gen, n).astype(np.float64)
     out[:, 0] = k
+    continuation = np.random.Generator(np.random.Philox(key=gen.bit_generator.random_raw(2)))
+    words = gen.bit_generator.random_raw(-(-t * n // 4))
+    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
+    digits = ((words[:, None] >> shifts) & np.uint64(0xFFFF)).reshape(-1)[:t * n]
+    digits = digits.reshape(t, n).astype(np.int64)
+    ties = exact_ties = 0
     for j in range(1, t + 1):
         if lnq == 0.0:
             up = c_up * (k + 2) / (k + 1)
@@ -167,12 +179,25 @@ def _reference_chain(t, law, params, rng, n):
             denom = np.expm1((k + 1) * lnq)
             up = c_up * np.expm1((k + 2) * lnq) / denom
             dn = c_dn * np.expm1(k * lnq) / denom
-        u = gen.random(n)
+        h = digits[j - 1]
+        thresholds = [up] if sigma == 0.0 else [up, up + dn]
+        below = [h + 1 <= p * 2**16 for p in thresholds]  # all of [H, H + 1) below p
+        straddle = [(h <= p * 2**16) & (p * 2**16 < h + 1) for p in thresholds]
+        tied = np.flatnonzero(np.logical_or.reduce(straddle))
+        for i, low in zip(tied, continuation.random(len(tied))):
+            u = (int(h[i]) + F(float(low))) / 2**16
+            for p, b, s in zip(thresholds, below, straddle):
+                if s[i]:
+                    b[i] = u < F(float(p[i]))
+                    exact_ties += F(float(p[i])) * 2**16 == int(h[i])
+        ties += len(tied)
         if sigma == 0.0:
-            k = k + np.where(u < up, 1, -1)
+            k = k + np.where(below[0], 1, -1)
         else:
-            k = k + np.where(u < up, 1, np.where(u < up + dn, -1, 0))
+            k = k + np.where(below[0], 1, np.where(below[1], -1, 0))
         out[:, j] = k
+    assert ties or not expect_ties, "no step drew a continuation uniform"
+    assert exact_ties or not expect_exact_tie, "no tie met a threshold on a digit"
     return out
 
 
@@ -187,6 +212,29 @@ class TestChainKernelTable:
         want = _reference_chain(80, law, params, RngStream(6), n=700)
         # starts <= 10 and 80 steps: every level fits int8, the narrowest type
         assert got.shape == want.shape and got.dtype == np.int8
+        assert (got == want).all()
+
+    @pytest.mark.parametrize("law,rho,sigma,t,n", [
+        # up = 3/4 at level 1 and 5/8 at level 3: dyadic, so their ties
+        # resolve on a remainder of 0
+        (PointMass(1), F(1), F(0), 4, 250000),
+        (Geometric(F(1, 2)), F(2, 3), F(1), 1000, 1000),
+    ], ids=["rho=1,sigma=0", "rho<1"])
+    def test_digit_ties_draw_the_reference_chain(self, law, rho, sigma, t, n):
+        # 10^6 steps, each tying a threshold with probability 2^-16 per
+        # comparison: about 15 (sigma = 0) or 30 ties to resolve
+        params = Params(rho, sigma)
+        got = sample_chain(t, law, params, RngStream(11), n=n)
+        want = _reference_chain(t, law, params, RngStream(11), n=n, expect_ties=True,
+                                expect_exact_tie=sigma == 0)
+        assert (got == want).all()
+
+    def test_a_generator_draws_as_its_stream(self):
+        # the continuation key comes from the stream itself, so a Generator
+        # passed in draws what its RngStream draws, ties included
+        params = Params(F(2, 3), F(1))
+        want = sample_chain(1000, Geometric(F(1, 2)), params, RngStream(11), n=1000)
+        got = sample_chain(1000, Geometric(F(1, 2)), params, RngStream(11).generator(), n=1000)
         assert (got == want).all()
 
     def test_far_apart_starts_get_their_own_blocks(self):
@@ -212,6 +260,20 @@ class TestChainKernelTable:
         steps = paths[:, 1] - paths[:, 0]
         for delta in (-1, 0, 1):
             p = float(chain_transition(1000, delta, params))
+            assert abs((steps == delta).mean() - p) <= 4.5 * math.sqrt(p * (1 - p) / n)
+
+
+class TestChainStepLaw:
+    @pytest.mark.parametrize("level", range(4))
+    @pytest.mark.parametrize("rho", [F(2, 3), F(1), F(3, 2)], ids=["rho<1", "rho=1", "rho>1"])
+    def test_step_frequencies_follow_the_kernel(self, rho, level):
+        # the exact kernel, not a second reading of the digits: a digit
+        # mapping error the reference chain shares shows here
+        params, n = Params(rho, F(1)), 40000
+        paths = sample_chain(1, PointMass(level), params, RngStream(13), n=n)
+        steps = paths[:, 1] - paths[:, 0]
+        for delta in (-1, 0, 1):
+            p = float(chain_transition(level, delta, params))
             assert abs((steps == delta).mean() - p) <= 4.5 * math.sqrt(p * (1 - p) / n)
 
 
