@@ -48,6 +48,7 @@ from .transform import preimage, verify_tropical
 
 SCHEMA = "report-v1"
 _GRID_CAP = 100_000  # points of one --grid
+_PATH_CAP = 10**7  # levels (t + 1) * samples of one sample walk|chain
 
 
 def _emit(report: dict, args) -> int:
@@ -164,6 +165,10 @@ def _cmd_sample(args):
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}: "
                          "zero samples would print no path")
+    if args.object != "limit-process" and (args.t + 1) * args.samples > _PATH_CAP:
+        raise ValueError(f"--t {args.t} with --samples {args.samples} asks for "
+                         f"{(args.t + 1) * args.samples} path levels, more than the "
+                         f"{_PATH_CAP} allowed; lower --t or --samples")
     keys = [RngStream(args.seed, args.stream + i) for i in range(args.streams)]
 
     def shard(draw):

@@ -127,30 +127,37 @@ def _piece_laws(lengths, probs: dict) -> dict:
     max(lengths).
 
     One dynamic program over (a, e) up to N steps, snapshotting each length
-    on the way: O(N^2) cells, O(N^3) work.  Every cell is a sum of products
-    of the three step probabilities, each product and sum rounded once, so
-    a cell is off its exact value by at most gamma_{4n} (n steps of one
-    product and two sums, plus the rounding of the inputs) relative.
+    on the way: O(N^2) cells, O(N^3) work.  After n steps only the cells
+    a <= n, |e| <= n can hold mass, so step n + 1 updates that window grown
+    by one and leaves the zeros outside it alone; the cells come out as a
+    full-grid update would give them, bit for bit.  Every cell is a sum of
+    products of the three step probabilities, each product and sum rounded
+    once, so a cell is off its exact value by at most gamma_{4n} (n steps of
+    one product and two sums, plus the rounding of the inputs) relative.
     """
     p_up, p_flat, p_dn = (float(probs[s]) for s in (1, 0, -1))
     top = max(lengths)
     law = np.zeros((top + 1, 2 * top + 1))
     law[0, top] = 1.0
-    low_rows = np.arange(top)
-    below_low = top - 1 - low_rows  # column of e = -a - 1 in row a
+    step = np.zeros_like(law)  # zero outside the window, as law is
     out = {}
     for n in range(top + 1):
         if n in lengths:
             out[n] = law.copy()
         if n == top:
             return out
-        step = law * p_flat
-        step[:, 1:] += law[:, :-1] * p_up
-        step[:, :-1] += law[:, 1:] * p_dn
-        # a down step from the minimum e = -a makes a new minimum: row a + 1
-        step[low_rows + 1, below_low] += step[low_rows, below_low]
-        step[low_rows, below_low] = 0.0
-        law = step
+        # the window after n + 1 steps: rows a <= n + 1, columns |e| <= n + 1
+        window = np.s_[:n + 2, top - n - 1:top + n + 2]
+        src, dst = law[window], step[window]
+        np.multiply(src, p_flat, out=dst)
+        dst[:, 1:] += src[:, :-1] * p_up
+        dst[:, :-1] += src[:, 1:] * p_dn
+        # a down step from the minimum e = -a makes a new minimum: row a + 1;
+        # e = -a - 1 is window column n - a
+        low_rows = np.arange(n + 1)
+        dst[low_rows + 1, n - low_rows] += dst[low_rows, n - low_rows]
+        dst[low_rows, n - low_rows] = 0.0
+        law, step = step, law
 
 
 def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",

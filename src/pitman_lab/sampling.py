@@ -9,13 +9,17 @@ The walk sampler compares float64 uniforms with its step thresholds.  The
 chain sampler reads each step's uniform as a 16-bit digit and draws the rest
 of it, from a second Philox stream keyed by the first, only when the digit
 ties a threshold (see ``sample_chain``): four steps per 64-bit word instead
-of one, with each step's law exact to 2^-69 instead of 2^-53.
+of one, with each step's law exact to 2^-69 instead of 2^-53.  The chain's
+hold probability sigma/z is the same at every level, since up(k) + dn(k) =
+1 - sigma/z exactly, so a step compares its digit with one level-dependent
+threshold up(k) and one move threshold shared by every chain and level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,8 +103,19 @@ def _digit_split(p: np.ndarray):
     return whole.astype(np.int32), scaled - whole
 
 
-def _digit_rows(bit_gen, t: int, n: int):
-    """t rows of n 16-bit digits as int32, ``block_rows(n)`` rows at a time.
+def _exact_digit_split(p: Fraction):
+    """floor(p 2^16) and a double r such that a double L in [0, 1) has
+    L < r iff L < p 2^16 - floor(p 2^16): the digit and remainder of an exact
+    threshold p, the remainder rounded up to the next double when it is not
+    one."""
+    scaled = p * _DIGITS
+    whole = math.floor(scaled)
+    rest = float(scaled - whole)
+    return whole, rest if rest >= scaled - whole else math.nextafter(rest, math.inf)
+
+
+def _digit_blocks(bit_gen, t: int, n: int):
+    """t rows of n 16-bit digits as int32, in blocks of ``block_rows(n)`` rows.
 
     Each 64-bit word of ``bit_gen.random_raw`` holds four digits, low bits
     first.  A block's unused digits start the next block, so the digit stream
@@ -112,17 +127,24 @@ def _digit_rows(bit_gen, t: int, n: int):
         words = bit_gen.random_raw(-(-(m * n - len(carry)) // 4)).astype("<u8", copy=False)
         digits = np.concatenate([carry, words.view("<u2")], dtype=np.int32)
         carry = digits[m * n:].copy()
-        yield from digits[:m * n].reshape(m, n)
+        yield digits[:m * n].reshape(m, n)
 
 
 def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np.ndarray:
     """n chain paths of horizon t (values include the random start level).
 
-    The up/down probabilities are tabulated once, through expm1 so the q -> 1
-    and level-0 cases stay exact in floating point, over one block of levels
-    per run of start levels less than 2t+2 apart: the levels the chains can
-    reach.  Each step is then a table lookup and a comparison of the step's
-    uniform U with the thresholds up and up + dn.
+    The chain moves with the same probability at every level:
+    (1/rho)[k+2]_q + rho[k]_q = (rho + 1/rho)[k+1]_q, so up(k) + dn(k) =
+    1 - sigma/z exactly, and dn(0) = 0.  A step is therefore +1 when its
+    uniform U is below up(k), 0 when U is at or above the one move threshold
+    1 - sigma/z, and -1 between.  The move threshold is split into its
+    16-bit digit and remainder once, from the exact rational.  The up
+    probabilities are tabulated once, through expm1 so the q -> 1 case
+    stays exact in floating point, over one block of levels per run of
+    start levels less than 2t+2 apart: the levels the chains can reach.
+    Level 0 takes the move threshold itself (up(0) = 1 - sigma/z), so no
+    rounding of up(0) can send a chain below 0; at sigma = 0 the threshold
+    is 1 and every step moves.
 
     U is read only as far as the comparison needs it (the random-bit view of
     Knuth and Yao).  A step draws one 16-bit digit H, U = (H + L)/2^16, and
@@ -131,8 +153,8 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
     comparison) does the step draw L, a float64 uniform from a second
     Philox stream, and set U < p iff L < p 2^16 - H; one L serves both
     thresholds.  U is then uniform on the multiples of 2^-69, so each step
-    follows the double thresholds exactly when they are multiples of 2^-69
-    (every threshold >= 2^-16 is) and within 2^-69 otherwise.
+    follows its thresholds exactly when they are multiples of 2^-69 (every
+    double up(k) >= 2^-16 is) and within 2^-69 otherwise.
 
     The starts come first from ``rng``, then two 64-bit words that key the
     continuation stream, then the digits, four to a word of
@@ -145,14 +167,23 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
     holds it (t when n = 0, with no start drawn).  The difference of any two
     entries is at most that bound in size and fits too.
     """
+    return _chain_rows(t, law, params, rng, n, t + 1)[1].T
+
+
+def _chain_rows(t: int, law: InitialLaw, params: Params, rng, n: int, keep: int):
+    """The step loop of ``sample_chain``, keeping ``keep`` rows: returns the
+    int64 starts and an array of min(keep, t + 1) rows of n levels, level j
+    of every chain in row j % keep.  ``keep = t + 1`` gives the whole path
+    array (one row per step); ``keep = 2`` a two-row ring that ends with the
+    last level in row t % 2.  The draws do not depend on ``keep``."""
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     if n == 0:
-        return np.empty((0, t + 1), dtype=_level_dtype(t))
+        return np.empty(0, dtype=np.int64), np.empty((min(keep, t + 1), 0), _level_dtype(t))
     gen = _gen(rng)
     z, rho = float(params.z), float(params.rho)
     lnq = 2.0 * math.log(rho)
-    c_up, c_dn = 1.0 / (rho * z), rho / z
+    c_up = 1.0 / (rho * z)
 
     start = law.sample(gen, n).astype(np.int64)
     continuation = np.random.Generator(np.random.Philox(key=gen.bit_generator.random_raw(2)))
@@ -164,51 +195,55 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
     k = (np.arange(size.sum()) + np.repeat(base, size)).astype(np.float64)
     if lnq == 0.0:
         up = c_up * (k + 2) / (k + 1)
-        dn = c_dn * k / (k + 1)
     elif lnq < 0.0:
-        denom = np.expm1((k + 1) * lnq)
-        up = c_up * np.expm1((k + 2) * lnq) / denom
-        dn = c_dn * np.expm1(k * lnq) / denom
+        up = c_up * np.expm1((k + 2) * lnq) / np.expm1((k + 1) * lnq)
     else:
         # q > 1 in negative exponents, finite at every level (expm1((k+2) ln q)
         # overflows near k = 709/ln q): [k+2]_q/[k+1]_q = q expm1(-(k+2) ln q)/
-        # expm1(-(k+1) ln q), and [k]_q/[k+1]_q likewise over q
-        denom = np.expm1(-(k + 1) * lnq)
-        up = c_up * math.exp(lnq) * np.expm1(-(k + 2) * lnq) / denom
-        dn = c_dn * math.exp(-lnq) * np.expm1(-k * lnq) / denom
-    # at sigma = 0, up + dn = 1 up to rounding: U < 2 keeps every step +-1
-    # (its digit 2^17 ties with no H)
-    up_dn = up + dn if float(params.sigma) else np.full_like(up, 2.0)
+        # expm1(-(k+1) ln q)
+        up = c_up * math.exp(lnq) * np.expm1(-(k + 2) * lnq) / np.expm1(-(k + 1) * lnq)
     up_hi, up_lo = _digit_split(up)
-    up_dn_hi, up_dn_lo = _digit_split(up_dn)
+    move_hi, move_lo = _exact_digit_split(1 - params.sigma / params.z)
+    # up(k) <= 1 - sigma/z, but rounding lifts a float up(k) past it where
+    # dn(k) is below its ulp (rho = 10^-9, sigma = 5): cap it there, so no
+    # step reads +2.  Level 0 (the first index of the first block, if
+    # present) takes the threshold itself: dn(0) = 0.
+    over = (up_hi > move_hi) | ((up_hi == move_hi) & (up_lo > move_lo))
+    over[0] |= k[0] == 0
+    up_hi[over], up_lo[over] = move_hi, move_lo
 
+    # rows hold table indices, level - chain_base, until the end; both lie
+    # in [0, max(start) + t], which the level type holds
     chain_base = base[np.cumsum(opens) - 1][which]
-    idx = start - chain_base
-    out = np.empty((t + 1, n), dtype=_level_dtype(int(start.max()) + t))
-    out[0] = start
-    below_up, below_up_dn = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    at_up, at_up_dn = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    out = np.empty((min(keep, t + 1), n), dtype=_level_dtype(int(start.max()) + t))
+    out[0] = start - chain_base
+    buf = np.empty(n, dtype=up_hi.dtype)
+    below_up, at_up = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    up8 = below_up.view(np.int8)
     step = np.empty(n, dtype=np.int8)
-    for j, h in enumerate(_digit_rows(gen.bit_generator, t, n), start=1):
-        a, b = up_hi[idx], up_dn_hi[idx]
-        np.less(h, a, out=below_up)
-        np.less(h, b, out=below_up_dn)
-        np.equal(h, a, out=at_up)
-        np.equal(h, b, out=at_up_dn)
-        tied = np.flatnonzero(at_up | at_up_dn)
-        if len(tied):
-            low = continuation.random(len(tied))  # L, in chain order
-            level = idx[tied]
-            below_up[tied] |= at_up[tied] & (low < up_lo[level])
-            below_up_dn[tied] |= at_up_dn[tied] & (low < up_dn_lo[level])
-        # +1 below up, -1 in [up, up + dn), 0 above: 2 [U < up] - [U < up + dn]
-        np.subtract(below_up.view(np.int8), below_up_dn.view(np.int8), out=step)
-        step += below_up
-        idx += step
-        # a narrowing write, like out[0] = start: idx + chain_base is a level
-        # <= max(start) + t, which out's type holds by construction
-        np.add(idx, chain_base, out=out[j], casting="unsafe")
-    return out.T
+    j = 0
+    for block in _digit_blocks(gen.bit_generator, t, n):
+        below_move = block < move_hi
+        at_move = block == move_hi
+        for h, below_mv, at_mv, move_tie in zip(block, below_move, at_move,
+                                                at_move.any(axis=1)):
+            row = out[j % keep]
+            j += 1
+            np.take(up_hi, row, out=buf, mode="clip")  # "raise" would copy through a buffer
+            np.less(h, buf, out=below_up)
+            np.equal(h, buf, out=at_up)
+            if move_tie or at_up.any():
+                tied = np.flatnonzero(at_up | at_mv)
+                low = continuation.random(len(tied))  # L, in chain order
+                below_up[tied] |= at_up[tied] & (low < up_lo[row[tied]])
+                below_mv[tied] |= at_mv[tied] & (low < move_lo)
+            # +1 below up, -1 in [up, move), 0 above: 2 [U < up] - [U < move]
+            np.subtract(up8, below_mv.view(np.int8), out=step)
+            np.add(step, up8, out=step)
+            np.add(row, step, out=out[j % keep])
+    if chain_base.any():
+        out += chain_base.astype(out.dtype)
+    return start, out
 
 
 # ---------------------------------------------------------------------------

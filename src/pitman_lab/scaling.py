@@ -28,7 +28,7 @@ import numpy as np
 from .exact import rat
 from .processes import InitialLaw, Params, PointMass, QNegativeBinomial
 from .representation import g_law_from_initial
-from .sampling import RngStream, _gen, ks_distance, ks_two_sample_critical, sample_chain
+from .sampling import RngStream, _chain_rows, _gen, ks_distance, ks_two_sample_critical
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +37,7 @@ from .sampling import RngStream, _gen, ks_distance, ks_two_sample_critical, samp
 
 
 RATE_GAP = 1e-3  # the least relative gap between the rates of a hypoexponential
+DONSKER_WORK_CAP = 10**9  # chain steps N * samples of one donsker_check
 
 
 @dataclass(frozen=True)
@@ -498,15 +499,22 @@ def donsker_check(N: int, v, sigma, law: InitialLaw, samples: int, seed: int) ->
     to the chain's lattice (the local-CLT continuity correction); PASS below
     the 1% critical value.  mu is ``limit_measure`` of ``law``.  The chain
     draws from child 1 of ``RngStream(seed)``, the limit from child 2.
+
+    The chains are ``sample_chain``'s, drawn from the same stream, but only
+    their starts and a two-row ring of levels are held: O(samples) memory.
+    N * samples is capped at DONSKER_WORK_CAP chain steps.
     """
     stream, vf = RngStream(seed), float(v)
     sn, params = scaled_params(N, v, sigma)
+    if N * samples > DONSKER_WORK_CAP:
+        raise ValueError(f"--N {N} with --samples {samples} asks for {N * samples} chain "
+                         f"steps, more than the {DONSKER_WORK_CAP} allowed; lower --N or "
+                         "--samples")
     mu = limit_measure(law, params, sn, f"the donsker check of {law.cli_string()}")
-    chains = sample_chain(N, law, params, stream.child(1), n=samples)
+    start, ring = _chain_rows(N, law, params, stream.child(1), samples, 2)
     lim = limit_process_sample(vf, LimitLevelLaw(vf, mu), [1.0], None,
                                stream.child(2), n=samples, sigma=float(sigma))[:, 0]
-    stat = ks_distance((chains[:, -1] - chains[:, 0]).astype(np.int64),
-                       np.round(lim * sn).astype(np.int64))
+    stat = ks_distance(ring[N % 2] - start, np.round(lim * sn).astype(np.int64))
     crit = ks_two_sample_critical(samples, samples, 0.01)
     return {"check": "donsker", "N": N, "samples": samples, "seed": seed,
             "params": params.to_json(), "initial": law.cli_string(),

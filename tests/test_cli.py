@@ -391,6 +391,15 @@ def test_unknown_command_usage_error(capsys):
      "--N must be >= 1 in every entry of its comma-separated list, got '100,0'"),
     (("law", "chain", "--rho", "1/2", "--t", "1", "--initial", "point:10000"),
      "--initial point:10000 gives an exact law with rationals of more than"),
+    (("sample", "chain", "--rho", "1", "--t", "1000000", "--initial", "point:1",
+      "--samples", "20000"),
+     "--t 1000000 with --samples 20000 asks for 20000020000 path levels, more than the "
+     "10000000 allowed"),
+    (("sample", "walk", "--rho", "1", "--t", "1000000", "--samples", "20000"),
+     "--t 1000000 with --samples 20000 asks for 20000020000 path levels"),
+    (("scaling", "donsker", "--N", "1000000", "--initial", "point:1000"),
+     "--N 1000000 with --samples 20000 asks for 20000000000 chain steps, more than the "
+     "1000000000 allowed"),
 ])
 def test_out_of_range_input_exits_two_with_a_reason(capsys, argv, reason):
     start = time.perf_counter()

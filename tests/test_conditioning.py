@@ -183,6 +183,34 @@ class TestPieceLaws:
                     else:
                         assert abs(F(got) - want) <= gamma * want, (n, a, e)
 
+    @pytest.mark.parametrize("params", [Params(F(1, 2)), Params(F(2, 3), F(1)),
+                                        Params(F(1), F(1)), Params(F(3, 2), F(2))],
+                             ids=["rho=1/2", "rho=2/3,sigma=1", "rho=1,sigma=1",
+                                  "rho=3/2,sigma=2"])
+    def test_window_gives_the_full_grid_bit_for_bit(self, params):
+        # the full-grid update of every cell at every step, against the
+        # update of the reachable window only
+        probs = step_pmf(params)
+        p_up, p_flat, p_dn = (float(probs[s]) for s in (1, 0, -1))
+        top = _PIECE_STEPS
+        law = np.zeros((top + 1, 2 * top + 1))
+        law[0, top] = 1.0
+        low_rows = np.arange(top)
+        below_low = top - 1 - low_rows
+        want = {}
+        for n in range(top + 1):
+            if n in (72, top):
+                want[n] = law.copy()
+            step = law * p_flat
+            step[:, 1:] += law[:, :-1] * p_up
+            step[:, :-1] += law[:, 1:] * p_dn
+            step[low_rows + 1, below_low] += step[low_rows, below_low]
+            step[low_rows, below_low] = 0.0
+            law = step
+        got = _piece_laws({top, 72}, probs)
+        assert sorted(got) == [72, top]
+        assert all(got[n].tobytes() == want[n].tobytes() for n in want)
+
     def test_zero_steps_is_the_start(self):
         laws = _piece_laws({0}, step_pmf(Params(F(1, 2), F(1))))
         assert list(laws) == [0] and laws[0].tolist() == [[1.0]]

@@ -277,6 +277,64 @@ class TestChainStepLaw:
             assert abs((steps == delta).mean() - p) <= 4.5 * math.sqrt(p * (1 - p) / n)
 
 
+class TestMoveThreshold:
+    @pytest.mark.parametrize("sigma", [F(0), F(1), F(2)])
+    @pytest.mark.parametrize("rho", [F(2, 3), F(1), F(3, 2)], ids=["rho<1", "rho=1", "rho>1"])
+    def test_up_plus_down_is_one_minus_hold_at_every_level(self, rho, sigma):
+        # (1/rho)[k+2]_q + rho[k]_q = (rho + 1/rho)[k+1]_q: the move
+        # probability does not depend on the level, so the sampler reads
+        # one move threshold for every chain
+        params = Params(rho, sigma)
+        move = 1 - params.sigma / params.z
+        for k in range(65):
+            assert chain_transition(k, 1, params) + chain_transition(k, -1, params) == move
+
+    def test_level_zero_follows_the_exact_move_threshold(self):
+        # the Donsker check's parameters: the expm1 value of up(0) rounds
+        # below 1 - sigma/z, so a level-0 threshold read from it would leave
+        # a sliver [up(0), 1 - sigma/z) where a chain at 0 steps down
+        params = Params(1 - F(2, 5) / 50, F(2))
+        z, rho = float(params.z), float(params.rho)
+        lnq = 2.0 * math.log(rho)
+        up0 = 1.0 / (rho * z) * math.expm1(2 * lnq) / math.expm1(lnq)  # as the table
+        assert up0 != float(1 - params.sigma / params.z)
+        n = 200000
+        paths = sample_chain(1, PointMass(0), params, RngStream(14), n=n)
+        assert paths.min() == 0
+        steps = paths[:, 1] - paths[:, 0]
+        for delta in (-1, 0, 1):
+            p = float(chain_transition(0, delta, params))
+            assert abs((steps == delta).mean() - p) <= 4.5 * math.sqrt(p * (1 - p) / n)
+        assert sample_chain(400, PointMass(0), params, RngStream(15), n=5000).min() == 0
+
+    @pytest.mark.parametrize("shift", [2**15, -2**15], ids=["lifted", "lowered"])
+    def test_up_table_off_the_move_threshold_keeps_steps_in_range(self, monkeypatch, shift):
+        # a float up(k) rounded past 1 - sigma/z (possible where dn(k) is
+        # below its ulp, as at rho = 10^-9, sigma = 5) must not make a +2
+        # step, and a float up(0) rounded below it (as above) must not step
+        # down from 0: shift every digit of the up table by 2^15 either way
+        split = sampling._digit_split
+        monkeypatch.setattr(sampling, "_digit_split", lambda p: (split(p)[0] + shift, split(p)[1]))
+        paths = sample_chain(50, PointMass(0), Params(F(1), F(1)), RngStream(16), n=2000)
+        assert paths.min() == 0
+        assert set(np.unique(np.diff(paths, axis=1)).tolist()) <= {-1, 0, 1}
+
+
+class TestChainRing:
+    @pytest.mark.parametrize("law", [PointMass(50), Geometric(F(1, 2)),
+                                     LevelLaw.from_pmf({0: F(1, 2), 10**9: F(1, 2)})],
+                             ids=repr)
+    @pytest.mark.parametrize("t", [0, 1, 2, 151])
+    def test_two_row_ring_ends_where_the_paths_end(self, law, t):
+        # the Donsker check keeps the starts and two rows; its draws are the
+        # path array's, chain bases added (far-apart starts) or not
+        params = Params(1 - F(2, 5) / 50, F(2))
+        paths = sample_chain(t, law, params, RngStream(8), n=900)
+        start, ring = sampling._chain_rows(t, law, params, RngStream(8), 900, 2)
+        assert ring.shape == (min(2, t + 1), 900) and ring.dtype == paths.dtype
+        assert (start == paths[:, 0]).all() and (ring[t % 2] == paths[:, -1]).all()
+
+
 class TestLevelDtype:
     T = 30
 
@@ -324,8 +382,8 @@ class TestLevelDtype:
         assert sample_chain(200, PointMass(1), Params(F(1)), RngStream(0), n=0).dtype == np.int16
 
     def test_donsker_call_peaks_at_its_path_array(self):
-        # the Donsker check's chain call: levels <= 550 take two bytes each,
-        # and the working buffers beside the paths stay within 4 MiB
+        # a Donsker-size chain call: levels <= 550 take two bytes each, and
+        # the working buffers beside the paths stay within 4 MiB
         t, n = 500, 20000
         tracemalloc.start()
         try:

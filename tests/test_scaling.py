@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -16,14 +17,18 @@ from pitman_lab import (
     LimitLevelLaw,
     MuMeasure,
     Params,
+    PointMass,
     RngStream,
     continuity_check,
+    donsker_check,
     g_law_from_initial,
     heat_kernel,
     kernel_limit_check,
     kernel_limit_ladder,
+    ks_distance,
     limit_process_sample,
     parse_initial_law,
+    sample_chain,
     step_pmf,
     walk_law,
 )
@@ -423,6 +428,31 @@ def step_moments(params):
     table = walk_law(1, params).entries
     mean = sum(p * x.end for x, p in table.items())
     return mean, sum(p * x.end**2 for x, p in table.items()) - mean**2
+
+
+class TestDonskerCheck:
+    def test_statistic_of_the_whole_path_array(self):
+        # the check holds starts and a two-row ring, the same draws as the
+        # path array sample_chain returns
+        N, n = 400, 2000
+        rep = donsker_check(N, F(1, 2), F(1), PointMass(20), n, seed=3)
+        sn, params = scaled_params(N, F(1, 2), F(1))
+        paths = sample_chain(N, PointMass(20), params, RngStream(3).child(1), n=n)
+        lim = limit_process_sample(0.5, LimitLevelLaw(0.5, MuMeasure.point(1.0)), [1.0], None,
+                                   RngStream(3).child(2), n=n, sigma=1.0)[:, 0]
+        assert rep["ks"] == ks_distance((paths[:, -1] - paths[:, 0]).astype(np.int64),
+                                        np.round(lim * sn).astype(np.int64))
+
+    def test_memory_is_linear_in_the_samples(self):
+        # 401 x 20000 levels of two bytes would take 16 MB
+        donsker_check(4, F(1, 2), F(1), PointMass(2), 100, seed=0)  # imports, caches
+        tracemalloc.start()
+        try:
+            donsker_check(400, F(2, 5), F(2), PointMass(20), 20000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestStepMoments:
