@@ -4,9 +4,9 @@ law table, scaling check and sampler.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage / out-of-regime
 parameters.  Each verdict and each refusal of a parameter's range comes
 from the library; this module parses arguments and prints reports.  All
-randomness is governed by --seed (+ --streams sharding); every report embeds
-the schema tag, package version and the full parameter set, so runs are
-self-describing.
+randomness is governed by --seed, one Philox stream per seed; every report
+embeds the schema tag, package version and the full parameter set, so runs
+are self-describing.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .exact import Approx, RegimeError, UnsupportedExactModeError, parse_rat, prob_json
@@ -43,12 +41,11 @@ from .scaling import (
     kernel_limit_ladder,
     limit_process_sample,
 )
-from .sampling import RngStream, sample_chain, sample_walk, shard_sizes
+from .sampling import RngStream, check_path_levels, sample_chain, sample_walk
 from .transform import preimage, verify_tropical
 
 SCHEMA = "report-v1"
 _GRID_CAP = 100_000  # points of one --grid
-_PATH_CAP = 10**7  # levels (t + 1) * samples of one sample walk|chain
 
 
 def _emit(report: dict, args) -> int:
@@ -161,39 +158,26 @@ def _printable(args, to_json):
 
 
 def _cmd_sample(args):
-    sizes = shard_sizes(args.samples, args.streams)
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}: "
                          "zero samples would print no path")
-    if args.object != "limit-process" and (args.t + 1) * args.samples > _PATH_CAP:
-        raise ValueError(f"--t {args.t} with --samples {args.samples} asks for "
-                         f"{(args.t + 1) * args.samples} path levels, more than the "
-                         f"{_PATH_CAP} allowed; lower --t or --samples")
-    keys = [RngStream(args.seed, args.stream + i) for i in range(args.streams)]
-
-    def shard(draw):
-        # one independent stream per worker slot, assembled in stream order
-        return np.concatenate([draw(k, m) for k, m in zip(keys, sizes) if m], axis=0)
-
+    if args.object != "limit-process":
+        check_path_levels(args.t, args.samples)
+    rng = RngStream(args.seed)
     if args.object == "walk":
-        vals = shard(lambda k, m: sample_walk(args.t, _params(args), k, n=m))
+        vals = sample_walk(args.t, _params(args), rng, n=args.samples)
     elif args.object == "chain":
-        law = parse_initial_law(args.initial)
-        vals = shard(lambda k, m: sample_chain(args.t, law, _params(args), k, n=m))
+        vals = sample_chain(args.t, parse_initial_law(args.initial), _params(args), rng,
+                            n=args.samples)
     else:  # limit-process
         gamma = LimitLevelLaw(float(parse_rat(args.v)), MuMeasure.point(args.gamma_point))
         grid = _grid(args.grid)
-        v, sig = float(parse_rat(args.v)), float(parse_rat(args.sigma))
-        vals = shard(lambda k, m: limit_process_sample(v, gamma, grid, None,
-                                                       k, n=m, sigma=sig))
-        return {"check": "sample", "seed": args.seed,
-                "streams": args.streams, "grid": grid,
-                "paths": [list(map(float, row)) for row in vals],
-                "status": "PASS"}
-    return {"check": "sample", "seed": args.seed,
-            "streams": args.streams, "params": _params(args).to_json(),
-            "paths": [",".join(map(str, row)) for row in vals.tolist()],
-            "status": "PASS"}
+        vals = limit_process_sample(float(parse_rat(args.v)), gamma, grid, None, rng,
+                                    n=args.samples, sigma=float(parse_rat(args.sigma)))
+        return {"check": "sample", "seed": args.seed, "grid": grid,
+                "paths": [list(map(float, row)) for row in vals], "status": "PASS"}
+    return {"check": "sample", "seed": args.seed, "params": _params(args).to_json(),
+            "paths": [",".join(map(str, row)) for row in vals.tolist()], "status": "PASS"}
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--g-max", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int,
-                   help="independent sample shards, one rng stream each "
-                        "(default min(20, max(samples, 1)))")
-    p.set_defaults(fn=lambda a: verify_tropical(
-        a.t_exhaustive, a.t_random, a.samples, a.g_max, a.seed,
-        min(20, max(a.samples, 1)) if a.streams is None else a.streams))
+    p.set_defaults(fn=lambda a: verify_tropical(a.t_exhaustive, a.t_random, a.samples,
+                                                a.g_max, a.seed))
 
     p = vsub.add_parser("damage", help="independent split of a q-negative-binomial count")
     p.add_argument("--q", required=True)
@@ -319,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--initial", default="point:0")
         p.add_argument("--samples", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--stream", type=int, default=0)
-        p.add_argument("--streams", type=int, default=1,
-                       help="worker streams (results are stream-indexed)")
         if obj == "limit-process":
             p.add_argument("--v", default="0")
             p.add_argument("--gamma-point", type=float, default=0.0)

@@ -2,8 +2,7 @@
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream index): identical keys give identical sequences on any
-platform, and distinct stream indices are independent, so Monte Carlo work
-can be sharded across workers deterministically.
+platform, and distinct stream indices are independent.
 
 The walk sampler compares float64 uniforms with its step thresholds.  The
 chain sampler reads each step's uniform as a 16-bit digit and draws the rest
@@ -27,6 +26,7 @@ from .processes import InitialLaw, Params, step_pmf
 
 _BLOCK_BYTES = 1 << 20  # uniforms drawn per block by the samplers, in bytes of float64
 _DIGITS = 1 << 16  # sample_chain reads its uniforms 16 bits at a time
+PATH_CAP = 10**7  # path levels (t + 1) * samples of one sample walk|chain or verify tropical
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,12 @@ def _gen(rng) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngStream) else rng
 
 
-def shard_sizes(total: int, streams: int) -> list:
-    """``total`` draws split over ``streams`` shards, the first ones one larger,
-    at most max(total, 1) of them."""
-    if streams < 1:
-        raise ValueError(f"--streams must be >= 1, got {streams}: each shard draws "
-                         "from its own stream")
-    if streams > max(total, 1):
-        raise ValueError(f"--streams must be <= max(samples, 1) = {max(total, 1)}, got "
-                         f"{streams}: a shard past the last sample would draw nothing")
-    return [total // streams + (1 if i < total % streams else 0) for i in range(streams)]
+def check_path_levels(t: int, samples: int, t_flag: str = "--t") -> None:
+    """Refuse more than PATH_CAP path levels, (t + 1) * samples, naming the flags."""
+    if (t + 1) * samples > PATH_CAP:
+        raise ValueError(f"{t_flag} {t} with --samples {samples} asks for "
+                         f"{(t + 1) * samples} path levels, more than the {PATH_CAP} "
+                         f"allowed; lower {t_flag} or --samples")
 
 
 def block_rows(width: int) -> int:

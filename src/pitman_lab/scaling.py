@@ -502,10 +502,14 @@ def donsker_check(N: int, v, sigma, law: InitialLaw, samples: int, seed: int) ->
 
     The chains are ``sample_chain``'s, drawn from the same stream, but only
     their starts and a two-row ring of levels are held: O(samples) memory.
-    N * samples is capped at DONSKER_WORK_CAP chain steps.
+    N * samples is capped at DONSKER_WORK_CAP chain steps, and fewer than 100
+    samples are refused before any chain is drawn.
     """
     stream, vf = RngStream(seed), float(v)
     sn, params = scaled_params(N, v, sigma)
+    if samples < 100:
+        raise ValueError(f"--samples must be >= 100, got {samples}: the KS test needs at "
+                         "least 100 samples per side")
     if N * samples > DONSKER_WORK_CAP:
         raise ValueError(f"--N {N} with --samples {samples} asks for {N * samples} chain "
                          f"steps, more than the {DONSKER_WORK_CAP} allowed; lower --N or "

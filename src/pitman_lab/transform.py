@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import Path, enumerate_paths, stats
-from .sampling import RngStream, shard_sizes
+from .sampling import RngStream, _level_dtype, block_rows, check_path_levels
 
 
 def apply_T(g: int, s: Path) -> Path:
@@ -109,11 +109,10 @@ def preimage_stats(x: Path, r: int):
 # ---------------------------------------------------------------------------
 
 
-def _tilde_batch(vals: np.ndarray, m: np.ndarray, g: int, out: np.ndarray) -> np.ndarray:
+def _tilde_batch(vals: np.ndarray, m: np.ndarray, g) -> np.ndarray:
     """tilde_T_g over a batch, vals - 2*(m - g)_+ for value rows ``vals`` with
-    running max ``m``, written into ``out``."""
-    np.subtract(m, g, out=out)
-    np.maximum(out, 0, out=out)
+    running max ``m``, broadcast against the level(s) ``g``."""
+    out = np.maximum(m - g, 0)
     out *= 2
     return np.subtract(vals, out, out=out)
 
@@ -125,74 +124,67 @@ def tropical_identities_batch(vals: np.ndarray, g1, g2) -> dict:
     2. tilde_T_g2(tilde_T_g1(x)) == tilde_T_{min(g1,g2)}(x)
     3. 2*running_max - id applied after tilde_T_g equals 2*running_max - id
 
-    Returns violation counts per identity (expected all zero).  ``g1`` and
-    ``g2`` are levels or 1-d arrays of distinct levels; with arrays each
-    count is summed over every pair (g1, g2) of their product, as a loop
-    over the pairs would sum it.  Each level's running max is taken once,
-    and the work runs in four arrays the size of ``vals``.
+    Returns violation counts per identity (expected all zero).  The levels
+    ``g1`` and ``g2`` broadcast against the (rows, t+1) array ``vals``:
+    scalars check every row at one pair, shape (rows, 1) each row at its own
+    pair, and shapes (L, 1, 1) and (L, 1, 1, 1) every row at each of the L x L
+    pairs.  Identities 1 and 3 count wrong entries once per row and level of
+    their tag, the composition once per row and pair.  The work runs in the
+    type of ``vals`` and the levels, which must hold the levels and 5 max|vals|.
     """
-    vals = np.asarray(vals)
-    levels1, levels2 = np.atleast_1d(g1).tolist(), np.atleast_1d(g2).tolist()
-    g1, g2 = set(levels1), set(levels2)
-    if len(g1) < len(levels1) or len(g2) < len(levels2):
-        raise ValueError(f"level arrays must not repeat a level, got {levels1} and {levels2}")
-    m = np.maximum.accumulate(vals, axis=1)
-    y, my, a, b = (np.empty_like(m) for _ in range(4))
-    report = {f"{key}[{tag}]": 0 for tag in ("g1", "g2")
-              for key in ("max_of_transform", "two_max_minus_id")}
-    report["composition"] = 0
-    for g in sorted(g1 | g2):
-        _tilde_batch(vals, m, g, out=y)
-        np.maximum.accumulate(y, axis=1, out=my)
-        wrong_max = int(np.count_nonzero(my != np.minimum(m, g, out=a)))
-        np.multiply(my, 2, out=a)
-        a -= y
-        np.multiply(m, 2, out=b)
-        b -= vals
-        wrong_two_max = int(np.count_nonzero(a != b))
-        # g is in len(g2) pairs as g1 and in len(g1) pairs as g2
-        for tag, n_pairs in (("g1", len(g2) * (g in g1)), ("g2", len(g1) * (g in g2))):
-            report[f"max_of_transform[{tag}]"] += n_pairs * wrong_max
-            report[f"two_max_minus_id[{tag}]"] += n_pairs * wrong_two_max
-        for h in sorted(g2) if g in g1 else ():
-            # tilde_T_h(y) through y's running max my, taken once above
-            lhs, rhs = _tilde_batch(y, my, h, out=a), _tilde_batch(vals, m, min(g, h), out=b)
-            report["composition"] += int(np.count_nonzero(lhs != rhs))
-    report["ok"] = all(v == 0 for k, v in report.items() if k != "ok")
+    m = np.maximum.accumulate(vals, axis=-1)
+    report = {}
+    for tag, g in (("g1", g1), ("g2", g2)):
+        y = _tilde_batch(vals, m, g)
+        my = np.maximum.accumulate(y, axis=-1)
+        report[f"max_of_transform[{tag}]"] = int(np.count_nonzero(my != np.minimum(m, g)))
+        report[f"two_max_minus_id[{tag}]"] = int(np.count_nonzero(2 * my - y != 2 * m - vals))
+        if tag == "g1":  # tilde_T_g2(y) through y's running max my
+            lhs = _tilde_batch(y, my, g2)
+    rhs = _tilde_batch(vals, m, np.minimum(g1, g2))
+    report["composition"] = int(np.count_nonzero(lhs != rhs))
+    report["ok"] = not any(report.values())
     return report
 
 
 def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
-                    seed: int, streams: int) -> dict:
+                    seed: int) -> dict:
     """The max-plus identities on every path up to t_exhaustive at every pair
     of levels g1, g2 <= t + 1, then on ``samples`` random paths of horizon
-    t_random, split over ``streams`` shards with one rng stream and one
-    random (g1, g2) <= g_max each."""
+    t_random with uniform steps in {-1, 0, 1}, each at its own random pair
+    (g1, g2) <= g_max, all drawn from the one stream ``RngStream(seed)``.
+
+    Both parts run in row blocks of ``block_rows`` of their widest broadcast
+    row, in the narrowest integer type holding every value (|value| <= 5t).
+    A path of horizon t from 0 has running max <= t, so a level above t + 1
+    acts as t + 1 does: the levels are clipped there.
+    """
     if min(t_exhaustive, t_random, samples, g_max) < 0:
         raise ValueError("t_exhaustive, t_random, samples and g_max must be >= 0, got "
                          f"{t_exhaustive}, {t_random}, {samples}, {g_max}")
-    sizes = shard_sizes(samples, streams)  # refuses streams < 1 before any work
+    check_path_levels(t_random, samples, "--t-random")
     violations = 0
 
     def count(vals, g1, g2):
-        rep = tropical_identities_batch(vals, g1, g2)
-        return sum(v for k, v in rep.items() if k != "ok")
+        return sum(v for k, v in tropical_identities_batch(vals, g1, g2).items() if k != "ok")
 
     for t in range(t_exhaustive + 1):
-        vals = np.array([p.values for p in enumerate_paths(t)], dtype=np.int64).reshape(-1, t + 1)
-        violations += count(vals, np.arange(t + 2), np.arange(t + 2))
-    for i, m in enumerate(sizes):
-        gen = RngStream(seed, i).generator()
-        steps = gen.integers(-1, 2, size=(m, t_random))
-        vals = np.concatenate([np.zeros((m, 1), dtype=np.int64), np.cumsum(steps, axis=1)],
-                              axis=1)
-        g1, g2 = (int(g) for g in gen.integers(0, g_max + 1, size=2))
+        dtype = _level_dtype(5 * t + 1)
+        vals = np.array([p.values for p in enumerate_paths(t)], dtype=dtype).reshape(-1, t + 1)
+        g = np.arange(t + 2, dtype=dtype)[:, None, None]
+        rows = block_rows((t + 2) ** 2 * (t + 1))
+        for i in range(0, len(vals), rows):
+            violations += count(vals[i:i + rows], g, g[..., None])
+    dtype, gen = _level_dtype(5 * t_random + 1), RngStream(seed).generator()
+    rows = block_rows(t_random + 1)
+    for i in range(0, samples, rows):
+        n = min(rows, samples - i)
+        levels = gen.integers(0, g_max + 1, size=(2, n, 1))
+        g1, g2 = np.minimum(levels, t_random + 1).astype(dtype)
+        vals = np.zeros((n, t_random + 1), dtype=dtype)
+        np.cumsum(gen.integers(-1, 2, size=(n, t_random), dtype=np.int8), axis=1,
+                  dtype=dtype, out=vals[:, 1:])
         violations += count(vals, g1, g2)
-    return {
-        "check": "tropical",
-        "t_exhaustive": t_exhaustive,
-        "random": {"samples": samples, "t": t_random, "g_max": g_max,
-                   "seed": seed, "streams": streams},
-        "violations": violations,
-        "status": "PASS" if violations == 0 else "FAIL",
-    }
+    return {"check": "tropical", "t_exhaustive": t_exhaustive,
+            "random": {"samples": samples, "t": t_random, "g_max": g_max, "seed": seed},
+            "violations": violations, "status": "PASS" if violations == 0 else "FAIL"}

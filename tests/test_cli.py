@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pitman_lab import donsker_check
+from pitman_lab import Params, RngStream, donsker_check, sample_chain, sample_walk
 from pitman_lab.cli import _GRID_CAP, _grid, main
 from pitman_lab.processes import parse_initial_law
 
@@ -83,21 +83,13 @@ class TestVerifyCommands:
         assert set(rep["tolerance_parts"]) == {"chain_err", "level_err", "entry_rounding"}
         assert rep["max_abs_diff"]["float"] <= rep["tolerance"]
 
-    @pytest.mark.parametrize("samples,streams", [(5, 5), (0, 1), (19, 19), (20, 20),
-                                                 (1000, 20)])
-    def test_tropical_default_streams_fit_the_samples(self, capsys, samples, streams):
-        # the default is min(20, max(samples, 1)), the most shards the samples fill
+    @pytest.mark.parametrize("samples", [0, 5, 19, 20, 1000])
+    def test_tropical_runs_at_any_sample_count(self, capsys, samples):
+        # one stream, however few samples
         code, rep, _ = run_json(capsys, "verify", "tropical", "--t-exhaustive", "2",
                                 "--samples", str(samples))
         assert code == 0 and rep["status"] == "PASS"
-        assert rep["random"] == {"samples": samples, "t": 50, "g_max": 10, "seed": 0,
-                                 "streams": streams}
-
-    def test_tropical_zero_streams_exits_two(self, capsys):
-        code, out, err = run(capsys, "verify", "tropical", "--t-exhaustive", "2",
-                             "--samples", "10", "--streams", "0")
-        assert code == 2 and not out.strip()
-        assert "--streams" in err
+        assert rep["random"] == {"samples": samples, "t": 50, "g_max": 10, "seed": 0}
 
     def test_damage(self, capsys):
         code, rep, _ = run_json(
@@ -259,6 +251,9 @@ class TestScalingCommands:
         ("scaling", "donsker", "--streams", "2"),
         ("sample", "limit-process", "--steps", "64"),
         ("verify", "thm1", "--rho", "1/2", "--initial", "point:1", "--jobs", "2"),
+        ("verify", "tropical", "--streams", "2"),
+        ("sample", "walk", "--rho", "1/2", "--streams", "2"),
+        ("sample", "chain", "--rho", "1/2", "--stream", "1"),
     ])
     def test_removed_knobs_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--samples", "200")
@@ -307,10 +302,20 @@ class TestSampleCommands:
                              "--initial", "point:2", "--samples", "2", "--seed", "0")
         assert all(p.startswith("2,") for p in rep["paths"])
 
-    def test_zero_streams_exits_two(self, capsys):
-        code, out, err = run(capsys, "sample", "walk", "--rho", "1/2", "--streams", "0")
-        assert code == 2 and not out.strip()
-        assert "--streams" in err
+    @pytest.mark.parametrize("obj, draw", [
+        ("walk", lambda rng: sample_walk(6, Params(Fraction(1, 2)), rng, n=4)),
+        ("chain", lambda rng: sample_chain(6, parse_initial_law("point:3"),
+                                           Params(Fraction(1, 2)), rng, n=4)),
+    ])
+    def test_sample_draws_from_the_seed_stream(self, capsys, obj, draw):
+        # the seed alone fixes the paths: those of RngStream(seed), the same bytes
+        # on every run
+        argv = ("sample", obj, "--rho", "1/2", "--t", "6", "--initial", "point:3",
+                "--samples", "4", "--seed", "9")
+        _, out, _ = run(capsys, *argv)
+        assert run(capsys, *argv)[1] == out
+        assert json.loads(out)["paths"] == [",".join(map(str, row))
+                                            for row in draw(RngStream(9)).tolist()]
 
     def test_limit_process(self, capsys):
         _, rep, _ = run_json(capsys, "sample", "limit-process", "--v", "0",
@@ -374,10 +379,11 @@ def test_unknown_command_usage_error(capsys):
      "needs finite atoms and terms"),
     (("sample", "limit-process", "--gamma-point", "inf", "--samples", "2"),
      "needs finite atoms and terms"),
-    (("verify", "tropical", "--t-random", "0", "--samples", "5", "--streams", "100000000"),
-     "--streams must be <= max(samples, 1) = 5, got 100000000"),
-    (("sample", "walk", "--rho", "1/2", "--samples", "2", "--streams", "3"),
-     "--streams must be <= max(samples, 1) = 2, got 3"),
+    (("scaling", "donsker", "--N", "1000000", "--samples", "99", "--initial", "point:1000"),
+     "--samples must be >= 100, got 99"),
+    (("verify", "tropical", "--samples", "1000000000"),
+     "--t-random 50 with --samples 1000000000 asks for 51000000000 path levels, more than "
+     "the 10000000 allowed; lower --t-random or --samples"),
     (("scaling", "continuity", "--N", "100", "--grid", "0:1:1e-9"),
      "--grid 0:1:1e-9 holds 1000000001 points, more than the 100000 allowed"),
     (("sample", "limit-process", "--grid", "0:1:1e-6", "--samples", "2"),

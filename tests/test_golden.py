@@ -1,15 +1,18 @@
 """Byte-for-byte CLI output of the README commands (all but `scaling donsker`,
 whose 2x10^4 chains of 2500 steps take seconds), plus an approx level law,
-an explicit --glaw table and three sharded `sample` commands.
+an explicit --glaw table and three more `sample` commands.
 
 tests/data/cli_golden.json holds the stdout and exit code of each command as
-recorded before the law types were merged into one (the sharded `sample`
-commands: before the samplers returned their narrowest integer type, so
-shards of different widths must still print the same bytes); a refactor must
-leave every byte of it unchanged.  The three `sample chain` cases alone were
-re-recorded once since, when the chain sampler began to read its uniforms 16
-bits at a time: a new stream, so new paths (tests/test_sampling.py checks
-them step for step against an int64 reference chain).
+recorded before the law types were merged into one; a refactor must leave
+every byte of it unchanged.  Cases were re-recorded twice since.  The
+`sample chain` cases were re-recorded when the chain sampler began to read
+its uniforms 16 bits at a time: a new stream, so new paths
+(tests/test_sampling.py checks them step for step against an int64
+reference chain).  When every command came to draw from the one stream
+RngStream(seed), the `verify tropical` and `sample chain ... --seed 7`
+reports lost their "streams" key (same violations, same paths), and the
+three cases that took --streams were re-recorded without it, the second
+chain case at another seed.
 """
 
 import json
@@ -23,7 +26,6 @@ import pytest
 from pitman_lab import Params, RngStream, sample_chain
 from pitman_lab.cli import main
 from pitman_lab.processes import parse_initial_law
-from pitman_lab.sampling import shard_sizes
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
@@ -35,11 +37,11 @@ def test_cli_output_is_unchanged(capsys, case):
     assert capsys.readouterr().out == case["stdout"]
 
 
-def test_sharded_chain_case_mixes_widths():
-    # the six-stream `sample chain` case concatenates int8 shards (starts at 0)
-    # with int32 ones (starts at 40000)
-    assert any("--streams 6" in case["argv"] for case in GOLDEN)
+def test_chain_case_takes_the_widest_start():
+    # the chain cases start at 0 and at 40000: one array, in the int32 that
+    # holds 40000 + t
+    assert any("finite:0=1/2,40000=1/2" in case["argv"] for case in GOLDEN)
     law = parse_initial_law("finite:0=1/2,40000=1/2")
-    widths = {sample_chain(6, law, Params(Fraction(1)), RngStream(4, i), n=m).dtype
-              for i, m in enumerate(shard_sizes(12, 6))}
-    assert widths == {np.dtype(np.int8), np.dtype(np.int32)}
+    paths = sample_chain(6, law, Params(Fraction(1)), RngStream(4), n=12)
+    assert paths.dtype == np.dtype(np.int32)
+    assert set(paths[:, 0].tolist()) == {0, 40000}

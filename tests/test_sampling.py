@@ -54,6 +54,13 @@ class TestReproducibility:
         b = sample_walk(50, Params(F(2, 3), F(1)), RngStream(5, 2), n=20)
         assert (a == b).all()
 
+    def test_a_seed_alone_is_its_stream_zero(self):
+        # `sample --seed 7` draws from RngStream(7): stream 0 of seed 7
+        assert RngStream(7) == RngStream(7, 0)
+        a = sample_chain(9, PointMass(2), Params(F(2, 3), F(1)), RngStream(7), n=5)
+        b = sample_chain(9, PointMass(2), Params(F(2, 3), F(1)), RngStream(7, 0), n=5)
+        assert a.tobytes() == b.tobytes()
+
     def test_different_streams_differ(self):
         a = sample_walk(50, Params(F(1)), RngStream(5, 0), n=20)
         b = sample_walk(50, Params(F(1)), RngStream(5, 1), n=20)
@@ -67,16 +74,19 @@ class TestReproducibility:
         assert abs(corr) < 4 / np.sqrt(n)
 
 
-@pytest.mark.parametrize("total,streams,sizes", [(5, 5, [1] * 5), (7, 3, [3, 2, 2]),
-                                                 (0, 1, [0])])
-def test_shard_sizes_split_the_draws(total, streams, sizes):
-    assert sampling.shard_sizes(total, streams) == sizes
+@pytest.mark.parametrize("t,samples", [(0, 10**7), (9, 10**6), (10**7 - 1, 1)])
+def test_check_path_levels_allows_the_cap(t, samples):
+    assert (t + 1) * samples == sampling.PATH_CAP
+    sampling.check_path_levels(t, samples)
 
 
-@pytest.mark.parametrize("total,streams", [(5, 6), (0, 2), (1, 10**8)])
-def test_shard_sizes_refuse_more_streams_than_draws(total, streams):
-    with pytest.raises(ValueError, match=r"^--streams must be <= max\(samples, 1\)"):
-        sampling.shard_sizes(total, streams)
+@pytest.mark.parametrize("t,samples,flag", [(0, 10**7 + 1, "--t"), (9, 10**6 + 1, "--t"),
+                                            (50, 10**9, "--t-random")])
+def test_check_path_levels_refuses_past_the_cap(t, samples, flag):
+    with pytest.raises(ValueError, match=rf"^{flag} {t} with --samples {samples} asks for "
+                                         rf"{(t + 1) * samples} path levels, more than the "
+                                         rf"10000000 allowed; lower {flag} or --samples$"):
+        sampling.check_path_levels(t, samples, flag)
 
 
 class TestSamplers:

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +15,6 @@ from pitman_lab import (
     verify_tropical,
 )
 from pitman_lab import transform
-from pitman_lab.sampling import shard_sizes
 
 step_lists = st.lists(st.sampled_from([-1, 0, 1]), max_size=30)
 
@@ -194,7 +191,8 @@ class TestTropical:
 
 def _reference_identities(vals, g1, g2):
     """The per-pair check the level-array form replaced: every transform
-    takes its own running max, eight accumulates per pair (g1, g2)."""
+    takes its own running max, eight accumulates per pair (g1, g2).  Levels
+    of shape (rows, 1) check each row at its own pair."""
     def tilde(v, g):
         return v - 2 * np.maximum(np.maximum.accumulate(v, axis=1) - g, 0)
 
@@ -205,7 +203,8 @@ def _reference_identities(vals, g1, g2):
         my = np.maximum.accumulate(y, axis=1)
         report[f"max_of_transform[{tag}]"] = int(np.sum(my != np.minimum(g, m)))
         report[f"two_max_minus_id[{tag}]"] = int(np.sum((2 * my - y) != (2 * m - vals)))
-    report["composition"] = int(np.sum(tilde(tilde(vals, g1), g2) != tilde(vals, min(g1, g2))))
+    report["composition"] = int(np.sum(tilde(tilde(vals, g1), g2)
+                                       != tilde(vals, np.minimum(g1, g2))))
     return report
 
 
@@ -223,6 +222,29 @@ def _rows_off_the_identities():
     return np.concatenate([shifted, jumps])
 
 
+def _reference_level_arrays(vals, levels1, levels2):
+    """The counts of level arrays by the per-pair reference: identities 1 and
+    3 once per level of their tag, the composition once per pair."""
+    want = dict.fromkeys(_reference_identities(vals, 0, 0), 0)
+    for tag, levels in (("[g1]", levels1), ("[g2]", levels2)):
+        for g in levels:
+            for key, v in _reference_identities(vals, g, g).items():
+                want[key] += v if tag in key else 0
+    for a in levels1:
+        for b in levels2:
+            want["composition"] += _reference_identities(vals, a, b)["composition"]
+    return want
+
+
+def _reference_rows(vals, g1, g2):
+    """The counts of per-row levels: each row by the reference at its own pair."""
+    want = dict.fromkeys(_reference_identities(vals, 0, 0), 0)
+    for row, a, b in zip(vals, g1, g2):
+        for key, v in _reference_identities(row[None, :], int(a), int(b)).items():
+            want[key] += v
+    return want
+
+
 class TestLevelArrays:
     def test_scalar_levels_count_as_the_reference(self):
         vals = _rows_off_the_identities()
@@ -234,59 +256,131 @@ class TestLevelArrays:
                 assert _counts(got) == want and got["ok"] == (sum(want.values()) == 0)
 
     def test_level_arrays_sum_the_pair_calls(self):
+        # identities 1 and 3 count once per (row, level), the composition once per
+        # (row, pair); a repeated level is counted once per occurrence
         vals = _rows_off_the_identities()
-        g1, g2 = np.array([0, 2, 5, 7]), np.array([1, 2, 4])  # a shared level
-        want = dict.fromkeys(_reference_identities(vals, 0, 0), 0)
-        for a in g1.tolist():
-            for b in g2.tolist():
-                for key, v in tropical_identities_batch(vals, a, b).items():
-                    if key != "ok":
-                        want[key] += v
+        g1, g2 = [0, 2, 2, 5, 7], [1, 2, 4]  # a shared and a repeated level
+        want = _reference_level_arrays(vals, g1, g2)
         assert all(want.values())
-        got = tropical_identities_batch(vals, g1, g2)
+        got = tropical_identities_batch(vals, np.array(g1)[:, None, None],
+                                        np.array(g2)[:, None, None, None])
         assert _counts(got) == want and not got["ok"]
 
-    def test_level_arrays_refuse_a_repeated_level(self):
-        with pytest.raises(ValueError, match="repeat a level"):
-            tropical_identities_batch(_rows_off_the_identities(), np.array([0, 2, 2]), 1)
+    def test_row_levels_count_each_row_at_its_own_pair(self):
+        vals = _rows_off_the_identities()
+        g1, g2 = np.random.default_rng(11).integers(0, 8, size=(2, len(vals)))
+        want = _reference_rows(vals, g1, g2)
+        assert all(want.values())
+        got = tropical_identities_batch(vals, g1[:, None], g2[:, None])
+        assert _counts(got) == want and not got["ok"]
+
+    def test_one_row_off_the_identities_is_caught_at_its_pair(self):
+        # walks from 0 satisfy every identity; one row shifted up by one fails at its
+        # own pair only, so the counts are that row's reference counts exactly
+        rng = np.random.default_rng(5)
+        vals = np.zeros((400, 13), dtype=np.int64)
+        np.cumsum(rng.integers(-1, 2, size=(400, 12)), axis=1, out=vals[:, 1:])
+        g1, g2 = rng.integers(0, 6, size=(2, 400))
+        vals[137] += 1
+        want = _reference_identities(vals[137:138], int(g1[137]), int(g2[137]))
+        assert sum(want.values()) > 0
+        got = tropical_identities_batch(vals, g1[:, None], g2[:, None])
+        assert _counts(got) == want
+        vals[137] -= 1
+        assert tropical_identities_batch(vals, g1[:, None], g2[:, None])["ok"]
+
+
+def _random_part(seed, samples, t, g_max):
+    """The random rows and levels of ``verify_tropical`` in int64, levels
+    unclipped: from ``RngStream(seed)``, each block's levels then its steps."""
+    gen, rows = RngStream(seed).generator(), transform.block_rows(t + 1)
+    vals, g1, g2 = np.zeros((samples, t + 1), dtype=np.int64), [], []
+    for i in range(0, samples, rows):
+        n = min(rows, samples - i)
+        levels = gen.integers(0, g_max + 1, size=(2, n))
+        g1.append(levels[0])
+        g2.append(levels[1])
+        np.cumsum(gen.integers(-1, 2, size=(n, t), dtype=np.int8), axis=1,
+                  out=vals[i:i + n, 1:])
+    return vals, np.concatenate(g1), np.concatenate(g2)
+
+
+def _off_the_identities(vals):
+    """Rows doubled and capped at t + 1: steps of 2 break the identities, and a
+    running max <= t + 1 keeps levels clipped at t + 1 exact."""
+    return np.minimum(2 * vals, vals.shape[-1])
+
+
+def _check_rows_off_the_identities(monkeypatch, seen=None):
+    """Every row verify_tropical checks goes through ``_off_the_identities``;
+    ``seen`` collects each call's value type and largest levels."""
+    real = transform.tropical_identities_batch
+
+    def off(vals, g1, g2):
+        if seen is not None:
+            seen.append((vals.dtype, int(np.max(g1)), int(np.max(g2))))
+        return real(_off_the_identities(vals), g1, g2)
+
+    monkeypatch.setattr(transform, "tropical_identities_batch", off)
 
 
 def test_verify_tropical_counts_as_a_pair_loop(monkeypatch):
-    # every enumerated path shifted up by one: the identities fail at each horizon
-    def shifted_paths(t):
-        return [SimpleNamespace(values=tuple(v + 1 for v in p.values))
-                for p in enumerate_paths(t)]
-
-    monkeypatch.setattr(transform, "enumerate_paths", shifted_paths)
-    rep = verify_tropical(t_exhaustive=4, t_random=12, samples=300, g_max=5, seed=3, streams=2)
-    want = 0
+    _check_rows_off_the_identities(monkeypatch)
+    rep = verify_tropical(t_exhaustive=4, t_random=12, samples=300, g_max=5, seed=3)
+    exhaustive = 0
     for t in range(5):
-        vals = np.array([p.values for p in shifted_paths(t)], dtype=np.int64).reshape(-1, t + 1)
-        want += sum(sum(_reference_identities(vals, g1, g2).values())
-                    for g1 in range(t + 2) for g2 in range(t + 2))
-    for i, m in enumerate(shard_sizes(300, 2)):
-        gen = RngStream(3, i).generator()
-        steps = gen.integers(-1, 2, size=(m, 12))
-        vals = np.concatenate([np.zeros((m, 1), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1)
-        g1, g2 = (int(g) for g in gen.integers(0, 6, size=2))
-        want += sum(_reference_identities(vals, g1, g2).values())
-    assert want > 0
-    assert rep["violations"] == want and rep["status"] == "FAIL"
+        vals = np.array([p.values for p in enumerate_paths(t)], dtype=np.int64)
+        levels = list(range(t + 2))
+        exhaustive += sum(_reference_level_arrays(_off_the_identities(vals.reshape(-1, t + 1)),
+                                                  levels, levels).values())
+    vals, g1, g2 = _random_part(3, 300, 12, 5)
+    random = sum(_reference_rows(_off_the_identities(vals), g1, g2).values())
+    assert exhaustive > 0 and random > 0
+    assert rep["violations"] == exhaustive + random and rep["status"] == "FAIL"
+
+
+def test_verify_tropical_narrow_types_count_as_int64(monkeypatch):
+    # t_random = 30 needs int16 (values up to 150), and levels up to 40000 pass the
+    # int16 range: they are clipped to t + 1 before the cast.  Rows fail only at
+    # levels below t + 1, so many samples are drawn; the int64 reference takes each
+    # row at its own unclipped pair by broadcasting
+    seen = []
+    _check_rows_off_the_identities(monkeypatch, seen)
+    rep = verify_tropical(t_exhaustive=0, t_random=30, samples=100000, g_max=40000, seed=8)
+    vals, g1, g2 = _random_part(8, 100000, 30, 40000)
+    assert max(g1.max(), g2.max()) > np.iinfo(np.int16).max
+    want = sum(_reference_identities(_off_the_identities(vals), g1[:, None], g2[:, None]).values())
+    assert want > 0 and rep["violations"] == want
+    assert {s[0] for s in seen[1:]} == {np.dtype(np.int16)} and max(s[1] for s in seen) == 31
+
+
+def test_verify_tropical_draws_the_same_rows_from_the_same_seed(monkeypatch):
+    def checked_bytes(seed):
+        seen = []
+        monkeypatch.setattr(transform, "tropical_identities_batch", lambda vals, g1, g2:
+                            seen.append(vals.tobytes() + np.asarray(g1).tobytes()
+                                        + np.asarray(g2).tobytes()) or {"ok": True})
+        verify_tropical(t_exhaustive=1, t_random=20, samples=3000, g_max=10, seed=seed)
+        return seen
+
+    assert checked_bytes(4) == checked_bytes(4)
+    assert checked_bytes(4)[-1] != checked_bytes(5)[-1]
 
 
 def test_verify_tropical_counts_no_violation():
-    rep = verify_tropical(t_exhaustive=3, t_random=20, samples=500, g_max=5, seed=1, streams=3)
+    rep = verify_tropical(t_exhaustive=3, t_random=20, samples=500, g_max=5, seed=1)
     assert rep["violations"] == 0 and rep["status"] == "PASS"
-    assert rep["random"] == {"samples": 500, "t": 20, "g_max": 5, "seed": 1, "streams": 3}
+    assert rep["random"] == {"samples": 500, "t": 20, "g_max": 5, "seed": 1}
 
 
-def test_verify_tropical_needs_a_stream():
-    with pytest.raises(ValueError, match="streams"):
-        verify_tropical(t_exhaustive=1, t_random=5, samples=10, g_max=2, seed=0, streams=0)
+def test_verify_tropical_refuses_oversized_work():
+    with pytest.raises(ValueError, match=r"^--t-random 50 with --samples 1000000000 asks for "
+                                         r"51000000000 path levels, more than the 10000000"):
+        verify_tropical(t_exhaustive=0, t_random=50, samples=10**9, g_max=10, seed=0)
 
 
 @pytest.mark.parametrize("sizes", [(-1, 5, 0, 2), (1, -1, 10, 2), (1, 5, -1, 2), (1, 5, 10, -1)])
 def test_verify_tropical_refuses_negative_sizes(sizes):
     t_exhaustive, t_random, samples, g_max = sizes
     with pytest.raises(ValueError, match="must be >= 0"):
-        verify_tropical(t_exhaustive, t_random, samples, g_max, seed=0, streams=1)
+        verify_tropical(t_exhaustive, t_random, samples, g_max, seed=0)
