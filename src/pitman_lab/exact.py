@@ -14,6 +14,8 @@ from array import array
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+import numpy as np
+
 Rat = Fraction
 ProbValue = Union[Fraction, float]
 
@@ -127,29 +129,48 @@ UNIT_ROUNDOFF = 2.0**-53
 TERM_FLOOR = 2.0**-1021
 
 
-def rel_err(*parts: float) -> float:
+def rel_err(*parts):
     """Relative error bound of a product or quotient of factors whose own
     relative errors are bounded by ``parts`` (one rounding counts u).
 
     (1+a)(1+b)/(1-c) - 1 <= 1.02 (a+b+c) while a+b+c <= 0.01; the factor 1.05
-    covers that, and past 0.01 no bound is claimed (inf).
+    covers that, and past 0.01 no bound is claimed (inf).  Parts may be float64
+    arrays: the bound is then taken entry by entry, with the same roundings.
+    The parts are added left to right, as Python's ``sum`` did before 3.12
+    (which compensates float sums), so a bound has the same bits on every
+    Python and in both forms.
     """
-    total = sum(parts)
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    if np.ndim(total):
+        return np.where(total <= 0.01, 1.05 * total, math.inf)
     return 1.05 * total if total <= 0.01 else math.inf
 
 
-def bracket_floats(q: Rat, count: int) -> array:
-    """[1]_q, ..., [count]_q in floats by the recurrence [j+1]_q = 1 + q [j]_q.
+def bracket_floats(q: Rat, count: int):
+    """[1]_q, ..., [m]_q in floats by the recurrence [j+1]_q = 1 + q [j]_q, as
+    a float64 array; m <= count, and every entry past m equals [m]_q.
 
     Each step adds two positive terms, so nothing cancels at any q > 0; the
-    relative error of [n]_q is bounded by ``bracket_rel_err``.
+    relative error of [n]_q is bounded by ``bracket_rel_err``.  The float map
+    b -> fl(1 + fl(q b)) is non-decreasing and [2]_q >= [1]_q, so the run
+    never falls: it rises until an entry maps to itself (near 1/(1 - q) for
+    q < 1, inf after an overflow for q > 1) and stays there, and the loop
+    stops at that entry.  At float(q) = 1 every step adds 1 exactly, so the
+    entries are the integers 1..count.
     """
     qf = float(q)
+    if qf == 1.0:
+        return np.arange(1.0, count + 1)
     out, b = array("d"), 0.0
     for _ in range(count):
-        b = 1.0 + qf * b
-        out.append(b)
-    return out
+        step = 1.0 + qf * b
+        if step == b:
+            break
+        out.append(step)
+        b = step
+    return np.frombuffer(out)
 
 
 def bracket_ratio_float(a: int, b: int, log_q: float) -> float:
@@ -166,9 +187,10 @@ def bracket_ratio_float(a: int, b: int, log_q: float) -> float:
     return math.expm1(a * log_q) / math.expm1(b * log_q)
 
 
-def bracket_ratio_rel_err(span: int, log_q: float) -> float:
+def bracket_ratio_rel_err(span, log_q: float):
     """Relative error bound of ``bracket_ratio_float(a, b, log_q)`` as a value
-    of [a]_q/[b]_q, for a, b <= span.
+    of [a]_q/[b]_q, for a, b <= span (an int, or an int array for one bound
+    per entry).
 
     L is within 1.01u + 2u|L| of log q (float(q), then log within one ulp),
     and log([a]_q/[b]_q) moves by at most span per unit of log q; the
@@ -181,17 +203,23 @@ def bracket_ratio_rel_err(span: int, log_q: float) -> float:
     return 2 * err if log_q > 0 else err
 
 
-def bracket_rel_err(n: int, q: Rat) -> float:
-    """Relative error bound of ``bracket_floats(q, n)[n-1]``.
+def bracket_rel_err(n, q: Rat):
+    """Relative error bound of the float [n]_q of ``bracket_floats``, for
+    n >= 1 (an int, or an int array for one bound per entry).
 
     [1]_q = 1 is exact, and every step adds at most 3u: one rounding each in
     float(q), the product and the sum (a sum of positive terms keeps the
     larger relative error of its parts).  At q = 1 the entries are exact
     integers.
     """
-    if q == 1 or n <= 1:
+    if q == 1:
         return 0.0
     return rel_err(3 * (n - 1) * UNIT_ROUNDOFF)
+
+
+#: levels per block of the float table kernels: a block's temporaries take
+#: about a MiB however many levels a table sums
+_BLOCK_LEVELS = 1 << 13
 
 
 class TailSumTable:
@@ -225,6 +253,26 @@ class TailSumTable:
     division t_j/(1 - eta_j) that turns a relative error of the true term into
     one of the float term, the float sums that form E and R (relative error
     below 1.01 m u, m <= 10^7 terms) and the rounding of err itself.
+
+    Array form.  The levels run in blocks of ``_BLOCK_LEVELS`` from the top
+    down, each block's arrays top down too.  t_j, eta_j and the err entries
+    are elementwise float64 expressions, the same roundings as one level at
+    a time.  S and R come from ``np.add.accumulate``, which adds strictly in
+    sequence, as the recursive summation above does; each block's
+    accumulation starts from the sum carried down from the block above.  The
+    brackets are read from ``bracket_floats``, stored only up to the entry
+    where the float recurrence stops moving.  E
+    keeps the per-level order "add eta_j t_j (0.0 where t_j = 0, whose eta_j
+    may be inf), then TERM_FLOOR" by accumulating the two interleaved.  So
+    the table is bit for bit the one the scalar loop gives, and the
+    derivation above holds as it stands.  Transcendentals stay libm scalars
+    (the law's pow, exp, expm1, lgamma, mapped level by level): numpy's own
+    differ from libm in the last bit for some arguments, which would move
+    values off the scalar ones and void the "pow within one ulp" step of the
+    laws' ``float_rel_err``.  With numpy 2.4.6 on an AVX-512 Xeon,
+    np.power(float(99999/100000), n) differs from libm pow for 169552 of the
+    n < 3.2M, and at x = m log(0.9999), 1 <= m <= 100000, np.expm1 differs
+    from math.expm1 for 3725 of them and np.exp from math.exp for 4724.
     """
 
     def __init__(self, law, q: Rat, trunc_n: int = None, lo: int = 0):
@@ -233,21 +281,31 @@ class TailSumTable:
         leftover = law.tail_bound(self.top + 1)
         self._brackets = bracket_floats(self.q, self.top + 1)
         u = UNIT_ROUNDOFF
-        # packed float arrays: 8 bytes per level, not a float object each
-        values, errs = array("d"), array("d")
-        s = e = r = 0.0
-        for j in range(self.top, lo - 1, -1):
-            t = law.pmf_float(j) / self._brackets[j]
-            if t:
-                e += rel_err(law.float_rel_err(j), bracket_rel_err(j + 1, self.q), u) * t
-            e += TERM_FLOOR
-            s += t
-            r += s
-            values.append(s)
-            errs.append(leftover + 1.1 * (e + u * r))
-        values.reverse()
-        errs.reverse()
-        self._values, self._errs = values, errs
+        size = max(self.top + 1 - lo, 0)
+        self._values, self._errs = np.empty(size), np.empty(size)
+        s = e = r = 0.0  # carried down from the blocks above
+        for hi in range(self.top + 1, lo, -_BLOCK_LEVELS):
+            b = max(lo, hi - _BLOCK_LEVELS)
+            # levels hi - 1 down to b
+            t = law._pmf_floats(b, hi)[::-1]
+            t /= self._bracket_run(b + 1, hi + 1)[::-1]
+            eta = rel_err(law._float_rel_errs(b, hi)[::-1],
+                          bracket_rel_err(np.arange(hi, b, -1), self.q), u)
+            steps = np.zeros(2 * len(t) + 1)
+            steps[0] = e
+            np.multiply(eta, t, out=steps[1::2], where=t != 0)
+            del eta
+            steps[2::2] = TERM_FLOOR
+            e_run = np.add.accumulate(steps, out=steps)[2::2]
+            # the carried sum, then the terms: S, then R over the same buffer
+            run = np.concatenate(([s], t))
+            del t
+            np.add.accumulate(run, out=run)
+            self._values[b - lo:hi - lo] = run[:0:-1]
+            s, run[0] = run[-1], r
+            r_run = np.add.accumulate(run, out=run)[1:]
+            self._errs[b - lo:hi - lo] = (leftover + 1.1 * (e_run + u * r_run))[::-1]
+            e, r = e_run[-1], r_run[-1]
 
     def at(self, n: int) -> Approx:
         """Approx value of the sum of pmf(j)/[j+1]_q over j >= n."""
@@ -255,12 +313,20 @@ class TailSumTable:
             raise ValueError(f"table starts at level {self.lo}, asked for {n}")
         if n > self.top:
             return Approx(0.0, self.law.tail_bound(n))
-        return Approx(self._values[n - self.lo], self._errs[n - self.lo])
+        return Approx(float(self._values[n - self.lo]), float(self._errs[n - self.lo]))
 
     def bracket(self, n: int):
         """([n]_q as a float, its relative error bound) for 1 <= n <= top + 1,
         from the recurrence the terms used."""
-        return self._brackets[n - 1], bracket_rel_err(n, self.q)
+        return float(self._bracket_run(n, n + 1)[0]), bracket_rel_err(n, self.q)
+
+    def _bracket_run(self, lo: int, hi: int):
+        """[n]_q for 1 <= lo <= n < hi as a float64 array: past the stored run
+        of ``bracket_floats`` every entry is its last."""
+        run = np.full(hi - lo, self._brackets[-1])
+        stored = self._brackets[lo - 1:hi - 1]
+        run[:len(stored)] = stored
+        return run
 
 
 def tail_sum_ratio(law, n: int, q: Rat, mode: str = "exact", trunc_n=None):

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import (
+    _BLOCK_LEVELS,
     APPROX_TAIL_TOL,
     TERM_FLOOR,
     UNIT_ROUNDOFF,
@@ -126,7 +128,9 @@ class InitialLaw:
     error of the values of the others.  Float mode reads
     ``pmf_float``/``tail_float`` with the relative error bound
     ``float_rel_err``; laws with closed forms override all three so that no
-    Fraction power is built per term.
+    Fraction power is built per term.  The float level tables read whole
+    runs of levels through ``_pmf_floats``/``_float_rel_errs``, which give
+    the same floats as the scalar methods, level by level.
     """
 
     exact = True
@@ -156,6 +160,14 @@ class InitialLaw:
         """Bound on the relative error of ``pmf_float(n)`` and of
         ``tail_float(n)``; here each rounds one exact rational."""
         return UNIT_ROUNDOFF
+
+    def _pmf_floats(self, lo: int, hi: int):
+        """``pmf_float(k)`` for lo <= k < hi as a float64 array."""
+        return np.fromiter(map(self.pmf_float, range(lo, hi)), float, hi - lo)
+
+    def _float_rel_errs(self, lo: int, hi: int):
+        """``float_rel_err(k)`` for lo <= k < hi as a float64 array."""
+        return np.fromiter(map(self.float_rel_err, range(lo, hi)), float, hi - lo)
 
     def tail_bound(self, n: int) -> float:
         """Certified float upper bound on P(X0 >= n).
@@ -282,8 +294,6 @@ class PointMass(InitialLaw):
         return ((self.n, Fraction(1)),)
 
     def sample(self, rng, size):
-        import numpy as np
-
         return np.full(size, self.n, dtype=np.int64)
 
     def cli_string(self):
@@ -314,8 +324,6 @@ class FiniteSupport(InitialLaw):
         return self._atoms
 
     def sample(self, rng, size):
-        import numpy as np
-
         levels = np.array([n for n, _ in self.masses])
         cum = np.cumsum([float(p) for _, p in self.masses])
         return levels[np.searchsorted(cum, rng.random(size), side="right").clip(0, len(levels) - 1)]
@@ -356,8 +364,15 @@ class Geometric(InitialLaw):
 
     def float_rel_err(self, n):
         # float(p) raised to n (n u), pow within one ulp (2u), float(1 - p)
-        # and the product
+        # and the product; n may be an int array
         return rel_err((n + 4) * UNIT_ROUNDOFF)
+
+    def _pmf_floats(self, lo, hi):
+        # the libm pow of pmf_float per level, then its product as an array
+        return self._cf * np.fromiter(map(self._pf.__pow__, range(lo, hi)), float, hi - lo)
+
+    def _float_rel_errs(self, lo, hi):
+        return self.float_rel_err(np.arange(lo, hi))
 
     def sample(self, rng, size):
         return rng.geometric(float(1 - self.p), size) - 1
@@ -416,9 +431,12 @@ class QNegativeBinomial(InitialLaw):
 
     def float_rel_err(self, n):
         # r^n and q^n (n + 2 each), four conversions, four operations, and
-        # the expm1 bracket
+        # the expm1 bracket; n may be an int array
         return rel_err((2 * n + 12) * UNIT_ROUNDOFF,
                        bracket_ratio_rel_err(n + 1, self._log_b))
+
+    def _float_rel_errs(self, lo, hi):
+        return self.float_rel_err(np.arange(lo, hi))
 
     def ratio_geometric_form(self, q):
         c = (1 - self.theta) * (1 - self.theta * self.q)
@@ -724,47 +742,84 @@ def _chain_law_formula_float(t, law, params, kmax):
     ratio error, u), and pref is within rel_err((H + t + |x_t| + 9) u) (float
     sigma, z, rho, their powers within one ulp, the product and the quotient
     with s).
+
+    Array form, bit for bit the floats of ``bracket_ratio_float`` and of a
+    level-by-level pass.  The levels run in blocks from the top down; for a
+    block every end value takes its terms, term errors and running sums as
+    float64 arrays, top down, accumulated with ``np.add.accumulate`` from the
+    sums carried down from the block above (E interleaves eta * term, or 0.0
+    for a zero term, with TERM_FLOOR, the scalar order).  The ratio
+    [a]_q/[b]_q with a = x_t+k+1, b = k+1 reads expm1(-m |log q|), mapped
+    once per block through libm's expm1 for every m the block needs and
+    shared by all end values, times the scalar exp(x_t log q) when q > 1; at
+    log q = 0 it is a/b, plain arithmetic.  Like the pmf floats, the
+    transcendentals stay libm scalars: numpy's expm1 and exp differ from
+    libm in the last bit for some arguments (see ``exact.TailSumTable``).
     """
     u = UNIT_ROUNDOFF
     top = kmax if kmax is not None else law.truncation_point()
-    pmfs = array("d", (law.pmf_float(k) for k in range(top + 1)))
-    pmf_errs = array("d", (law.float_rel_err(k) for k in range(top + 1)))
     q_is_one = params.q == 1
     log_q = math.log(float(params.q))
     sig, zf, rhof = float(params.sigma), float(params.z), float(params.rho)
+    allow_flat = params.sigma > 0
+    ends = range(-t, t + 1, 1 if allow_flat else 2)
+    # per end value: (s, e, r) carried down from the blocks above, and
+    # {a: (s(a, x_t), its rounding bound)} for the a a path can have,
+    # max(0, -x_t) <= a <= min(t, top)
+    carried = dict.fromkeys(ends, (0.0, 0.0, 0.0))
+    kept = {xt: {} for xt in ends}
+    for hi in range(top + 1, 0, -_BLOCK_LEVELS):
+        b = max(0, hi - _BLOCK_LEVELS)
+        pmfs = law._pmf_floats(b, hi)[::-1]
+        pmf_errs = law._float_rel_errs(b, hi)[::-1]
+        if log_q != 0.0:
+            # expm1(m * -|log q|) for m0 <= m <= hi + t: every bracket read here
+            m0 = max(b + 1 - t, 0)
+            args = (np.arange(m0, hi + t + 1) * -abs(log_q)).tolist()
+            em1 = np.fromiter(map(math.expm1, args), float, len(args))
+        for xt in ends:
+            lo = max(b, -xt)
+            if lo >= hi:
+                continue
+            n = hi - lo
+            k = np.arange(hi - 1, lo - 1, -1)
+            if log_q == 0.0:
+                ratio = (k + (xt + 1)) / (k + 1)
+            else:
+                ratio = em1[k + (xt + 1 - m0)] / em1[k + (1 - m0)]
+                if log_q > 0:
+                    ratio = math.exp(xt * log_q) * ratio
+            term = pmfs[:n] * ratio
+            ratio_err = u if q_is_one else bracket_ratio_rel_err(k + (1 + max(xt, 0)), log_q)
+            eta = rel_err(pmf_errs[:n], ratio_err, u)
+            s, e, r = carried[xt]
+            steps = np.zeros(2 * n + 1)
+            steps[0] = e
+            np.multiply(eta, term, out=steps[1::2], where=term != 0)
+            steps[2::2] = TERM_FLOOR
+            e_run = np.add.accumulate(steps, out=steps)[2::2]
+            # the levels k <= t are the block's last entries
+            first = hi - 1 - min(t, hi - 1)
+            # the carried sum, then the terms: S, then R over the same buffer
+            run = np.concatenate(([s], term))
+            np.add.accumulate(run, out=run)
+            s_kept = run[1 + first:].tolist()
+            s, run[0] = run[-1], r
+            r_run = np.add.accumulate(run, out=run)[1:]
+            carried[xt] = (s, e_run[-1], r_run[-1])
+            errs = 1.1 * (e_run[first:] + u * r_run[first:])
+            kept[xt].update(zip(range(hi - 1 - first, lo - 1, -1), zip(s_kept, errs.tolist())))
 
-    def suffix_sums(xt):
-        # s(a, xt) and its rounding bound, kept for the a a path can have:
-        # max(0, -xt) <= a <= t
-        lo = max(0, -xt)
-        kept, s, e, r = [], 0.0, 0.0, 0.0
-        for k in range(top, lo - 1, -1):
-            a, b = xt + k + 1, k + 1
-            term = pmfs[k] * bracket_ratio_float(a, b, log_q)
-            ratio_err = u if q_is_one else bracket_ratio_rel_err(max(a, b), log_q)
-            if term:
-                e += rel_err(pmf_errs[k], ratio_err, u) * term
-            e += TERM_FLOOR
-            s += term
-            r += s
-            if k <= t:
-                kept.append((s, 1.1 * (e + u * r)))
-        return lo, kept[::-1]
-
-    by_end, rounding = {}, {}
+    rounding = {}
 
     def formula(x):
         st = stats(x)
-        a = -st.K0
-        if x.end not in by_end:
-            by_end[x.end] = suffix_sums(x.end)
-        lo, kept = by_end[x.end]
-        s, s_err = kept[a - lo] if a <= top else (0.0, 0.0)
+        s, s_err = kept[x.end].get(-st.K0, (0.0, 0.0))
         pref = sig**st.H / (zf**t * rhof**x.end)
         rounding[x] = pref * s_err + rel_err((st.H + t + abs(x.end) + 9) * u) * pref * s
         return pref * s
 
-    table = DistTable.of_classes(t, params.sigma > 0, "approx", formula)
+    table = DistTable.of_classes(t, allow_flat, "approx", formula)
     table.err = law.tail_bound(top + 1) + 1.1 * sum(
         table.sizes[x] * r for x, r in rounding.items())
     return table

@@ -34,6 +34,11 @@ class RngStream:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        # Philox takes the key (seed << 64) | stream, 128 bits
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"--seed must be in [0, 2^64), got {self.seed}")
+
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=(self.seed << 64) | self.stream))
 
@@ -259,12 +264,12 @@ def ks_distance(samples_a, samples_b=None, cdf=None) -> float:
     if (samples_b is None) == (cdf is None):
         raise ValueError("pass exactly one of samples_b / cdf")
     if cdf is not None:
-        try:  # one call on the array, or one per point if cdf takes scalars only
+        try:  # one call on the array, or one per point (a float) if cdf takes scalars only
             f = np.asarray(cdf(a), dtype=float)
         except (TypeError, ValueError):
             f = None
         if f is None or f.shape != a.shape:
-            f = np.array([cdf(x) for x in a])
+            f = np.fromiter(map(cdf, a.tolist()), float, len(a))
         n = len(a)
         up = np.arange(1, n + 1) / n - f
         dn = f - np.arange(0, n) / n

@@ -162,7 +162,11 @@ def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
     if min(t_exhaustive, t_random, samples, g_max) < 0:
         raise ValueError("t_exhaustive, t_random, samples and g_max must be >= 0, got "
                          f"{t_exhaustive}, {t_random}, {samples}, {g_max}")
+    if g_max >= 2**63:
+        # levels are drawn as int64 in [0, g_max]; clipping them would change their law
+        raise ValueError(f"--g-max must be < 2^63, got {g_max}")
     check_path_levels(t_random, samples, "--t-random")
+    stream = RngStream(seed)  # refuses a bad seed before the exhaustive part runs
     violations = 0
 
     def count(vals, g1, g2):
@@ -175,7 +179,7 @@ def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
         rows = block_rows((t + 2) ** 2 * (t + 1))
         for i in range(0, len(vals), rows):
             violations += count(vals[i:i + rows], g, g[..., None])
-    dtype, gen = _level_dtype(5 * t_random + 1), RngStream(seed).generator()
+    dtype, gen = _level_dtype(5 * t_random + 1), stream.generator()
     rows = block_rows(t_random + 1)
     for i in range(0, samples, rows):
         n = min(rows, samples - i)

@@ -406,6 +406,11 @@ def test_unknown_command_usage_error(capsys):
     (("scaling", "donsker", "--N", "1000000", "--initial", "point:1000"),
      "--N 1000000 with --samples 20000 asks for 20000000000 chain steps, more than the "
      "1000000000 allowed"),
+    (("verify", "tropical", "--g-max", "100000000000000000000"),
+     "--g-max must be < 2^63, got 100000000000000000000"),
+    (("sample", "walk", "--rho", "1/2", "--seed=-1"), "--seed must be in [0, 2^64), got -1"),
+    (("sample", "walk", "--rho", "1/2", "--seed", "18446744073709551616"),
+     "--seed must be in [0, 2^64), got 18446744073709551616"),
 ])
 def test_out_of_range_input_exits_two_with_a_reason(capsys, argv, reason):
     start = time.perf_counter()

@@ -20,6 +20,7 @@ from pitman_lab import (
     chain_transition,
     ks_distance,
     ks_two_sample_critical,
+    limit_process_sample,
     sample_chain,
     sample_walk,
     step_pmf,
@@ -447,6 +448,20 @@ class TestKsDistance:
         assert ks_distance(draws, cdf=lll.cdf) == want
         # one number for the whole array: ks_distance asks per point instead
         assert ks_distance(draws, cdf=lambda x: 0.5 if np.ndim(x) else per_point(x)) == want
+
+    def test_scalar_cdf_gives_the_per_numpy_scalar_statistic(self):
+        def pitman_cdf(r):  # CDF of 2 M_1 - B_1; `r <= 0` refuses an array
+            if r <= 0:
+                return 0.0
+            return math.erf(r / math.sqrt(2.0)) - math.sqrt(2.0 / math.pi) * r * math.exp(-r * r / 2.0)
+
+        gamma = LimitLevelLaw(0.0, MuMeasure.point(0.0))
+        x = limit_process_sample(0.0, gamma, [1.0], 400, RngStream(5), n=4000)[:, 0]
+        a = np.sort(x)
+        f = np.array([pitman_cdf(v) for v in a])  # np.float64 arguments, one per point
+        n = len(a)
+        want = max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
+        assert ks_distance(x, cdf=pitman_cdf) == want
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
