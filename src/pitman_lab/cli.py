@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import __version__
-from .exact import Approx, RegimeError, UnsupportedExactModeError, parse_rat, prob_json
+from .exact import Approx, RegimeError, UnsupportedExactModeError, left_sum, parse_rat, prob_json
 from .paths import Path, HorizonCapError
 from .processes import (
     Params,
@@ -138,7 +138,7 @@ def _cmd_law(args):
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.object)
     # approx: the float sum of the printed entries (class values times sizes round apart)
-    mass = table.mass() if table.mode == "exact" else sum(table.entries.values())
+    mass = table.mass() if table.mode == "exact" else left_sum(table.entries.values())
     return {"check": "law", "params": params.to_json(),
             "table": _printable(args, table.to_json), "mass": prob_json(mass), "status": "PASS"}
 

@@ -14,6 +14,8 @@ reduces to the same formulas at 1/rho.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .exact import Rat, RegimeError, prob_json, q_bracket
@@ -84,15 +86,16 @@ def v_law_from_initial(law: InitialLaw, params: Params, part: str = "I") -> Init
 def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "I") -> DistTable:
     """Exact law of the first t steps of the walk conditioned on
     inf_u (S_u + V) >= 0 (sign-flipped walk for part II), evaluated once per
-    class (K0, x_t, H)."""
+    class (K0, x_t, H), with the level sum once per (K0, x_t)."""
     eff = _effective_params(params, part)
-    q, z, rho = eff.q, eff.z, eff.rho
+    q, z_t = eff.q, eff.z**t
     c = vlaw.bracket_tail(0, 0, q)
+    level_sum = functools.cache(lambda a, b: vlaw.bracket_tail(a, b, q))
+    pref = functools.cache(lambda h, e: eff.sigma**h / (eff.rho**e * z_t))
 
     def conditioned(x):
         st = stats(x)
-        pref = eff.sigma**st.H / (rho**x.end * z**t)
-        return pref * vlaw.bracket_tail(-st.K0, x.end, q) / c
+        return pref(st.H, x.end) * level_sum(-st.K0, x.end) / c
 
     return DistTable.of_classes(t, eff.sigma > 0, "exact", conditioned)
 

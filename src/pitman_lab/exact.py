@@ -129,6 +129,14 @@ UNIT_ROUNDOFF = 2.0**-53
 TERM_FLOOR = 2.0**-1021
 
 
+def left_sum(values, start=0):
+    """``start`` plus ``values`` added left to right, as ``sum`` adds floats up
+    to Python 3.11 (from 3.12 it compensates them, so its bits differ)."""
+    for value in values:
+        start = start + value
+    return start
+
+
 def rel_err(*parts):
     """Relative error bound of a product or quotient of factors whose own
     relative errors are bounded by ``parts`` (one rounding counts u).
@@ -136,13 +144,10 @@ def rel_err(*parts):
     (1+a)(1+b)/(1-c) - 1 <= 1.02 (a+b+c) while a+b+c <= 0.01; the factor 1.05
     covers that, and past 0.01 no bound is claimed (inf).  Parts may be float64
     arrays: the bound is then taken entry by entry, with the same roundings.
-    The parts are added left to right, as Python's ``sum`` did before 3.12
-    (which compensates float sums), so a bound has the same bits on every
-    Python and in both forms.
+    The parts are added by ``left_sum``, so a bound has the same bits on
+    every Python and in both forms.
     """
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
+    total = left_sum(parts[1:], parts[0])
     if np.ndim(total):
         return np.where(total <= 0.01, 1.05 * total, math.inf)
     return 1.05 * total if total <= 0.01 else math.inf

@@ -29,6 +29,7 @@ from .exact import (
     bracket_ratio_rel_err,
     geometric_bracket_tail,
     geometric_tail,
+    left_sum,
     prob_json,
     q_bracket,
     rat,
@@ -611,7 +612,7 @@ class DistTable:
     def mass(self):
         sizes = self.sizes or {}
         if self.mode != "exact":
-            return sum(v * sizes.get(x, 1) for x, v in self.values.items())
+            return left_sum(v * sizes.get(x, 1) for x, v in self.values.items())
         # one Fraction at the end: integer numerators over the denominators' lcm
         lcm = math.lcm(*(v.denominator for v in self.values.values()))
         return Fraction(sum(v.numerator * (lcm // v.denominator) * sizes.get(x, 1)
@@ -640,11 +641,13 @@ class DistTable:
         return sorted(self.entries.items(), key=lambda kv: kv[0].steps)
 
     def to_json(self):
+        # each value formatted once: the paths of a class hold its value's object
+        text = {id(v): prob_json(v) for v in self.values.values()}
         return {
             "horizon": self.horizon,
             "mode": self.mode,
             "err": self.err,
-            "entries": {str(p): prob_json(v) for p, v in self.items_sorted()},
+            "entries": {str(p): text[id(v)] for p, v in self.items_sorted()},
         }
 
 
@@ -673,7 +676,9 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     stay below s.  The factor 1.1 covers the float sums that make ``err``.
 
     Either route is evaluated once per class (K0, x_t, H); see
-    :meth:`DistTable.of_classes`.
+    :meth:`DistTable.of_classes`.  Within one call the exact formula route
+    takes its level sum once per (K0, x_t) and its prefactor once per (H, x_t),
+    the product route each kernel entry once per (level, step).
     """
     q = params.q
     if mode is None:
@@ -683,12 +688,13 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     if route == "formula":
         if mode != "exact":
             return _chain_law_formula_float(t, law, params, kmax)
-        z, rho = params.z, params.rho
+        z_t = params.z**t
+        level_sum = functools.cache(lambda a, b: law.bracket_ratio_sum_exact(a, b, q))
+        pref = functools.cache(lambda h, e: params.sigma**h / (z_t * params.rho**e))
 
         def formula(x):
             st = stats(x)
-            pref = params.sigma**st.H / (z**t * rho**x.end)
-            return pref * law.bracket_ratio_sum_exact(-st.K0, x.end, q)
+            return pref(st.H, x.end) * level_sum(-st.K0, x.end)
 
         return DistTable.of_classes(t, allow_flat, mode, formula)
     if route != "product":
@@ -705,6 +711,8 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
         err = law.tail_bound(top + 1)
         atoms = [(k, w) for k in range(top + 1) if (w := law.pmf(k))]
 
+    kernel = functools.cache(lambda k, d: chain_transition(k, d, params))
+
     def product(x):
         # the kernel product is exact, so every path of a class gets one value
         total = Fraction(0)
@@ -712,16 +720,16 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
             if k + min(x.values) >= 0:
                 prod = Fraction(1)
                 for a, b in zip(x.values, x.values[1:]):
-                    prod *= chain_transition(k + a, b - a, params)
+                    prod *= kernel(k + a, b - a)
                 total += w * prod
         return total if mode == "exact" else float(total)
 
     table = DistTable.of_classes(t, allow_flat, mode, product)
     if mode != "exact":
         m = 1 if law.exact else len(atoms)
-        rounding = sum(size * ((m + 3) * UNIT_ROUNDOFF * table.values[x] + m * TERM_FLOOR)
-                       for x, size in table.sizes.items())
-        table.err = err + 1.1 * (sum(law.pmf_err(k) for k, _ in atoms) + rounding)
+        rounding = left_sum(size * ((m + 3) * UNIT_ROUNDOFF * table.values[x] + m * TERM_FLOOR)
+                            for x, size in table.sizes.items())
+        table.err = err + 1.1 * (left_sum(law.pmf_err(k) for k, _ in atoms) + rounding)
     return table
 
 
@@ -820,6 +828,6 @@ def _chain_law_formula_float(t, law, params, kmax):
         return pref * s
 
     table = DistTable.of_classes(t, allow_flat, "approx", formula)
-    table.err = law.tail_bound(top + 1) + 1.1 * sum(
+    table.err = law.tail_bound(top + 1) + 1.1 * left_sum(
         table.sizes[x] * r for x, r in rounding.items())
     return table

@@ -172,16 +172,26 @@ def rhs_law_formula(x: Path, glaw: InitialLaw, params: Params):
 
     with the singular factor replaced by its limit x_t - K at rho = 1.
     """
-    st = stats(x)
-    k0 = st.K0
-    q = params.q
-    if q == 1:
-        factor = x.end - k0
-    else:
-        factor = (1 - q ** (k0 - x.end)) / (q - 1)
-    pref = params.sigma**st.H * params.rho**x.end / params.z**x.horizon
-    value = pref * (glaw.tail(-k0) + glaw.pmf(-k0) * factor)
-    return value if glaw.exact else float(value)
+    return _rhs_formula(x.horizon, glaw, params)(x)
+
+
+def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
+    """``rhs_law_formula`` on the paths of horizon t, with the level part
+    once per (K, x_t) and the prefactor once per (H, x_t)."""
+    q, z_t = params.q, params.z**t
+    pref = functools.cache(lambda h, e: params.sigma**h * params.rho**e / z_t)
+
+    @functools.cache
+    def level(k0, end):  # P(G >= -K) + P(G = -K) * factor
+        factor = end - k0 if q == 1 else (1 - q ** (k0 - end)) / (q - 1)
+        return glaw.tail(-k0) + glaw.pmf(-k0) * factor
+
+    def formula(x):
+        st = stats(x)
+        value = pref(st.H, x.end) * level(st.K0, x.end)
+        return value if glaw.exact else float(value)
+
+    return formula
 
 
 def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
@@ -215,7 +225,7 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
 
 def rhs_law_table_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     return DistTable.of_classes(t, params.sigma > 0, "exact" if glaw.exact else "approx",
-                                lambda x: rhs_law_formula(x, glaw, params))
+                                _rhs_formula(t, glaw, params))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from pitman_lab import (
     verify_thm1,
     walk_law,
 )
+from pitman_lab.exact import prob_json
 from pitman_lab.paths import class_key, path_classes
 
 
@@ -180,3 +181,65 @@ def test_verifiers_build_no_per_path_table():
             with pytest.raises(AssertionError, match="enumerate_paths called"):
                 table.entries
         assert enumerate_mock.call_count == len(tables)
+
+
+def count_calls(monkeypatch, owner, name, key):
+    """Replace ``owner.name`` with a wrapper counting its calls by ``key(*args)``."""
+    calls = Counter()
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls[key(*args)] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def twice(build, calls):
+    """The calls of two identical ``build()``s, one Counter each: equal when no
+    cache outlived the first."""
+    build()
+    first = Counter(calls)
+    calls.clear()
+    return first, build()
+
+
+def test_product_route_builds_each_kernel_entry_once_per_table(monkeypatch):
+    law = FiniteSupport(((0, F(1, 6)), (2, F(1, 3)), (5, F(1, 2))))
+    params = Params(F(2, 3), F(1))
+    calls = count_calls(monkeypatch, processes, "chain_transition", lambda k, d, _: (k, d))
+    first, table = twice(lambda: chain_increment_law(6, law, params, route="product"), calls)
+    assert set(first.values()) == {1}
+    assert set(first) == {(k + a, b - a) for x in table.values for k, _ in law.atoms()
+                          if k + min(x.values) >= 0 for a, b in zip(x.values, x.values[1:])}
+    assert calls == first
+
+
+@pytest.mark.parametrize("route", ["chain formula", "conditioned walk"])
+def test_level_sums_once_per_k0_and_end(monkeypatch, route):
+    params = Params(F(2, 3), F(1))
+    law = QNegativeBinomial(params.q, F(1, 2))
+    if route == "chain formula":
+        owner, name, build = QNegativeBinomial, "bracket_ratio_sum_exact", (
+            lambda: chain_increment_law(6, law, params))
+    else:
+        vlaw = v_law_from_initial(law, params, "I")
+        owner, name, build = type(vlaw), "bracket_tail", (
+            lambda: conditioned_walk_law(6, vlaw, params, "I"))
+    calls = count_calls(monkeypatch, owner, name, lambda _, a, b, q: (a, b))
+    first, table = twice(build, calls)
+    want = Counter({(-k0, end): 1 for k0, end, _ in map(class_key, table.values)})
+    if route == "conditioned walk":
+        want[(0, 0)] += 1  # the normalizer, sum over every level
+    assert len(want) < len(table.values)
+    assert first == want and calls == want
+
+
+def test_to_json_formats_each_class_value_once(monkeypatch):
+    params = Params(F(2, 3), F(1))
+    table = chain_increment_law(5, QNegativeBinomial(params.q, F(1, 2)), params)
+    want = {str(x): prob_json(v) for x, v in table.items_sorted()}
+    calls = count_calls(monkeypatch, processes, "prob_json", lambda v: "calls")
+    assert table.to_json()["entries"] == want
+    assert calls["calls"] == len(table.values) < len(want)

@@ -6,6 +6,7 @@ at a time: the kernels must give the same float64 values and errs, with no
 tolerance, since both round the same operations in the same order.
 """
 
+import builtins
 import math
 from fractions import Fraction as F
 
@@ -21,6 +22,7 @@ from pitman_lab import (
     QNegativeBinomial,
     ShiftedPoisson,
     chain_increment_law,
+    processes,
 )
 from pitman_lab.exact import (
     TERM_FLOOR,
@@ -103,8 +105,10 @@ def scalar_chain_formula(t, law, params, kmax=None):
         pref = sig**st.H / (zf**t * rhof**x.end)
         rounding[x] = pref * s_err + rel_err((st.H + t + abs(x.end) + 9) * u) * pref * s
         values[x] = pref * s
-    err = law.tail_bound(top + 1) + 1.1 * sum(table.sizes[x] * r for x, r in rounding.items())
-    return values, err
+    total = 0
+    for x, r in rounding.items():  # left to right, as Python's sum up to 3.11
+        total += table.sizes[x] * r
+    return values, law.tail_bound(top + 1) + 1.1 * total
 
 
 def same_floats(got, want):
@@ -138,6 +142,34 @@ def test_rel_err_adds_left_to_right():
     want = 1.05 * ((a + b) + c)
     assert rel_err(a, b, c) == want
     assert same_floats(rel_err(np.array([a, a]), b, c), [want, want])
+
+
+def compensated_sum(values, start=0):
+    """``sum`` with float sums compensated, as Python's builtin from 3.12 on."""
+    values = list(values)
+    if values and all(type(v) is float for v in values):
+        return start + math.fsum(values)
+    return builtins.sum(values, start)
+
+
+def test_errs_and_float_mass_add_left_to_right(monkeypatch):
+    # with ``sum`` in processes compensating, as on Python >= 3.12, every err
+    # and float mass must keep the bits of left-to-right addition
+    monkeypatch.setattr(processes, "sum", compensated_sum, raising=False)
+    law, params = FiniteSupport(((0, F(1, 3)), (3, F(2, 3)))), Params(F(2, 3), F(1))
+    table = chain_increment_law(4, law, params, route="product", mode="approx")
+    # m = 1 (one rounded Fraction sum per entry), no truncation, exact weights
+    terms = [size * (4 * UNIT_ROUNDOFF * table.values[x] + TERM_FLOOR)
+             for x, size in table.sizes.items()]
+    masses = [v * table.sizes[x] for x, v in table.values.items()]
+    rounding = mass = 0
+    for term, part in zip(terms, masses):
+        rounding, mass = rounding + term, mass + part
+    assert same_floats([table.err], [1.1 * rounding])
+    assert 1.1 * math.fsum(terms) != table.err  # a compensated sum differs here
+    assert same_floats([table.mass()], [mass]) and math.fsum(masses) != mass
+    formula = chain_increment_law(4, law, params, mode="approx")
+    assert same_floats([formula.err], [scalar_chain_formula(4, law, params)[1]])
 
 
 @pytest.mark.parametrize("q", [F(1, 4), F(99, 100), F(1), F(1, 10**20) + 1, F(9, 4), F(1001, 1000)],
