@@ -27,7 +27,7 @@ print("chain increments vs transformed-walk law, rho=2/3 sigma=1, start at 2")
 chain = chain_increment_law(2, law, params)
 glaw = g_law_from_initial(law, params, "G")
 rhs = rhs_law_enumeration(2, glaw, params)
-for path, p in chain.items_sorted():
+for path, p in chain.entries.items():
     print(f"  path {str(path):10s}  chain {str(p):10s}  transform {rhs[path]}")
 assert chain.max_abs_diff(rhs) == (0, None)
 

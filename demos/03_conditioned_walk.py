@@ -36,7 +36,7 @@ t = 3
 cond = conditioned_walk_law(t, vlaw, params, "I")
 chain = chain_increment_law(t, law, params)
 print(f"\nconditioned walk vs chain, horizon {t}:")
-for path, p in cond.items_sorted():
+for path, p in cond.entries.items():
     if p:
         print(f"   {str(path):12s} conditioned {str(p):10s} chain {chain[path]}")
 assert cond.max_abs_diff(chain) == (0, None)

@@ -19,7 +19,7 @@ import functools
 import numpy as np
 
 from .exact import Rat, RegimeError, prob_json, q_bracket
-from .paths import Path, stats
+from .paths import Path, class_key
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -94,8 +94,8 @@ def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "
     pref = functools.cache(lambda h, e: eff.sigma**h / (eff.rho**e * z_t))
 
     def conditioned(x):
-        st = stats(x)
-        return pref(st.H, x.end) * level_sum(-st.K0, x.end) / c
+        k0, end, h = class_key(x)
+        return pref(h, end) * level_sum(-k0, end) / c
 
     return DistTable.of_classes(t, eff.sigma > 0, "exact", conditioned)
 

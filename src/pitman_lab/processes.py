@@ -12,6 +12,7 @@ initial level ("formula" route) or by mixing kernel products over the level
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ from .exact import (
     rat_str,
     rel_err,
 )
-from .paths import Path, class_key, enumerate_paths, path_classes, stats
+from .paths import Path, _refuse_beyond_cap, class_key, path_classes, stats
 
 
 @dataclass(frozen=True)
@@ -602,12 +603,31 @@ class DistTable:
 
     @functools.cached_property
     def entries(self) -> dict:
-        """Every path of the horizon with the value of its class."""
+        """Every path of the horizon with the value of its class, in the
+        order of ``enumerate_paths``."""
         if self.sizes is None:
             return self.values
+        by_class, steps, walk = self._lex_walk(text=False)
+        paths = itertools.product(steps, repeat=self.horizon)
+        return {Path._trusted(incs): by_class[k, e, h] for incs, (k, e, h, _) in zip(paths, walk)}
+
+    def _lex_walk(self, text: bool):
+        """(value by class, step set, walk) of a class table.  The walk lists
+        (K0, x_t, H, text) for every path of the horizon in the order of
+        ``enumerate_paths``, lexicographic in steps with -1 < 0 < +1; text is
+        the path's values ("0,1,0") when ``text`` is set, else "0".  It
+        expands the step prefixes one step at a time, each prefix into its
+        children in step order, carrying (running min, end, flat count, text),
+        so no path is built and no class key is taken per path."""
         by_class = {class_key(x): v for x, v in self.values.items()}
         allow_flat = any(0 in x.steps for x in self.values)
-        return {x: by_class[class_key(x)] for x in enumerate_paths(self.horizon, allow_flat)}
+        _refuse_beyond_cap(self.horizon, allow_flat)
+        steps = (-1, 0, 1) if allow_flat else (-1, 1)
+        level = [(0, 0, 0, "0")]
+        for _ in range(self.horizon):
+            level = [(min(k, e + d), e + d, h + (d == 0), f"{s},{e + d}" if text else s)
+                     for k, e, h, s in level for d in steps]
+        return by_class, steps, level
 
     def mass(self):
         sizes = self.sizes or {}
@@ -637,18 +657,16 @@ class DistTable:
                 worst, witness = d, p
         return worst, witness
 
-    def items_sorted(self):
-        return sorted(self.entries.items(), key=lambda kv: kv[0].steps)
-
     def to_json(self):
-        # each value formatted once: the paths of a class hold its value's object
-        text = {id(v): prob_json(v) for v in self.values.values()}
-        return {
-            "horizon": self.horizon,
-            "mode": self.mode,
-            "err": self.err,
-            "entries": {str(p): text[id(v)] for p, v in self.items_sorted()},
-        }
+        """Every entry keyed by its path's values as text, in entry order;
+        each stored value is formatted once and shared by its class's paths."""
+        if self.sizes is None:
+            entries = {str(p): prob_json(v) for p, v in self.values.items()}
+        else:
+            by_class, _, walk = self._lex_walk(text=True)
+            text = {key: prob_json(v) for key, v in by_class.items()}
+            entries = {s: text[k, e, h] for k, e, h, s in walk}
+        return {"horizon": self.horizon, "mode": self.mode, "err": self.err, "entries": entries}
 
 
 def walk_law(t: int, params: Params) -> DistTable:
@@ -693,8 +711,8 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
         pref = functools.cache(lambda h, e: params.sigma**h / (z_t * params.rho**e))
 
         def formula(x):
-            st = stats(x)
-            return pref(st.H, x.end) * level_sum(-st.K0, x.end)
+            k0, end, h = class_key(x)
+            return pref(h, end) * level_sum(-k0, end)
 
         return DistTable.of_classes(t, allow_flat, mode, formula)
     if route != "product":
@@ -821,10 +839,10 @@ def _chain_law_formula_float(t, law, params, kmax):
     rounding = {}
 
     def formula(x):
-        st = stats(x)
-        s, s_err = kept[x.end].get(-st.K0, (0.0, 0.0))
-        pref = sig**st.H / (zf**t * rhof**x.end)
-        rounding[x] = pref * s_err + rel_err((st.H + t + abs(x.end) + 9) * u) * pref * s
+        k0, end, h = class_key(x)
+        s, s_err = kept[end].get(-k0, (0.0, 0.0))
+        pref = sig**h / (zf**t * rhof**end)
+        rounding[x] = pref * s_err + rel_err((h + t + abs(end) + 9) * u) * pref * s
         return pref * s
 
     table = DistTable.of_classes(t, allow_flat, "approx", formula)

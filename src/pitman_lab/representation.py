@@ -25,7 +25,7 @@ from .exact import (
     rat,
     rel_err,
 )
-from .paths import Path, stats
+from .paths import Path, class_key
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -187,8 +187,8 @@ def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
         return glaw.tail(-k0) + glaw.pmf(-k0) * factor
 
     def formula(x):
-        st = stats(x)
-        value = pref(st.H, x.end) * level(st.K0, x.end)
+        k0, end, h = class_key(x)
+        value = pref(h, end) * level(k0, end)
         return value if glaw.exact else float(value)
 
     return formula
@@ -200,24 +200,40 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
         P(x) = P(G >= -K) * walk_prob(-x)
                + P(G = -K) * sum over sporadic members of walk_prob(s^(r)),
 
-    evaluated once per class (K0, x_t, H): the members' step counts are
-    functions of it (``transform.preimage_stats``).
+    evaluated once per class (K0, x_t, H) and counted, not built: each flip
+    of ``transform.preimage`` turns a -1 step of the ray -x into +1, so it
+    moves the member's (U, D) to (U+1, D-1).  walk_prob(u, d) = sigma^H
+    rho^(d-u) / z^t is an int numerator over one denominator per table, so a
+    class sums ints and forms its value once.  A flip that does not increase
+    or does not land on a -1 step raises ArithmeticError.
     """
-    z_t = params.z**t
+    rn, rd = params.rho.numerator, params.rho.denominator
+    sn, sd = params.sigma.numerator, params.sigma.denominator
+    z = params.z
+    denom = (sd * rn * rd * z.numerator) ** t
 
     @functools.cache
-    def walk_prob(u, d):  # sigma^H (1/rho)^U rho^D / z^t, as walk_path_prob
-        return params.sigma ** (t - u - d) * params.rho ** (d - u) / z_t
-
-    def member_prob(s):
-        return walk_prob(s.steps.count(1), s.steps.count(-1))
+    def numerator(h, e):  # walk_prob with h flat steps and D - U = e, times denom
+        return sn**h * sd ** (t - h) * rn ** (t + e) * rd ** (t - e) * z.denominator**t
 
     def pushforward(x):
         pre = preimage(x)
-        sporadic = sum((member_prob(s) for _, s in pre.sporadic), Fraction(0))
-        val = (glaw.tail(pre.ray_g_min) * member_prob(pre.ray_path)
-               + glaw.pmf(pre.ray_g_min) * sporadic)
-        return val if glaw.exact else float(val)
+        ray = pre.ray_path.steps
+        u, d = ray.count(1), ray.count(-1)
+        h, e = t - u - d, d - u
+        ray_num, members, last = numerator(h, e), 0, -1
+        for j in pre.flips:
+            if j <= last or ray[j] != -1:
+                raise ArithmeticError(f"preimage of {x}: flip at step {j} after {last} "
+                                      "is not a later -1 step of the ray")
+            last, e = j, e - 2
+            members += numerator(h, e)
+        tail, pmf = glaw.tail(pre.ray_g_min), glaw.pmf(pre.ray_g_min)
+        if not glaw.exact:  # each walk probability rounded once, as float(Fraction) does
+            return tail * (ray_num / denom) + pmf * (members / denom)
+        return Fraction(tail.numerator * pmf.denominator * ray_num
+                        + pmf.numerator * tail.denominator * members,
+                        tail.denominator * pmf.denominator * denom)
 
     return DistTable.of_classes(t, params.sigma > 0, "exact" if glaw.exact else "approx",
                                 pushforward)
@@ -424,12 +440,16 @@ def damage_check(q, theta, nmax: int = 60) -> dict:
     survivor = [(1 - q * theta) * p for p in powers(q * theta)]
     damaged = [(1 - theta) * p for p in powers(theta)]
 
+    # a/b == c/d as a*d == c*b on the ints; a difference only where a cell fails
+    def parts(xs):
+        return [x.numerator for x in xs], [x.denominator for x in xs]
+
+    (pn, pd), (qn, qd), (sn, sd), (dn, dd) = map(parts, (per_n, q_pow, survivor, damaged))
     for n in range(nmax + 1):
         for r in range(n + 1):
-            d = abs(per_n[n] * q_pow[r] - survivor[r] * damaged[n - r])
-            if d:
+            if pn[n] * qn[r] * sd[r] * dd[n - r] != sn[r] * dn[n - r] * pd[n] * qd[r]:
                 violations += 1
-                worst = max(worst, d)
+                worst = max(worst, abs(per_n[n] * q_pow[r] - survivor[r] * damaged[n - r]))
 
     # marginals straight from the joint: summing out d gives
     # P(R=r) = q^r * sum_{n>=r} pmf(n)/[n+1]_q, and summing out r gives

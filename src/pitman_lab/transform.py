@@ -9,7 +9,7 @@ of finitely many "sporadic" members at level g = -K plus an infinite ray
 
 from __future__ import annotations
 
-import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +47,27 @@ def preimage_member(x: Path, r: int) -> Path:
 class PreimageSet:
     """The complete inverse image of a path under the transform.
 
-    ``sporadic`` lists the finitely many members (g = -K0, s^(r)) for
-    r = K0+1 .. x_t; the ray holds (g, -x) for every g >= -K0 and is never
-    materialized.
+    The sporadic members (g = -K0, s^(r)) for r = K0+1 .. x_t are kept as
+    ``flips``: s^(r) is s^(r-1) with the step at index ``flips[r - K0 - 1]``
+    turned from -1 to +1, starting from s^(K0) = ``ray_path``.  ``sporadic``
+    builds the member paths on first read.  The ray holds (g, -x) for every
+    g >= -K0 and is never materialized.
     """
 
     K0: int
     end: int
     ray_path: Path
     ray_g_min: int
-    sporadic: tuple  # ((g, Path), ...)
+    flips: tuple  # (step index, ...), one per sporadic member
+
+    @functools.cached_property
+    def sporadic(self) -> tuple:
+        """((g, Path), ...) for r = K0+1 .. x_t."""
+        steps, members = list(self.ray_path.steps), []
+        for j in self.flips:
+            steps[j] = 1
+            members.append((self.ray_g_min, Path._trusted(tuple(steps))))
+        return tuple(members)
 
     def members(self, g_max: int):
         """All members with level <= g_max (finite truncation of the ray)."""
@@ -76,22 +87,18 @@ class PreimageSet:
 
 
 def preimage(x: Path) -> PreimageSet:
-    """The inverse image with one ``stats`` call.  s^(K0) = -x, and s^(r) exceeds
-    s^(r-1) by 2 exactly where K_j >= r: K is non-decreasing, so that is a
-    suffix of the values, and only the step into it changes, from -1 to +1."""
-    st = stats(x)
-    k0 = st.K0
-    ray = x.negate()
-    steps, sporadic = list(ray.steps), []
-    for r in range(k0 + 1, x.end + 1):
-        steps[bisect.bisect_left(st.K, r) - 1] = 1
-        sporadic.append((-k0, Path._trusted(tuple(steps))))
+    """The inverse image, read off x's values in one pass.  s^(K0) = -x, and
+    s^(r) exceeds s^(r-1) by 2 exactly where K_j >= r: K is non-decreasing,
+    so that is a suffix of the values, and only the step into it changes,
+    from -1 to +1.  That step leaves the last visit of x to r - 1."""
+    last = dict(zip(x.values, range(len(x.values))))  # later visits overwrite
+    k0 = min(last)
     return PreimageSet(
         K0=k0,
         end=x.end,
-        ray_path=ray,
+        ray_path=x.negate(),
         ray_g_min=-k0,
-        sporadic=tuple(sporadic),
+        flips=tuple(map(last.__getitem__, range(k0, x.end))),
     )
 
 

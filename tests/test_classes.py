@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pitman_lab import (
+    DistTable,
     FiniteSupport,
     Geometric,
     HorizonCapError,
@@ -89,7 +90,20 @@ def per_path_oracle(build):
         assert classes.mass() == oracle.mass() == 1
     else:
         assert classes.err == pytest.approx(oracle.err, rel=1e-9, abs=0)
-    assert classes.entries == oracle.values
+    assert list(classes.entries.items()) == list(oracle.values.items())  # order too
+
+
+@pytest.mark.parametrize("allow_flat", [True, False])
+def test_per_path_view_is_in_enumeration_order(allow_flat):
+    params = Params(F(2, 3), F(1) if allow_flat else F(0))
+    law = QNegativeBinomial(params.q, F(1, 2))
+    for t in range(7):
+        table = chain_increment_law(t, law, params)
+        by_class = {class_key(x): v for x, v in table.values.items()}
+        order = list(enumerate_paths(t, allow_flat))
+        assert list(table.entries) == order
+        want = {str(p): prob_json(by_class[class_key(p)]) for p in order}
+        assert list(table.to_json()["entries"].items()) == list(want.items())
 
 
 def make_law(kind, params):
@@ -166,21 +180,22 @@ def test_witness_is_a_class_representative_at_the_worst_difference():
 
 
 def test_verifiers_build_no_per_path_table():
-    """Class tables enumerate no path until a caller reads ``entries``."""
+    """Class tables walk no path until a caller reads ``entries`` (or
+    ``to_json``): the per-path view is the one walk over every path."""
     params = Params(F(1, 2), F(1))
     law = QNegativeBinomial(params.q, F(1, 2))
     glaw = g_law_from_initial(law, params, "G")
-    refuse = AssertionError("enumerate_paths called")
-    with mock.patch.object(processes, "enumerate_paths", side_effect=refuse) as enumerate_mock:
+    refuse = AssertionError("per-path walk")
+    with mock.patch.object(DistTable, "_lex_walk", side_effect=refuse) as walk_mock:
         tables = [chain_increment_law(4, law, params),
                   rhs_law_enumeration(4, glaw, params),
                   conditioned_walk_law(4, v_law_from_initial(law, params, "I"), params, "I")]
         assert verify_thm1(4, law, params)["status"] == "PASS"
-        enumerate_mock.assert_not_called()
+        walk_mock.assert_not_called()
         for table in tables:
-            with pytest.raises(AssertionError, match="enumerate_paths called"):
+            with pytest.raises(AssertionError, match="per-path walk"):
                 table.entries
-        assert enumerate_mock.call_count == len(tables)
+        assert walk_mock.call_count == len(tables)
 
 
 def count_calls(monkeypatch, owner, name, key):
@@ -239,7 +254,7 @@ def test_level_sums_once_per_k0_and_end(monkeypatch, route):
 def test_to_json_formats_each_class_value_once(monkeypatch):
     params = Params(F(2, 3), F(1))
     table = chain_increment_law(5, QNegativeBinomial(params.q, F(1, 2)), params)
-    want = {str(x): prob_json(v) for x, v in table.items_sorted()}
+    want = {str(x): prob_json(v) for x, v in table.entries.items()}
     calls = count_calls(monkeypatch, processes, "prob_json", lambda v: "calls")
     assert table.to_json()["entries"] == want
     assert calls["calls"] == len(table.values) < len(want)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from pitman_lab import (
+    DistTable,
     FiniteSupport,
     Geometric,
     LevelLaw,
@@ -30,6 +32,8 @@ from pitman_lab import (
     walk_law,
     walk_path_prob,
 )
+from pitman_lab import exact, processes, representation, transform
+from pitman_lab.exact import prob_json
 from pitman_lab.representation import compare_routes
 
 FS3 = FiniteSupport(((0, F(1, 6)), (2, F(1, 3)), (5, F(1, 2))))
@@ -51,6 +55,20 @@ def brute_pushforward(t, glaw, params, g_top=40):
         x = s.negate()
         table[x] = table.get(x, F(0)) + glaw.tail(g_top + 1) * walk_path_prob(s, params)
     return table
+
+
+def member_pushforward(t, glaw, params):
+    """Oracle for the counted pushforward: per class, build every sporadic
+    member path and add its ``walk_path_prob`` one Fraction at a time."""
+    def pushforward(x):
+        pre = preimage(x)
+        sporadic = sum((walk_path_prob(s, params) for _, s in pre.sporadic), F(0))
+        val = (glaw.tail(pre.ray_g_min) * walk_path_prob(pre.ray_path, params)
+               + glaw.pmf(pre.ray_g_min) * sporadic)
+        return val if glaw.exact else float(val)
+
+    return DistTable.of_classes(t, params.sigma > 0, "exact" if glaw.exact else "approx",
+                                pushforward)
 
 
 class TestGLaw:
@@ -168,6 +186,80 @@ class TestRhsLaw:
                 assert enum[x] == v
 
 
+class TestCountedPushforward:
+    """``rhs_law_enumeration`` counts the sporadic members from the flips of
+    ``preimage``; the member-building pushforward is its oracle."""
+
+    @pytest.mark.parametrize("case", ["qnb", "point"])
+    def test_equals_the_member_oracle(self, case):
+        if case == "qnb":
+            params = Params(F(2, 3), F(1))
+            law = QNegativeBinomial(params.q, F(1, 2))
+        else:
+            params, law = Params(F(1, 2), F(0)), PointMass(3)
+        glaw = g_law_from_initial(law, params, "G")
+        for t in range(1, 11):
+            counted = rhs_law_enumeration(t, glaw, params)
+            oracle = member_pushforward(t, glaw, params)
+            assert list(counted.values.items()) == list(oracle.values.items())
+            assert all(type(v) is F for v in counted.values.values())
+
+    @pytest.mark.parametrize("law", [ShiftedPoisson(1.5), NegativeBinomial(F(1, 3))])
+    @pytest.mark.parametrize("rho,sigma", [(F(2, 3), F(1)), (F(3, 2), F(1, 2)), (F(1), F(0))])
+    def test_float_values_have_the_oracles_bits(self, law, rho, sigma):
+        params = Params(rho, sigma)
+        glaw = g_law_from_initial(law, params, "G", mode="approx")
+        for t in range(1, 7):
+            counted = rhs_law_enumeration(t, glaw, params)
+            oracle = member_pushforward(t, glaw, params)
+            assert counted.mode == oracle.mode == "approx"
+            assert ([(x, v.hex()) for x, v in counted.values.items()]
+                    == [(x, v.hex()) for x, v in oracle.values.items()])
+
+    def test_reaches_no_closed_form_code(self, monkeypatch):
+        params = Params(F(2, 3), F(1))
+        glaws = [LevelLaw.geometric(F(1, 3)),
+                 g_law_from_initial(QNegativeBinomial(params.q, F(1, 2)), params, "G")]
+        want = [rhs_law_enumeration(6, glaw, params) for glaw in glaws]  # fills the level caches
+
+        def refuse(*args):
+            raise AssertionError("closed-form code reached")
+
+        monkeypatch.setattr(representation, "_rhs_formula", refuse)
+        monkeypatch.setattr(transform, "preimage_stats", refuse)
+        for module in (exact, processes, representation):
+            monkeypatch.setattr(module, "q_bracket", refuse)
+        for glaw, table in zip(glaws, want):
+            assert rhs_law_enumeration(6, glaw, params).values == table.values
+
+    @staticmethod
+    def mutated(monkeypatch, mutate):
+        """``preimage`` with each flip tuple passed through ``mutate``."""
+        real = representation.preimage
+
+        def fake(x):
+            pre = real(x)
+            return dataclasses.replace(pre, flips=mutate(pre))
+
+        monkeypatch.setattr(representation, "preimage", fake)
+
+    def test_a_flip_onto_a_plus_one_step_raises(self, monkeypatch):
+        def onto_an_up_step(pre):
+            ups = [j for j, s in enumerate(pre.ray_path.steps) if s == 1]
+            return (ups[0],) if len(pre.flips) == 1 and ups else pre.flips
+
+        self.mutated(monkeypatch, onto_an_up_step)
+        glaw = LevelLaw.geometric(F(1, 3))
+        with pytest.raises(ArithmeticError, match="flip at step 0"):
+            rhs_law_enumeration(4, glaw, Params(F(2, 3), F(1)))
+
+    def test_a_repeated_flip_raises(self, monkeypatch):
+        self.mutated(monkeypatch, lambda pre: pre.flips + pre.flips[-1:])
+        glaw = LevelLaw.geometric(F(1, 3))
+        with pytest.raises(ArithmeticError, match="not a later -1 step"):
+            rhs_law_enumeration(4, glaw, Params(F(2, 3), F(1)))
+
+
 class TestVerify:
     def test_forward_pass(self):
         rep = verify_thm1(4, PointMass(1), Params(F(1, 2)), "I")
@@ -275,6 +367,26 @@ class TestDamage:
 
     def test_note_flags_assignment(self):
         assert "other way round" in damage_check(F(1, 4), F(1, 2), nmax=5)["note"]
+
+    @pytest.mark.parametrize("q,theta", [(F(1, 4), F(1, 2)), (F(4), F(1, 5))])
+    def test_violations_are_those_of_the_fraction_cells(self, monkeypatch, q, theta):
+        pmf = QNegativeBinomial.pmf
+        monkeypatch.setattr(QNegativeBinomial, "pmf",
+                            lambda law, n: pmf(law, n) * (1 + F(n % 3, n + 5)))
+        nmax = 20
+        law = QNegativeBinomial(q, theta)
+        violations, worst = 0, F(0)
+        for n in range(nmax + 1):  # each cell as a normalized Fraction difference
+            for r in range(n + 1):
+                joint = law.pmf(n) / q_bracket(n + 1, q) * q**r
+                split = (1 - q * theta) * (q * theta)**r * (1 - theta) * theta**(n - r)
+                if d := abs(joint - split):
+                    violations, worst = violations + 1, max(worst, d)
+        rep = damage_check(q, theta, nmax=nmax)
+        assert 0 < violations < (nmax + 1) * (nmax + 2) // 2
+        assert rep["factorization_violations"] == violations
+        assert rep["max_abs_diff"]["value"] == prob_json(worst)
+        assert rep["status"] == "FAIL"
 
     def test_poisson_split(self):
         rep = poisson_split_check()
