@@ -5,7 +5,8 @@ pushforward, closed form) are evaluated once per class (K0, x_t, H), so a
 horizon of 3^32 paths costs a few thousand class entries.  Inside one table
 each sub-result is computed once: the level sums of the chain formula and the
 closed form once per (K0, x_t), their prefactors sigma^H rho^(+-x_t) / z^t
-once per (H, x_t).  The pushforward builds no member path: it counts each
+once per (H, x_t), each as an int over one denominator per table, so a class
+forms one Fraction.  The pushforward builds no member path: it counts each
 class's sporadic members from the flip positions of the preimage and sums
 their walk probabilities as int numerators over one denominator per table.
 This script lifts the horizon cap for its own process, times each route's

@@ -15,10 +15,12 @@ reduces to the same formulas at 1/rho.
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 
 import numpy as np
 
-from .exact import Rat, RegimeError, prob_json, q_bracket
+from .exact import Rat, RegimeError, UnsupportedExactModeError, prob_json, q_bracket
 from .paths import Path, class_key
 from .processes import (
     DistTable,
@@ -86,16 +88,63 @@ def v_law_from_initial(law: InitialLaw, params: Params, part: str = "I") -> Init
 def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "I") -> DistTable:
     """Exact law of the first t steps of the walk conditioned on
     inf_u (S_u + V) >= 0 (sign-flipped walk for part II), evaluated once per
-    class (K0, x_t, H), with the level sum once per (K0, x_t)."""
+    class (K0, x_t, H).
+
+    The entry is pref(H, x_t) V(-K0, x_t) / V(0, 0) with pref = sigma^H /
+    (rho^(x_t) z^t) and V(a, e) the sum of P(V=j) [j+e+1]_q over j >= a, all
+    as ints over one denominator per table, from the integer parts of the
+    effective rho, sigma and z (q = rho^2 = qn/qd < 1 in lowest terms): pref
+    is sn^H sd^(t-H) rd^(t+e) rn^(t-e) zd^t over (sd rn rd zn)^t, and V(a, e)
+    V(0, 0) share their denominator, which cancels:
+
+    * atoms (top the largest): [m]_q = (qd^m - qn^m) / (qd^(m-1) (qd - qn)),
+      so V(a, e) is sum over j >= a of P_j (qd^(top+t+1) - qn^(j+e+1)
+      qd^(top+t-j-e)) over L qd^(top+t) (qd - qn), P_j = L P(V=j) for the lcm
+      L of the masses' denominators;
+    * Geometric(p), p = gn/gd: V(0, 0) = 1/(1 - pq) and V(a, e) / V(0, 0) =
+      p^a ((1 - pq) - (1 - p) q^(a+e+1)) / (1 - q), the int gn^a gd^(t-a)
+      ((gd qd - gn qn) qd^t - (gd - gn) qn^(a+e+1) qd^(t-a-e)) over
+      gd^(t+1) qd^t (qd - qn).
+
+    Each level part is an int per (K0, x_t), each prefactor one per (H, x_t),
+    and a class forms one Fraction from their product."""
     eff = _effective_params(params, part)
-    q, z_t = eff.q, eff.z**t
-    c = vlaw.bracket_tail(0, 0, q)
-    level_sum = functools.cache(lambda a, b: vlaw.bracket_tail(a, b, q))
-    pref = functools.cache(lambda h, e: eff.sigma**h / (eff.rho**e * z_t))
+    rn, rd = eff.rho.numerator, eff.rho.denominator
+    sn, sd = eff.sigma.numerator, eff.sigma.denominator
+    z = eff.z
+    qn, qd = rn * rn, rd * rd
+    atoms = vlaw.atoms()
+    if atoms is not None:
+        top = atoms[-1][0]
+        lcm = math.lcm(*(p.denominator for _, p in atoms))
+        masses = [(j, p.numerator * (lcm // p.denominator)) for j, p in atoms]
+        full = qd ** (top + t + 1)
+
+        def level_num(a, e):
+            return sum(w * (full - qn ** (j + e + 1) * qd ** (top + t - j - e))
+                       for j, w in masses if j >= a)
+
+        level_den = level_num(0, 0)
+    elif isinstance(vlaw, Geometric):
+        gn, gd = vlaw.p.numerator, vlaw.p.denominator
+        first = (gd * qd - gn * qn) * qd**t
+
+        def level_num(a, e):
+            return gn**a * gd ** (t - a) * (first - (gd - gn) * qn ** (a + e + 1)
+                                            * qd ** (t - a - e))
+
+        level_den = gd ** (t + 1) * qd**t * (qd - qn)
+    else:
+        raise UnsupportedExactModeError(f"no closed-form bracket sum for {vlaw.cli_string()!r}")
+    zd_t = z.denominator**t
+    pref = functools.cache(
+        lambda h, e: sn**h * sd ** (t - h) * rd ** (t + e) * rn ** (t - e) * zd_t)
+    level = functools.cache(level_num)
+    denom = (sd * rn * rd * z.numerator) ** t * level_den
 
     def conditioned(x):
         k0, end, h = class_key(x)
-        return pref(h, end) * level_sum(-k0, end) / c
+        return Fraction(pref(h, end) * level(-k0, end), denom)
 
     return DistTable.of_classes(t, eff.sigma > 0, "exact", conditioned)
 
@@ -103,9 +152,9 @@ def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "
 def verify_thm2(t_max: int, law: InitialLaw, params: Params, part: str = "I") -> dict:
     """Check on every horizon up to t_max that the chain law equals the law of
     the walk conditioned to stay above V.  The two sides are independent
-    closed forms: the chain route sums over the initial law
-    (``bracket_ratio_sum_exact``), the conditioned walk over V
-    (``bracket_tail``)."""
+    closed forms, each with its own integer code: the chain route sums over
+    the initial law's atoms or geometric form, the conditioned walk over V's
+    atoms or geometric parameter."""
     vlaw = v_law_from_initial(law, params, part)
     worst, witness = compare_routes(
         "thm2", range(1, t_max + 1),

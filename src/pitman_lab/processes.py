@@ -211,29 +211,6 @@ class InitialLaw:
         c, r = form
         return c * geometric_tail(r, n)
 
-    def bracket_ratio_sum_exact(self, a: int, b: int, q: Rat) -> Rat:
-        """Sum of pmf(k) * [k+b+1]_q / [k+1]_q over k >= a, in closed form."""
-        atoms = self.atoms()
-        if atoms is not None:
-            return sum((p * q_bracket(k + b + 1, q) / q_bracket(k + 1, q)
-                        for k, p in atoms if k >= a), Fraction(0))
-        form = self.ratio_geometric_form(q)
-        if form is None:
-            raise UnsupportedExactModeError(
-                f"{self.cli_string()!r} has no exact bracket sum at q={q}; use approx mode"
-            )
-        c, r = form
-        return c * geometric_bracket_tail(r, a, b, q)
-
-    def bracket_tail(self, a: int, b: int, q: Rat) -> Rat:
-        """Sum of pmf(j) * [j+b+1]_q over j >= a, the conditioning-level sum;
-        its own code, apart from the chain route's ``bracket_ratio_sum_exact``."""
-        atoms = self.atoms()
-        if atoms is None:
-            raise UnsupportedExactModeError(
-                f"no closed-form bracket sum for {self.cli_string()!r}")
-        return sum((p * q_bracket(j + b + 1, q) for j, p in atoms if j >= a), Fraction(0))
-
     def exact_capable(self, q: Rat) -> bool:
         return self.atoms() is not None or self.ratio_geometric_form(q) is not None
 
@@ -336,8 +313,8 @@ class FiniteSupport(InitialLaw):
 
 @dataclass(frozen=True, repr=False)
 class Geometric(InitialLaw):
-    """P(X = n) = (1-p) p^n.  Exact pmf and bracket sums, but no closed-form
-    tail ratio."""
+    """P(X = n) = (1-p) p^n.  Exact pmf and tail, but no closed-form tail
+    ratio."""
 
     p: Rat
 
@@ -354,9 +331,6 @@ class Geometric(InitialLaw):
 
     def tail(self, n):
         return self.p ** max(n, 0)
-
-    def bracket_tail(self, a, b, q):
-        return (1 - self.p) * geometric_bracket_tail(self.p, a, b, rat(q))
 
     def pmf_float(self, n):
         return self._cf * self._pf**n
@@ -695,8 +669,10 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
 
     Either route is evaluated once per class (K0, x_t, H); see
     :meth:`DistTable.of_classes`.  Within one call the exact formula route
-    takes its level sum once per (K0, x_t) and its prefactor once per (H, x_t),
-    the product route each kernel entry once per (level, step).
+    builds its level sum once per (K0, x_t) and its prefactor once per
+    (H, x_t), as ints over one denominator per table, and forms one Fraction
+    per class (``_chain_law_formula_exact``); the product route builds each
+    kernel entry once per (level, step).
     """
     q = params.q
     if mode is None:
@@ -706,15 +682,8 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     if route == "formula":
         if mode != "exact":
             return _chain_law_formula_float(t, law, params, kmax)
-        z_t = params.z**t
-        level_sum = functools.cache(lambda a, b: law.bracket_ratio_sum_exact(a, b, q))
-        pref = functools.cache(lambda h, e: params.sigma**h / (z_t * params.rho**e))
-
-        def formula(x):
-            k0, end, h = class_key(x)
-            return pref(h, end) * level_sum(-k0, end)
-
-        return DistTable.of_classes(t, allow_flat, mode, formula)
+        formula = _chain_law_formula_exact(t, law, params)
+        return DistTable.of_classes(t, allow_flat, "exact", formula)
     if route != "product":
         raise ValueError(f"unknown route {route!r}")
 
@@ -749,6 +718,82 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
                             for x, size in table.sizes.items())
         table.err = err + 1.1 * (left_sum(law.pmf_err(k) for k, _ in atoms) + rounding)
     return table
+
+
+def _chain_law_formula_exact(t, law, params):
+    """Exact formula route on horizon t, as the class value function:
+    entry(x) = pref(H, x_t) S(-K0, x_t) with pref = sigma^H / (z^t rho^(x_t))
+    and S(a, e) the sum of pmf(k) [k+e+1]_q / [k+1]_q over k >= a.
+
+    Both factors are ints over one denominator per table, from the integer
+    parts of rho, sigma and z (q = rho^2 = qn/qd in lowest terms) and from
+    the law's atoms or its ``ratio_geometric_form``.  pref is sn^H sd^(t-H)
+    rd^(t+e) rn^(t-e) zd^t over (sd rn rd zn)^t.  With B(m) = [m]_q qd^(m-1),
+    the int (qn^m - qd^m)/(qn - qd) (m at q = 1):
+
+    * atoms: S(a, e) = qd^(t-e) (sum over k >= a of W_k B(k+e+1)) / (L qd^t),
+      where L is the lcm of the denominators of p_k / B(k+1) and
+      W_k = L p_k / B(k+1);
+    * pmf(k)/[k+1]_q = c r^k, r = gn/gd: S(a, e) = c r^a (1/(1-r) -
+      q^(a+e+1)/(1-rq)) / (1-q), and c r^a ((a+e+1)(1-r) + r)/(1-r)^2 at
+      q = 1; either is c.numerator gn^a gd^(t+1-a) inner(a+e) over a
+      per-table denominator.
+
+    Each level part is built once per (K0, x_t), each prefactor once per
+    (H, x_t), and a class multiplies the two ints and forms one Fraction.
+    """
+    rn, rd = params.rho.numerator, params.rho.denominator
+    sn, sd = params.sigma.numerator, params.sigma.denominator
+    z = params.z
+    qn, qd = rn * rn, rd * rd
+    zd_t = z.denominator**t
+    pref = functools.cache(
+        lambda h, e: sn**h * sd ** (t - h) * rd ** (t + e) * rn ** (t - e) * zd_t)
+    pref_den = (sd * rn * rd * z.numerator) ** t
+
+    @functools.cache
+    def bracket(m):  # [m]_q qd^(m-1)
+        return m if qn == qd else (qn**m - qd**m) // (qn - qd)
+
+    atoms = law.atoms()
+    if atoms is not None:
+        dens = [p.denominator * bracket(k + 1) for k, p in atoms]
+        lcm = math.lcm(*dens)
+        weights = [(k, p.numerator * (lcm // d)) for (k, p), d in zip(atoms, dens)]
+        level_den = lcm * qd**t
+
+        def level_num(a, e):
+            return qd ** (t - e) * sum(w * bracket(k + e + 1) for k, w in weights if k >= a)
+    else:
+        form = law.ratio_geometric_form(params.q)
+        if form is None:
+            raise UnsupportedExactModeError(
+                f"{law.cli_string()!r} has no exact bracket sum at q={params.q}; use approx mode")
+        c, r = form
+        gn, gd = r.numerator, r.denominator
+        if qn == qd:
+            level_den = c.denominator * gd**t * (gd - gn) ** 2
+
+            def inner(m):  # ((m+1)(1-r) + r) gd
+                return (m + 1) * (gd - gn) + gn
+        else:
+            top = qd**t * (gd * qd - gn * qn)
+            level_den = c.denominator * (qd - qn) * gd**t * top * (gd - gn)
+
+            def inner(m):  # (1/(1-r) - q^(m+1)/(1-rq)) qd^(t+1) (gd-gn)(gd qd-gn qn) / gd
+                return qd * (top - qn ** (m + 1) * qd ** (t - m) * (gd - gn))
+
+        def level_num(a, e):
+            return c.numerator * gn**a * gd ** (t + 1 - a) * inner(a + e)
+
+    level = functools.cache(level_num)
+    denom = pref_den * level_den
+
+    def formula(x):
+        k0, end, h = class_key(x)
+        return Fraction(pref(h, end) * level(-k0, end), denom)
+
+    return formula
 
 
 def _chain_law_formula_float(t, law, params, kmax):

@@ -176,20 +176,54 @@ def rhs_law_formula(x: Path, glaw: InitialLaw, params: Params):
 
 
 def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
-    """``rhs_law_formula`` on the paths of horizon t, with the level part
-    once per (K, x_t) and the prefactor once per (H, x_t)."""
-    q, z_t = params.q, params.z**t
-    pref = functools.cache(lambda h, e: params.sigma**h * params.rho**e / z_t)
+    """``rhs_law_formula`` on the paths of horizon t, as the class value
+    function.
 
-    @functools.cache
-    def level(k0, end):  # P(G >= -K) + P(G = -K) * factor
-        factor = end - k0 if q == 1 else (1 - q ** (k0 - end)) / (q - 1)
-        return glaw.tail(-k0) + glaw.pmf(-k0) * factor
+    With n = -K and m = x_t - K <= t, the factor
+    (1 - rho^(2(K - x_t)))/(rho^2 - 1) is q^-1 + ... + q^-m (m at q = 1),
+    the int F(m) = sum over 1 <= j <= m of qd^j qn^(t-j) over qn^t, for
+    q = rho^2 = qn/qd in lowest terms.  The prefactor sigma^H rho^(x_t) / z^t is the int sn^H sd^(t-H) rn^(t+x_t)
+    rd^(t-x_t) zd^t over (sd rn rd zn)^t.  P(G >= n) and P(G = n) are read
+    once per n <= t.  An exact level law's values go over the lcm L of their
+    denominators, so the level part (L P(G >= n) qn^t + L P(G = n) F(m)) is
+    an int per (K, x_t), the prefactor one per (H, x_t), and a class forms
+    one Fraction from their product.  A float level law's entry is
+    pref (P(G >= n) + P(G = n) factor) with pref and factor each one
+    correctly rounded int quotient, the floats of the Fraction-valued form.
+    """
+    rn, rd = params.rho.numerator, params.rho.denominator
+    sn, sd = params.sigma.numerator, params.sigma.denominator
+    z = params.z
+    qn, qd = rn * rn, rd * rd
+    zd_t, qn_t = z.denominator**t, qn**t
+    pref = functools.cache(
+        lambda h, e: sn**h * sd ** (t - h) * rn ** (t + e) * rd ** (t - e) * zd_t)
+    pref_den = (sd * rn * rd * z.numerator) ** t
+    factors = list(itertools.accumulate((qd**j * qn ** (t - j) for j in range(1, t + 1)),
+                                        initial=0))
+    tails = [glaw.tail(n) for n in range(t + 1)]
+    pmfs = [glaw.pmf(n) for n in range(t + 1)]
+
+    if not glaw.exact:
+        @functools.cache
+        def level_float(k0, end):
+            return tails[-k0] + pmfs[-k0] * (factors[end - k0] / qn_t)
+
+        def formula_float(x):
+            k0, end, h = class_key(x)
+            return pref(h, end) / pref_den * level_float(k0, end)
+
+        return formula_float
+
+    lcm = math.lcm(*(v.denominator for v in tails + pmfs))
+    tails = [v.numerator * (lcm // v.denominator) * qn_t for v in tails]
+    pmfs = [v.numerator * (lcm // v.denominator) for v in pmfs]
+    level = functools.cache(lambda k0, end: tails[-k0] + pmfs[-k0] * factors[end - k0])
+    denom = pref_den * lcm * qn_t
 
     def formula(x):
         k0, end, h = class_key(x)
-        value = pref(h, end) * level(k0, end)
-        return value if glaw.exact else float(value)
+        return Fraction(pref(h, end) * level(k0, end), denom)
 
     return formula
 

@@ -198,9 +198,10 @@ def test_verifiers_build_no_per_path_table():
         assert walk_mock.call_count == len(tables)
 
 
-def count_calls(monkeypatch, owner, name, key):
-    """Replace ``owner.name`` with a wrapper counting its calls by ``key(*args)``."""
-    calls = Counter()
+def count_calls(monkeypatch, owner, name, key, calls=None):
+    """Replace ``owner.name`` with a wrapper counting its calls by ``key(*args)``,
+    in ``calls`` when given."""
+    calls = Counter() if calls is None else calls
     original = getattr(owner, name)
 
     def counted(*args):
@@ -231,23 +232,34 @@ def test_product_route_builds_each_kernel_entry_once_per_table(monkeypatch):
     assert calls == first
 
 
-@pytest.mark.parametrize("route", ["chain formula", "conditioned walk"])
+@pytest.mark.parametrize("route", ["chain formula", "closed form", "conditioned walk"])
 def test_level_sums_once_per_k0_and_end(monkeypatch, route):
+    """The level parts are ints each route builds once per (K0, x_t) inside
+    one call, from law inputs read once per table: the chain formula reads
+    the initial law's geometric form, the conditioned walk V's atoms, and the
+    closed form P(G = n) and P(G >= n) once per n = -K0 <= t.  A second
+    identical build reads them again, so no cache outlives a call."""
     params = Params(F(2, 3), F(1))
     law = QNegativeBinomial(params.q, F(1, 2))
     if route == "chain formula":
-        owner, name, build = QNegativeBinomial, "bracket_ratio_sum_exact", (
-            lambda: chain_increment_law(6, law, params))
+        reads = [(QNegativeBinomial, "ratio_geometric_form")]
+        build = lambda: chain_increment_law(6, law, params, mode="exact")  # noqa: E731
+        want = Counter({("ratio_geometric_form", params.q): 1})
+    elif route == "closed form":
+        reads = [(Geometric, "pmf"), (Geometric, "tail")]
+        build = lambda: rhs_law_table_formula(6, Geometric(F(1, 3)), params)  # noqa: E731
+        want = Counter({(name, n): 1 for name in ("pmf", "tail") for n in range(7)})
     else:
-        vlaw = v_law_from_initial(law, params, "I")
-        owner, name, build = type(vlaw), "bracket_tail", (
-            lambda: conditioned_walk_law(6, vlaw, params, "I"))
-    calls = count_calls(monkeypatch, owner, name, lambda _, a, b, q: (a, b))
+        vlaw = v_law_from_initial(FiniteSupport(((0, F(1, 3)), (3, F(2, 3)))), params, "I")
+        reads = [(FiniteSupport, "atoms")]
+        build = lambda: conditioned_walk_law(6, vlaw, params, "I")  # noqa: E731
+        want = Counter({("atoms",): 1})
+    calls = Counter()
+    for owner, name in reads:
+        count_calls(monkeypatch, owner, name, lambda _, *a, name=name: (name, *a), calls)
     first, table = twice(build, calls)
-    want = Counter({(-k0, end): 1 for k0, end, _ in map(class_key, table.values)})
-    if route == "conditioned walk":
-        want[(0, 0)] += 1  # the normalizer, sum over every level
-    assert len(want) < len(table.values)
+    if route == "closed form":  # each level n = -K0 <= t has classes
+        assert {-k0 for k0, _, _ in map(class_key, table.values)} == set(range(7))
     assert first == want and calls == want
 
 

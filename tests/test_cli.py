@@ -1,12 +1,15 @@
+import argparse
 import json
+import math
 import pathlib
 import time
 from fractions import Fraction
 
 import pytest
 
-from pitman_lab import Params, RngStream, donsker_check, sample_chain, sample_walk
-from pitman_lab.cli import _GRID_CAP, _grid, main
+from pitman_lab import (Params, Path, RngStream, __version__, donsker_check, sample_chain,
+                        sample_walk)
+from pitman_lab.cli import _GRID_CAP, _JSON_BLOCK, _emit, _grid, main
 from pitman_lab.processes import parse_initial_law
 
 
@@ -331,6 +334,28 @@ class TestSampleCommands:
         code, out, err = run(capsys, "sample", "limit-process", "--samples", "2", *argv)
         assert code == 2 and not out.strip()
         assert reason in err
+
+
+@pytest.mark.parametrize("report", [
+    {},
+    {"entries": {}, "rows": [], "pair": (), "nested": {"a": {}, "b": [[], {}]}},
+    {"deep": {"a": {"b": {"c": [1, [2, [3, {"d": (4, 5)}]]]}}}, "mixed": [1, "x", {"y": None}]},
+    {"floats": [0.1, 1 / 3, 1e300, 5e-324, -0.0, math.inf, -math.inf, math.nan],
+     "err": 2.0**-1021, "value": {"v": 0.1 + 0.2}},
+    {"exact": Fraction(1, 3), "path": Path((1, 0, -1)), "law": Params(Fraction(1, 2)),
+     "inside": {"f": [Fraction(2, 3), {"p": Path(())}], "t": (Fraction(1), None, True)}},
+    {"keys": {1: "int", 2.5: [1], False: {"k": 0}, None: "none"}, "text": "é \x00\"\\ \u2028"},
+    {"table": {"horizon": 2, "mode": "exact", "err": 0.0,
+               "entries": {f"0,{i}": f"{i}/7" for i in range(-2, 3)}}, "status": "PASS"},
+    # flat containers longer than one C-encoded block
+    {"entries": {str(i): i / 7 for i in range(2 * _JSON_BLOCK + 1)},
+     "rows": [{"n": n} for n in range(3)], "levels": list(range(_JSON_BLOCK))},
+])
+def test_emit_prints_the_stdlib_indented_bytes(capsys, report):
+    args = argparse.Namespace(cmd="law", what=None, object="chain")
+    assert _emit(report, args) == 0
+    want = {"schema": "report-v1", "version": __version__, "command": "law chain", **report}
+    assert capsys.readouterr().out == json.dumps(want, indent=2, default=str) + "\n"
 
 
 def test_version_flag(capsys):

@@ -20,6 +20,7 @@ from pitman_lab import (
     UnsupportedExactModeError,
     chain_increment_law,
     chain_transition,
+    conditioned_walk_law,
     enumerate_paths,
     g_law_from_initial,
     parse_initial_law,
@@ -407,19 +408,14 @@ FINITE_LAWS = st.one_of(finite_laws_with_zero_atoms(), st.builds(PointMass, st.i
 QS = st.sampled_from([F(1, 4), F(4, 9), F(1), F(9, 4), F(3)])
 
 
-@given(FINITE_LAWS, QS, st.integers(0, 30), st.integers(0, 4))
-def test_exact_sums_equal_their_per_level_definitions(law, q, a, b):
+@given(FINITE_LAWS, QS, st.integers(0, 30))
+def test_exact_sums_equal_their_per_level_definitions(law, q, a):
     # every level from a up to the top, zero masses included, as written in
-    # the definitions; a may lie past the top
+    # the definitions; a may lie past the top.  The bracket sums the exact
+    # routes took per level are oracles in tests/test_exact_routes.py now.
     levels = range(a, law.masses[-1][0] + 1 if isinstance(law, FiniteSupport) else law.n + 1)
     assert law.ratio_tail_exact(a, q) == sum(
         (law.pmf(j) / q_bracket(j + 1, q) for j in levels), F(0))
-    for b_shift in (b, -min(a, b)):  # [k+b+1]_q with k >= a needs b >= -a
-        assert law.bracket_ratio_sum_exact(a, b_shift, q) == sum(
-            (law.pmf(k) * q_bracket(k + b_shift + 1, q) / q_bracket(k + 1, q) for k in levels),
-            F(0))
-        assert law.bracket_tail(a, b_shift, q) == sum(
-            (law.pmf(j) * q_bracket(j + b_shift + 1, q) for j in levels), F(0))
 
 
 @given(FINITE_LAWS, st.sampled_from([(F(1, 2), "I"), (F(2, 3), "I"), (F(3, 2), "II")]))
@@ -443,9 +439,10 @@ def test_point_mass_exact_sums_read_one_atom(monkeypatch):
     q = params.q
     glaw = g_law_from_initial(law, params, "G")
     assert law.ratio_tail_exact(3, q) == 1 / q_bracket(10**5 + 1, q)
-    law.bracket_ratio_sum_exact(0, 2, q)
-    law.bracket_tail(0, 2, q)
+    chain_increment_law(1, law, params)
     glaw.pmf(7), glaw.tail(7)
-    assert v_law_from_initial(law, params, "I").pmf(10**5) == 1
+    vlaw = v_law_from_initial(law, params, "I")
+    assert vlaw.pmf(10**5) == 1
+    conditioned_walk_law(1, vlaw, params, "I")
     chain_increment_law(2, law, params, route="product")
     assert len(calls) <= 2
