@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import Rat, RegimeError, UnsupportedExactModeError, prob_json, q_bracket
-from .paths import Path, class_key
+from .paths import Path
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -142,8 +142,8 @@ def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "
     level = functools.cache(level_num)
     denom = (sd * rn * rd * z.numerator) ** t * level_den
 
-    def conditioned(x):
-        k0, end, h = class_key(x)
+    def conditioned(key):
+        k0, end, h = key
         return Fraction(pref(h, end) * level(-k0, end), denom)
 
     return DistTable.of_classes(t, eff.sigma > 0, "exact", conditioned)

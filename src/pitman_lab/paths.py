@@ -3,10 +3,10 @@
 Paths are stored as increment tuples (compact dictionary keys); the value
 sequence is materialized on construction.  Every law of the package depends
 on a path only through its class (K0, x_t, H): global minimum, end and number
-of flat steps.  ``path_classes`` yields one representative per class with the
-class size, O(t^3) classes against the 3^t paths of ``enumerate_paths``.  Both
-are capped at the same horizon (default 14, override with the
-``PITMAN_LAB_CAP`` env var).
+of flat steps.  ``path_classes`` yields each class key with the class size,
+O(t^3) classes against the 3^t paths of ``enumerate_paths``, and
+``class_path`` a class's representative path.  Both enumerations are capped
+at the same horizon (default 14, override with the ``PITMAN_LAB_CAP`` env var).
 """
 
 from __future__ import annotations
@@ -95,9 +95,6 @@ class Path:
     def __hash__(self):
         return hash(self.steps)
 
-    def __lt__(self, other):
-        return self.steps < other.steps
-
     def __str__(self):
         return ",".join(map(str, self.values))
 
@@ -167,25 +164,26 @@ def class_key(path: Path) -> tuple:
 
 
 def path_classes(t: int, allow_flat: bool = True) -> Iterator[tuple]:
-    """Yield (representative, size) for every class (K0, x_t, H) of horizon t.
+    """Yield ((K0, x_t, H), size) for every class of horizon t.
 
     Of the n = t - H up/down steps, the number of walks that end at x with
     minimum exactly K is N(2K - x) - N(2K - 2 - x), N(y) the number ending at
     y, by the reflection principle (Feller, An Introduction to Probability
-    Theory, vol. 1, ch. III); the flat steps sit at any C(t, H) places.  The
-    representative makes its H flat steps, falls to K, climbs to x and ends
-    with up-down pairs.  Order: H, then x_t ascending, then K0 descending.
+    Theory, vol. 1, ch. III); the flat steps sit at any C(t, H) places.
+    Order: H, then x_t ascending, then K0 descending.
     """
     _refuse_beyond_cap(t, allow_flat)
-
-    def ending_at(n, y):
-        return math.comb(n, (n + y) // 2) if abs(y) <= n else 0
-
     for h in range(t + 1 if allow_flat else 1):
-        n = t - h
+        n, flats = t - h, math.comb(t, h)
+        ending_at = [math.comb(n, j) for j in range(n + 1)] + [0]  # N(2j - n), 0 at j = -1
         for end in range(-n, n + 1, 2):
             for k0 in range(min(0, end), (end - n) // 2 - 1, -1):
-                size = ending_at(n, 2 * k0 - end) - ending_at(n, 2 * k0 - 2 - end)
-                yield (Path._trusted((0,) * h + (-1,) * -k0 + (1,) * (end - k0)
-                                     + (1, -1) * ((n + 2 * k0 - end) // 2)),
-                       size * math.comb(t, h))
+                j = k0 + (n - end) // 2  # y = 2 K0 - x_t = 2j - n
+                yield (k0, end, h), (ending_at[j] - ending_at[j - 1]) * flats
+
+
+def class_path(t: int, key: tuple) -> Path:
+    """The representative of class (K0, x_t, H): flats, down to K0, up to x_t, up-down pairs."""
+    k0, end, h = key
+    return Path._trusted((0,) * h + (-1,) * -k0 + (1,) * (end - k0)
+                         + (1, -1) * ((t - h + 2 * k0 - end) // 2))

@@ -3,10 +3,9 @@ and exact finite-dimensional distributions over the path space.
 
 The chain on Z>=0 moves from k by a step delta in {-1, 0, +1} with probability
 ``P(step = delta) * [k+delta+1]_q / [k+1]_q`` where q = rho^2 and the step law
-is the three-point walk law below.  The canonical law object is the table of
-increment paths (X_j - X_0), built either from the closed-form sum over the
-initial level ("formula" route) or by mixing kernel products over the level
-("product" route).
+is the three-point walk law below.  The canonical law object is the class
+table of the increments (X_j - X_0), from the closed-form sum over the
+initial level ("formula" route) or from kernel products ("product" route).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .exact import (
     rat_str,
     rel_err,
 )
-from .paths import Path, _refuse_beyond_cap, class_key, path_classes, stats
+from .paths import Path, _refuse_beyond_cap, class_path, path_classes, stats
 
 
 @dataclass(frozen=True)
@@ -547,7 +546,7 @@ def parse_initial_law(text: str) -> InitialLaw:
 
 @dataclass
 class DistTable:
-    """Probability table keyed by increment paths of one fixed horizon.
+    """Probability table over the paths of one fixed horizon.
 
     ``mode`` is "exact" (Fraction entries, mass exactly 1) or "approx" (float
     entries).  On either route ``err`` bounds the summed distance of the
@@ -555,10 +554,10 @@ class DistTable:
     entry's too.
 
     ``values`` is the stored table.  A class table has ``sizes``: it holds one
-    value per class (K0, x_t, H), keyed by the representative x from
-    ``path_classes``, and that value is the entry of each of the ``sizes[x]``
-    paths of the class.  ``entries`` is the per-path view, built on first
-    read; without ``sizes`` it is ``values`` itself.
+    value per class keyed by the class (K0, x_t, H) from ``path_classes``, the
+    entry of each of the ``sizes[key]`` paths of the class; other tables are
+    keyed by increment paths.  ``entries`` is the per-path view, built on
+    first read; without ``sizes`` it is ``values`` itself.
     """
 
     horizon: int
@@ -570,10 +569,10 @@ class DistTable:
 
     @classmethod
     def of_classes(cls, t: int, allow_flat: bool, mode: str, value) -> "DistTable":
-        """The class table of ``value(x)``, a route that reads a path only
-        through its class: one evaluation per class representative x."""
+        """The class table of ``value(key)``, one evaluation per class key
+        (K0, x_t, H); a route that reads a path builds it with ``class_path``."""
         sizes = dict(path_classes(t, allow_flat))
-        return cls(t, mode, {x: value(x) for x in sizes}, sizes=sizes)
+        return cls(t, mode, {key: value(key) for key in sizes}, sizes=sizes)
 
     @functools.cached_property
     def entries(self) -> dict:
@@ -581,27 +580,33 @@ class DistTable:
         order of ``enumerate_paths``."""
         if self.sizes is None:
             return self.values
-        by_class, steps, walk = self._lex_walk(text=False)
+        steps, prefixes, leaves = self._lex_walk(self.values)
         paths = itertools.product(steps, repeat=self.horizon)
-        return {Path._trusted(incs): by_class[k, e, h] for incs, (k, e, h, _) in zip(paths, walk)}
+        values = (v for key, _ in prefixes for _, v in leaves[key])
+        return {Path._trusted(incs): v for incs, v in zip(paths, values)}
 
-    def _lex_walk(self, text: bool):
-        """(value by class, step set, walk) of a class table.  The walk lists
-        (K0, x_t, H, text) for every path of the horizon in the order of
-        ``enumerate_paths``, lexicographic in steps with -1 < 0 < +1; text is
-        the path's values ("0,1,0") when ``text`` is set, else "0".  It
-        expands the step prefixes one step at a time, each prefix into its
-        children in step order, carrying (running min, end, flat count, text),
-        so no path is built and no class key is taken per path."""
-        by_class = {class_key(x): v for x, v in self.values.items()}
-        allow_flat = any(0 in x.steps for x in self.values)
+    def _lex_walk(self, value_of: dict):
+        """(step set, prefixes, leaves): in ``enumerate_paths`` order, every
+        path is a prefix (class key, values as text, "0,1") of t - 1 steps,
+        then one (",x_t", value_of[class]) of leaves[the prefix's key].  A
+        prefix's key is (running min, end, flat count), so its children are
+        built once per key and no path is built."""
+        allow_flat = any(h for _, _, h in self.sizes)
         _refuse_beyond_cap(self.horizon, allow_flat)
         steps = (-1, 0, 1) if allow_flat else (-1, 1)
-        level = [(0, 0, 0, "0")]
-        for _ in range(self.horizon):
-            level = [(min(k, e + d), e + d, h + (d == 0), f"{s},{e + d}" if text else s)
-                     for k, e, h, s in level for d in steps]
-        return by_class, steps, level
+
+        @functools.cache
+        def children(key):  # [(each child's class key, suffix)] in step order
+            k, e, h = key
+            return [((min(k, e + d), e + d, h + (d == 0)), f",{e + d}") for d in steps]
+
+        prefixes = [((0, 0, 0), "0")]
+        for _ in range(self.horizon - 1):
+            prefixes = [(kid, s + suffix) for key, s in prefixes for kid, suffix in children(key)]
+        last = children if self.horizon else lambda key: [(key, "")]  # t = 0: no step
+        leaves = {key: [(suffix, value_of[kid]) for kid, suffix in last(key)]
+                  for key in dict.fromkeys(key for key, _ in prefixes)}
+        return steps, prefixes, leaves
 
     def mass(self):
         sizes = self.sizes or {}
@@ -618,7 +623,7 @@ class DistTable:
     def max_abs_diff(self, other: "DistTable"):
         """Largest entrywise discrepancy and the first key, in entry order,
         that reaches it: class by class between two class tables (the
-        witness is a class representative), else path by path."""
+        witness is the class's ``class_path``), else path by path."""
         by_class = self.sizes is not None and other.sizes is not None
         a_of, b_of = (self.values, other.values) if by_class else (self.entries, other.entries)
         worst, witness = Fraction(0) if self.mode == "exact" == other.mode else 0.0, None
@@ -629,7 +634,7 @@ class DistTable:
             d = abs(a - b)
             if d > worst:
                 worst, witness = d, p
-        return worst, witness
+        return worst, class_path(self.horizon, witness) if by_class and witness else witness
 
     def to_json(self):
         """Every entry keyed by its path's values as text, in entry order;
@@ -637,16 +642,16 @@ class DistTable:
         if self.sizes is None:
             entries = {str(p): prob_json(v) for p, v in self.values.items()}
         else:
-            by_class, _, walk = self._lex_walk(text=True)
-            text = {key: prob_json(v) for key, v in by_class.items()}
-            entries = {s: text[k, e, h] for k, e, h, s in walk}
+            formatted = {key: prob_json(v) for key, v in self.values.items()}
+            _, prefixes, leaves = self._lex_walk(formatted)
+            entries = {s + suffix: v for key, s in prefixes for suffix, v in leaves[key]}
         return {"horizon": self.horizon, "mode": self.mode, "err": self.err, "entries": entries}
 
 
 def walk_law(t: int, params: Params) -> DistTable:
     """Exact table of the plain walk's paths over horizon t."""
     return DistTable.of_classes(t, params.sigma > 0, "exact",
-                                lambda x: walk_path_prob(x, params))
+                                lambda key: walk_path_prob(class_path(t, key), params))
 
 
 def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "formula",
@@ -667,12 +672,10 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     fl(w_k fl(P_k)), each within rel_err(2u) of w_k P_k, whose running sums
     stay below s.  The factor 1.1 covers the float sums that make ``err``.
 
-    Either route is evaluated once per class (K0, x_t, H); see
-    :meth:`DistTable.of_classes`.  Within one call the exact formula route
-    builds its level sum once per (K0, x_t) and its prefactor once per
-    (H, x_t), as ints over one denominator per table, and forms one Fraction
-    per class (``_chain_law_formula_exact``); the product route builds each
-    kernel entry once per (level, step).
+    Either route is evaluated once per class (K0, x_t, H), see
+    :meth:`DistTable.of_classes`; the product route builds each kernel entry
+    once per (level, step), the exact formula route is
+    ``_chain_law_formula_exact``.
     """
     q = params.q
     if mode is None:
@@ -700,9 +703,9 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
 
     kernel = functools.cache(lambda k, d: chain_transition(k, d, params))
 
-    def product(x):
+    def product(key):
         # the kernel product is exact, so every path of a class gets one value
-        total = Fraction(0)
+        x, total = class_path(t, key), Fraction(0)
         for k, w in atoms:
             if k + min(x.values) >= 0:
                 prod = Fraction(1)
@@ -714,8 +717,8 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     table = DistTable.of_classes(t, allow_flat, mode, product)
     if mode != "exact":
         m = 1 if law.exact else len(atoms)
-        rounding = left_sum(size * ((m + 3) * UNIT_ROUNDOFF * table.values[x] + m * TERM_FLOOR)
-                            for x, size in table.sizes.items())
+        rounding = left_sum(size * ((m + 3) * UNIT_ROUNDOFF * table.values[key] + m * TERM_FLOOR)
+                            for key, size in table.sizes.items())
         table.err = err + 1.1 * (left_sum(law.pmf_err(k) for k, _ in atoms) + rounding)
     return table
 
@@ -789,8 +792,8 @@ def _chain_law_formula_exact(t, law, params):
     level = functools.cache(level_num)
     denom = pref_den * level_den
 
-    def formula(x):
-        k0, end, h = class_key(x)
+    def formula(key):
+        k0, end, h = key
         return Fraction(pref(h, end) * level(-k0, end), denom)
 
     return formula
@@ -883,14 +886,14 @@ def _chain_law_formula_float(t, law, params, kmax):
 
     rounding = {}
 
-    def formula(x):
-        k0, end, h = class_key(x)
+    def formula(key):
+        k0, end, h = key
         s, s_err = kept[end].get(-k0, (0.0, 0.0))
         pref = sig**h / (zf**t * rhof**end)
-        rounding[x] = pref * s_err + rel_err((h + t + abs(end) + 9) * u) * pref * s
+        rounding[key] = pref * s_err + rel_err((h + t + abs(end) + 9) * u) * pref * s
         return pref * s
 
     table = DistTable.of_classes(t, allow_flat, "approx", formula)
     table.err = law.tail_bound(top + 1) + 1.1 * left_sum(
-        table.sizes[x] * r for x, r in rounding.items())
+        table.sizes[key] * r for key, r in rounding.items())
     return table

@@ -25,7 +25,7 @@ from .exact import (
     rat,
     rel_err,
 )
-from .paths import Path, class_key
+from .paths import Path, class_key, class_path
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -172,12 +172,11 @@ def rhs_law_formula(x: Path, glaw: InitialLaw, params: Params):
 
     with the singular factor replaced by its limit x_t - K at rho = 1.
     """
-    return _rhs_formula(x.horizon, glaw, params)(x)
+    return _rhs_formula(x.horizon, glaw, params)(class_key(x))
 
 
 def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
-    """``rhs_law_formula`` on the paths of horizon t, as the class value
-    function.
+    """``rhs_law_formula`` on horizon t, as a function of the class key (K0, x_t, H).
 
     With n = -K and m = x_t - K <= t, the factor
     (1 - rho^(2(K - x_t)))/(rho^2 - 1) is q^-1 + ... + q^-m (m at q = 1),
@@ -209,8 +208,8 @@ def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
         def level_float(k0, end):
             return tails[-k0] + pmfs[-k0] * (factors[end - k0] / qn_t)
 
-        def formula_float(x):
-            k0, end, h = class_key(x)
+        def formula_float(key):
+            k0, end, h = key
             return pref(h, end) / pref_den * level_float(k0, end)
 
         return formula_float
@@ -221,8 +220,8 @@ def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
     level = functools.cache(lambda k0, end: tails[-k0] + pmfs[-k0] * factors[end - k0])
     denom = pref_den * lcm * qn_t
 
-    def formula(x):
-        k0, end, h = class_key(x)
+    def formula(key):
+        k0, end, h = key
         return Fraction(pref(h, end) * level(k0, end), denom)
 
     return formula
@@ -234,7 +233,7 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
         P(x) = P(G >= -K) * walk_prob(-x)
                + P(G = -K) * sum over sporadic members of walk_prob(s^(r)),
 
-    evaluated once per class (K0, x_t, H) and counted, not built: each flip
+    evaluated on each class's ``class_path`` and counted, not built: each flip
     of ``transform.preimage`` turns a -1 step of the ray -x into +1, so it
     moves the member's (U, D) to (U+1, D-1).  walk_prob(u, d) = sigma^H
     rho^(d-u) / z^t is an int numerator over one denominator per table, so a
@@ -250,15 +249,15 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     def numerator(h, e):  # walk_prob with h flat steps and D - U = e, times denom
         return sn**h * sd ** (t - h) * rn ** (t + e) * rd ** (t - e) * z.denominator**t
 
-    def pushforward(x):
-        pre = preimage(x)
+    def pushforward(key):
+        pre = preimage(class_path(t, key))
         ray = pre.ray_path.steps
         u, d = ray.count(1), ray.count(-1)
         h, e = t - u - d, d - u
         ray_num, members, last = numerator(h, e), 0, -1
         for j in pre.flips:
             if j <= last or ray[j] != -1:
-                raise ArithmeticError(f"preimage of {x}: flip at step {j} after {last} "
+                raise ArithmeticError(f"preimage of class {key}: flip at step {j} after {last} "
                                       "is not a later -1 step of the ray")
             last, e = j, e - 2
             members += numerator(h, e)

@@ -1,11 +1,13 @@
 """The class-lumped engine against per-path enumeration, its oracle at small t.
 
 Every route reads a path only through its class (K0, x_t, H).  Feeding the
-same route every path with weight 1 in place of ``path_classes`` evaluates it
-path by path; the class table must give each path exactly that value, and its
-per-path view ``entries`` must equal it.
+same route every path with weight 1 in place of ``path_classes``, each path
+as a key of its own that ``class_path`` turns back into the path, evaluates
+it path by path; the class table must give each path exactly that value, and
+its per-path view ``entries`` must equal it.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction as F
 from unittest import mock
@@ -18,6 +20,7 @@ from pitman_lab import (
     FiniteSupport,
     Geometric,
     HorizonCapError,
+    LevelLaw,
     NegativeBinomial,
     Params,
     Path,
@@ -38,11 +41,48 @@ from pitman_lab import (
     walk_law,
 )
 from pitman_lab.exact import prob_json
-from pitman_lab.paths import class_key, path_classes
+from pitman_lab.paths import class_key, class_path, path_classes
+
+
+class PathKey(tuple):
+    """The class key (K0, x_t, H) of one path, carrying the path: as table
+    keys two paths of one class stay apart."""
+
+    def __new__(cls, x):
+        key = super().__new__(cls, class_key(x))
+        key.path = x
+        return key
+
+    def __eq__(self, other):
+        return isinstance(other, PathKey) and self.path == other.path
+
+    def __hash__(self):
+        return hash(self.path)
 
 
 def every_path(t, allow_flat=True):
-    return ((x, 1) for x in enumerate_paths(t, allow_flat))
+    return ((PathKey(x), 1) for x in enumerate_paths(t, allow_flat))
+
+
+def path_of_key(t, key):
+    return key.path
+
+
+def representative_classes(t, allow_flat=True):
+    """(representative Path, size) per class, in the order and with the
+    representatives ``path_classes`` and ``class_path`` must give: the class
+    generator as it was when it built the representatives itself."""
+    def ending_at(n, y):
+        return math.comb(n, (n + y) // 2) if abs(y) <= n else 0
+
+    for h in range(t + 1 if allow_flat else 1):
+        n = t - h
+        for end in range(-n, n + 1, 2):
+            for k0 in range(min(0, end), (end - n) // 2 - 1, -1):
+                size = ending_at(n, 2 * k0 - end) - ending_at(n, 2 * k0 - 2 - end)
+                yield (Path((0,) * h + (-1,) * -k0 + (1,) * (end - k0)
+                            + (1, -1) * ((n + 2 * k0 - end) // 2)),
+                       size * math.comb(t, h))
 
 
 class TestPathClasses:
@@ -51,8 +91,8 @@ class TestPathClasses:
         for t in range(11):
             counts = Counter(class_key(x) for x in enumerate_paths(t, allow_flat))
             classes = list(path_classes(t, allow_flat))
-            assert len(classes) == len(counts)  # one representative per class
-            assert {class_key(x): n for x, n in classes} == counts
+            assert len(classes) == len(counts)  # one key per class
+            assert dict(classes) == counts
             assert sum(n for _, n in classes) == (3 if allow_flat else 2) ** t
 
     def test_class_counts(self):
@@ -64,6 +104,18 @@ class TestPathClasses:
         x = Path(steps)
         s = stats(x)
         assert class_key(x) == (s.K0, x.end, s.H)
+
+    @pytest.mark.parametrize("allow_flat", [True, False])
+    def test_keys_round_trip_through_their_representatives(self, allow_flat):
+        for t in range(9):
+            classes = list(path_classes(t, allow_flat))
+            oracle = list(representative_classes(t, allow_flat))
+            assert [key for key, _ in classes] == [class_key(x) for x, _ in oracle]  # order too
+            assert [n for _, n in classes] == [n for _, n in oracle]
+            assert sum(n for _, n in classes) == (3 if allow_flat else 2) ** t
+            for (key, _), (x, _) in zip(classes, oracle):
+                representative = class_path(t, key)
+                assert class_key(representative) == key and representative.steps == x.steps
 
     def test_cap_as_for_enumeration(self, monkeypatch):
         with pytest.raises(HorizonCapError, match="14348907"):
@@ -79,18 +131,20 @@ def per_path_oracle(build):
     stored values; its own ``entries`` would lump the paths back into
     classes."""
     classes = build()
-    with mock.patch.object(processes, "path_classes", every_path):
+    with mock.patch.object(processes, "path_classes", every_path), \
+            mock.patch.object(processes, "class_path", path_of_key), \
+            mock.patch.object(representation, "class_path", path_of_key):
         oracle = build()
-    by_class = {class_key(x): v for x, v in classes.values.items()}
     assert len(oracle.values) == sum(classes.sizes.values())
-    for x, v in oracle.values.items():
-        assert v == by_class[class_key(x)], x
+    for key, v in oracle.values.items():
+        assert v == classes.values[tuple(key)], key.path
     assert oracle.mode == classes.mode
     if classes.mode == "exact":
         assert classes.mass() == oracle.mass() == 1
     else:
         assert classes.err == pytest.approx(oracle.err, rel=1e-9, abs=0)
-    assert list(classes.entries.items()) == list(oracle.values.items())  # order too
+    assert list(classes.entries.items()) == [  # order too
+        (key.path, v) for key, v in oracle.values.items()]
 
 
 @pytest.mark.parametrize("allow_flat", [True, False])
@@ -99,10 +153,9 @@ def test_per_path_view_is_in_enumeration_order(allow_flat):
     law = QNegativeBinomial(params.q, F(1, 2))
     for t in range(7):
         table = chain_increment_law(t, law, params)
-        by_class = {class_key(x): v for x, v in table.values.items()}
         order = list(enumerate_paths(t, allow_flat))
         assert list(table.entries) == order
-        want = {str(p): prob_json(by_class[class_key(p)]) for p in order}
+        want = {str(p): prob_json(table.values[class_key(p)]) for p in order}
         assert list(table.to_json()["entries"].items()) == list(want.items())
 
 
@@ -169,13 +222,14 @@ def test_witness_is_a_class_representative_at_the_worst_difference():
     rep = verify_thm1(4, law, params, candidate=Geometric(F(1, 3)))
     assert rep["status"] == "FAIL"
     t, witness = rep["witness"]["horizon"], Path.parse(rep["witness"]["path"])
-    assert witness in dict(path_classes(t))
+    key = class_key(witness)
+    assert key in dict(path_classes(t)) and class_path(t, key) == witness
     glaw = Geometric(F(1, 3))
     tables = {"chain": chain_increment_law(t, law, params),
               "enumeration": rhs_law_enumeration(t, glaw, params),
               "formula": rhs_law_table_formula(t, glaw, params)}
     a, b = rep["witness"]["pair"].split("_vs_")
-    assert abs(tables[a].values[witness] - tables[b].values[witness]) == F(
+    assert abs(tables[a].values[key] - tables[b].values[key]) == F(
         rep["max_abs_diff"]["value"])
 
 
@@ -227,7 +281,8 @@ def test_product_route_builds_each_kernel_entry_once_per_table(monkeypatch):
     calls = count_calls(monkeypatch, processes, "chain_transition", lambda k, d, _: (k, d))
     first, table = twice(lambda: chain_increment_law(6, law, params, route="product"), calls)
     assert set(first.values()) == {1}
-    assert set(first) == {(k + a, b - a) for x in table.values for k, _ in law.atoms()
+    paths = [class_path(6, key) for key in table.values]
+    assert set(first) == {(k + a, b - a) for x in paths for k, _ in law.atoms()
                           if k + min(x.values) >= 0 for a, b in zip(x.values, x.values[1:])}
     assert calls == first
 
@@ -259,7 +314,7 @@ def test_level_sums_once_per_k0_and_end(monkeypatch, route):
         count_calls(monkeypatch, owner, name, lambda _, *a, name=name: (name, *a), calls)
     first, table = twice(build, calls)
     if route == "closed form":  # each level n = -K0 <= t has classes
-        assert {-k0 for k0, _, _ in map(class_key, table.values)} == set(range(7))
+        assert {-k0 for k0, _, _ in table.values} == set(range(7))
     assert first == want and calls == want
 
 
@@ -270,3 +325,80 @@ def test_to_json_formats_each_class_value_once(monkeypatch):
     calls = count_calls(monkeypatch, processes, "prob_json", lambda v: "calls")
     assert table.to_json()["entries"] == want
     assert calls["calls"] == len(table.values) < len(want)
+
+
+def count_built_paths(monkeypatch):
+    """A Counter whose "paths" counts every Path built from here on, through
+    the validating constructor or ``Path._trusted``."""
+    built = Counter()
+    init, trusted = Path.__init__, Path._trusted.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built["paths"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_trusted(cls, steps):
+        built["paths"] += 1
+        return trusted(cls, steps)
+
+    monkeypatch.setattr(Path, "__init__", counted_init)
+    monkeypatch.setattr(Path, "_trusted", classmethod(counted_trusted))
+    return built
+
+
+@pytest.mark.parametrize("route,per_class", [
+    ("chain formula", 0), ("chain formula in floats", 0), ("closed form", 0),
+    ("conditioned walk", 0), ("chain product", 1), ("walk", 1),
+    ("pushforward", 2),  # the representative x and the ray -x its preimage reads
+])
+def test_paths_built_per_class(monkeypatch, route, per_class):
+    """Routes that read a path only through its class key build no path; the
+    routes that read a path build each class's representative once."""
+    t = 8
+    params = Params(F(2, 3), F(1))
+    law = QNegativeBinomial(params.q, F(1, 2))
+    glaw = g_law_from_initial(law, params, "G")
+    finite = FiniteSupport(((0, F(1, 6)), (2, F(1, 3)), (5, F(1, 2))))
+    vlaw = v_law_from_initial(law, params, "I")
+    build = {
+        "chain formula": lambda: chain_increment_law(t, law, params),
+        "chain formula in floats": lambda: chain_increment_law(t, law, params, mode="approx"),
+        "closed form": lambda: rhs_law_table_formula(t, glaw, params),
+        "conditioned walk": lambda: conditioned_walk_law(t, vlaw, params, "I"),
+        "chain product": lambda: chain_increment_law(t, finite, params, route="product"),
+        "walk": lambda: walk_law(t, params),
+        "pushforward": lambda: rhs_law_enumeration(t, glaw, params),
+    }[route]
+    classes = len(list(path_classes(t)))
+    built = count_built_paths(monkeypatch)
+    table = build()
+    assert len(table.values) == classes == 95
+    assert built["paths"] == per_class * classes
+
+
+# verify_thm1 against wrong candidate level laws for qnb:q=4/9,theta=1/2 at
+# rho=2/3, sigma=1: (candidate, t, part, witness path, horizon, difference),
+# each witness the representative of the first class at the worst difference
+WRONG_CANDIDATES = [
+    (Geometric(F(5, 9)), None, "I", "0,-1", 1, "3/19"),
+    (Geometric(F(1, 9)), None, "II", "0,-1", 1, "14/171"),
+    (LevelLaw.from_pmf({0: F(7, 9), 3: F(2, 9)}), 8, "I",
+     "0,-1,-2,-3,-2,-1,0,1,2", 8, "16427906/16983563041"),
+    (LevelLaw.from_pmf({0: F(7, 9), 1: F(14, 81), 4: F(4, 81)}), 6, "I",
+     "0,-1,-2,-3,-4,-3,-2", 6, "41380/47045881"),
+    (LevelLaw.from_pmf({0: F(7, 9), 1: F(14, 81), 2: F(4, 81)}), 8, "I",
+     "0,-1,-2,-1,0,1,2,3,4", 8, "44408/893871739"),
+    (LevelLaw.from_pmf({0: F(7, 9), 3: F(2, 9)}), 6, "II", "0,1,2,3,4,5,6", 6, "55510/22284891"),
+]
+
+
+@pytest.mark.parametrize("candidate,t,part,path,horizon,diff", WRONG_CANDIDATES)
+def test_wrong_candidate_witnesses(candidate, t, part, path, horizon, diff):
+    """A FAIL names its witness by the representative's values: the same
+    strings as when the class tables were keyed by representative paths."""
+    params = Params(F(2, 3), F(1))
+    law = QNegativeBinomial(params.q, F(1, 2))
+    rep = verify_thm1(t or 4, law, params, part, candidate=candidate,
+                      t_values=t and [t])
+    assert rep["status"] == "FAIL" and rep["max_abs_diff"]["value"] == diff
+    assert rep["witness"] == {"pair": "chain_vs_enumeration", "path": path, "horizon": horizon}

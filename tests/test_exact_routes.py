@@ -37,7 +37,7 @@ from pitman_lab import (
 from pitman_lab import conditioning, exact, paths, processes, representation, transform
 from pitman_lab.conditioning import _effective_params
 from pitman_lab.exact import geometric_bracket_tail
-from pitman_lab.paths import class_key, path_classes
+from pitman_lab.paths import path_classes
 
 # ---------------------------------------------------------------------------
 # the per-operation oracles
@@ -73,8 +73,8 @@ def chain_formula_oracle(t, law, params):
     level_sum = functools.cache(lambda a, b: bracket_ratio_sum(law, a, b, q))
     pref = functools.cache(lambda h, e: params.sigma**h / (z_t * params.rho**e))
 
-    def formula(x):
-        k0, end, h = class_key(x)
+    def formula(key):
+        k0, end, h = key
         return pref(h, end) * level_sum(-k0, end)
 
     return DistTable.of_classes(t, params.sigma > 0, "exact", formula)
@@ -89,8 +89,8 @@ def closed_form_oracle(t, glaw, params):
         factor = end - k0 if q == 1 else (1 - q ** (k0 - end)) / (q - 1)
         return glaw.tail(-k0) + glaw.pmf(-k0) * factor
 
-    def formula(x):
-        k0, end, h = class_key(x)
+    def formula(key):
+        k0, end, h = key
         value = pref(h, end) * level(k0, end)
         return value if glaw.exact else float(value)
 
@@ -105,8 +105,8 @@ def conditioned_oracle(t, vlaw, params, part):
     level_sum = functools.cache(lambda a, b: bracket_tail(vlaw, a, b, q))
     pref = functools.cache(lambda h, e: eff.sigma**h / (eff.rho**e * z_t))
 
-    def conditioned(x):
-        k0, end, h = class_key(x)
+    def conditioned(key):
+        k0, end, h = key
         return pref(h, end) * level_sum(-k0, end) / c
 
     return DistTable.of_classes(t, eff.sigma > 0, "exact", conditioned)

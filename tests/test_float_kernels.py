@@ -34,7 +34,7 @@ from pitman_lab.exact import (
     bracket_rel_err,
     rel_err,
 )
-from pitman_lab.paths import stats
+from pitman_lab.paths import class_path, stats
 
 
 def scalar_brackets(q, count):
@@ -67,8 +67,9 @@ def scalar_tail_sums(law, q, trunc_n=None, lo=0):
 
 
 def scalar_chain_formula(t, law, params, kmax=None):
-    """({path: value}, err) of the float formula route, one suffix sum per
-    end value, level by level from the top down."""
+    """({class key: value}, err) of the float formula route, one suffix sum
+    per end value, level by level from the top down, reading each class's
+    statistics off its representative path."""
     u = UNIT_ROUNDOFF
     top = kmax if kmax is not None else law.truncation_point()
     pmfs = [law.pmf_float(k) for k in range(top + 1)]
@@ -95,7 +96,8 @@ def scalar_chain_formula(t, law, params, kmax=None):
 
     by_end, values, rounding = {}, {}, {}
     table = chain_increment_law(t, law, params, mode="approx", kmax=kmax)
-    for x in table.sizes:
+    for key in table.sizes:
+        x = class_path(t, key)
         st = stats(x)
         a = -st.K0
         if x.end not in by_end:
@@ -103,11 +105,11 @@ def scalar_chain_formula(t, law, params, kmax=None):
         lo, kept = by_end[x.end]
         s, s_err = kept[a - lo] if a <= top else (0.0, 0.0)
         pref = sig**st.H / (zf**t * rhof**x.end)
-        rounding[x] = pref * s_err + rel_err((st.H + t + abs(x.end) + 9) * u) * pref * s
-        values[x] = pref * s
+        rounding[key] = pref * s_err + rel_err((st.H + t + abs(x.end) + 9) * u) * pref * s
+        values[key] = pref * s
     total = 0
-    for x, r in rounding.items():  # left to right, as Python's sum up to 3.11
-        total += table.sizes[x] * r
+    for key, r in rounding.items():  # left to right, as Python's sum up to 3.11
+        total += table.sizes[key] * r
     return values, law.tail_bound(top + 1) + 1.1 * total
 
 

@@ -46,12 +46,12 @@ class TestPath:
         assert Path.from_values(np.array([0, -1], dtype=np.int32)).steps == (-1,)
 
     def test_enumerated_paths_equal_validated_ones(self):
-        # enumerate_paths and path_classes skip validation; the result must
+        # enumerate_paths and class_path skip validation; the result must
         # be the path the public constructors build
-        from pitman_lab.paths import path_classes
+        from pitman_lab.paths import class_path, path_classes
 
         for t in range(6):
-            built = list(enumerate_paths(t)) + [x for x, _ in path_classes(t)]
+            built = list(enumerate_paths(t)) + [class_path(t, k) for k, _ in path_classes(t)]
             for p in built:
                 q = Path(p.steps)
                 assert q == p and q.values == p.values

@@ -34,6 +34,7 @@ from pitman_lab import (
 )
 from pitman_lab import exact, processes, representation, transform
 from pitman_lab.exact import prob_json
+from pitman_lab.paths import class_path
 from pitman_lab.representation import compare_routes
 
 FS3 = FiniteSupport(((0, F(1, 6)), (2, F(1, 3)), (5, F(1, 2))))
@@ -60,8 +61,8 @@ def brute_pushforward(t, glaw, params, g_top=40):
 def member_pushforward(t, glaw, params):
     """Oracle for the counted pushforward: per class, build every sporadic
     member path and add its ``walk_path_prob`` one Fraction at a time."""
-    def pushforward(x):
-        pre = preimage(x)
+    def pushforward(key):
+        pre = preimage(class_path(t, key))
         sporadic = sum((walk_path_prob(s, params) for _, s in pre.sporadic), F(0))
         val = (glaw.tail(pre.ray_g_min) * walk_path_prob(pre.ray_path, params)
                + glaw.pmf(pre.ray_g_min) * sporadic)

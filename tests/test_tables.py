@@ -1,14 +1,15 @@
 """DistTable's mass and max_abs_diff against the plain loops they replace:
 exact mass as a left-to-right Fraction sum, approx mass as the same float sum
 bit for bit, and the difference and witness of subtracting every stored
-value; a class table against a per-path one is compared path by path."""
+value (between class tables the witness class's representative path); a
+class table against a per-path one is compared path by path."""
 
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
 from pitman_lab import DistTable, Params, enumerate_paths, walk_law
-from pitman_lab.paths import path_classes
+from pitman_lab.paths import class_path, path_classes
 
 # dyadic and non-dyadic denominators, so some exact entries equal a float
 exact_values = st.builds(F, st.integers(0, 10**12),
@@ -23,20 +24,23 @@ def values(mode):
 
 @st.composite
 def keys_and_sizes(draw):
-    """The keys of a class table (with its sizes) or of a per-path table."""
+    """The horizon and keys of a class table (with its sizes) or of a
+    per-path table."""
     allow_flat = draw(st.booleans())
     if draw(st.booleans()):
-        sizes = dict(path_classes(draw(st.integers(0, 9)), allow_flat))
-        return list(sizes), sizes
-    return list(enumerate_paths(draw(st.integers(0, 4)), allow_flat)), None
+        t = draw(st.integers(0, 9))
+        sizes = dict(path_classes(t, allow_flat))
+        return t, list(sizes), sizes
+    t = draw(st.integers(0, 4))
+    return t, list(enumerate_paths(t, allow_flat)), None
 
 
 @st.composite
 def tables(draw):
-    keys, sizes = draw(keys_and_sizes())
+    t, keys, sizes = draw(keys_and_sizes())
     mode = draw(st.sampled_from(["exact", "approx"]))
     entries = {x: draw(values(mode)) for x in keys}
-    return DistTable(0, mode, entries, sizes=sizes)
+    return DistTable(t, mode, entries, sizes=sizes)
 
 
 def float_sum(table):
@@ -65,7 +69,7 @@ def table_pairs(draw):
     """Two tables over the same keys: per key the entries agree, differ (by
     less than a float can show, for "nearly"), or one or both sides lack it;
     each side exact or approx."""
-    keys, sizes = draw(keys_and_sizes())
+    t, keys, sizes = draw(keys_and_sizes())
     mode_a, mode_b = (draw(st.sampled_from(["exact", "approx"])) for _ in "ab")
     # a few kinds per pair, so the small differences are often the largest
     kinds = draw(st.lists(st.sampled_from(["equal", "nearly", "differ", "only a", "only b",
@@ -85,7 +89,7 @@ def table_pairs(draw):
             a[x] = draw(values(mode_a))
         if kind in ("differ", "only b"):
             b[x] = draw(values(mode_b))
-    return DistTable(0, mode_a, a, sizes=sizes), DistTable(0, mode_b, b, sizes=sizes)
+    return DistTable(t, mode_a, a, sizes=sizes), DistTable(t, mode_b, b, sizes=sizes)
 
 
 def subtract_every_entry(ta, tb):
@@ -97,6 +101,8 @@ def subtract_every_entry(ta, tb):
         d = abs(ta.values.get(p, zero(ta)) - tb.values.get(p, zero(tb)))
         if d > worst:
             worst, witness = d, p
+    if witness is not None and ta.sizes is not None:
+        witness = class_path(ta.horizon, witness)
     return worst, witness
 
 
@@ -116,6 +122,7 @@ def test_a_class_table_against_a_per_path_table_compares_paths():
     assert paths.entries is paths.values  # no sizes: the stored dict is the view
     assert classes.max_abs_diff(paths) == paths.max_abs_diff(classes) == (0, None)
     # a path that is not its class's representative
-    x = next(p for p in paths.values if p not in classes.sizes)
+    representatives = {class_path(3, key) for key in classes.sizes}
+    x = next(p for p in paths.values if p not in representatives)
     paths.values[x] += F(1, 7)
     assert classes.max_abs_diff(paths) == paths.max_abs_diff(classes) == (F(1, 7), x)
