@@ -6,15 +6,17 @@ horizon of 3^32 paths costs a few thousand class entries.  Inside one table
 each sub-result is computed once: the level sums of the chain formula and the
 closed form once per (K0, x_t), their prefactors sigma^H rho^(+-x_t) / z^t
 once per (H, x_t), each as an int over one denominator per table, so a class
-forms one Fraction.  The pushforward builds no member path: it counts each
-class's sporadic members from the flip positions of the preimage and sums
-their walk probabilities as int numerators over one denominator per table.
-This script lifts the horizon cap for its own process, times each route's
+is one int numerator.  The pushforward builds no path: it reads the
+representatives as rows of one step array, finds each row's flips from its
+values and sums the members' walk probabilities as int numerators over one
+denominator per table.  Each exact table keeps its ints over one denominator
+in lowest terms, so its mass is one int sum and two equal tables compare
+equal without a Fraction per class.  This script lifts the horizon cap for its own process, times each route's
 class table, then verifies the single horizon t = 32 with
 ``verify_thm1(t_values=[32])``: the three tables must agree exactly and each
 must have mass exactly 1.
 
-Takes a few seconds.  Exits 1 on FAIL.
+Takes well under a second.  Exits 1 on FAIL.
 """
 
 import os

@@ -12,6 +12,7 @@ are self-describing.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -234,6 +235,7 @@ def _add_params(p, rho_required=True):
     p.add_argument("--sigma", default="0", help="flat-step weight, rational (default 0)")
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pitman-lab",

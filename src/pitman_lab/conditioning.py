@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -107,7 +106,7 @@ def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "
       gd^(t+1) qd^t (qd - qn).
 
     Each level part is an int per (K0, x_t), each prefactor one per (H, x_t),
-    and a class forms one Fraction from their product."""
+    and a class's numerator is their product."""
     eff = _effective_params(params, part)
     rn, rd = eff.rho.numerator, eff.rho.denominator
     sn, sd = eff.sigma.numerator, eff.sigma.denominator
@@ -140,24 +139,25 @@ def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "
     pref = functools.cache(
         lambda h, e: sn**h * sd ** (t - h) * rd ** (t + e) * rn ** (t - e) * zd_t)
     level = functools.cache(level_num)
-    denom = (sd * rn * rd * z.numerator) ** t * level_den
 
     def conditioned(key):
         k0, end, h = key
-        return Fraction(pref(h, end) * level(-k0, end), denom)
+        return pref(h, end) * level(-k0, end)
 
-    return DistTable.of_classes(t, eff.sigma > 0, "exact", conditioned)
+    return DistTable.of_classes(t, eff.sigma > 0, "exact", conditioned,
+                                (sd * rn * rd * z.numerator) ** t * level_den)
 
 
-def verify_thm2(t_max: int, law: InitialLaw, params: Params, part: str = "I") -> dict:
-    """Check on every horizon up to t_max that the chain law equals the law of
-    the walk conditioned to stay above V.  The two sides are independent
-    closed forms, each with its own integer code: the chain route sums over
-    the initial law's atoms or geometric form, the conditioned walk over V's
-    atoms or geometric parameter."""
+def verify_thm2(t_max: int, law: InitialLaw, params: Params, part: str = "I",
+                t_values=None) -> dict:
+    """Check on every horizon up to t_max, or on ``t_values`` alone, that the
+    chain law equals the law of the walk conditioned to stay above V.  The
+    two sides are independent closed forms, each with its own integer code:
+    the chain route sums over the initial law's atoms or geometric form, the
+    conditioned walk over V's atoms or geometric parameter."""
     vlaw = v_law_from_initial(law, params, part)
     worst, witness = compare_routes(
-        "thm2", range(1, t_max + 1),
+        "thm2", t_values if t_values is not None else range(1, t_max + 1),
         lambda t: [("chain_vs_conditioned", chain_increment_law(t, law, params),
                     conditioned_walk_law(t, vlaw, params, part))])
     return {

@@ -5,8 +5,8 @@ sequence is materialized on construction.  Every law of the package depends
 on a path only through its class (K0, x_t, H): global minimum, end and number
 of flat steps.  ``path_classes`` yields each class key with the class size,
 O(t^3) classes against the 3^t paths of ``enumerate_paths``, and
-``class_path`` a class's representative path.  Both enumerations are capped
-at the same horizon (default 14, override with the ``PITMAN_LAB_CAP`` env var).
+``class_path`` and ``class_rows`` the representatives.  Both enumerations are
+capped at the same horizon (default 14, override with ``PITMAN_LAB_CAP``).
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import math
 import operator
 import os
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 DEFAULT_HORIZON_CAP = 14
 
@@ -187,3 +189,11 @@ def class_path(t: int, key: tuple) -> Path:
     k0, end, h = key
     return Path._trusted((0,) * h + (-1,) * -k0 + (1,) * (end - k0)
                          + (1, -1) * ((t - h + 2 * k0 - end) // 2))
+
+
+def class_rows(t: int, keys) -> np.ndarray:
+    """The steps of ``class_path(t, key)`` for each key: the rows of a
+    read-only int8 array of shape (len(keys), t), -1 as the byte 0xff."""
+    rows = b"".join(b"\x00" * h + b"\xff" * -k0 + b"\x01" * (end - k0)
+                    + b"\x01\xff" * ((t - h + 2 * k0 - end) // 2) for k0, end, h in keys)
+    return np.frombuffer(rows, dtype=np.int8).reshape(len(keys), t)

@@ -10,6 +10,7 @@ initial level ("formula" route) or from kernel products ("product" route).
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -544,7 +545,6 @@ def parse_initial_law(text: str) -> InitialLaw:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DistTable:
     """Probability table over the paths of one fixed horizon.
 
@@ -558,21 +558,34 @@ class DistTable:
     entry of each of the ``sizes[key]`` paths of the class; other tables are
     keyed by increment paths.  ``entries`` is the per-path view, built on
     first read; without ``sizes`` it is ``values`` itself.
+
+    Given ``den``, an exact class table stores ``nums``, int numerators over
+    ``den``, all divided by gcd(den, *nums), a form equal for equal tables;
+    ``mass`` and ``max_abs_diff`` read the ints, ``values`` builds Fractions.
     """
 
-    horizon: int
-    mode: str
-    values: dict
-    err: float = 0.0
-    sizes: dict = None
-    _ZERO = {"exact": Fraction(0), "approx": 0.0}  # not a field: the missing entry per mode
+    _ZERO = {"exact": Fraction(0), "approx": 0.0}  # the missing entry per mode
+
+    def __init__(self, horizon: int, mode: str, values: dict, err: float = 0.0,
+                 sizes: dict = None, den: int = None):
+        self.horizon, self.mode, self.err, self.sizes = horizon, mode, err, sizes
+        if den is None:  # the instance dict shadows the ``values`` property
+            self.values, self.den = values, None
+        else:
+            g = math.gcd(den, *values.values())
+            self.den, self.nums = den // g, {k: n // g for k, n in values.items()}
 
     @classmethod
-    def of_classes(cls, t: int, allow_flat: bool, mode: str, value) -> "DistTable":
+    def of_classes(cls, t: int, allow_flat: bool, mode: str, value, den: int = None) -> "DistTable":
         """The class table of ``value(key)``, one evaluation per class key
-        (K0, x_t, H); a route that reads a path builds it with ``class_path``."""
+        (K0, x_t, H); a route that reads a path builds it with ``class_path``.
+        With ``den``, the values are int numerators over it."""
         sizes = dict(path_classes(t, allow_flat))
-        return cls(t, mode, {key: value(key) for key in sizes}, sizes=sizes)
+        return cls(t, mode, {key: value(key) for key in sizes}, sizes=sizes, den=den)
+
+    @functools.cached_property
+    def values(self) -> dict:
+        return {key: Fraction(n, self.den) for key, n in self.nums.items()}
 
     @functools.cached_property
     def entries(self) -> dict:
@@ -610,6 +623,8 @@ class DistTable:
 
     def mass(self):
         sizes = self.sizes or {}
+        if self.den is not None:
+            return Fraction(sum(n * sizes[x] for x, n in self.nums.items()), self.den)
         if self.mode != "exact":
             return left_sum(v * sizes.get(x, 1) for x, v in self.values.items())
         # one Fraction at the end: integer numerators over the denominators' lcm
@@ -623,14 +638,23 @@ class DistTable:
     def max_abs_diff(self, other: "DistTable"):
         """Largest entrywise discrepancy and the first key, in entry order,
         that reaches it: class by class between two class tables (the
-        witness is the class's ``class_path``), else path by path."""
+        witness is the class's ``class_path``), else path by path.  Tables of
+        ints compare canonical forms, then cross-multiplied numerators, and
+        form Fractions only where a class differs."""
         by_class = self.sizes is not None and other.sizes is not None
-        a_of, b_of = (self.values, other.values) if by_class else (self.entries, other.entries)
+        ints = by_class and None not in (self.den, other.den)
+        if ints and (self.den, self.nums) == (other.den, other.nums):
+            return Fraction(0), None
+        a_of, b_of = ((self.nums, other.nums) if ints else (self.values, other.values)
+                      if by_class else (self.entries, other.entries))
+        zero_a, zero_b = (0, 0) if ints else (self._ZERO[self.mode], other._ZERO[other.mode])
         worst, witness = Fraction(0) if self.mode == "exact" == other.mode else 0.0, None
         for p in {**a_of, **b_of}:
-            a, b = a_of.get(p, self._ZERO[self.mode]), b_of.get(p, other._ZERO[other.mode])
-            if a == b:  # no subtraction where the entries agree (all, in a PASS)
-                continue
+            a, b = a_of.get(p, zero_a), b_of.get(p, zero_b)
+            if (a * other.den == b * self.den) if ints else a == b:
+                continue  # no subtraction where the entries agree (all, in a PASS)
+            if ints:
+                a, b = Fraction(a, self.den), Fraction(b, other.den)
             d = abs(a - b)
             if d > worst:
                 worst, witness = d, p
@@ -674,8 +698,8 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
 
     Either route is evaluated once per class (K0, x_t, H), see
     :meth:`DistTable.of_classes`; the product route builds each kernel entry
-    once per (level, step), the exact formula route is
-    ``_chain_law_formula_exact``.
+    once per (level, step) and multiplies their ints, the exact formula route
+    is ``_chain_law_formula_exact``.
     """
     q = params.q
     if mode is None:
@@ -685,8 +709,8 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     if route == "formula":
         if mode != "exact":
             return _chain_law_formula_float(t, law, params, kmax)
-        formula = _chain_law_formula_exact(t, law, params)
-        return DistTable.of_classes(t, allow_flat, "exact", formula)
+        formula, den = _chain_law_formula_exact(t, law, params)
+        return DistTable.of_classes(t, allow_flat, "exact", formula, den)
     if route != "product":
         raise ValueError(f"unknown route {route!r}")
 
@@ -701,25 +725,39 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
         err = law.tail_bound(top + 1)
         atoms = [(k, w) for k in range(top + 1) if (w := law.pmf(k))]
 
-    kernel = functools.cache(lambda k, d: chain_transition(k, d, params))
+    @functools.cache
+    def kernel(k, d):  # each (level, step) entry once: its int numerator and denominator
+        entry = chain_transition(k, d, params)
+        return entry.numerator, entry.denominator
 
     def product(key):
-        # the kernel product is exact, so every path of a class gets one value
-        x, total = class_path(t, key), Fraction(0)
+        # the kernel product is exact, so every path of a class gets one value: per
+        # atom, each (level, step) entry's ints to the power of its count on the path
+        x = class_path(t, key)
+        moves, num, den, total = collections.Counter(zip(x.values, x.steps)).items(), 0, 1, 0.0
         for k, w in atoms:
             if k + min(x.values) >= 0:
-                prod = Fraction(1)
-                for a, b in zip(x.values, x.values[1:]):
-                    prod *= kernel(k + a, b - a)
-                total += w * prod
-        return total if mode == "exact" else float(total)
+                pn, pd = (math.prod(kernel(k + a, d)[i] ** c for (a, d), c in moves)
+                          for i in (0, 1))
+                if law.exact:  # num / den += w pn / pd
+                    pn, pd = w.numerator * pn, w.denominator * pd
+                    num, den = num * pd + pn * den, den * pd
+                else:  # fl(w fl(pn / pd)), summed left to right
+                    total += w * (pn / pd)
+        # int / int is correctly rounded, as float(Fraction) is
+        return (num, den) if mode == "exact" else num / den if law.exact else total
 
+    if mode == "exact":  # the classes' values over the lcm of their denominators
+        sizes = dict(path_classes(t, allow_flat))
+        pairs = {key: product(key) for key in sizes}
+        den = math.lcm(*(d for _, d in pairs.values()))
+        return DistTable(t, mode, {key: n * (den // d) for key, (n, d) in pairs.items()},
+                         sizes=sizes, den=den)
     table = DistTable.of_classes(t, allow_flat, mode, product)
-    if mode != "exact":
-        m = 1 if law.exact else len(atoms)
-        rounding = left_sum(size * ((m + 3) * UNIT_ROUNDOFF * table.values[key] + m * TERM_FLOOR)
-                            for key, size in table.sizes.items())
-        table.err = err + 1.1 * (left_sum(law.pmf_err(k) for k, _ in atoms) + rounding)
+    m = 1 if law.exact else len(atoms)
+    rounding = left_sum(size * ((m + 3) * UNIT_ROUNDOFF * table.values[key] + m * TERM_FLOOR)
+                        for key, size in table.sizes.items())
+    table.err = err + 1.1 * (left_sum(law.pmf_err(k) for k, _ in atoms) + rounding)
     return table
 
 
@@ -743,7 +781,8 @@ def _chain_law_formula_exact(t, law, params):
       per-table denominator.
 
     Each level part is built once per (K0, x_t), each prefactor once per
-    (H, x_t), and a class multiplies the two ints and forms one Fraction.
+    (H, x_t), and a class multiplies the two ints.  Returns the class
+    numerator function and the table's denominator.
     """
     rn, rd = params.rho.numerator, params.rho.denominator
     sn, sd = params.sigma.numerator, params.sigma.denominator
@@ -790,13 +829,12 @@ def _chain_law_formula_exact(t, law, params):
             return c.numerator * gn**a * gd ** (t + 1 - a) * inner(a + e)
 
     level = functools.cache(level_num)
-    denom = pref_den * level_den
 
     def formula(key):
         k0, end, h = key
-        return Fraction(pref(h, end) * level(-k0, end), denom)
+        return pref(h, end) * level(-k0, end)
 
-    return formula
+    return formula, pref_den * level_den
 
 
 def _chain_law_formula_float(t, law, params, kmax):

@@ -16,6 +16,8 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import (
     UNIT_ROUNDOFF,
     Approx,
@@ -25,7 +27,7 @@ from .exact import (
     rat,
     rel_err,
 )
-from .paths import Path, class_key, class_path
+from .paths import Path, class_key, class_rows, path_classes
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -36,7 +38,8 @@ from .processes import (
     chain_increment_law,
     walk_law,
 )
-from .transform import preimage
+from .sampling import _level_dtype, block_rows
+from .transform import preimage_flips
 
 
 class LevelLaw(InitialLaw):
@@ -172,7 +175,8 @@ def rhs_law_formula(x: Path, glaw: InitialLaw, params: Params):
 
     with the singular factor replaced by its limit x_t - K at rho = 1.
     """
-    return _rhs_formula(x.horizon, glaw, params)(class_key(x))
+    formula, den = _rhs_formula(x.horizon, glaw, params)
+    return formula(class_key(x)) if den is None else Fraction(formula(class_key(x)), den)
 
 
 def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
@@ -185,10 +189,11 @@ def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
     rd^(t-x_t) zd^t over (sd rn rd zn)^t.  P(G >= n) and P(G = n) are read
     once per n <= t.  An exact level law's values go over the lcm L of their
     denominators, so the level part (L P(G >= n) qn^t + L P(G = n) F(m)) is
-    an int per (K, x_t), the prefactor one per (H, x_t), and a class forms
-    one Fraction from their product.  A float level law's entry is
-    pref (P(G >= n) + P(G = n) factor) with pref and factor each one
-    correctly rounded int quotient, the floats of the Fraction-valued form.
+    an int per (K, x_t), the prefactor one per (H, x_t), and a class's
+    numerator is their product: returns it with the denominator.  A float
+    level law's entry (denominator None) is pref (P(G >= n) + P(G = n)
+    factor) with pref and factor each one correctly rounded int quotient,
+    the floats of the Fraction-valued form.
     """
     rn, rd = params.rho.numerator, params.rho.denominator
     sn, sd = params.sigma.numerator, params.sigma.denominator
@@ -212,19 +217,18 @@ def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
             k0, end, h = key
             return pref(h, end) / pref_den * level_float(k0, end)
 
-        return formula_float
+        return formula_float, None
 
     lcm = math.lcm(*(v.denominator for v in tails + pmfs))
     tails = [v.numerator * (lcm // v.denominator) * qn_t for v in tails]
     pmfs = [v.numerator * (lcm // v.denominator) for v in pmfs]
     level = functools.cache(lambda k0, end: tails[-k0] + pmfs[-k0] * factors[end - k0])
-    denom = pref_den * lcm * qn_t
 
     def formula(key):
         k0, end, h = key
-        return Fraction(pref(h, end) * level(k0, end), denom)
+        return pref(h, end) * level(k0, end)
 
-    return formula
+    return formula, pref_den * lcm * qn_t
 
 
 def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
@@ -233,48 +237,58 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
         P(x) = P(G >= -K) * walk_prob(-x)
                + P(G = -K) * sum over sporadic members of walk_prob(s^(r)),
 
-    evaluated on each class's ``class_path`` and counted, not built: each flip
-    of ``transform.preimage`` turns a -1 step of the ray -x into +1, so it
-    moves the member's (U, D) to (U+1, D-1).  walk_prob(u, d) = sigma^H
-    rho^(d-u) / z^t is an int numerator over one denominator per table, so a
-    class sums ints and forms its value once.  A flip that does not increase
-    or does not land on a -1 step raises ArithmeticError.
+    counted, not built, on the class representatives: blocks of rows of one
+    step array (``paths.class_rows``).  A row's running sums are its values,
+    and K = min x, x_t, H and the flips (``transform.preimage_flips``) are
+    read off them, not off the key.  A flip turns a -1 step of the ray -x
+    into +1, so with D - U = e on the ray the i-th member has D - U = e - 2i.
+    walk_prob is sigma^H rho^(D-U) / z^t, an int numerator over one
+    denominator per table, and the members' sum is a difference of two
+    prefix sums of those numerators over e per H.  A flip off a -1 step of
+    the ray, or other than x_t - K flips, raises ArithmeticError.
     """
     rn, rd = params.rho.numerator, params.rho.denominator
     sn, sd = params.sigma.numerator, params.sigma.denominator
     z = params.z
+    zd_t = z.denominator**t
     denom = (sd * rn * rd * z.numerator) ** t
-
-    @functools.cache
-    def numerator(h, e):  # walk_prob with h flat steps and D - U = e, times denom
-        return sn**h * sd ** (t - h) * rn ** (t + e) * rd ** (t - e) * z.denominator**t
-
-    def pushforward(key):
-        pre = preimage(class_path(t, key))
-        ray = pre.ray_path.steps
-        u, d = ray.count(1), ray.count(-1)
-        h, e = t - u - d, d - u
-        ray_num, members, last = numerator(h, e), 0, -1
-        for j in pre.flips:
-            if j <= last or ray[j] != -1:
-                raise ArithmeticError(f"preimage of class {key}: flip at step {j} after {last} "
-                                      "is not a later -1 step of the ray")
-            last, e = j, e - 2
-            members += numerator(h, e)
-        tail, pmf = glaw.tail(pre.ray_g_min), glaw.pmf(pre.ray_g_min)
-        if not glaw.exact:  # each walk probability rounded once, as float(Fraction) does
-            return tail * (ray_num / denom) + pmf * (members / denom)
-        return Fraction(tail.numerator * pmf.denominator * ray_num
-                        + pmf.numerator * tail.denominator * members,
-                        tail.denominator * pmf.denominator * denom)
-
-    return DistTable.of_classes(t, params.sigma > 0, "exact" if glaw.exact else "approx",
-                                pushforward)
+    allow_flat = params.sigma > 0
+    sizes = dict(path_classes(t, allow_flat))
+    # walk numerators per H over D - U = -n, -n+2, ..., n (n = t - H), and their prefix sums
+    walk = [[sn**h * sd ** (t - h) * rn ** (t + e) * rd ** (t - e) * zd_t
+             for e in range(h - t, t - h + 1, 2)] for h in range(t + 1 if allow_flat else 1)]
+    prefix = [list(itertools.accumulate(row, initial=0)) for row in walk]
+    tails, pmfs = [glaw.tail(n) for n in range(t + 1)], [glaw.pmf(n) for n in range(t + 1)]
+    if glaw.exact:  # over the lcm of their denominators
+        lcm = math.lcm(*(v.denominator for v in tails + pmfs))
+        tails, pmfs = ([v.numerator * (lcm // v.denominator) for v in vs] for vs in (tails, pmfs))
+    values, keys = {}, list(sizes)
+    step, dtype = block_rows(t + 1), _level_dtype(t)  # |x_j| <= t
+    for start in range(0, len(keys), step):
+        block = keys[start:start + step]
+        steps = class_rows(t, block)
+        vals = np.zeros((len(block), t + 1), dtype=dtype)
+        np.add.accumulate(steps, axis=1, dtype=dtype, out=vals[:, 1:])  # x_1, ..., x_t
+        flips = preimage_flips(vals)
+        per_row = (np.minimum.reduce(vals, axis=1), vals[:, -1], (steps == 0).sum(axis=1),
+                   flips.sum(axis=1), (flips & (steps == 1)).sum(axis=1))
+        for key, k0, e, h, m, on_ray in zip(block, *(column.tolist() for column in per_row)):
+            if not m == on_ray == e - k0:
+                raise ArithmeticError(f"preimage of class {key}: {m} flips, {on_ray} on -1 steps "
+                                      f"of the ray, not x_t - K0 = {e - k0}")
+            i = (e + t - h) // 2
+            ray, members = walk[h][i], prefix[h][i] - prefix[h][i - m]
+            if glaw.exact:
+                values[key] = tails[-k0] * ray + pmfs[-k0] * members
+            else:  # each walk probability rounded once, as float(Fraction) does
+                values[key] = tails[-k0] * (ray / denom) + pmfs[-k0] * (members / denom)
+    return DistTable(t, "exact" if glaw.exact else "approx", values, sizes=sizes,
+                     den=denom * lcm if glaw.exact else None)
 
 
 def rhs_law_table_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     return DistTable.of_classes(t, params.sigma > 0, "exact" if glaw.exact else "approx",
-                                _rhs_formula(t, glaw, params))
+                                *_rhs_formula(t, glaw, params))
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,14 @@ def preimage(x: Path) -> PreimageSet:
     )
 
 
+def preimage_flips(vals: np.ndarray) -> np.ndarray:
+    """``preimage``'s flips of each row x_0 = 0, ..., x_t of ``vals``, as a
+    bool array of shape (rows, t): x_j is the last visit of a value below x_t
+    exactly when it is below every later value."""
+    later_min = np.minimum.accumulate(vals[:, :0:-1], axis=1)[:, ::-1]  # min of x_(j+1..t)
+    return vals[:, :-1] < later_min
+
+
 def preimage_stats(x: Path, r: int):
     """(U, D, H) of s^(r) without constructing it:
     U = r - K0 + D(x), D = K0 - r + U(x), H = H(x)."""

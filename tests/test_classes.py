@@ -2,9 +2,10 @@
 
 Every route reads a path only through its class (K0, x_t, H).  Feeding the
 same route every path with weight 1 in place of ``path_classes``, each path
-as a key of its own that ``class_path`` turns back into the path, evaluates
-it path by path; the class table must give each path exactly that value, and
-its per-path view ``entries`` must equal it.
+as a key of its own that ``class_path`` (and ``class_rows``, for the
+pushforward's step rows) turns back into the path, evaluates it path by
+path; the class table must give each path exactly that value, and its
+per-path view ``entries`` must equal it.
 """
 
 import math
@@ -12,6 +13,7 @@ from collections import Counter
 from fractions import Fraction as F
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -66,6 +68,10 @@ def every_path(t, allow_flat=True):
 
 def path_of_key(t, key):
     return key.path
+
+
+def rows_of_keys(t, keys):
+    return np.array([key.path.steps for key in keys], dtype=np.int8).reshape(len(keys), t)
 
 
 def representative_classes(t, allow_flat=True):
@@ -132,8 +138,9 @@ def per_path_oracle(build):
     classes."""
     classes = build()
     with mock.patch.object(processes, "path_classes", every_path), \
+            mock.patch.object(representation, "path_classes", every_path), \
             mock.patch.object(processes, "class_path", path_of_key), \
-            mock.patch.object(representation, "class_path", path_of_key):
+            mock.patch.object(representation, "class_rows", rows_of_keys):
         oracle = build()
     assert len(oracle.values) == sum(classes.sizes.values())
     for key, v in oracle.values.items():
@@ -207,8 +214,8 @@ def test_a_dropped_class_fails_the_mass_check(monkeypatch):
     build = representation.rhs_law_table_formula
 
     def dropping_a_class(t, glaw, walk_params):
-        table = build(t, glaw, walk_params)
-        del table.values[max(table.values, key=table.values.get)]
+        table = build(t, glaw, walk_params)  # a table of ints: drop a numerator
+        del table.nums[max(table.nums, key=table.nums.get)]
         return table
 
     monkeypatch.setattr(representation, "rhs_law_table_formula", dropping_a_class)
@@ -349,11 +356,12 @@ def count_built_paths(monkeypatch):
 @pytest.mark.parametrize("route,per_class", [
     ("chain formula", 0), ("chain formula in floats", 0), ("closed form", 0),
     ("conditioned walk", 0), ("chain product", 1), ("walk", 1),
-    ("pushforward", 2),  # the representative x and the ray -x its preimage reads
+    ("pushforward", 0),  # its representatives are the rows of a step array
 ])
 def test_paths_built_per_class(monkeypatch, route, per_class):
     """Routes that read a path only through its class key build no path; the
-    routes that read a path build each class's representative once."""
+    product route and the walk build each class's representative once, and
+    the pushforward reads the representatives as rows of ``class_rows``."""
     t = 8
     params = Params(F(2, 3), F(1))
     law = QNegativeBinomial(params.q, F(1, 2))
@@ -402,3 +410,43 @@ def test_wrong_candidate_witnesses(candidate, t, part, path, horizon, diff):
                       t_values=t and [t])
     assert rep["status"] == "FAIL" and rep["max_abs_diff"]["value"] == diff
     assert rep["witness"] == {"pair": "chain_vs_enumeration", "path": path, "horizon": horizon}
+
+
+# a route whose table of ints has two numerators moved, the mass kept, at
+# horizon 4 of verify_thm1(5, ..., "II") for qnb:q=4/9,theta=1/2 at rho=2/3,
+# sigma=1: (route, scale, pair, difference).  The differences and witnesses
+# are those of the Fraction tables before class tables held ints.
+MOVED_NUMERATORS = [
+    ("rhs_law_table_formula", 1, "chain_vs_formula", "4/130321"),
+    ("rhs_law_table_formula", 2, "chain_vs_formula", "2/130321"),
+    ("rhs_law_enumeration", 1, "chain_vs_enumeration", "4/130321"),
+    ("rhs_law_enumeration", 2, "chain_vs_enumeration", "2/130321"),
+]
+
+
+@pytest.mark.parametrize("route,scale,pair,diff", MOVED_NUMERATORS)
+def test_wrong_numerators_fail_with_the_fraction_tables_witness(monkeypatch, route, scale,
+                                                                  pair, diff):
+    """Class a gains size(b) and class b loses size(a) over scale times the
+    table's denominator.  At scale 1 the two tables share a denominator and
+    differ in two numerators; at scale 2 the denominators differ and every
+    class is cross-multiplied.  Either FAILs with the same witness string."""
+    params = Params(F(2, 3), F(1))
+    law = QNegativeBinomial(params.q, F(1, 2))
+    build = getattr(representation, route)
+
+    def moved(t, glaw, walk_params):
+        table = build(t, glaw, walk_params)
+        if t != 4:
+            return table
+        nums = {key: n * scale for key, n in table.nums.items()}
+        keys = list(nums)
+        a, b = keys[len(keys) // 3], keys[2 * len(keys) // 3]
+        nums[a] += table.sizes[b]
+        nums[b] -= table.sizes[a]
+        return DistTable(t, "exact", nums, sizes=table.sizes, den=table.den * scale)
+
+    monkeypatch.setattr(representation, route, moved)
+    rep = verify_thm1(5, law, params, "II")
+    assert rep["status"] == "FAIL" and rep["max_abs_diff"]["value"] == diff
+    assert rep["witness"] == {"pair": pair, "path": "0,-1,0,1,2", "horizon": 4}

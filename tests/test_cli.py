@@ -457,3 +457,40 @@ def test_readme_commands_are_golden_cases():
     pinned = [line for line in lines if not line.startswith("scaling donsker")]
     assert len(pinned) == len(lines) - 1 == 10
     assert [line for line in pinned if line not in golden] == []
+
+
+def test_one_parser_serves_every_call_as_a_fresh_interpreter():
+    """``main`` builds its parser once per process.  In-process calls of
+    different subcommands in sequence, a usage error among them, print the
+    bytes and exit codes of one fresh interpreter per command."""
+    import contextlib
+    import io
+    import os
+    import subprocess
+    import sys
+
+    from pitman_lab.cli import build_parser
+
+    commands = [
+        ("law", "chain", "--rho", "2/3", "--sigma", "1", "--t", "3", "--initial", "point:1"),
+        ("verify", "thm1", "--rho", "1/2", "--t", "3", "--initial", "point:1", "--part", "I"),
+        ("law", "chain", "--rho", "1/2", "--t", "2", "--initial", "point:1",
+         "--route", "product"),
+        ("preimage", "--path", "0,1,0,-1"),
+        ("verify", "thm1", "--rho", "1/2", "--t", "0", "--initial", "point:1"),
+        ("sample", "walk", "--rho", "1/2", "--t", "4", "--samples", "2", "--seed", "5"),
+        ("law", "level", "--rho", "1/2", "--initial", "point:2", "--nmax", "3"),
+    ]
+    src = pathlib.Path(__import__("pitman_lab").__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    fresh = [subprocess.run([sys.executable, "-m", "pitman_lab.cli", *argv],
+                            capture_output=True, text=True, env=env) for argv in commands]
+    in_process = []
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        in_process.append((code, out.getvalue(), err.getvalue()))
+    assert [(p.returncode, p.stdout, p.stderr) for p in fresh] == in_process
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 2, 0, 0]
+    assert build_parser() is build_parser()

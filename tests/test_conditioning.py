@@ -25,6 +25,7 @@ from pitman_lab import (
     v_law_from_initial,
     verify_thm2,
 )
+from pitman_lab import conditioning
 from pitman_lab.conditioning import _PIECE_STEPS, _REJECTION_CHUNK, _piece_laws
 
 
@@ -357,6 +358,22 @@ class TestVerifyThm2:
     def test_no_horizon_is_an_error(self):
         with pytest.raises(ValueError, match="t=0 compares no table"):
             verify_thm2(0, PointMass(1), Params(F(1, 2)))
+        with pytest.raises(ValueError, match="t=0 compares no table"):
+            verify_thm2(4, PointMass(1), Params(F(1, 2)), t_values=[])
+
+    def test_chosen_horizons_alone(self, monkeypatch):
+        """``t_values`` builds the tables of the chosen horizons only, past
+        the default cap too."""
+        monkeypatch.setenv("PITMAN_LAB_CAP", "20")
+        params = Params(F(2, 3), F(1))
+        law = QNegativeBinomial(params.q, F(1, 2))
+        built = []
+        real = conditioning.conditioned_walk_law
+        monkeypatch.setattr(conditioning, "conditioned_walk_law",
+                            lambda t, *args: built.append(t) or real(t, *args))
+        rep = verify_thm2(20, law, params, "I", t_values=[20, 7])
+        assert rep["status"] == "PASS" and rep["max_abs_diff"] == "0/1"
+        assert rep["witness"] is None and built == [20, 7]
 
 
 def test_rejection_oracle_samples_a_geometric_level_unclipped():

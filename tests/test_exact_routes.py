@@ -36,8 +36,8 @@ from pitman_lab import (
 )
 from pitman_lab import conditioning, exact, paths, processes, representation, transform
 from pitman_lab.conditioning import _effective_params
-from pitman_lab.exact import geometric_bracket_tail
-from pitman_lab.paths import path_classes
+from pitman_lab.exact import TERM_FLOOR, UNIT_ROUNDOFF, geometric_bracket_tail, left_sum
+from pitman_lab.paths import class_path, path_classes
 
 # ---------------------------------------------------------------------------
 # the per-operation oracles
@@ -110,6 +110,35 @@ def conditioned_oracle(t, vlaw, params, part):
         return pref(h, end) * level_sum(-k0, end) / c
 
     return DistTable.of_classes(t, eff.sigma > 0, "exact", conditioned)
+
+
+def product_oracle(t, law, params, mode, kmax=None):
+    """The product route as a Fraction loop: one Fraction multiply per step
+    and atom, the kernel entries built once per table."""
+    atoms, err = law.atoms(), 0.0
+    if atoms is None:
+        top = kmax if kmax is not None else law.truncation_point()
+        err = law.tail_bound(top + 1)
+        atoms = [(k, w) for k in range(top + 1) if (w := law.pmf(k))]
+    kernel = functools.cache(lambda k, d: processes.chain_transition(k, d, params))
+
+    def product(key):
+        x, total = class_path(t, key), F(0)
+        for k, w in atoms:
+            if k + min(x.values) >= 0:
+                prod = F(1)
+                for a, b in zip(x.values, x.values[1:]):
+                    prod *= kernel(k + a, b - a)
+                total += w * prod
+        return total if mode == "exact" else float(total)
+
+    table = DistTable.of_classes(t, params.sigma > 0, mode, product)
+    if mode != "exact":
+        m = 1 if law.exact else len(atoms)
+        rounding = left_sum(size * ((m + 3) * UNIT_ROUNDOFF * table.values[key] + m * TERM_FLOOR)
+                            for key, size in table.sizes.items())
+        table.err = err + 1.1 * (left_sum(law.pmf_err(k) for k, _ in atoms) + rounding)
+    return table
 
 
 FINITE_LAWS = st.one_of(
@@ -185,6 +214,31 @@ def test_chain_formula_equals_its_oracle(kind, rho, sigma):
     law = law_of(kind, params)
     every_horizon(lambda t: chain_increment_law(t, law, params),
                   lambda t: chain_formula_oracle(t, law, params))
+
+
+# (law, mode, rho, sigma): finite laws exact and in floats; truncated laws in
+# floats, with exact weights (geo, qnb) and float weights (spoisson)
+PRODUCT_CASES = [
+    ("point", "exact", F(1, 2), F(0)), ("finite", "exact", F(2, 3), F(1)),
+    ("finite", "exact", F(1), F(1, 2)), ("finite", "exact", F(3, 2), F(0)),
+    ("finite", "approx", F(2, 3), F(1)), ("geo", "approx", F(1, 2), F(1)),
+    ("qnb", "approx", F(2), F(1, 2)), ("spoisson", "approx", F(1), F(1)),
+    ("spoisson", "approx", F(2, 3), F(0)),
+]
+
+
+@pytest.mark.parametrize("kind,mode,rho,sigma", PRODUCT_CASES)
+def test_product_route_equals_the_fraction_loop(kind, mode, rho, sigma):
+    """The product route multiplies int numerators and denominators per
+    (level, step): the same exact values, the same float bits and err."""
+    params = Params(rho, sigma)
+    law = ShiftedPoisson(1.5) if kind == "spoisson" else law_of(kind, params)
+    kmax = None if law.atoms() else 6
+    for t in range(8):
+        table = chain_increment_law(t, law, params, route="product", mode=mode, kmax=kmax)
+        oracle = product_oracle(t, law, params, mode, kmax)
+        same_table(table, oracle)
+        assert table.err.hex() == oracle.err.hex()
 
 
 # the closed form on both parts' level laws: G at (rho, sigma) and Gtilde on

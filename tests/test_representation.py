@@ -1,8 +1,8 @@
-import dataclasses
 import math
 import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from pitman_lab import (
@@ -34,7 +34,7 @@ from pitman_lab import (
 )
 from pitman_lab import exact, processes, representation, transform
 from pitman_lab.exact import prob_json
-from pitman_lab.paths import class_path
+from pitman_lab.paths import class_path, class_rows, path_classes
 from pitman_lab.representation import compare_routes
 
 FS3 = FiniteSupport(((0, F(1, 6)), (2, F(1, 3)), (5, F(1, 2))))
@@ -235,30 +235,74 @@ class TestCountedPushforward:
 
     @staticmethod
     def mutated(monkeypatch, mutate):
-        """``preimage`` with each flip tuple passed through ``mutate``."""
-        real = representation.preimage
-
-        def fake(x):
-            pre = real(x)
-            return dataclasses.replace(pre, flips=mutate(pre))
-
-        monkeypatch.setattr(representation, "preimage", fake)
+        """``preimage_flips`` with each block's flip array passed through
+        ``mutate``, with the value rows it was read from."""
+        real = representation.preimage_flips
+        monkeypatch.setattr(representation, "preimage_flips",
+                            lambda vals: mutate(real(vals).copy(), vals))
 
     def test_a_flip_onto_a_plus_one_step_raises(self, monkeypatch):
-        def onto_an_up_step(pre):
-            ups = [j for j, s in enumerate(pre.ray_path.steps) if s == 1]
-            return (ups[0],) if len(pre.flips) == 1 and ups else pre.flips
+        def onto_an_up_step(flips, vals):  # a lone flip moved to the ray's first +1 step
+            for row, x in zip(flips, vals):
+                ups = np.flatnonzero(np.diff(x) == -1)
+                if row.sum() == 1 and len(ups):
+                    row[:] = False
+                    row[ups[0]] = True
+            return flips
 
         self.mutated(monkeypatch, onto_an_up_step)
         glaw = LevelLaw.geometric(F(1, 3))
-        with pytest.raises(ArithmeticError, match="flip at step 0"):
+        with pytest.raises(ArithmeticError, match=r"class \(-3, -2, 0\): 1 flips, 0 on -1 steps "
+                                                  "of the ray, not x_t - K0 = 1"):
             rhs_law_enumeration(4, glaw, Params(F(2, 3), F(1)))
 
     def test_a_repeated_flip_raises(self, monkeypatch):
-        self.mutated(monkeypatch, lambda pre: pre.flips + pre.flips[-1:])
+        """In the flip array a step cannot flip twice; the analogue is one
+        flip more than x_t - K0, on a further -1 step of the ray."""
+        def one_more(flips, vals):
+            for row, x in zip(flips, vals):
+                spare = np.flatnonzero((np.diff(x) == 1) & ~row)
+                if row.any() and len(spare):
+                    row[spare[-1]] = True
+            return flips
+
+        self.mutated(monkeypatch, one_more)
         glaw = LevelLaw.geometric(F(1, 3))
-        with pytest.raises(ArithmeticError, match="not a later -1 step"):
+        with pytest.raises(ArithmeticError, match=r"class \(-1, 0, 0\): 2 flips, 2 on -1 steps "
+                                                  "of the ray, not x_t - K0 = 1"):
             rhs_law_enumeration(4, glaw, Params(F(2, 3), F(1)))
+
+    def test_reads_the_rows_not_the_key(self, monkeypatch):
+        """Fed the rows of other classes, each key gets the value of the class
+        whose row it was given: K0, x_t, H and the flip count come from the
+        row.  A route that took any of them from the key would not."""
+        params = Params(F(2, 3), F(1))
+        glaw = g_law_from_initial(QNegativeBinomial(params.q, F(1, 2)), params, "G")
+        honest = rhs_law_enumeration(6, glaw, params)
+        keys = list(honest.sizes)
+        swap = dict(zip(keys, reversed(keys)))
+        real = representation.class_rows
+        monkeypatch.setattr(representation, "class_rows",
+                            lambda t, block: real(t, [swap[key] for key in block]))
+        lied = rhs_law_enumeration(6, glaw, params)
+        assert lied.values == {key: honest.values[swap[key]] for key in keys}
+
+    @pytest.mark.parametrize("allow_flat", [True, False])
+    def test_rows_and_flips_equal_the_per_path_preimage(self, allow_flat):
+        """Every class at t <= 10: the step array's rows are the
+        representatives ``class_path`` builds, and the flips read off their
+        values are the flips of ``preimage``."""
+        for t in range(11):
+            keys = [key for key, _ in path_classes(t, allow_flat)]
+            rows = class_rows(t, keys)
+            assert rows.dtype == np.int8 and rows.shape == (len(keys), t)
+            vals = np.concatenate([np.zeros((len(keys), 1), np.int16),
+                                   np.cumsum(rows, axis=1, dtype=np.int16)], axis=1)
+            flips = transform.preimage_flips(vals)
+            for key, row, flip in zip(keys, rows.tolist(), flips):
+                x = class_path(t, key)
+                assert tuple(row) == x.steps
+                assert tuple(np.flatnonzero(flip).tolist()) == preimage(x).flips, (t, key)
 
 
 class TestVerify:

@@ -8,6 +8,8 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
+import math
+
 from pitman_lab import DistTable, Params, enumerate_paths, walk_law
 from pitman_lab.paths import class_path, path_classes
 
@@ -126,3 +128,69 @@ def test_a_class_table_against_a_per_path_table_compares_paths():
     x = next(p for p in paths.values if p not in representatives)
     paths.values[x] += F(1, 7)
     assert classes.max_abs_diff(paths) == paths.max_abs_diff(classes) == (F(1, 7), x)
+
+
+@st.composite
+def int_table_pairs(draw):
+    """Two exact class tables of ints over one horizon's classes, a class
+    missing on either side: independent, the first's numerators over another
+    denominator, or the first's values over a multiple of its denominator
+    with some numerators moved."""
+    t = draw(st.integers(0, 7))
+    sizes = dict(path_classes(t, draw(st.booleans())))
+    nums, dens = st.integers(-10**6, 10**30), st.integers(1, 10**30)
+
+    def kept(table):
+        return {k: n for k, n in table.items() if draw(st.integers(0, 9))}
+
+    a, den_a = kept({k: draw(nums) for k in sizes}), draw(dens)
+    kind = draw(st.sampled_from(["independent", "same numerators", "moved"]))
+    if kind == "independent":
+        b, den_b = kept({k: draw(nums) for k in sizes}), draw(dens)
+    elif kind == "same numerators":
+        b, den_b = dict(a), draw(dens)
+    else:
+        m = draw(st.integers(1, 4))
+        b = kept({k: n * m + draw(st.sampled_from([0, 0, 0, 1, -7])) for k, n in a.items()})
+        den_b = den_a * m
+    return (DistTable(t, "exact", a, sizes=sizes, den=den_a),
+            DistTable(t, "exact", b, sizes=sizes, den=den_b),
+            (t, a, den_a, b, den_b, sizes))
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_table_pairs())
+def test_tables_of_ints_compare_and_sum_as_their_fractions(pair):
+    """mass and max_abs_diff of two tables of ints against the Fraction tables
+    of the same values: the same Fraction sum, difference and witness."""
+    ta, tb, (t, a, den_a, b, den_b, sizes) = pair
+    for table, nums, den in ((ta, a, den_a), (tb, b, den_b)):
+        assert math.gcd(table.den, *table.nums.values()) == 1  # canonical
+        assert table.values == {k: F(n, den) for k, n in nums.items()}
+        assert all(type(v) is F for v in table.values.values())
+        assert table.mass() == F(sum(n * sizes[k] for k, n in nums.items()), den)
+    fa = DistTable(t, "exact", {k: F(n, den_a) for k, n in a.items()}, sizes=sizes)
+    fb = DistTable(t, "exact", {k: F(n, den_b) for k, n in b.items()}, sizes=sizes)
+    for x, y, fx, fy in ((ta, tb, fa, fb), (tb, ta, fb, fa)):
+        got, expected = x.max_abs_diff(y), subtract_every_entry(fx, fy)
+        assert got == expected and type(got[0]) is F
+
+
+@given(st.integers(0, 6), st.booleans(), st.integers(1, 10**20), st.integers(1, 10**6),
+       st.lists(st.integers(0, 10**20), min_size=1))
+def test_tables_of_scaled_numerators_are_equal(t, allow_flat, den, scale, draws):
+    """The canonical form: the same values over a scaled denominator give the
+    same den and nums, so the tables compare equal without a per-class
+    Fraction."""
+    sizes = dict(path_classes(t, allow_flat))
+    nums = {k: draws[i % len(draws)] for i, k in enumerate(sizes)}
+    a = DistTable(t, "exact", nums, sizes=sizes, den=den)
+    b = DistTable(t, "exact", {k: n * scale for k, n in nums.items()}, sizes=sizes,
+                  den=den * scale)
+    assert (a.den, a.nums) == (b.den, b.nums)
+    assert a.max_abs_diff(b) == b.max_abs_diff(a) == (0, None)
+    assert a.mass() == b.mass()
+    assert "values" not in vars(a) and "values" not in vars(b)  # no Fraction was built
+    if any(nums.values()):  # the same numerators over another denominator differ
+        c = DistTable(t, "exact", nums, sizes=sizes, den=den + 1)
+        assert a.max_abs_diff(c)[0] > 0
