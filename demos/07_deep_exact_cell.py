@@ -52,7 +52,7 @@ for name, build in routes:
     elapsed = time.perf_counter() - start
     mass = table.mass()
     ok &= mass == 1
-    print(f"   {name:<21} {elapsed:6.2f} s  {len(table.values)} classes "
+    print(f"   {name:<21} {elapsed:6.2f} s  {len(table.sizes)} classes "
           f"({sum(table.sizes.values())} paths), mass {mass}")
 
 start = time.perf_counter()

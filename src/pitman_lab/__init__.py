@@ -50,7 +50,6 @@ from .representation import (
     g_law_from_initial,
     poisson_split_check,
     rhs_law_enumeration,
-    rhs_law_formula,
     rhs_law_table_formula,
     verify_thm1,
     verify_two_sided,

@@ -156,32 +156,25 @@ def _cmd_preimage(args):
 
 def _cmd_law(args):
     params = _params(args)
-    if args.object != "walk" and not (args.initial or args.glaw):
-        raise ValueError(f"law {args.object} needs --initial (or --glaw for rhs)")
     if args.object == "walk":
         table = walk_law(args.t, params)
     elif args.object == "chain":
         table = chain_increment_law(args.t, parse_initial_law(args.initial), params,
                                     route=args.route)
     elif args.object == "rhs":
-        if args.glaw:
-            glaw = parse_initial_law(args.glaw)
-        else:
-            glaw = g_law_from_initial(parse_initial_law(args.initial), params, "G")
+        glaw = (parse_initial_law(args.glaw) if args.glaw
+                else g_law_from_initial(parse_initial_law(args.initial), params, "G"))
         table = rhs_law_enumeration(args.t, glaw, params)
-    elif args.object == "level":
+    else:  # level
         if args.nmax < 0:
             raise ValueError(f"--nmax must be >= 0, got {args.nmax}: no level would be printed")
-        glaw = g_law_from_initial(parse_initial_law(args.initial), params,
-                                  args.which)
+        glaw = g_law_from_initial(parse_initial_law(args.initial), params, args.which)
         # float laws carry their certified error: {"value", "err"} per level
         entries = _printable(args, lambda: {
             n: prob_json(glaw.pmf(n) if glaw.exact else Approx(glaw.pmf(n), glaw.pmf_err(n)))
             for n in range(args.nmax + 1)})
         return {"check": "law", "params": params.to_json(),
                 "which": args.which, "pmf": entries, "status": "PASS"}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.object)
     # approx: the float sum of the printed entries (class values times sizes round apart)
     mass = table.mass() if table.mode == "exact" else left_sum(table.entries.values())
     return {"check": "law", "params": params.to_json(),
@@ -196,10 +189,10 @@ def _printable(args, to_json):
     except ValueError:
         if args.object == "walk":
             raise
-        flag, law = ("--glaw", args.glaw) if args.glaw else ("--initial", args.initial)
-        raise ValueError(f"{flag} {law} gives an exact law with rationals of more than "
-                         f"{sys.get_int_max_str_digits()} digits, more than an exact table "
-                         "prints; take a start law with smaller levels") from None
+        flag = "--glaw" if getattr(args, "glaw", None) else "--initial"
+        raise ValueError(f"{flag} {getattr(args, flag[2:])} gives an exact law with rationals "
+                         f"of more than {sys.get_int_max_str_digits()} digits, more than an "
+                         "exact table prints; take a start law with smaller levels") from None
 
 
 def _cmd_sample(args):
@@ -230,8 +223,9 @@ def _cmd_sample(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_params(p, rho_required=True):
-    p.add_argument("--rho", required=rho_required, help="walk asymmetry, a rational like 1/2")
+def _add_params(p, rho=True):
+    if rho:
+        p.add_argument("--rho", required=True, help="walk asymmetry, a rational like 1/2")
     p.add_argument("--sigma", default="0", help="flat-step weight, rational (default 0)")
 
 
@@ -291,16 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True, help="comma-separated values, e.g. 0,1,0,-1")
     p.set_defaults(fn=_cmd_preimage)
 
-    p = sub.add_parser("law", help="emit an exact law table")
-    p.add_argument("object", choices=["chain", "walk", "rhs", "level"])
-    _add_params(p)
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--initial", help="initial law string")
-    p.add_argument("--glaw", help="explicit level law for the rhs table")
-    p.add_argument("--route", choices=["formula", "product"], default="formula")
-    p.add_argument("--which", choices=["G", "Gtilde"], default="G")
-    p.add_argument("--nmax", type=int, default=20)
-    p.set_defaults(fn=_cmd_law)
+    lsub = sub.add_parser("law", help="emit an exact law table").add_subparsers(
+        dest="object", required=True)
+    law = {obj: lsub.add_parser(obj) for obj in ("chain", "walk", "rhs", "level")}
+    for obj, p in law.items():
+        p.set_defaults(fn=_cmd_law)
+        _add_params(p)
+        if obj != "level":
+            p.add_argument("--t", type=int, default=3)
+    law["chain"].add_argument("--initial", required=True, help="initial law string")
+    law["chain"].add_argument("--route", choices=["formula", "product"], default="formula")
+    rhs_level = law["rhs"].add_mutually_exclusive_group(required=True)
+    rhs_level.add_argument("--initial", help="initial law string, whose level law G is used")
+    rhs_level.add_argument("--glaw", help="explicit level law")
+    law["level"].add_argument("--initial", required=True, help="initial law string")
+    law["level"].add_argument("--which", choices=["G", "Gtilde"], default="G")
+    law["level"].add_argument("--nmax", type=int, default=20)
 
     sc = sub.add_parser("scaling", help="continuum-limit checks")
     ssub = sc.add_subparsers(dest="what", required=True)
@@ -340,9 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     for obj in ("walk", "chain", "limit-process"):
         p = sasub.add_parser(obj)
         p.set_defaults(object=obj, fn=_cmd_sample)
-        _add_params(p, rho_required=(obj != "limit-process"))
-        p.add_argument("--t", type=int, default=10)
-        p.add_argument("--initial", default="point:0")
+        _add_params(p, rho=obj != "limit-process")
+        if obj != "limit-process":
+            p.add_argument("--t", type=int, default=10)
+        if obj == "chain":
+            p.add_argument("--initial", default="point:0")
         p.add_argument("--samples", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         if obj == "limit-process":

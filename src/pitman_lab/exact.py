@@ -3,8 +3,7 @@
 Every exact probability in this package is a ``fractions.Fraction`` (kept
 normalized by the stdlib, arbitrary precision).  Approximate quantities are
 floats paired with a certified error bound (truncation plus rounding), see
-:class:`Approx` and :class:`TailSumTable`.  The two modes never mix inside
-one computation.
+:class:`Approx` and :class:`TailSumTable`.
 """
 
 from __future__ import annotations
@@ -112,8 +111,6 @@ def geometric_bracket_tail(r: Rat, a: int, b: int, q: Rat) -> Rat:
     if r * q >= 1:
         raise ValueError("series diverges: r*q >= 1")
     return (geometric_tail(r, a) - q ** (b + 1) * geometric_tail(r * q, a)) / (1 - q)
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +226,12 @@ _BLOCK_LEVELS = 1 << 13
 
 class TailSumTable:
     """Float suffix sums S(n) = sum of pmf(j)/[j+1]_q over n <= j <= top, for
-    every n >= ``lo`` at once, each with a certified error bound.
+    every n >= 0 at once, each with a certified error bound.
 
     ``top`` is ``trunc_n`` when given, else the law's truncation point (the
     leftover mass P(X0 > top) is below ``APPROX_TAIL_TOL``).  The sums are
-    built once from top down to ``lo``, smallest terms first, in O(top - lo)
-    float operations; ``at(n)`` then reads one entry.
+    built once from top down to 0, smallest terms first, in O(top) float
+    operations; ``at(n)`` then reads one entry.
 
     ``at(n).err`` bounds |value - sum over j >= n| by three parts:
 
@@ -280,17 +277,16 @@ class TailSumTable:
     from math.expm1 for 3725 of them and np.exp from math.exp for 4724.
     """
 
-    def __init__(self, law, q: Rat, trunc_n: int = None, lo: int = 0):
-        self.law, self.q, self.lo = law, rat(q), lo
+    def __init__(self, law, q: Rat, trunc_n: int = None):
+        self.law, self.q = law, rat(q)
         self.top = trunc_n if trunc_n is not None else law.truncation_point()
         leftover = law.tail_bound(self.top + 1)
         self._brackets = bracket_floats(self.q, self.top + 1)
         u = UNIT_ROUNDOFF
-        size = max(self.top + 1 - lo, 0)
-        self._values, self._errs = np.empty(size), np.empty(size)
+        self._values, self._errs = np.empty(self.top + 1), np.empty(self.top + 1)
         s = e = r = 0.0  # carried down from the blocks above
-        for hi in range(self.top + 1, lo, -_BLOCK_LEVELS):
-            b = max(lo, hi - _BLOCK_LEVELS)
+        for hi in range(self.top + 1, 0, -_BLOCK_LEVELS):
+            b = max(0, hi - _BLOCK_LEVELS)
             # levels hi - 1 down to b
             t = law._pmf_floats(b, hi)[::-1]
             t /= self._bracket_run(b + 1, hi + 1)[::-1]
@@ -306,19 +302,17 @@ class TailSumTable:
             run = np.concatenate(([s], t))
             del t
             np.add.accumulate(run, out=run)
-            self._values[b - lo:hi - lo] = run[:0:-1]
+            self._values[b:hi] = run[:0:-1]
             s, run[0] = run[-1], r
             r_run = np.add.accumulate(run, out=run)[1:]
-            self._errs[b - lo:hi - lo] = (leftover + 1.1 * (e_run + u * r_run))[::-1]
+            self._errs[b:hi] = (leftover + 1.1 * (e_run + u * r_run))[::-1]
             e, r = e_run[-1], r_run[-1]
 
     def at(self, n: int) -> Approx:
         """Approx value of the sum of pmf(j)/[j+1]_q over j >= n."""
-        if n < self.lo:
-            raise ValueError(f"table starts at level {self.lo}, asked for {n}")
         if n > self.top:
             return Approx(0.0, self.law.tail_bound(n))
-        return Approx(float(self._values[n - self.lo]), float(self._errs[n - self.lo]))
+        return Approx(float(self._values[n]), float(self._errs[n]))
 
     def bracket(self, n: int):
         """([n]_q as a float, its relative error bound) for 1 <= n <= top + 1,
@@ -352,4 +346,4 @@ def tail_sum_ratio(law, n: int, q: Rat, mode: str = "exact", trunc_n=None):
         return law.ratio_tail_exact(n, q)
     if mode != "approx":
         raise ValueError(f"unknown mode {mode!r}")
-    return TailSumTable(law, q, trunc_n, lo=n).at(n)
+    return TailSumTable(law, q, trunc_n).at(n)

@@ -160,11 +160,6 @@ def enumerate_paths(t: int, allow_flat: bool = True) -> Iterator[Path]:
         yield Path._trusted(incs)
 
 
-def class_key(path: Path) -> tuple:
-    """(K0, x_t, H) of a path, without the running extrema of ``stats``."""
-    return min(path.values), path.end, path.steps.count(0)
-
-
 def path_classes(t: int, allow_flat: bool = True) -> Iterator[tuple]:
     """Yield ((K0, x_t, H), size) for every class of horizon t.
 

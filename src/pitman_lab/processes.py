@@ -314,7 +314,7 @@ class FiniteSupport(InitialLaw):
 @dataclass(frozen=True, repr=False)
 class Geometric(InitialLaw):
     """P(X = n) = (1-p) p^n.  Exact pmf and tail, but no closed-form tail
-    ratio."""
+    ratio; at p = 0 the point mass at 0, with its one atom."""
 
     p: Rat
 
@@ -331,6 +331,9 @@ class Geometric(InitialLaw):
 
     def tail(self, n):
         return self.p ** max(n, 0)
+
+    def atoms(self):
+        return ((0, Fraction(1)),) if self.p == 0 else None
 
     def pmf_float(self, n):
         return self._cf * self._pf**n
@@ -546,22 +549,22 @@ def parse_initial_law(text: str) -> InitialLaw:
 
 
 class DistTable:
-    """Probability table over the paths of one fixed horizon.
+    """Probability table over the paths of one horizon, keyed by the class
+    (K0, x_t, H) from ``path_classes``; each of the ``sizes[key]`` paths of a
+    class has the class's value.  Two forms:
 
-    ``mode`` is "exact" (Fraction entries, mass exactly 1) or "approx" (float
-    entries).  On either route ``err`` bounds the summed distance of the
-    entries to the exact law, truncated mass plus rounding, and so each
-    entry's too.
+    * exact: ``nums``, an int numerator per class over one ``den``, divided
+      by gcd(den, *nums), a form equal for equal tables.  Given no ``den``,
+      the values are Fractions, put over the lcm of their denominators (that
+      form already).  The dict given is rewritten in place, so no second
+      dict of numerators exists; ``values`` builds Fractions when read.
+    * approx: ``values``, a float per class, and ``err``, a bound on the
+      summed distance over every path to the exact law (truncated mass plus
+      rounding), and so on each entry's.
 
-    ``values`` is the stored table.  A class table has ``sizes``: it holds one
-    value per class keyed by the class (K0, x_t, H) from ``path_classes``, the
-    entry of each of the ``sizes[key]`` paths of the class; other tables are
-    keyed by increment paths.  ``entries`` is the per-path view, built on
-    first read; without ``sizes`` it is ``values`` itself.
-
-    Given ``den``, an exact class table stores ``nums``, int numerators over
-    ``den``, all divided by gcd(den, *nums), a form equal for equal tables;
-    ``mass`` and ``max_abs_diff`` read the ints, ``values`` builds Fractions.
+    ``entries`` is the per-path view, built when read.  The one table keyed
+    by path (``sizes`` None) is the rejection oracle's tally, read through
+    ``entries`` and ``[path]`` only.
     """
 
     _ZERO = {"exact": Fraction(0), "approx": 0.0}  # the missing entry per mode
@@ -569,11 +572,18 @@ class DistTable:
     def __init__(self, horizon: int, mode: str, values: dict, err: float = 0.0,
                  sizes: dict = None, den: int = None):
         self.horizon, self.mode, self.err, self.sizes = horizon, mode, err, sizes
-        if den is None:  # the instance dict shadows the ``values`` property
-            self.values, self.den = values, None
-        else:
-            g = math.gcd(den, *values.values())
-            self.den, self.nums = den // g, {k: n // g for k, n in values.items()}
+        if mode != "exact":  # the instance dict shadows the ``values`` property
+            self.values = values
+            return
+        if den is None:
+            den = math.lcm(*(v.denominator for v in values.values()))
+            for key, v in values.items():
+                values[key] = v.numerator * (den // v.denominator)
+        elif (g := math.gcd(den, *values.values())) > 1:
+            den //= g
+            for key, n in values.items():
+                values[key] = n // g
+        self.den, self.nums = den, values
 
     @classmethod
     def of_classes(cls, t: int, allow_flat: bool, mode: str, value, den: int = None) -> "DistTable":
@@ -590,7 +600,7 @@ class DistTable:
     @functools.cached_property
     def entries(self) -> dict:
         """Every path of the horizon with the value of its class, in the
-        order of ``enumerate_paths``."""
+        order of ``enumerate_paths``; the tally itself for a per-path table."""
         if self.sizes is None:
             return self.values
         steps, prefixes, leaves = self._lex_walk(self.values)
@@ -622,53 +632,40 @@ class DistTable:
         return steps, prefixes, leaves
 
     def mass(self):
-        sizes = self.sizes or {}
-        if self.den is not None:
-            return Fraction(sum(n * sizes[x] for x, n in self.nums.items()), self.den)
-        if self.mode != "exact":
-            return left_sum(v * sizes.get(x, 1) for x, v in self.values.items())
-        # one Fraction at the end: integer numerators over the denominators' lcm
-        lcm = math.lcm(*(v.denominator for v in self.values.values()))
-        return Fraction(sum(v.numerator * (lcm // v.denominator) * sizes.get(x, 1)
-                            for x, v in self.values.items()), lcm)
+        if self.mode == "exact":
+            return Fraction(sum(n * self.sizes[x] for x, n in self.nums.items()), self.den)
+        return left_sum(v * self.sizes[x] for x, v in self.values.items())
 
     def __getitem__(self, path: Path):
         return self.entries.get(path, self._ZERO[self.mode])
 
     def max_abs_diff(self, other: "DistTable"):
-        """Largest entrywise discrepancy and the first key, in entry order,
-        that reaches it: class by class between two class tables (the
-        witness is the class's ``class_path``), else path by path.  Tables of
-        ints compare canonical forms, then cross-multiplied numerators, and
-        form Fractions only where a class differs."""
-        by_class = self.sizes is not None and other.sizes is not None
-        ints = by_class and None not in (self.den, other.den)
+        """Largest class-by-class discrepancy and the representative
+        (``class_path``) of the first class, in key order, that reaches it.
+        Two exact tables compare canonical forms, then cross-multiplied
+        numerators, and form Fractions only where a class differs."""
+        ints = self.mode == "exact" == other.mode
         if ints and (self.den, self.nums) == (other.den, other.nums):
             return Fraction(0), None
-        a_of, b_of = ((self.nums, other.nums) if ints else (self.values, other.values)
-                      if by_class else (self.entries, other.entries))
-        zero_a, zero_b = (0, 0) if ints else (self._ZERO[self.mode], other._ZERO[other.mode])
-        worst, witness = Fraction(0) if self.mode == "exact" == other.mode else 0.0, None
-        for p in {**a_of, **b_of}:
-            a, b = a_of.get(p, zero_a), b_of.get(p, zero_b)
+        a_of, b_of = (self.nums, other.nums) if ints else (self.values, other.values)
+        worst, witness = Fraction(0) if ints else 0.0, None
+        for key in {**a_of, **b_of}:
+            a, b = a_of.get(key, self._ZERO[self.mode]), b_of.get(key, other._ZERO[other.mode])
             if (a * other.den == b * self.den) if ints else a == b:
                 continue  # no subtraction where the entries agree (all, in a PASS)
             if ints:
                 a, b = Fraction(a, self.den), Fraction(b, other.den)
             d = abs(a - b)
             if d > worst:
-                worst, witness = d, p
-        return worst, class_path(self.horizon, witness) if by_class and witness else witness
+                worst, witness = d, key
+        return worst, witness and class_path(self.horizon, witness)
 
     def to_json(self):
         """Every entry keyed by its path's values as text, in entry order;
-        each stored value is formatted once and shared by its class's paths."""
-        if self.sizes is None:
-            entries = {str(p): prob_json(v) for p, v in self.values.items()}
-        else:
-            formatted = {key: prob_json(v) for key, v in self.values.items()}
-            _, prefixes, leaves = self._lex_walk(formatted)
-            entries = {s + suffix: v for key, s in prefixes for suffix, v in leaves[key]}
+        each class value is formatted once and shared by its paths."""
+        formatted = {key: prob_json(v) for key, v in self.values.items()}
+        _, prefixes, leaves = self._lex_walk(formatted)
+        entries = {s + suffix: v for key, s in prefixes for suffix, v in leaves[key]}
         return {"horizon": self.horizon, "mode": self.mode, "err": self.err, "entries": entries}
 
 
@@ -679,7 +676,7 @@ def walk_law(t: int, params: Params) -> DistTable:
 
 
 def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "formula",
-                        mode: str = None, kmax: int = None) -> DistTable:
+                        mode: str = None) -> DistTable:
     """Exact finite-dimensional law of the chain increments (X_j - X_0).
 
     formula route: per path x, sigma^H / (z^t rho^(x_t)) times the closed-form
@@ -687,19 +684,21 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     outside the support contribute exact zeros.
 
     product route: mixes the kernel products P_k(x) over the levels k <= top
-    directly; exact for finite-support laws, truncated otherwise.  In approx
-    mode ``err`` bounds the summed distance of the entries to the exact law:
-    ``tail_bound(top + 1)`` for the levels past top, the sum of pmf_err(k) for
-    float weights w_k (the P_k(x) sum to at most 1 over the paths), and per
-    path its entry s's rounding, (m + 3) u s + m TERM_FLOOR: m = 1 for one
-    rounded Fraction sum, else a float sum of m <= len(atoms) terms
-    fl(w_k fl(P_k)), each within rel_err(2u) of w_k P_k, whose running sums
-    stay below s.  The factor 1.1 covers the float sums that make ``err``.
+    directly; exact for finite-support laws, truncated at top =
+    ``law.truncation_point()`` otherwise.  In approx mode ``err`` bounds the
+    summed distance of the entries to the exact law: ``tail_bound(top + 1)``
+    for the levels past top, the sum of pmf_err(k) for float weights w_k
+    (the P_k(x) sum to at most 1 over the paths), and per path its entry
+    s's rounding, (m + 3) u s + m TERM_FLOOR: m = 1 for one rounded
+    Fraction sum, else a float sum of m <= len(atoms) terms fl(w_k fl(P_k)),
+    each within rel_err(2u) of w_k P_k, whose running sums stay below s.
+    The factor 1.1 covers the float sums that make ``err``.
 
     Either route is evaluated once per class (K0, x_t, H), see
     :meth:`DistTable.of_classes`; the product route builds each kernel entry
-    once per (level, step) and multiplies their ints, the exact formula route
-    is ``_chain_law_formula_exact``.
+    once per (level, step) and multiplies their ints, one Fraction per atom,
+    summed in lowest terms; the exact formula route is
+    ``_chain_law_formula_exact``.
     """
     q = params.q
     if mode is None:
@@ -708,9 +707,8 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
 
     if route == "formula":
         if mode != "exact":
-            return _chain_law_formula_float(t, law, params, kmax)
-        formula, den = _chain_law_formula_exact(t, law, params)
-        return DistTable.of_classes(t, allow_flat, "exact", formula, den)
+            return _chain_law_formula_float(t, law, params)
+        return DistTable.of_classes(t, allow_flat, mode, *_chain_law_formula_exact(t, law, params))
     if route != "product":
         raise ValueError(f"unknown route {route!r}")
 
@@ -721,7 +719,7 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
         )
     err = 0.0
     if atoms is None:
-        top = kmax if kmax is not None else law.truncation_point()
+        top = law.truncation_point()
         err = law.tail_bound(top + 1)
         atoms = [(k, w) for k in range(top + 1) if (w := law.pmf(k))]
 
@@ -734,26 +732,21 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
         # the kernel product is exact, so every path of a class gets one value: per
         # atom, each (level, step) entry's ints to the power of its count on the path
         x = class_path(t, key)
-        moves, num, den, total = collections.Counter(zip(x.values, x.steps)).items(), 0, 1, 0.0
+        moves = collections.Counter(zip(x.values, x.steps)).items()
+        exact_sum, total = Fraction(0), 0.0
         for k, w in atoms:
             if k + min(x.values) >= 0:
                 pn, pd = (math.prod(kernel(k + a, d)[i] ** c for (a, d), c in moves)
                           for i in (0, 1))
-                if law.exact:  # num / den += w pn / pd
-                    pn, pd = w.numerator * pn, w.denominator * pd
-                    num, den = num * pd + pn * den, den * pd
+                if law.exact:  # in lowest terms atom by atom, so no denominator piles up
+                    exact_sum += Fraction(w.numerator * pn, w.denominator * pd)
                 else:  # fl(w fl(pn / pd)), summed left to right
                     total += w * (pn / pd)
-        # int / int is correctly rounded, as float(Fraction) is
-        return (num, den) if mode == "exact" else num / den if law.exact else total
+        return exact_sum if mode == "exact" else float(exact_sum) if law.exact else total
 
-    if mode == "exact":  # the classes' values over the lcm of their denominators
-        sizes = dict(path_classes(t, allow_flat))
-        pairs = {key: product(key) for key in sizes}
-        den = math.lcm(*(d for _, d in pairs.values()))
-        return DistTable(t, mode, {key: n * (den // d) for key, (n, d) in pairs.items()},
-                         sizes=sizes, den=den)
     table = DistTable.of_classes(t, allow_flat, mode, product)
+    if mode == "exact":
+        return table
     m = 1 if law.exact else len(atoms)
     rounding = left_sum(size * ((m + 3) * UNIT_ROUNDOFF * table.values[key] + m * TERM_FLOOR)
                         for key, size in table.sizes.items())
@@ -837,7 +830,7 @@ def _chain_law_formula_exact(t, law, params):
     return formula, pref_den * level_den
 
 
-def _chain_law_formula_float(t, law, params, kmax):
+def _chain_law_formula_float(t, law, params):
     """Float formula route: entry(x) = pref(x) * s(-K0, x_t) with
     pref = sigma^H / (z^t rho^(x_t)) and s(a, x_t) the sum of
     pmf(k) [x_t+k+1]_q / [k+1]_q over a <= k <= top.
@@ -869,7 +862,7 @@ def _chain_law_formula_float(t, law, params, kmax):
     libm in the last bit for some arguments (see ``exact.TailSumTable``).
     """
     u = UNIT_ROUNDOFF
-    top = kmax if kmax is not None else law.truncation_point()
+    top = law.truncation_point()
     q_is_one = params.q == 1
     log_q = math.log(float(params.q))
     sig, zf, rhof = float(params.sigma), float(params.z), float(params.rho)

@@ -22,12 +22,13 @@ from .exact import (
     UNIT_ROUNDOFF,
     Approx,
     TailSumTable,
+    left_sum,
     prob_json,
     q_bracket,
     rat,
     rel_err,
 )
-from .paths import Path, class_key, class_rows, path_classes
+from .paths import class_rows, path_classes
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -167,33 +168,22 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
 # ---------------------------------------------------------------------------
 
 
-def rhs_law_formula(x: Path, glaw: InitialLaw, params: Params):
-    """Closed form for P(2(M-G)_+ - S follows x):
-
-        sigma^H rho^(x_t) / z^t * ( P(G >= -K)
-                                    + P(G = -K) * (1 - rho^(2(K - x_t)))/(rho^2 - 1) )
-
-    with the singular factor replaced by its limit x_t - K at rho = 1.
-    """
-    formula, den = _rhs_formula(x.horizon, glaw, params)
-    return formula(class_key(x)) if den is None else Fraction(formula(class_key(x)), den)
-
-
 def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
-    """``rhs_law_formula`` on horizon t, as a function of the class key (K0, x_t, H).
+    """Closed form for P(2(M-G)_+ - S follows x) on horizon t, as a function
+    of the class key (K0, x_t, H), with n = -K and m = x_t - K <= t:
 
-    With n = -K and m = x_t - K <= t, the factor
-    (1 - rho^(2(K - x_t)))/(rho^2 - 1) is q^-1 + ... + q^-m (m at q = 1),
-    the int F(m) = sum over 1 <= j <= m of qd^j qn^(t-j) over qn^t, for
-    q = rho^2 = qn/qd in lowest terms.  The prefactor sigma^H rho^(x_t) / z^t is the int sn^H sd^(t-H) rn^(t+x_t)
-    rd^(t-x_t) zd^t over (sd rn rd zn)^t.  P(G >= n) and P(G = n) are read
-    once per n <= t.  An exact level law's values go over the lcm L of their
-    denominators, so the level part (L P(G >= n) qn^t + L P(G = n) F(m)) is
-    an int per (K, x_t), the prefactor one per (H, x_t), and a class's
-    numerator is their product: returns it with the denominator.  A float
-    level law's entry (denominator None) is pref (P(G >= n) + P(G = n)
-    factor) with pref and factor each one correctly rounded int quotient,
-    the floats of the Fraction-valued form.
+        sigma^H rho^(x_t) / z^t * (P(G >= n) + P(G = n) (1 - q^-m)/(q - 1))
+
+    The factor is q^-1 + ... + q^-m (m at q = 1), the int F(m) = sum over
+    1 <= j <= m of qd^j qn^(t-j) over qn^t, for q = rho^2 = qn/qd in lowest
+    terms; the prefactor is the int sn^H sd^(t-H) rn^(t+x_t) rd^(t-x_t)
+    zd^t over (sd rn rd zn)^t.  An exact level law's values go over the lcm
+    L of their denominators, so the level part L P(G >= n) qn^t +
+    L P(G = n) F(m) is an int per (K, x_t), the prefactor one per (H, x_t),
+    and a class's numerator is their product: returns it with the
+    denominator.  A float level law's entry (denominator None) is
+    pref (P(G >= n) + P(G = n) factor), pref and factor each one correctly
+    rounded int quotient.
     """
     rn, rd = params.rho.numerator, params.rho.denominator
     sn, sd = params.sigma.numerator, params.sigma.denominator
@@ -282,13 +272,38 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
                 values[key] = tails[-k0] * ray + pmfs[-k0] * members
             else:  # each walk probability rounded once, as float(Fraction) does
                 values[key] = tails[-k0] * (ray / denom) + pmfs[-k0] * (members / denom)
-    return DistTable(t, "exact" if glaw.exact else "approx", values, sizes=sizes,
-                     den=denom * lcm if glaw.exact else None)
+    return _with_level_err(DistTable(t, "exact" if glaw.exact else "approx", values,
+                                     sizes=sizes, den=denom * lcm if glaw.exact else None), glaw)
 
 
 def rhs_law_table_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
-    return DistTable.of_classes(t, params.sigma > 0, "exact" if glaw.exact else "approx",
-                                *_rhs_formula(t, glaw, params))
+    return _with_level_err(DistTable.of_classes(t, params.sigma > 0,
+                                                "exact" if glaw.exact else "approx",
+                                                *_rhs_formula(t, glaw, params)), glaw)
+
+
+def _with_level_err(table: DistTable, glaw: InitialLaw) -> DistTable:
+    """The table; an approx one gets ``err``.  Its entries are
+    P(G >= n) w0 + P(G = n) W with n = -K0 <= t, w0 the walk probability of
+    the ray -x and W that of the sporadic members.  Summed over every path:
+
+    * x -> -x is a bijection, so the w0 sum to 1: the tails add at most the
+      max over n <= t of tail_err(n);
+    * with G = n a.s. the entries, w0 where -K0 < n and w0 + W where
+      -K0 = n, form a probability law, so the W with -K0 = n sum to at most
+      1: the pmfs add at most the sum over n <= t of pmf_err(n);
+    * an entry takes at most five roundings of a sum of nonnegative terms
+      (closed form: the factor's quotient, its product, the sum, the
+      prefactor's quotient, the product): 6u times the float mass.
+
+    The factor 1.1 covers the float sums that form ``err`` and the mass.
+    """
+    if table.mode == "exact":
+        return table
+    levels = range(table.horizon + 1)
+    table.err = 1.1 * (max(map(glaw.tail_err, levels)) + left_sum(map(glaw.pmf_err, levels))
+                       + 6 * UNIT_ROUNDOFF * table.mass())
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ class TestLawCommands:
         assert rep["table"]["entries"]["0,1"] == "1/1"
 
     def test_level_pmf(self, capsys):
-        code, rep, _ = run_json(capsys, "law", "level", "--rho", "1", "--t", "1",
+        code, rep, _ = run_json(capsys, "law", "level", "--rho", "1",
                                 "--initial", "point:3", "--nmax", "4")
         assert [rep["pmf"][str(n)] for n in range(4)] == ["1/4"] * 4
 
@@ -171,6 +171,12 @@ class TestLawCommands:
                                 "--glaw", glaw)
         assert code == 0 and rep["mass"] == "1/1"
 
+    def test_rhs_of_a_float_level_law_carries_err(self, capsys):
+        code, rep, _ = run_json(capsys, "law", "rhs", "--rho", "1/2", "--t", "2",
+                                "--glaw", "spoisson:1")
+        assert code == 0 and rep["table"]["mode"] == "approx"
+        assert 0 < rep["table"]["err"] < 1e-12
+
     @pytest.mark.parametrize("lam", ["nan", "inf", "1e300"])
     def test_unusable_poisson_mean_exits_two_at_once(self, capsys, lam):
         start = time.perf_counter()
@@ -183,6 +189,40 @@ class TestLawCommands:
     def test_malformed_initial_law(self, capsys):
         code, _, err = run(capsys, "law", "chain", "--rho", "1", "--initial", "junk:1")
         assert code == 2
+
+    @pytest.mark.parametrize("obj, missing", [
+        (("chain",), "--initial"), (("level",), "--initial"), (("rhs", "--t", "2"), "--glaw"),
+    ])
+    def test_a_law_object_requires_its_level_flag(self, capsys, obj, missing):
+        code, out, err = run(capsys, "law", *obj, "--rho", "1/2")
+        assert code == 2 and not out.strip() and missing in err
+
+
+# (command that runs, a flag it carried without reading it): each object's
+# subparser now takes only its own flags
+IGNORED_FLAGS = [
+    *((("law", "walk", "--rho", "1/2", "--t", "1"), flag) for flag in (
+        ("--initial", "point:1"), ("--glaw", "geo:1/2"), ("--route", "product"),
+        ("--which", "Gtilde"), ("--nmax", "7"))),
+    *((("law", "chain", "--rho", "1/2", "--t", "1", "--initial", "point:1"), flag) for flag in (
+        ("--glaw", "geo:1/2"), ("--which", "Gtilde"), ("--nmax", "7"))),
+    *((("law", "rhs", "--rho", "1/2", "--t", "1", "--glaw", "point:1"), flag) for flag in (
+        ("--initial", "point:1"), ("--route", "product"), ("--which", "Gtilde"),
+        ("--nmax", "7"))),
+    *((("law", "level", "--rho", "1/2", "--initial", "point:1"), flag) for flag in (
+        ("--t", "1"), ("--glaw", "geo:1/2"), ("--route", "product"))),
+    (("sample", "walk", "--rho", "1/2", "--t", "2"), ("--initial", "garbage:xyz")),
+    *((("sample", "limit-process", "--v", "0"), flag) for flag in (
+        ("--rho", "5"), ("--t", "99"), ("--initial", "spoisson:3"))),
+]
+
+
+@pytest.mark.parametrize("command, flag", IGNORED_FLAGS,
+                         ids=[" ".join(c[:2] + f[:1]) for c, f in IGNORED_FLAGS])
+def test_a_flag_the_object_does_not_read_exits_two(capsys, command, flag):
+    assert run(capsys, *command)[0] == 0
+    code, out, err = run(capsys, *command, *flag)
+    assert code == 2 and not out.strip() and flag[0] in err
 
 
 class TestScalingCommands:
@@ -313,8 +353,8 @@ class TestSampleCommands:
     def test_sample_draws_from_the_seed_stream(self, capsys, obj, draw):
         # the seed alone fixes the paths: those of RngStream(seed), the same bytes
         # on every run
-        argv = ("sample", obj, "--rho", "1/2", "--t", "6", "--initial", "point:3",
-                "--samples", "4", "--seed", "9")
+        argv = ("sample", obj, "--rho", "1/2", "--t", "6", "--samples", "4", "--seed", "9")
+        argv += ("--initial", "point:3") * (obj == "chain")
         _, out, _ = run(capsys, *argv)
         assert run(capsys, *argv)[1] == out
         assert json.loads(out)["paths"] == [",".join(map(str, row))

@@ -112,12 +112,12 @@ def conditioned_oracle(t, vlaw, params, part):
     return DistTable.of_classes(t, eff.sigma > 0, "exact", conditioned)
 
 
-def product_oracle(t, law, params, mode, kmax=None):
+def product_oracle(t, law, params, mode):
     """The product route as a Fraction loop: one Fraction multiply per step
     and atom, the kernel entries built once per table."""
     atoms, err = law.atoms(), 0.0
     if atoms is None:
-        top = kmax if kmax is not None else law.truncation_point()
+        top = law.truncation_point()
         err = law.tail_bound(top + 1)
         atoms = [(k, w) for k in range(top + 1) if (w := law.pmf(k))]
     kernel = functools.cache(lambda k, d: processes.chain_transition(k, d, params))
@@ -233,10 +233,9 @@ def test_product_route_equals_the_fraction_loop(kind, mode, rho, sigma):
     (level, step): the same exact values, the same float bits and err."""
     params = Params(rho, sigma)
     law = ShiftedPoisson(1.5) if kind == "spoisson" else law_of(kind, params)
-    kmax = None if law.atoms() else 6
     for t in range(8):
-        table = chain_increment_law(t, law, params, route="product", mode=mode, kmax=kmax)
-        oracle = product_oracle(t, law, params, mode, kmax)
+        table = chain_increment_law(t, law, params, route="product", mode=mode)
+        oracle = product_oracle(t, law, params, mode)
         same_table(table, oracle)
         assert table.err.hex() == oracle.err.hex()
 

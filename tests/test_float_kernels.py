@@ -47,7 +47,8 @@ def scalar_brackets(q, count):
 
 
 def scalar_tail_sums(law, q, trunc_n=None, lo=0):
-    """(values, errs) of ``TailSumTable``, level by level from the top down."""
+    """(values, errs) of ``TailSumTable`` at levels >= lo, level by level
+    from the top down, stopping at lo."""
     top = trunc_n if trunc_n is not None else law.truncation_point()
     leftover = law.tail_bound(top + 1)
     brackets = scalar_brackets(q, top + 1)
@@ -66,12 +67,12 @@ def scalar_tail_sums(law, q, trunc_n=None, lo=0):
     return values[::-1], errs[::-1]
 
 
-def scalar_chain_formula(t, law, params, kmax=None):
+def scalar_chain_formula(t, law, params):
     """({class key: value}, err) of the float formula route, one suffix sum
     per end value, level by level from the top down, reading each class's
     statistics off its representative path."""
     u = UNIT_ROUNDOFF
-    top = kmax if kmax is not None else law.truncation_point()
+    top = law.truncation_point()
     pmfs = [law.pmf_float(k) for k in range(top + 1)]
     pmf_errs = [law.float_rel_err(k) for k in range(top + 1)]
     q_is_one = params.q == 1
@@ -95,7 +96,7 @@ def scalar_chain_formula(t, law, params, kmax=None):
         return lo, kept[::-1]
 
     by_end, values, rounding = {}, {}, {}
-    table = chain_increment_law(t, law, params, mode="approx", kmax=kmax)
+    table = chain_increment_law(t, law, params, mode="approx")
     for key in table.sizes:
         x = class_path(t, key)
         st = stats(x)
@@ -191,19 +192,21 @@ class TestTailSumTable:
     @pytest.mark.parametrize("q", QS, ids=str)
     @pytest.mark.parametrize("lo", [0, 3])
     def test_bit_identical_to_scalar_loop(self, law, q, lo):
-        table = TailSumTable(law, q, lo=lo)
+        # the table runs down to 0; its levels >= lo keep the bits of a loop
+        # that stopped at lo
+        table = TailSumTable(law, q)
         values, errs = scalar_tail_sums(law, q, lo=lo)
-        assert same_floats(table._values, values)
-        assert same_floats(table._errs, errs)
+        assert same_floats(table._values[lo:], values)
+        assert same_floats(table._errs[lo:], errs)
 
     @pytest.mark.parametrize("law", [Geometric(F(99, 100)), ShiftedPoisson(1.0)], ids=law_id)
     @pytest.mark.parametrize("trunc_n", [0, 1, 40, 200])
     def test_explicit_truncation(self, law, trunc_n):
+        table = TailSumTable(law, F(1, 2), trunc_n)
         for lo in (0, 2):
-            table = TailSumTable(law, F(1, 2), trunc_n, lo=lo)
             values, errs = scalar_tail_sums(law, F(1, 2), trunc_n, lo=lo)
-            assert same_floats(table._values, values)
-            assert same_floats(table._errs, errs)
+            assert same_floats(table._values[lo:], values)
+            assert same_floats(table._errs[lo:], errs)
 
     def test_underflowed_terms_still_carry_term_floor(self):
         # past level ~650 the terms of geo:1/3 underflow to 0: each level adds
@@ -241,14 +244,6 @@ class TestChainFormulaFloat:
             assert list(table.values) == list(values)
             assert same_floats(list(table.values.values()), list(values.values()))
             assert same_floats([table.err], [err])
-
-    @pytest.mark.parametrize("kmax", [0, 2, 5, 60])
-    def test_explicit_truncation(self, kmax):
-        law, params = Geometric(F(9, 10)), Params(F(2, 3), F(1))
-        table = chain_increment_law(5, law, params, mode="approx", kmax=kmax)
-        values, err = scalar_chain_formula(5, law, params, kmax)
-        assert same_floats(list(table.values.values()), list(values.values()))
-        assert same_floats([table.err], [err])
 
     def test_table_longer_than_one_block(self):
         law, params = Geometric(F(9999, 10000)), Params(F(2, 3), F(1))

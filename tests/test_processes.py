@@ -25,6 +25,7 @@ from pitman_lab import (
     g_law_from_initial,
     parse_initial_law,
     q_bracket,
+    rhs_law_enumeration,
     step_pmf,
     v_law_from_initial,
     walk_law,
@@ -446,3 +447,22 @@ def test_point_mass_exact_sums_read_one_atom(monkeypatch):
     conditioned_walk_law(1, vlaw, params, "I")
     chain_increment_law(2, law, params, route="product")
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("params", [Params(F(1, 2)), Params(F(2, 3), F(1)), Params(F(2), F(1, 2))],
+                         ids=lambda p: f"rho={p.rho},sigma={p.sigma}")
+def test_geo_zero_is_the_point_mass_at_zero(params):
+    """geo:0 puts all its mass on 0, so every table is exact and equals
+    point:0's."""
+    geo, point = Geometric(F(0)), PointMass(0)
+    assert geo.atoms() == point.atoms() and geo.truncation_point() == 0
+    for t in range(5):
+        for route in ("formula", "product"):
+            a, b = (chain_increment_law(t, law, params, route) for law in (geo, point))
+            assert a.mode == b.mode == "exact" and (a.den, a.nums) == (b.den, b.nums)
+        ga, gb = (g_law_from_initial(law, params) for law in (geo, point))
+        assert ga.exact and [ga.pmf(n) for n in range(t + 2)] == [gb.pmf(n) for n in range(t + 2)]
+        a, b = rhs_law_enumeration(t, ga, params), rhs_law_enumeration(t, gb, params)
+        assert a.mode == b.mode == "exact" and (a.den, a.nums) == (b.den, b.nums)
+    if params.rho < 1:
+        assert v_law_from_initial(geo, params) == v_law_from_initial(point, params)

@@ -23,7 +23,6 @@ from pitman_lab import (
     preimage,
     q_bracket,
     rhs_law_enumeration,
-    rhs_law_formula,
     rhs_law_table_formula,
     stats,
     verify_thm1,
@@ -148,8 +147,9 @@ class TestRhsLaw:
     def test_formula_examples(self):
         params = Params(F(1))
         g0 = LevelLaw.point(0)
-        assert rhs_law_formula(Path.parse("0,1"), g0, params) == 1
-        assert rhs_law_formula(Path.parse("0,-1"), g0, params) == 0
+        table = rhs_law_table_formula(1, g0, params)
+        assert table[Path.parse("0,1")] == 1
+        assert table[Path.parse("0,-1")] == 0
 
     @pytest.mark.parametrize("rho", [F(1, 2), F(2, 3)])
     @pytest.mark.parametrize("sigma", [F(0), F(1)])
@@ -157,9 +157,9 @@ class TestRhsLaw:
         params = Params(rho, sigma)
         glaw = LevelLaw.geometric(params.q)
         for t in (1, 3, 5):
-            wl = walk_law(t, params)
+            wl, form = walk_law(t, params), rhs_law_table_formula(t, glaw, params)
             for x in wl.entries:
-                assert rhs_law_formula(x, glaw, params) == wl[x]
+                assert form[x] == wl[x]
 
     @pytest.mark.parametrize("glaw", [
         LevelLaw.point(0),
@@ -185,6 +185,25 @@ class TestRhsLaw:
             assert set(brute) == set(enum.entries)
             for x, v in brute.items():
                 assert enum[x] == v
+
+    @pytest.mark.parametrize("route", [rhs_law_enumeration, rhs_law_table_formula],
+                             ids=lambda route: route.__name__)
+    @pytest.mark.parametrize("kind", ["qnb", "finite"])
+    @pytest.mark.parametrize("rho,sigma", [(F(1, 2), F(0)), (F(2, 3), F(1)), (F(3, 2), F(1))])
+    def test_approx_err_bounds_the_distance_to_the_exact_table(self, route, kind, rho, sigma):
+        """The level law of an exact-capable law, forced to floats: the summed
+        distance over every path of the approx table to the exact one is
+        within its ``err``."""
+        params = Params(rho, sigma)
+        law = QNegativeBinomial(params.q, F(1, 5)) if kind == "qnb" else FS3
+        exact_g = g_law_from_initial(law, params, "G")
+        approx_g = g_law_from_initial(law, params, "G", mode="approx")
+        for t in range(1, 7):
+            exact_table, approx = route(t, exact_g, params), route(t, approx_g, params)
+            assert (exact_table.mode, approx.mode) == ("exact", "approx")
+            distance = sum(size * abs(F(approx.values[key]) - exact_table.values[key])
+                           for key, size in approx.sizes.items())
+            assert distance <= approx.err < 1e-12
 
 
 class TestCountedPushforward:

@@ -1,8 +1,8 @@
 """DistTable's mass and max_abs_diff against the plain loops they replace:
 exact mass as a left-to-right Fraction sum, approx mass as the same float sum
-bit for bit, and the difference and witness of subtracting every stored
-value (between class tables the witness class's representative path); a
-class table against a per-path one is compared path by path."""
+bit for bit, and the difference and witness of subtracting every class value
+(the witness is the class's representative path).  An exact table holds int
+numerators over one denominator, in the dict it was given."""
 
 from fractions import Fraction as F
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import math
 
-from pitman_lab import DistTable, Params, enumerate_paths, walk_law
+from pitman_lab import DistTable
 from pitman_lab.paths import class_path, path_classes
 
 # dyadic and non-dyadic denominators, so some exact entries equal a float
@@ -26,15 +26,10 @@ def values(mode):
 
 @st.composite
 def keys_and_sizes(draw):
-    """The horizon and keys of a class table (with its sizes) or of a
-    per-path table."""
-    allow_flat = draw(st.booleans())
-    if draw(st.booleans()):
-        t = draw(st.integers(0, 9))
-        sizes = dict(path_classes(t, allow_flat))
-        return t, list(sizes), sizes
-    t = draw(st.integers(0, 4))
-    return t, list(enumerate_paths(t, allow_flat)), None
+    """The horizon, keys and sizes of a class table."""
+    t = draw(st.integers(0, 9))
+    sizes = dict(path_classes(t, draw(st.booleans())))
+    return t, list(sizes), sizes
 
 
 @st.composite
@@ -46,7 +41,7 @@ def tables(draw):
 
 
 def float_sum(table):
-    return sum(v * (table.sizes or {}).get(x, 1) for x, v in table.values.items())
+    return sum(v * table.sizes[x] for x, v in table.values.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -56,7 +51,7 @@ def test_mass_equals_the_entry_sum(table):
     if table.mode == "exact":
         total = F(0)
         for x, v in table.values.items():
-            total = total + v * (table.sizes or {}).get(x, 1)
+            total = total + v * table.sizes[x]
         assert isinstance(mass, F) and mass == total
     else:
         assert mass.hex() == float(float_sum(table)).hex()
@@ -103,9 +98,7 @@ def subtract_every_entry(ta, tb):
         d = abs(ta.values.get(p, zero(ta)) - tb.values.get(p, zero(tb)))
         if d > worst:
             worst, witness = d, p
-    if witness is not None and ta.sizes is not None:
-        witness = class_path(ta.horizon, witness)
-    return worst, witness
+    return worst, witness and class_path(ta.horizon, witness)
 
 
 @settings(max_examples=80, deadline=None)
@@ -118,16 +111,17 @@ def test_max_abs_diff_equals_subtracting_every_entry(pair):
         assert type(got[0]) is type(expected[0])
 
 
-def test_a_class_table_against_a_per_path_table_compares_paths():
-    classes = walk_law(3, Params(F(1, 2), F(1)))
-    paths = DistTable(3, "exact", dict(classes.entries))
-    assert paths.entries is paths.values  # no sizes: the stored dict is the view
-    assert classes.max_abs_diff(paths) == paths.max_abs_diff(classes) == (0, None)
-    # a path that is not its class's representative
-    representatives = {class_path(3, key) for key in classes.sizes}
-    x = next(p for p in paths.values if p not in representatives)
-    paths.values[x] += F(1, 7)
-    assert classes.max_abs_diff(paths) == paths.max_abs_diff(classes) == (F(1, 7), x)
+def test_an_exact_table_keeps_the_dict_it_was_given():
+    """The numerators are divided in place, and Fractions go over their lcm
+    in place: no second dict of numerators."""
+    sizes = dict(path_classes(2, False))
+    nums = dict(zip(sizes, (6, 12, 18, 0)))
+    table = DistTable(2, "exact", nums, sizes=sizes, den=36)
+    assert table.nums is nums and nums == dict(zip(sizes, (1, 2, 3, 0))) and table.den == 6
+    fractions = dict(zip(sizes, (F(1, 4), F(1, 2), F(1, 8), F(1, 8))))
+    table = DistTable(2, "exact", fractions, sizes=sizes)
+    assert table.nums is fractions and fractions == dict(zip(sizes, (2, 4, 1, 1)))
+    assert table.den == 8 and table.mass() == 1
 
 
 @st.composite
@@ -153,8 +147,8 @@ def int_table_pairs(draw):
         m = draw(st.integers(1, 4))
         b = kept({k: n * m + draw(st.sampled_from([0, 0, 0, 1, -7])) for k, n in a.items()})
         den_b = den_a * m
-    return (DistTable(t, "exact", a, sizes=sizes, den=den_a),
-            DistTable(t, "exact", b, sizes=sizes, den=den_b),
+    return (DistTable(t, "exact", dict(a), sizes=sizes, den=den_a),
+            DistTable(t, "exact", dict(b), sizes=sizes, den=den_b),
             (t, a, den_a, b, den_b, sizes))
 
 
@@ -184,7 +178,7 @@ def test_tables_of_scaled_numerators_are_equal(t, allow_flat, den, scale, draws)
     Fraction."""
     sizes = dict(path_classes(t, allow_flat))
     nums = {k: draws[i % len(draws)] for i, k in enumerate(sizes)}
-    a = DistTable(t, "exact", nums, sizes=sizes, den=den)
+    a = DistTable(t, "exact", dict(nums), sizes=sizes, den=den)
     b = DistTable(t, "exact", {k: n * scale for k, n in nums.items()}, sizes=sizes,
                   den=den * scale)
     assert (a.den, a.nums) == (b.den, b.nums)
@@ -192,5 +186,5 @@ def test_tables_of_scaled_numerators_are_equal(t, allow_flat, den, scale, draws)
     assert a.mass() == b.mass()
     assert "values" not in vars(a) and "values" not in vars(b)  # no Fraction was built
     if any(nums.values()):  # the same numerators over another denominator differ
-        c = DistTable(t, "exact", nums, sizes=sizes, den=den + 1)
+        c = DistTable(t, "exact", dict(nums), sizes=sizes, den=den + 1)
         assert a.max_abs_diff(c)[0] > 0
