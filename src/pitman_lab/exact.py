@@ -338,6 +338,8 @@ def tail_sum_ratio(law, n: int, q: Rat, mode: str = "exact", trunc_n=None):
     remaining pmf mass is below ``APPROX_TAIL_TOL`` (or at the explicit cutoff
     ``trunc_n``) and returns an :class:`Approx` whose ``err`` covers the
     truncation and the float rounding (derivation in :class:`TailSumTable`).
+    Past that cutoff the value is 0 within the law's tail bound, and no
+    table is built.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -346,4 +348,7 @@ def tail_sum_ratio(law, n: int, q: Rat, mode: str = "exact", trunc_n=None):
         return law.ratio_tail_exact(n, q)
     if mode != "approx":
         raise ValueError(f"unknown mode {mode!r}")
-    return TailSumTable(law, q, trunc_n).at(n)
+    top = trunc_n if trunc_n is not None else law.truncation_point()
+    if n > top:
+        return Approx(0.0, law.tail_bound(n))
+    return TailSumTable(law, q, top).at(n)

@@ -10,6 +10,7 @@ initial level ("formula" route) or from kernel products ("product" route).
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -29,7 +30,6 @@ from .exact import (
     bracket_ratio_float,
     bracket_ratio_rel_err,
     geometric_bracket_tail,
-    geometric_tail,
     left_sum,
     prob_json,
     q_bracket,
@@ -199,17 +199,33 @@ class InitialLaw:
     # -- exact tail machinery ------------------------------------------------
 
     def ratio_tail_exact(self, n: int, q: Rat) -> Rat:
-        """Sum of pmf(j)/[j+1]_q over j >= n, in closed form."""
+        """Sum of pmf(j)/[j+1]_q over j >= n, in closed form.
+
+        The parts are built once per q and kept on the law: each atom's
+        p_j/[j+1]_q (one q-bracket per atom) with their suffix sums, or
+        c/(1 - r) of the ``ratio_geometric_form`` (c, r).  A value is then
+        the suffix sum from the first atom j >= n, or c/(1 - r) r^n.
+        """
+        sums = self.__dict__.setdefault("_ratio_tails_by_q", {})
+        if q not in sums:
+            sums[q] = self._ratio_tails(q)
+        return sums[q](n)
+
+    def _ratio_tails(self, q: Rat):
         atoms = self.atoms()
         if atoms is not None:
-            return sum((p / q_bracket(j + 1, q) for j, p in atoms if j >= n), Fraction(0))
+            levels = [j for j, _ in atoms]
+            weights = (p / q_bracket(j + 1, q) for j, p in reversed(atoms))
+            suffix = list(itertools.accumulate(weights, initial=Fraction(0)))[::-1]
+            return lambda n: suffix[bisect.bisect_left(levels, n)]
         form = self.ratio_geometric_form(q)
         if form is None:
             raise UnsupportedExactModeError(
                 f"{self.cli_string()!r} has no exact tail sum at q={q}; use approx mode"
             )
         c, r = form
-        return c * geometric_tail(r, n)
+        scale = c / (1 - r)
+        return lambda n: scale * r**n
 
     def exact_capable(self, q: Rat) -> bool:
         return self.atoms() is not None or self.ratio_geometric_form(q) is not None

@@ -105,6 +105,10 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
     1/rho^2 (sign-flipped walk side).  The tail comes from the same sums:
     P(G >= n) = P(X0 >= n) - [n]_q * tail_sum_ratio(law, n, q).
 
+    In exact mode the initial law builds the parts of its sums once per q
+    (``InitialLaw.ratio_tail_exact``), so a level value costs O(1) Fraction
+    operations.
+
     In approx mode one :class:`TailSumTable`, built at the first read (so a
     verifier refuses its arguments before paying for it), serves every level
     of both pmf and tail.  Their errors add to the table's the rounding of the
@@ -482,6 +486,12 @@ def damage_check(q, theta, nmax: int = 60) -> dict:
     * the marginals computed from the unfactorized joint via the exact tail
       sums equal those geometrics;
     * the partial-independence property P(R = r | D = 0) = P(R = r).
+
+    Every per-level factor is built once, as an int numerator and
+    denominator from running int products (powers of q, of q theta and of
+    theta, and [n+1]_q qd^n by its recurrence), and every identity compares
+    a/b == c/d as a*d == c*b on the ints; Fractions are formed only for a
+    factorization cell that fails.
     """
     from .processes import QNegativeBinomial
 
@@ -489,40 +499,42 @@ def damage_check(q, theta, nmax: int = 60) -> dict:
         raise ValueError(f"--nmax must be >= 0, got {nmax}: no level would be checked")
     q, theta = rat(q), rat(theta)
     law = QNegativeBinomial(q, theta)  # validates 0 <= theta < 1, q*theta < 1
-    violations = 0
-    worst = Fraction(0)
+    levels = range(nmax + 1)
 
-    def powers(x):  # x^0, ..., x^nmax, one multiplication each
-        return list(itertools.accumulate([x] * nmax, operator.mul, initial=Fraction(1)))
+    def runs(x, first=Fraction(1)):  # first * x^k for k <= nmax: numerators, denominators
+        return [list(itertools.accumulate([step] * nmax, operator.mul, initial=start))
+                for start, step in ((first.numerator, x.numerator),
+                                    (first.denominator, x.denominator))]
 
-    # each factor built once per level: the joint P(R=r, D=n-r) is
-    # pmf(n)/[n+1]_q times q^r, the product geo(q theta)(r) x geo(theta)(n-r)
-    per_n = [law.pmf(n) / q_bracket(n + 1, q) for n in range(nmax + 1)]
-    q_pow = powers(q)
-    survivor = [(1 - q * theta) * p for p in powers(q * theta)]
-    damaged = [(1 - theta) * p for p in powers(theta)]
-
-    # a/b == c/d as a*d == c*b on the ints; a difference only where a cell fails
-    def parts(xs):
-        return [x.numerator for x in xs], [x.denominator for x in xs]
-
-    (pn, pd), (qn, qd), (sn, sd), (dn, dd) = map(parts, (per_n, q_pow, survivor, damaged))
-    for n in range(nmax + 1):
+    (qn, qd), (sn, sd), (dn, dd) = runs(q), runs(q * theta, 1 - q * theta), runs(theta, 1 - theta)
+    # the joint P(R=r, D=n-r) is pmf(n)/[n+1]_q times q^r, the product
+    # geo(q theta)(r) x geo(theta)(n-r); [n+1]_q qd^n = qd^n + qn [n]_q qd^(n-1)
+    brackets = itertools.accumulate(qd[1:], lambda b, d: d + q.numerator * b, initial=1)
+    pmfs = [law.pmf(n) for n in levels]
+    pn = [p.numerator * qd[n] for n, p in enumerate(pmfs)]
+    pd = [p.denominator * b for p, b in zip(pmfs, brackets)]
+    violations, worst = 0, Fraction(0)
+    for n in levels:
         for r in range(n + 1):
             if pn[n] * qn[r] * sd[r] * dd[n - r] != sn[r] * dn[n - r] * pd[n] * qd[r]:
                 violations += 1
-                worst = max(worst, abs(per_n[n] * q_pow[r] - survivor[r] * damaged[n - r]))
+                worst = max(worst, abs(Fraction(pn[n] * qn[r], pd[n] * qd[r])
+                                       - Fraction(sn[r] * dn[n - r], sd[r] * dd[n - r])))
 
     # marginals straight from the joint: summing out d gives
     # P(R=r) = q^r * sum_{n>=r} pmf(n)/[n+1]_q, and summing out r gives
     # P(D=d) = q^-d * sum_{n>=d} pmf(n)/[n+1]_{1/q}
-    marg_r = [q_pow[r] * law.ratio_tail_exact(r, q) for r in range(nmax + 1)]
-    marg_ok = marg_r == survivor and all(
-        law.ratio_tail_exact(d, 1 / q) / q_pow[d] == damaged[d] for d in range(nmax + 1))
+    sums_r = [law.ratio_tail_exact(r, q) for r in levels]
+    sums_d = (law.ratio_tail_exact(d, 1 / q) for d in levels)
+    marg_ok = (all(qn[r] * m.numerator * sd[r] == sn[r] * qd[r] * m.denominator
+                   for r, m in zip(levels, sums_r))
+               and all(m.numerator * qd[d] * dd[d] == dn[d] * qn[d] * m.denominator
+                       for d, m in zip(levels, sums_d)))
 
-    # Rao-Rubin: P(R=r, D=0)/P(D=0) against the marginal of R
+    # Rao-Rubin: P(R=r, D=0)/P(D=0) against the marginal of R, both over q^r
     p_d0 = law.ratio_tail_exact(0, 1 / q)
-    rao_rubin = all(per_n[r] * q_pow[r] / p_d0 == marg_r[r] for r in range(nmax + 1))
+    rao_rubin = all(pn[r] * p_d0.denominator * m.denominator == m.numerator * pd[r] * p_d0.numerator
+                    for r, m in zip(levels, sums_r))
 
     ok = violations == 0 and marg_ok and rao_rubin
     return {

@@ -322,7 +322,10 @@ def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
                        convolution, whose level law collapses to Exp(u+v).
 
     Returns per-grid-point rows (x, exact, limit, diff) and the sup distance,
-    which PASSes up to CONTINUITY_TOL.
+    which PASSes up to CONTINUITY_TOL.  The limit CDF is evaluated once, on
+    the whole grid as an array (libm's expm1 for the power regime), with
+    the bits of a point-by-point evaluation; the exact side reads one tail
+    of a level law whose per-law parts are built once.
     """
     sn, params = scaled_params(N, v)
     vf, grid = float(v), list(grid)
@@ -333,7 +336,7 @@ def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
         if vf <= 0:
             raise ValueError("the power regime needs v > 0")
         law = PointMass(math.floor(N ** 0.7))
-        limit_fn = lambda x: -math.expm1(-2 * vf * x)
+        limit_fn = lambda x: -_expm1(-2 * vf * x)
     else:
         if regime == "point":
             law = PointMass(sn)
@@ -353,15 +356,14 @@ def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
         limit_fn = LimitLevelLaw(vf, mu).cdf
 
     glaw = g_law_from_initial(law, params, "G")
-    rows = []
-    sup = 0.0
-    for x in grid:
-        # P(G <= floor(x sqrt N)) as one minus one exact tail
-        exact = float(1 - glaw.tail(math.floor(x * sn) + 1))
-        lim = limit_fn(float(x))
-        rows.append({"x": float(x), "exact": exact, "limit": lim,
-                     "diff": exact - lim})
-        sup = max(sup, abs(exact - lim))
+    # P(G <= floor(x sqrt N)) as one minus one exact tail
+    exact = np.array([float(1 - glaw.tail(math.floor(x * sn) + 1)) for x in grid])
+    xs = np.array(grid, dtype=float)
+    lims = limit_fn(xs)
+    diffs = (exact - lims).tolist()
+    rows = [{"x": x, "exact": e, "limit": lim, "diff": d}
+            for x, e, lim, d in zip(xs.tolist(), exact.tolist(), lims.tolist(), diffs)]
+    sup = max([0.0, *map(abs, diffs)])
     return {
         "check": "continuity",
         "N": N,

@@ -14,6 +14,7 @@ from pitman_lab import (
     rat_str,
     tail_sum_ratio,
 )
+from pitman_lab import exact
 from pitman_lab.exact import geometric_bracket_tail, geometric_tail
 
 
@@ -109,6 +110,19 @@ class TestTailSumRatio:
         assert abs(short.value - long.value) <= short.err
         auto = tail_sum_ratio(law, 0, F(1, 4), mode="approx")
         assert abs(auto.value - long.value) <= max(auto.err, 1e-14)
+
+    @pytest.mark.parametrize("trunc_n", [None, 30])
+    def test_past_the_cutoff_builds_no_table(self, monkeypatch, trunc_n):
+        law, q = Geometric(F(99, 100)), F(1, 4)
+        top = law.truncation_point() if trunc_n is None else trunc_n
+        want = [exact.TailSumTable(law, q, trunc_n).at(n) for n in (top + 1, top + 7, 4 * 10**6)]
+
+        def refused(*args):
+            raise AssertionError("a table was built past the cutoff")
+
+        monkeypatch.setattr(exact.TailSumTable, "__init__", refused)
+        got = [tail_sum_ratio(law, n, q, "approx", trunc_n) for n in (top + 1, top + 7, 4 * 10**6)]
+        assert got == want and all(value == 0.0 for value, _ in got)
 
 
 class TestApproxErrCoversRounding:

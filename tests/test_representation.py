@@ -32,7 +32,7 @@ from pitman_lab import (
     walk_path_prob,
 )
 from pitman_lab import exact, processes, representation, transform
-from pitman_lab.exact import prob_json
+from pitman_lab.exact import geometric_tail, prob_json
 from pitman_lab.paths import class_path, class_rows, path_classes
 from pitman_lab.representation import compare_routes
 
@@ -135,6 +135,47 @@ class TestGLaw:
                                   p**n - br * hi, p**n - br * lo), n
         mass = math.fsum(glaw.pmf(n) for n in range(5000))
         assert abs(mass - 1) <= sum(glaw.pmf_err(n) for n in range(5000)) + 1e-15
+
+    @pytest.mark.parametrize("rho", [F(2, 3), F(1), F(3, 2)])
+    @pytest.mark.parametrize("which", ["G", "Gtilde"])
+    def test_exact_values_are_those_of_the_per_level_closures(self, rho, which):
+        # the closures as they were when each level rebuilt every part:
+        # q^n S(n) and P(X0 >= n) - [n]_q S(n), S(n) = sum over j >= n of
+        # p_j/[j+1]_q from the atoms or the geometric form, per level
+        def ratio_sum(law, n, q):
+            if (atoms := law.atoms()) is not None:
+                return sum((p / q_bracket(j + 1, q) for j, p in atoms if j >= n), F(0))
+            c, r = law.ratio_geometric_form(q)
+            return c * geometric_tail(r, n)
+
+        params = Params(rho, F(1))
+        q = params.q if which == "G" else 1 / params.q
+        finite = FiniteSupport(((1, F(1, 3)), (4, F(0)), (9, F(2, 3))))
+        laws = [PointMass(0), PointMass(7), FS3, finite, Geometric(F(0)), Geometric(F(1, 3)),
+                QNegativeBinomial(params.q, F(1, 3)),
+                QNegativeBinomial(1 / params.q, F(1, 3)), NegativeBinomial(F(2, 5))]
+        exact = 0
+        for law in laws:
+            glaw = g_law_from_initial(law, params, which)
+            assert glaw.exact == law.exact_capable(q)
+            if not glaw.exact:  # geo:1/3 everywhere, nb off q = 1
+                continue
+            exact += 1
+            for n in range(41):
+                s = ratio_sum(law, n, q)
+                assert glaw.pmf(n) == q**n * s, (law, n)
+                assert glaw.tail(n) == law.tail(n) - q_bracket(n, q) * s, (law, n)
+        assert exact == (len(laws) - 1 if rho == 1 else len(laws) - 2)
+
+    def test_an_atom_bracket_is_built_once_per_law(self, monkeypatch):
+        calls = []
+        bracket = processes.q_bracket
+        monkeypatch.setattr(processes, "q_bracket",
+                            lambda n, q: calls.append(n) or bracket(n, q))
+        glaw = g_law_from_initial(PointMass(630), Params(F(2, 3)), "G")
+        for n in range(31):
+            glaw.pmf(n), glaw.tail(n)
+        assert calls == [631]
 
     def test_shifted_poisson_gives_poisson(self):
         glaw = g_law_from_initial(ShiftedPoisson(1.0), Params(F(1)), "G",
@@ -451,6 +492,35 @@ class TestDamage:
         assert rep["factorization_violations"] == violations
         assert rep["max_abs_diff"]["value"] == prob_json(worst)
         assert rep["status"] == "FAIL"
+
+    @pytest.mark.parametrize("q,theta", [(F(1, 4), F(1, 2)), (F(1), F(1, 2)), (F(4), F(1, 5))])
+    @pytest.mark.parametrize("level,side", [(0, "R"), (7, "R"), (0, "D"), (5, "D")])
+    def test_marginal_and_rao_rubin_flags_are_those_of_the_fraction_check(
+            self, monkeypatch, q, theta, level, side):
+        ratio_tail_exact = QNegativeBinomial.ratio_tail_exact
+        at = q if side == "R" else 1 / q
+
+        def perturbed(law, n, q_):
+            value = ratio_tail_exact(law, n, q_)
+            return value * F(8, 7) if (n, q_) == (level, at) else value
+
+        monkeypatch.setattr(QNegativeBinomial, "ratio_tail_exact", perturbed)
+        nmax = 12
+        law = QNegativeBinomial(q, theta)
+        # the check in normalized Fractions, as it was before it compared ints
+        q_pow = [q**r for r in range(nmax + 1)]
+        survivor = [(1 - q * theta) * (q * theta)**r for r in range(nmax + 1)]
+        damaged = [(1 - theta) * theta**d for d in range(nmax + 1)]
+        per_n = [law.pmf(n) / q_bracket(n + 1, q) for n in range(nmax + 1)]
+        marg_r = [q_pow[r] * law.ratio_tail_exact(r, q) for r in range(nmax + 1)]
+        marg_ok = marg_r == survivor and all(
+            law.ratio_tail_exact(d, 1 / q) / q_pow[d] == damaged[d] for d in range(nmax + 1))
+        p_d0 = law.ratio_tail_exact(0, 1 / q)
+        rao_rubin = all(per_n[r] * q_pow[r] / p_d0 == marg_r[r] for r in range(nmax + 1))
+        rep = damage_check(q, theta, nmax=nmax)
+        assert not marg_ok
+        assert (rep["marginals_match"], rep["rao_rubin_holds"]) == (marg_ok, rao_rubin)
+        assert rep["factorization_violations"] == 0 and rep["status"] == "FAIL"
 
     def test_poisson_split(self):
         rep = poisson_split_check()

@@ -32,7 +32,7 @@ from pitman_lab import (
     step_pmf,
     walk_law,
 )
-from pitman_lab.scaling import scaled_params, scaled_rho
+from pitman_lab.scaling import limit_measure, scaled_params, scaled_rho
 
 CATALOG = [
     ("delta0", MuMeasure.point(0.0)),
@@ -283,6 +283,35 @@ class TestContinuity:
         cum = list(itertools.accumulate(glaw.pmf(n) for n in range(3 * sn + 1)))
         assert [row["exact"] for row in rep["rows"]] == [
             float(cum[math.floor(x * sn)]) for x in self.GRID]
+
+    @pytest.mark.parametrize("N", [100, 10**4, 10**6])
+    @pytest.mark.parametrize("v,regime,kw", [(F(1, 2), "point", {}), (F(0), "point", {}),
+                                             (F(-1, 2), "point", {}), (F(1, 2), "power", {}),
+                                             (F(-3, 10), "corollary", {"u": F(1)})])
+    def test_rows_have_the_bits_of_per_point_evaluation(self, N, v, regime, kw):
+        # the per-point loop the check ran before it evaluated the limit CDF
+        # once on the whole grid: x = 0, the point atom at 1, points past it
+        # and, for the power regime, past its atom at N^0.2
+        grid = [0.0, 0.05, 0.7, 1.0, 1.3, 2.9] + ([16.5] if regime == "power" else [])
+        rep = continuity_check(N, v, regime, grid, **kw)
+        sn, params = scaled_params(N, v)
+        law, vf = parse_initial_law(rep["initial"]), float(v)
+        if regime == "power":
+            limit_fn = lambda x: -math.expm1(-2 * vf * x)  # noqa: E731
+        else:
+            limit_fn = LimitLevelLaw(vf, limit_measure(law, params, sn, regime)).cdf
+        glaw = g_law_from_initial(law, params, "G")
+        rows, sup = [], 0.0
+        for x in grid:
+            exact = float(1 - glaw.tail(math.floor(x * sn) + 1))
+            lim = limit_fn(float(x))
+            rows.append({"x": float(x), "exact": exact, "limit": lim, "diff": exact - lim})
+            sup = max(sup, abs(exact - lim))
+        def bits(rows):
+            return [{k: float.hex(val) for k, val in row.items()} for row in rows]
+
+        assert bits(rep["rows"]) == bits(rows)
+        assert float.hex(rep["sup_distance"]) == float.hex(sup)
 
 
 def test_importing_the_package_leaves_scipy_unloaded():
