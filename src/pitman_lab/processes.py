@@ -29,7 +29,6 @@ from .exact import (
     UnsupportedExactModeError,
     bracket_ratio_float,
     bracket_ratio_rel_err,
-    geometric_bracket_tail,
     left_sum,
     prob_json,
     q_bracket,
@@ -405,6 +404,13 @@ class QNegativeBinomial(InitialLaw):
         object.__setattr__(self, "_cf", float((1 - self.theta) * (1 - self.theta * self.q)))
         object.__setattr__(self, "_df", float(1 - self.theta * self.q))
         object.__setattr__(self, "_qf", float(self.q))
+        # exact tail = c * geometric_bracket_tail(theta, n, 0, q), built once:
+        # K1 theta^n - K2 (theta q)^n with K1 = (1 - theta q)/(1 - q) and
+        # K2 = q (1 - theta)/(1 - q), or theta^n (1 + n (1 - theta)) at q = 1
+        tq = self.theta * self.q
+        ks = ((1, 1 - self.theta) if self.q == 1 else
+              ((1 - tq) / (1 - self.q), self.q * (1 - self.theta) / (1 - self.q)))
+        object.__setattr__(self, "_tail_parts", (tq, *ks))
 
     def pmf(self, n):
         if n < 0:
@@ -412,8 +418,11 @@ class QNegativeBinomial(InitialLaw):
         return q_bracket(n + 1, self.q) * self.theta**n * (1 - self.theta) * (1 - self.theta * self.q)
 
     def tail(self, n):
-        c = (1 - self.theta) * (1 - self.theta * self.q)
-        return c * geometric_bracket_tail(self.theta, max(n, 0), 0, self.q)
+        n = max(n, 0)
+        tq, k1, k2 = self._tail_parts
+        if self.q == 1:
+            return self.theta**n * (k1 + n * k2)
+        return k1 * self.theta**n - k2 * tq**n
 
     def pmf_float(self, n):
         return self._cf * self._r**n * bracket_ratio_float(n + 1, 1, self._log_b)

@@ -31,6 +31,7 @@ from pitman_lab import (
     walk_law,
     walk_path_prob,
 )
+from pitman_lab.exact import geometric_bracket_tail
 
 RHOS = [F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
 
@@ -134,6 +135,19 @@ class TestInitialLaws:
                 (1 - a) * a**i * (1 - b) * b ** (m - i) for i in range(m + 1)
             )
             assert law.pmf(m) == conv
+
+    @pytest.mark.parametrize("law", [
+        QNegativeBinomial(F(1, 4), F(1, 2)),
+        QNegativeBinomial(F(4, 9), F(0)),
+        NegativeBinomial(F(2, 3)),
+        QNegativeBinomial(F(9, 4), F(2, 9)),
+        QNegativeBinomial(F(4), F(1, 5)),
+    ], ids=repr)
+    def test_qnb_tail_is_the_bracket_tail(self, law):
+        # the per-law constants give c * sum_(k>=n) theta^k [k+1]_q exactly
+        c = (1 - law.theta) * (1 - law.theta * law.q)
+        for n in range(-2, 61):
+            assert law.tail(n) == c * geometric_bracket_tail(law.theta, max(n, 0), 0, law.q)
 
     def test_finite_support_must_normalize(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,15 @@ from pitman_lab import (
     step_pmf,
     walk_law,
 )
-from pitman_lab.scaling import limit_measure, scaled_params, scaled_rho
+from pitman_lab.scaling import (
+    _dbinom,
+    _em_coef,
+    _even_floor,
+    exp1,
+    limit_measure,
+    scaled_params,
+    scaled_rho,
+)
 
 CATALOG = [
     ("delta0", MuMeasure.point(0.0)),
@@ -314,13 +322,86 @@ class TestContinuity:
         assert float.hex(rep["sup_distance"]) == float.hex(sup)
 
 
-def test_importing_the_package_leaves_scipy_unloaded():
+# every scaling command, with a blocked scipy: an import of it raises
+NO_SCIPY_ARGVS = [
+    "scaling continuity --N 10000 --v 1/2 --regime point",
+    "scaling continuity --N 10000 --v 1/2 --regime power",
+    "scaling continuity --N 10000 --v=-3/10 --regime corollary --u 1",
+    "scaling kernel --N 100,10000 --t 1 --x 1 --y 1 --v 0.5",
+    "scaling donsker --N 100 --samples 200 --seed 0",
+]
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from pitman_lab import LimitLevelLaw, MuMeasure, RngStream
+from pitman_lab.cli import main
+for argv in {argvs!r}:
+    assert main(argv.split()) == 0, argv
+for atoms, exp_terms in {measures!r}:
+    for v in (-0.3, 0.0, 0.4):
+        law = LimitLevelLaw(v, MuMeasure(atoms, exp_terms))
+        law.cdf(np.linspace(-1.0, 5.0, 13)), law.cdf(0.5), law.pdf(np.array([0.5, 2.0]))
+        law.sample(RngStream(1), 10)
+print("ran without scipy")
+"""
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = pathlib.Path(__import__("pitman_lab").__file__).parents[1]
-    code = ("import sys, pitman_lab, pitman_lab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    out = _run_python("import sys, pitman_lab, pitman_lab.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.stdout.strip() == "[]"
+    # and the scaling layer runs with no scipy at all
+    measures = [(mu.atoms, mu.exp_terms) for _, mu in CATALOG]
+    out = _run_python(NO_SCIPY_RUN.format(argvs=NO_SCIPY_ARGVS, measures=measures))
+    assert out.stdout.endswith("ran without scipy\n")
+
+
+def _ulps(got: float, want) -> float:
+    return float(abs(mp.mpf(got) - want) / math.ulp(float(want)))
+
+
+class TestSpecialFunctions:
+    # either side of the switch from the series to the continued fraction at
+    # 1, and of each change of continued-fraction depth
+    EXP1_EDGES = [b + k * math.ulp(b) for b in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+                  for k in range(-3, 4)] + [1 - 1e-9, 1 + 1e-9, 0.999, 1.001]
+
+    def test_exp1_is_within_16_ulps_of_mpmath(self):
+        xs = np.concatenate([np.geomspace(1e-10, 700.0, 2000), self.EXP1_EDGES])
+        got = exp1(xs)
+        with mp.workdps(30):
+            worst = max(_ulps(g, mp.e1(mp.mpf(float(x)))) for g, x in zip(got, xs))
+        assert worst <= 16
+        assert [exp1(float(x)) for x in xs] == got.tolist()
+
+    def test_em_coef_are_the_rounded_bernoulli_ratios(self):
+        # B_m from sum_(k<=m) C(m+1, k) B_k = 0, independent of the module's table
+        bern = [F(1)]
+        for m in range(1, 25):
+            bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+        assert _em_coef() == [float(bern[2 * j] / math.factorial(2 * j)) for j in range(1, 13)]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 200])
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.6, 0.93])
+    def test_dbinom_is_the_binomial_pmf(self, n, p):
+        # the saddle-point terms are O(n) before they cancel, and e^x turns an
+        # absolute error in x into a relative one: 4 ulps of n + |log pmf|
+        # (the worst seen is 0.65 of that, p in [0.01, 0.93], n <= 1000)
+        q = 1 - p
+        for k in range(-2, n + 3):
+            if not 0 <= k <= n:
+                assert _dbinom(k, n, p, q) == 0.0
+                continue
+            want = math.comb(n, k) * F(p) ** k * F(q) ** (n - k)
+            room = 2.0**-51 * (n + abs(math.log(want)))
+            assert abs(_dbinom(k, n, p, q) - want) <= room * want, k
 
 
 class TestScalingConfig:
@@ -373,6 +454,37 @@ class TestKernelLimit:
     def test_empty_ladder_is_refused(self):
         with pytest.raises(ValueError, match="ladder holds no N"):
             kernel_limit_ladder([], 1.0, 1.0, 1.0, 0.5)
+
+    @staticmethod
+    def _exact_finite(N, t, x, y, v):
+        """kernel_limit_check's finite value from the same float coordinates
+        and rho, over exact path counts, in mpmath at 50 digits."""
+        rho, sn = scaled_rho(N, v), math.sqrt(N)
+        T, x0, xt = _even_floor(t * N), _even_floor(x * sn), _even_floor(y * sn)
+        with mp.workdps(50):
+            r = mp.mpf(rho)
+            counts = [math.comb(T, k) if 0 <= k <= T else 0
+                      for k in ((T + xt - x0) // 2, (T + xt + x0 + 2) // 2)]
+            lr = mp.log(1 / r)
+            ratio = (mp.mpf(xt + 1) / (x0 + 1) if rho == 1.0 else
+                     mp.sinh((xt + 1) * lr) / mp.sinh((x0 + 1) * lr))
+            return mp.sqrt(N) * (counts[0] - counts[1]) / (r + 1 / r) ** T * ratio
+
+    @pytest.mark.parametrize("N", [100, 10**4])
+    @pytest.mark.parametrize("v", [-0.5, 0.0, 0.5])
+    def test_finite_value_matches_exact_path_counts(self, N, v):
+        for x, y in itertools.product((0.5, 1.0, 2.0), repeat=2):
+            got = kernel_limit_check(N, 1.0, x, y, v)["finite"]
+            want = self._exact_finite(N, 1.0, x, y, v)
+            assert abs(got - want) <= 1e-13 * abs(want), (x, y, got)
+
+    # at N = 16: both binomials off [0, T] (T = 4, x0 = 8), the first at
+    # k = 0 (T = 8, x0 = 8) and at k = T (T = 8, x0 = 2, xt = 10)
+    @pytest.mark.parametrize("t,x,y", [(0.25, 2.0, 0.1), (0.5, 2.0, 0.1), (0.5, 0.5, 2.5)])
+    def test_finite_value_at_the_binomial_edges(self, t, x, y):
+        got = kernel_limit_check(16, t, x, y, 0.5)["finite"]
+        want = self._exact_finite(16, t, x, y, 0.5)
+        assert got == 0.0 if want == 0 else abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestLimitProcessSample:
