@@ -159,8 +159,9 @@ def _cmd_law(args):
     if args.object == "walk":
         table = walk_law(args.t, params)
     elif args.object == "chain":
-        table = chain_increment_law(args.t, parse_initial_law(args.initial), params,
-                                    route=args.route)
+        law = parse_initial_law(args.initial)
+        _refuse_unprintable_start(args, law, params)
+        table = chain_increment_law(args.t, law, params, route=args.route)
     elif args.object == "rhs":
         glaw = (parse_initial_law(args.glaw) if args.glaw
                 else g_law_from_initial(parse_initial_law(args.initial), params, "G"))
@@ -189,10 +190,37 @@ def _printable(args, to_json):
     except ValueError:
         if args.object == "walk":
             raise
-        flag = "--glaw" if getattr(args, "glaw", None) else "--initial"
-        raise ValueError(f"{flag} {getattr(args, flag[2:])} gives an exact law with rationals "
-                         f"of more than {sys.get_int_max_str_digits()} digits, more than an "
-                         "exact table prints; take a start law with smaller levels") from None
+        raise _unprintable(args) from None
+
+
+def _unprintable(args) -> ValueError:
+    flag = "--glaw" if getattr(args, "glaw", None) else "--initial"
+    return ValueError(f"{flag} {getattr(args, flag[2:])} gives an exact law with rationals "
+                      f"of more than {sys.get_int_max_str_digits()} digits, more than an "
+                      "exact table prints; take a start law with smaller levels")
+
+
+def _refuse_unprintable_start(args, law, params):
+    """Refuse a point start k whose chain table ``_printable`` would refuse,
+    before any of its brackets is built.
+
+    The all-up path's value is (1/(rho z))^t [k+t+1]_q/[k+1]_q, and with
+    M(m) = |qd^m - qn^m| (q = qn/qd in lowest terms) the bracket ratio is
+    M(k+t+1)/(qd^t M(k+1)).  For coprime qn, qd, gcd(M(a), M(b)) =
+    M(gcd(a, b)), and g = gcd(k+t+1, k+1) divides t, so in lowest terms the
+    ratio's denominator keeps M(k+1)/M(g) > max(qn, qd)^(k-t), of which
+    (1/(rho z))^t = (rd zd)^t/(rn zn)^t cancels at most (rd zd)^t.  When
+    what is left is 10^limit or more, the table cannot print.  At q = 1 the
+    price is 0 and nothing is refused here."""
+    limit, atoms = sys.get_int_max_str_digits(), law.atoms()
+    if not limit or args.t < 1 or atoms is None or len(atoms) != 1:
+        return
+    k, t = atoms[0][0], args.t
+    qmax = max(params.q.numerator, params.q.denominator)
+    cancel = (params.rho.denominator * params.z.denominator).bit_length()
+    bits = (k - t) * (qmax.bit_length() - 1) - t * cancel  # log2 of the denominator, at least
+    if bits * 1000 > limit * 3322:  # 2^bits > 10^limit, as log2(10) < 3.322
+        raise _unprintable(args)
 
 
 def _cmd_sample(args):

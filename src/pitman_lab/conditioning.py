@@ -212,6 +212,31 @@ def _piece_laws(lengths, probs: dict) -> dict:
         law, step = step, law
 
 
+class _GuideTable:
+    """``np.searchsorted(cdf, u, side="right")`` for uniforms u in [0, 1),
+    mostly without a search: the guide-table method of Chen and Asau (1974;
+    Devroye, Non-Uniform Random Variate Generation, 1986, sec. III.2.4).
+
+    The 2^b buckets [i/2^b, (i+1)/2^b), 2^b >= 4 len(cdf), each know
+    start[i], the count of cdf entries <= i/2^b.  The count for any u in
+    bucket i lies in [start[i], start[i+1]], so a bucket whose two ends
+    agree answers outright; u 2^b is exact, so the bucket is too.  Only a
+    draw in a bucket that holds a cdf entry is searched for."""
+
+    def __init__(self, cdf: np.ndarray):
+        self.cdf = cdf
+        self.scale = float(1 << max(0, 4 * len(cdf) - 1).bit_length())
+        edges = np.arange(self.scale + 1) / self.scale
+        start = np.searchsorted(cdf, edges, side="right").astype(np.int32)
+        self.guide = np.where(start[:-1] == start[1:], start[:-1], np.int32(-1))
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        cell = self.guide[(u * self.scale).astype(np.intp)]
+        miss = np.flatnonzero(cell < 0)
+        cell[miss] = np.searchsorted(self.cdf, u[miss], side="right")
+        return cell
+
+
 def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
                      horizon_pad: int = 200, n_samples: int = 200000,
                      rng=None) -> dict:
@@ -224,16 +249,21 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
     later-dip probability rho^(2(S_T + V + 1)), reported as
     ``truncation_bound``.
 
-    Only each walk's first t values, window minimum and last value matter,
-    so only the head is drawn step by step, one uniform per step.  The
+    Only each walk's first t steps, window minimum and last value matter,
+    so only the head is drawn step by step, one uniform per step, and read
+    one column (step) at a time over the batch: the running value, the
+    minimum and the head's key, its steps + 1 as base-3 digits with the
+    first step highest, in the narrowest signed type holding 3^t - 1.  The
     window past the head is cut into pieces of at most _PIECE_STEPS steps,
     and each piece's (minimum, endpoint) pair is drawn with one uniform by
     inverse CDF on its joint law (``_piece_laws``, a float dynamic program
     over the same step probabilities the head compares its uniforms with; no
-    survival or level formula of the exact routes enters it).  Walks
-    come in batches of _REJECTION_CHUNK, each batch drawing its head
-    uniforms, then one uniform per piece and walk, then its levels V.
-    Seeded results therefore depend on _PIECE_STEPS and _REJECTION_CHUNK.
+    survival or level formula of the exact routes enters it), looked up in a
+    guide table (``_GuideTable``), which finds the cell a binary search
+    would.  Walks come in batches of _REJECTION_CHUNK, each batch drawing
+    its head uniforms, then one uniform per piece and walk, then its levels
+    V.  Seeded results therefore depend on _PIECE_STEPS and
+    _REJECTION_CHUNK only, not on how a draw is looked up.
     """
     eff = _effective_params(params, part)
     if t < 0:
@@ -255,16 +285,15 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
     full, rest = divmod(horizon_pad, _PIECE_STEPS)
     pieces = [_PIECE_STEPS] * full + [rest] * (rest > 0)
     laws = _piece_laws(set(pieces), probs) if pieces else {}
-    draws = {}  # piece length -> (a, e, cdf) over the cells of positive mass
+    draws = {}  # piece length -> (a, e, guide) over the cells of positive mass
     for n, law in laws.items():
         a, col = np.nonzero(law)
         cdf = np.cumsum(law[a, col])
         # the last cell takes whatever the rounded cdf leaves above cdf[-2]
-        draws[n] = a, col - (law.shape[1] // 2), cdf[:-1]
-    dtype = _level_dtype(t)
+        draws[n] = a, col - (law.shape[1] // 2), _GuideTable(cdf[:-1])
+    key_dtype = _level_dtype(3**t - 1)
 
-    heads, keys = [], []  # keys: the head's steps + 1 as base-3 digits, first step highest
-    digit = 3 ** np.arange(t - 1, -1, -1, dtype=np.int64)
+    keys = []  # per batch, the accepted heads' keys
     dip_mass = 0.0
     rho_f = float(eff.rho)
     remaining = n_samples
@@ -274,27 +303,31 @@ def rejection_oracle(t: int, vlaw: InitialLaw, params: Params, part: str = "I",
         u = gen.random((m, t))
         # +1 below p_up, -1 at or above p_up + p_flat, 0 between
         steps = (u < p_up).view(np.int8) - (u >= p_up + p_flat).view(np.int8)
-        head = np.cumsum(steps, axis=1, dtype=dtype)
         pos, low = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
-        if t:
-            pos += head[:, -1]
-            np.minimum(low, head.min(axis=1), out=low)
+        key = np.zeros(m, dtype=key_dtype)
+        for step in steps.T:
+            pos += step
+            np.minimum(low, pos, out=low)
+            key *= 3
+            key += step
+        key += (3**t - 1) // 2  # the steps + 1 as digits: each digit up by one
         for n in pieces:
-            a, e, cdf = draws[n]
-            cell = np.searchsorted(cdf, gen.random(m), side="right")
+            a, e, guide = draws[n]
+            cell = guide(gen.random(m))
             np.minimum(low, pos - a[cell], out=low)
             pos += e[cell]
         v = vlaw.sample(gen, m)
         keep = (low + v) >= 0
         dip_mass += float(np.sum(rho_f ** (2.0 * (pos[keep] + v[keep] + 1))))
-        heads.append(head[keep])
-        keys.append((steps[keep] + 1) @ digit)
+        keys.append(key[keep])
 
-    heads, keys = np.concatenate(heads), np.concatenate(keys)
-    accepted = len(heads)
+    keys = np.concatenate(keys)
+    accepted = len(keys)
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    entries = {Path.from_values((0,) + tuple(heads[first[i]].tolist())): int(counts[i]) / accepted
-               for i in np.argsort(first)}  # first-seen order
+    order = np.argsort(first)  # first-seen order
+    digits = keys[first[order], None] // 3 ** np.arange(t - 1, -1, -1, dtype=np.int64) % 3
+    entries = {Path._trusted(tuple(row)): int(c) / accepted
+               for row, c in zip((digits - 1).tolist(), counts[order])}
     return {
         "table": DistTable(t, "approx", entries),
         "accepted": accepted,

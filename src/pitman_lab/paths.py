@@ -5,8 +5,9 @@ sequence is materialized on construction.  Every law of the package depends
 on a path only through its class (K0, x_t, H): global minimum, end and number
 of flat steps.  ``path_classes`` yields each class key with the class size,
 O(t^3) classes against the 3^t paths of ``enumerate_paths``, and
-``class_path`` and ``class_rows`` the representatives.  Both enumerations are
-capped at the same horizon (default 14, override with ``PITMAN_LAB_CAP``).
+``class_path`` and ``class_rows`` the representatives; ``path_rows`` holds
+every path as the rows of one array.  The enumerations are capped at the
+same horizon (default 14, override with ``PITMAN_LAB_CAP``).
 """
 
 from __future__ import annotations
@@ -158,6 +159,18 @@ def enumerate_paths(t: int, allow_flat: bool = True) -> Iterator[Path]:
     steps = _STEPS if allow_flat else (-1, 1)
     for incs in itertools.product(steps, repeat=t):
         yield Path._trusted(incs)
+
+
+def path_rows(t: int) -> np.ndarray:
+    """The steps of every path of horizon t, in the order of
+    ``enumerate_paths``: row i holds the base-3 digits of i, first step
+    highest, each less one, as an int8 array of shape (3^t, t).  Capped as
+    ``enumerate_paths`` is."""
+    _refuse_beyond_cap(t, True)
+    rows = np.empty((3**t, t), dtype=np.int8)
+    for j in range(t):  # i = (prefix, digit j, suffix) in base 3
+        rows.reshape(3**j, 3, 3 ** (t - 1 - j), t)[..., j] = np.array(_STEPS, np.int8)[:, None]
+    return rows
 
 
 def path_classes(t: int, allow_flat: bool = True) -> Iterator[tuple]:

@@ -44,7 +44,8 @@ class Params:
     """Walk/chain parameters (rho, sigma), both exact rationals.
 
     q = rho^2 and the normalizer z = rho + sigma + 1/rho are derived on
-    access, never stored.
+    first access and kept, once per instance; they take no part in
+    equality, hashing or the repr.
     """
 
     rho: Rat
@@ -58,11 +59,11 @@ class Params:
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
 
-    @property
+    @functools.cached_property
     def q(self) -> Rat:
         return self.rho**2
 
-    @property
+    @functools.cached_property
     def z(self) -> Rat:
         return self.rho + self.sigma + 1 / self.rho
 

@@ -8,10 +8,12 @@ The walk sampler compares float64 uniforms with its step thresholds.  The
 chain sampler reads each step's uniform as a 16-bit digit and draws the rest
 of it, from a second Philox stream keyed by the first, only when the digit
 ties a threshold (see ``sample_chain``): four steps per 64-bit word instead
-of one, with each step's law exact to 2^-69 instead of 2^-53.  The chain's
-hold probability sigma/z is the same at every level, since up(k) + dn(k) =
-1 - sigma/z exactly, so a step compares its digit with one level-dependent
-threshold up(k) and one move threshold shared by every chain and level.
+of one, with each step's law exact to 2^-69 instead of 2^-53.  The digits
+are uint16 views of the Philox words, never copied to a wider type.  The
+chain's hold probability sigma/z is the same at every level, since up(k) +
+dn(k) = 1 - sigma/z exactly, so a step compares its digit with one
+level-dependent threshold up(k) and one move threshold shared by every chain
+and level.
 """
 
 from __future__ import annotations
@@ -116,17 +118,20 @@ def _exact_digit_split(p: Fraction):
 
 
 def _digit_blocks(bit_gen, t: int, n: int):
-    """t rows of n 16-bit digits as int32, in blocks of ``block_rows(n)`` rows.
+    """t rows of n 16-bit digits as uint16, in blocks of ``block_rows(n)`` rows.
 
     Each 64-bit word of ``bit_gen.random_raw`` holds four digits, low bits
-    first.  A block's unused digits start the next block, so the digit stream
-    does not depend on the block size."""
+    first, read in place as a little-endian uint16 view.  A block's unused
+    digits start the next block, so the digit stream does not depend on the
+    block size."""
     rows = block_rows(n)
-    carry = np.empty(0, dtype=np.int32)
+    carry = np.empty(0, dtype="<u2")
     for j0 in range(0, t, rows):
         m = min(rows, t - j0)
         words = bit_gen.random_raw(-(-(m * n - len(carry)) // 4)).astype("<u8", copy=False)
-        digits = np.concatenate([carry, words.view("<u2")], dtype=np.int32)
+        digits = words.view("<u2")
+        if len(carry):
+            digits = np.concatenate([carry, digits])
         carry = digits[m * n:].copy()
         yield digits[:m * n].reshape(m, n)
 
@@ -161,7 +166,11 @@ def sample_chain(t: int, law: InitialLaw, params: Params, rng, n: int = 1) -> np
     continuation stream, then the digits, four to a word of
     ``bit_generator.random_raw``, ``block_rows(n)`` steps of n digits at a
     time.  A block's unused digits start the next one, so seeded paths do
-    not depend on the block size.
+    not depend on the block size.  The digits are read as uint16 in place,
+    and at sigma > 0, where every threshold is below 1 and its digit below
+    2^16, the table of up digits is uint16 too, so each comparison runs on
+    16-bit lanes with no copy; at sigma = 0 level 0's threshold is 1, digit
+    2^16, and the table and each block of digits are int32.
 
     Levels are >= 0 and a chain moves at most t steps, so no level exceeds
     max(start) + t: the paths come in the narrowest signed integer type that
@@ -212,6 +221,8 @@ def _chain_rows(t: int, law: InitialLaw, params: Params, rng, n: int, keep: int)
     over = (up_hi > move_hi) | ((up_hi == move_hi) & (up_lo > move_lo))
     over[0] |= k[0] == 0
     up_hi[over], up_lo[over] = move_hi, move_lo
+    if move_hi < _DIGITS:  # sigma > 0: every threshold digit fits the digits' type
+        up_hi = up_hi.astype(np.uint16)
 
     # rows hold table indices, level - chain_base, until the end; both lie
     # in [0, max(start) + t], which the level type holds
@@ -224,6 +235,7 @@ def _chain_rows(t: int, law: InitialLaw, params: Params, rng, n: int, keep: int)
     step = np.empty(n, dtype=np.int8)
     j = 0
     for block in _digit_blocks(gen.bit_generator, t, n):
+        block = block.astype(up_hi.dtype, copy=False)  # one cast a block, not per compare
         below_move = block < move_hi
         at_move = block == move_hi
         for h, below_mv, at_mv, move_tie in zip(block, below_move, at_move,

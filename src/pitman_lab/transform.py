@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import Path, enumerate_paths, stats
+from .paths import Path, _refuse_beyond_cap, path_rows, stats
 from .sampling import RngStream, _level_dtype, block_rows, check_path_levels
 
 
@@ -168,6 +168,8 @@ def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
     of levels g1, g2 <= t + 1, then on ``samples`` random paths of horizon
     t_random with uniform steps in {-1, 0, 1}, each at its own random pair
     (g1, g2) <= g_max, all drawn from the one stream ``RngStream(seed)``.
+    The exhaustive paths are the rows of ``path_rows``, not Path objects;
+    a t_exhaustive past the horizon cap is refused before any work.
 
     Both parts run in row blocks of ``block_rows`` of their widest broadcast
     row, in the narrowest integer type holding every value (|value| <= 5t).
@@ -181,6 +183,7 @@ def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
         # levels are drawn as int64 in [0, g_max]; clipping them would change their law
         raise ValueError(f"--g-max must be < 2^63, got {g_max}")
     check_path_levels(t_random, samples, "--t-random")
+    _refuse_beyond_cap(t_exhaustive, True)  # before the horizons below it run
     stream = RngStream(seed)  # refuses a bad seed before the exhaustive part runs
     violations = 0
 
@@ -189,7 +192,8 @@ def verify_tropical(t_exhaustive: int, t_random: int, samples: int, g_max: int,
 
     for t in range(t_exhaustive + 1):
         dtype = _level_dtype(5 * t + 1)
-        vals = np.array([p.values for p in enumerate_paths(t)], dtype=dtype).reshape(-1, t + 1)
+        vals = np.zeros((3**t, t + 1), dtype=dtype)
+        np.cumsum(path_rows(t), axis=1, dtype=dtype, out=vals[:, 1:])
         g = np.arange(t + 2, dtype=dtype)[:, None, None]
         rows = block_rows((t + 2) ** 2 * (t + 1))
         for i in range(0, len(vals), rows):

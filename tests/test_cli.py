@@ -534,3 +534,71 @@ def test_one_parser_serves_every_call_as_a_fresh_interpreter():
     assert [(p.returncode, p.stdout, p.stderr) for p in fresh] == in_process
     assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 2, 0, 0]
     assert build_parser() is build_parser()
+
+
+class TestPointStartPrice:
+    """``law chain`` prices a point start's brackets before building them."""
+
+    def test_a_billion_level_start_is_refused_at_once(self):
+        import os
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__import__("pitman_lab").__file__).parents[1]
+        argv = ["law", "chain", "--rho", "1/2", "--t", "1", "--initial", "point:1000000000"]
+        start = time.perf_counter()
+        child = subprocess.run([sys.executable, "-m", "pitman_lab.cli", *argv],
+                               capture_output=True, text=True, timeout=30,
+                               env={**os.environ, "PYTHONPATH": str(src)})
+        assert time.perf_counter() - start < 5.0
+        assert child.returncode == 2 and not child.stdout
+        assert json.loads(child.stderr)["error"].startswith(
+            "--initial point:1000000000 gives an exact law with rationals of more than "
+            f"{sys.get_int_max_str_digits()} digits")
+
+    def test_refused_before_any_table_is_built(self, capsys, monkeypatch):
+        import pitman_lab.cli as cli
+
+        def built(*args, **kwargs):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(cli, "chain_increment_law", built)
+        code, _, err = run(capsys, "law", "chain", "--rho", "1/2", "--t", "1",
+                           "--initial", "point:10000")
+        assert code == 2 and "--initial point:10000" in json.loads(err)["error"]
+
+    def test_at_q_one_a_far_start_still_prints(self, capsys):
+        code, rep, _ = run_json(capsys, "law", "chain", "--rho", "1", "--t", "1",
+                                "--initial", "point:1000000000")
+        assert code == 0 and rep["mass"] == "1/1"
+
+    @pytest.mark.parametrize("rho,sigma,t", [("1/2", "0", 1), ("1/2", "1", 3), ("2/3", "1", 2),
+                                             ("3/2", "1/3", 2), ("5/7", "2", 1)])
+    def test_every_start_priced_out_would_not_print(self, rho, sigma, t):
+        # the smallest start the price refuses: its table, built, cannot print
+        import sys
+
+        from pitman_lab import PointMass, chain_increment_law
+        from pitman_lab.cli import _refuse_unprintable_start
+
+        params = Params(Fraction(rho), Fraction(sigma))
+
+        def refused(k):
+            args = argparse.Namespace(object="chain", t=t, initial=f"point:{k}")
+            try:
+                _refuse_unprintable_start(args, PointMass(k), params)
+            except ValueError:
+                return True
+            return False
+
+        lo, hi = 0, 1 << 20  # not refused at lo, refused at hi
+        assert not refused(lo) and refused(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+        # and the price is not loose: that start's bracket has under 1.25 times
+        # the digit limit
+        digits = hi * math.log10(max(params.q.numerator, params.q.denominator))
+        assert digits < 1.25 * sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match="integer string conversion"):
+            chain_increment_law(t, PointMass(hi), params).to_json()

@@ -26,7 +26,7 @@ from pitman_lab import (
     verify_thm2,
 )
 from pitman_lab import conditioning
-from pitman_lab.conditioning import _PIECE_STEPS, _REJECTION_CHUNK, _piece_laws
+from pitman_lab.conditioning import _PIECE_STEPS, _REJECTION_CHUNK, _GuideTable, _piece_laws
 
 
 class TestSurvivalProb:
@@ -215,6 +215,47 @@ class TestPieceLaws:
     def test_zero_steps_is_the_start(self):
         laws = _piece_laws({0}, step_pmf(Params(F(1, 2), F(1))))
         assert list(laws) == [0] and laws[0].tolist() == [[1.0]]
+
+
+def _piece_cdf():
+    law = _piece_laws({_PIECE_STEPS}, step_pmf(Params(F(1, 2), F(1))))[_PIECE_STEPS]
+    return np.cumsum(law[law > 0])[:-1]
+
+
+class TestGuideTable:
+    """The guide table finds the cell np.searchsorted(cdf, u, side="right") does."""
+
+    @staticmethod
+    def check(cdf):
+        cdf = np.asarray(cdf, dtype=np.float64)
+        guide = _GuideTable(cdf)
+        edges = np.arange(guide.scale) / guide.scale  # every bucket's lower edge, exactly
+        inside = cdf[(cdf >= 0) & (cdf < 1)]
+        u = np.concatenate([
+            edges, np.nextafter(edges[1:], 0), inside, np.nextafter(inside, 0),
+            np.nextafter(inside, 1)[np.nextafter(inside, 1) < 1],
+            np.random.default_rng(3).random(20000), [0.0, np.nextafter(1.0, 0)]])
+        assert np.array_equal(guide(u), np.searchsorted(cdf, u, side="right"))
+        assert guide.scale >= len(cdf)
+
+    @pytest.mark.parametrize("cdf", [[], [0.5], [0.0], [1.0], [0.25, 0.25, 0.25, 0.75],
+                                     [0.0, 0.0, 0.5, 1.0, 1.0]], ids=str)
+    def test_short_and_repeated_cdfs(self, cdf):
+        self.check(cdf)
+
+    def test_thousands_of_cells_inside_one_bucket(self):
+        # 5000 cells within 2^-39 above 0.3: all in one bucket
+        tiny = 0.3 + np.arange(5000) * 2.0**-52
+        self.check(np.concatenate([[0.1], tiny, [0.9]]))
+
+    def test_a_piece_law(self):
+        self.check(_piece_cdf())
+
+    def test_most_draws_need_no_search(self):
+        cdf = _piece_cdf()
+        guide = _GuideTable(cdf)
+        u = np.random.default_rng(5).random(100000)
+        assert np.mean(guide.guide[(u * guide.scale).astype(np.intp)] < 0) < 0.05
 
 
 class TestRejectionOracle:

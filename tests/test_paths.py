@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pitman_lab import HorizonCapError, Path, enumerate_paths, path_count, stats
+from pitman_lab.paths import path_rows
 
 
 def naive_stats(path):
@@ -123,3 +124,14 @@ class TestEnumeration:
             list(enumerate_paths(14 + 1))
         monkeypatch.setenv("PITMAN_LAB_CAP", "15")
         next(enumerate_paths(15))  # cap lifted via env override
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 5, 7])
+    def test_path_rows_are_the_enumeration(self, t):
+        rows = path_rows(t)
+        assert rows.dtype == np.int8 and rows.shape == (3**t, t)
+        assert [tuple(r) for r in rows.tolist()] == [p.steps for p in enumerate_paths(t)]
+
+    def test_path_rows_refuse_past_the_cap(self, monkeypatch):
+        monkeypatch.setenv("PITMAN_LAB_CAP", "3")
+        with pytest.raises(HorizonCapError, match="81 paths"):
+            path_rows(4)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pitman_lab import (
+    HorizonCapError,
     Path,
     RngStream,
     apply_T,
@@ -371,6 +372,14 @@ def test_verify_tropical_counts_no_violation():
     rep = verify_tropical(t_exhaustive=3, t_random=20, samples=500, g_max=5, seed=1)
     assert rep["violations"] == 0 and rep["status"] == "PASS"
     assert rep["random"] == {"samples": 500, "t": 20, "g_max": 5, "seed": 1}
+
+
+def test_verify_tropical_refuses_a_horizon_past_the_cap_before_any_work(monkeypatch):
+    # the horizons below the cap would run first, were the refusal per horizon
+    monkeypatch.setenv("PITMAN_LAB_CAP", "3")
+    monkeypatch.setattr(transform, "tropical_identities_batch", None)
+    with pytest.raises(HorizonCapError, match="horizon 4 exceeds cap 3"):
+        verify_tropical(t_exhaustive=4, t_random=5, samples=10, g_max=3, seed=0)
 
 
 def test_verify_tropical_refuses_oversized_work():
