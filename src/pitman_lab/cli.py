@@ -19,7 +19,8 @@ import math
 import sys
 
 from . import __version__
-from .exact import Approx, RegimeError, UnsupportedExactModeError, left_sum, parse_rat, prob_json
+from .exact import (Approx, RegimeError, UnsupportedExactModeError, left_sum, parse_rat, prob_json,
+                    rat_str)
 from .paths import Path, HorizonCapError
 from .processes import (
     Params,
@@ -48,6 +49,12 @@ from .transform import preimage, verify_tropical
 
 SCHEMA = "report-v1"
 _GRID_CAP = 100_000  # points of one --grid
+#: the most bits b^(k+1) - a^(k+1) may have for the top atom k of an exact
+#: --initial law at q = a/b: every exact route builds that q-bracket, and
+#: the gcds of values its size grow with its square (`verify thm1` at
+#: rho = 2/3, sigma = 1, t = 2 took 0.8 s from a point start of 317 000 bits
+#: and 2.2 s from one of 523 000, 2 shared vCPUs)
+BRACKET_BUDGET_BITS = 1 << 19
 _JSON_BLOCK = 1024  # items per C-encoded string of a report
 
 
@@ -159,17 +166,16 @@ def _cmd_law(args):
     if args.object == "walk":
         table = walk_law(args.t, params)
     elif args.object == "chain":
-        law = parse_initial_law(args.initial)
-        _refuse_unprintable_start(args, law, params)
-        table = chain_increment_law(args.t, law, params, route=args.route)
+        _refuse_unprintable_start(args, parse_initial_law(args.initial), params)
+        table = chain_increment_law(args.t, _priced_start(args), params, route=args.route)
     elif args.object == "rhs":
         glaw = (parse_initial_law(args.glaw) if args.glaw
-                else g_law_from_initial(parse_initial_law(args.initial), params, "G"))
+                else g_law_from_initial(_priced_start(args), params, "G"))
         table = rhs_law_enumeration(args.t, glaw, params)
     else:  # level
         if args.nmax < 0:
             raise ValueError(f"--nmax must be >= 0, got {args.nmax}: no level would be printed")
-        glaw = g_law_from_initial(parse_initial_law(args.initial), params, args.which)
+        glaw = g_law_from_initial(_priced_start(args), params, args.which)
         # float laws carry their certified error: {"value", "err"} per level
         entries = _printable(args, lambda: {
             n: prob_json(glaw.pmf(n) if glaw.exact else Approx(glaw.pmf(n), glaw.pmf_err(n)))
@@ -221,6 +227,25 @@ def _refuse_unprintable_start(args, law, params):
     bits = (k - t) * (qmax.bit_length() - 1) - t * cancel  # log2 of the denominator, at least
     if bits * 1000 > limit * 3322:  # 2^bits > 10^limit, as log2(10) < 3.322
         raise _unprintable(args)
+
+
+def _priced_start(args):
+    """The --initial law of an exact command, refused before any of its
+    brackets is built when its top atom k prices its q-bracket's numerator
+    b^(k+1) - a^(k+1) (q = rho^2 = a/b in lowest terms, or 1/q, the same
+    price) at more than BRACKET_BUDGET_BITS: about (k + 1) log2 max(a, b)
+    bits, 0 at q = 1, where the bracket is k + 1."""
+    law, q = parse_initial_law(args.initial), _params(args).q
+    atoms = law.atoms()
+    if atoms is not None:
+        k = atoms[-1][0]
+        bits = math.ceil((k + 1) * math.log2(max(q.numerator, q.denominator)))
+        if bits > BRACKET_BUDGET_BITS:
+            raise ValueError(f"--initial {args.initial} has an atom at level {k}, whose q-bracket "
+                             f"at q = {rat_str(q)} takes about {bits} bits, over the budget of "
+                             f"{BRACKET_BUDGET_BITS} bits of an exact start law; take a start "
+                             "law with smaller levels")
+    return law
 
 
 def _cmd_sample(args):
@@ -277,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--part", choices=["I", "II"], default="I")
     p.add_argument("--candidate", help="level law to test instead of the derived one")
     p.set_defaults(fn=lambda a: verify_thm1(
-        a.t, parse_initial_law(a.initial), _params(a), a.part,
+        a.t, _priced_start(a), _params(a), a.part,
         candidate=parse_initial_law(a.candidate) if a.candidate else None))
 
     p = vsub.add_parser("thm2", help="chain law == conditioned-walk law")
@@ -285,14 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=4)
     p.add_argument("--initial", required=True)
     p.add_argument("--part", choices=["I", "II"], default="I")
-    p.set_defaults(fn=lambda a: verify_thm2(a.t, parse_initial_law(a.initial), _params(a),
-                                            a.part))
+    p.set_defaults(fn=lambda a: verify_thm2(a.t, _priced_start(a), _params(a), a.part))
 
     p = vsub.add_parser("two-sided", help="plain vs sign-flipped representations")
     _add_params(p)
     p.add_argument("--t", type=int, default=4)
     p.add_argument("--initial", required=True)
-    p.set_defaults(fn=lambda a: verify_two_sided(a.t, parse_initial_law(a.initial), _params(a)))
+    p.set_defaults(fn=lambda a: verify_two_sided(a.t, _priced_start(a), _params(a)))
 
     p = vsub.add_parser("tropical", help="max-plus operator identities")
     p.add_argument("--t-exhaustive", type=int, default=6)

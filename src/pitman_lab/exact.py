@@ -88,6 +88,13 @@ def q_bracket(n: int, q: Rat) -> Rat:
     return (q**n - 1) / (q - 1)
 
 
+def bracket_int(m: int, a: int, b: int) -> int:
+    """[m]_q b^(m-1) for q = a/b and m >= 1: the int (b^m - a^m)/(b - a),
+    a sum of m positive terms, and m itself at q = 1.  Over b^(m-1) it is
+    [m]_q, a pair in lowest terms for coprime a and b."""
+    return m if a == b else (b**m - a**m) // (b - a)
+
+
 def geometric_tail(r: Rat, a: int) -> Rat:
     """Sum of r^k for k >= a, requiring 0 <= r < 1."""
     r = rat(r)
@@ -145,7 +152,7 @@ def rel_err(*parts):
     every Python and in both forms.
     """
     total = left_sum(parts[1:], parts[0])
-    if np.ndim(total):
+    if isinstance(total, np.ndarray):
         return np.where(total <= 0.01, 1.05 * total, math.inf)
     return 1.05 * total if total <= 0.01 else math.inf
 

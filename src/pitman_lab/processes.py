@@ -27,6 +27,7 @@ from .exact import (
     UNIT_ROUNDOFF,
     Rat,
     UnsupportedExactModeError,
+    bracket_int,
     bracket_ratio_float,
     bracket_ratio_rel_err,
     left_sum,
@@ -125,8 +126,10 @@ class InitialLaw:
 
     Subclasses provide the pmf and upper tail (pmf(n) = 0 for n < 0 and
     tail(n) = 1 for n <= 0), plus (where a closed form exists) a geometric
-    representation of pmf(k)/[k+1]_q used by the exact tail sums.  ``exact``
-    marks laws with rational pmf values; ``pmf_err``/``tail_err`` bound the
+    representation of pmf(k)/[k+1]_q used by the exact tail sums.  The
+    exact level laws read the tail and those sums as int pairs
+    (``tail_pair``, ``ratio_tail_pair``), which skip the gcd of a Fraction.
+    ``exact`` marks laws with rational pmf values; ``pmf_err``/``tail_err`` bound the
     error of the values of the others.  Float mode reads
     ``pmf_float``/``tail_float`` with the relative error bound
     ``float_rel_err``; laws with closed forms override all three so that no
@@ -198,6 +201,13 @@ class InitialLaw:
 
     # -- exact tail machinery ------------------------------------------------
 
+    def tail_pair(self, n: int):
+        """P(X >= n) as an int pair (numerator, denominator > 0): here the
+        parts of ``tail``; a law that overrides it may leave the pair
+        unreduced."""
+        value = self.tail(n)
+        return value.numerator, value.denominator
+
     def ratio_tail_exact(self, n: int, q: Rat) -> Rat:
         """Sum of pmf(j)/[j+1]_q over j >= n, in closed form.
 
@@ -206,26 +216,30 @@ class InitialLaw:
         c/(1 - r) of the ``ratio_geometric_form`` (c, r).  A value is then
         the suffix sum from the first atom j >= n, or c/(1 - r) r^n.
         """
-        sums = self.__dict__.setdefault("_ratio_tails_by_q", {})
-        if q not in sums:
-            sums[q] = self._ratio_tails(q)
-        return sums[q](n)
+        return self._ratio_tails(q).fraction(n)
+
+    def ratio_tail_pair(self, n: int, q: Rat):
+        """``ratio_tail_exact(n, q)`` as an int pair (numerator, denominator
+        > 0), not always in lowest terms: the suffix sum's parts, or
+        (C_num r_num^n, C_den r_den^n) for C = c/(1 - r)."""
+        return self._ratio_tails(q).pair(n)
 
     def _ratio_tails(self, q: Rat):
-        atoms = self.atoms()
-        if atoms is not None:
-            levels = [j for j, _ in atoms]
-            weights = (p / q_bracket(j + 1, q) for j, p in reversed(atoms))
-            suffix = list(itertools.accumulate(weights, initial=Fraction(0)))[::-1]
-            return lambda n: suffix[bisect.bisect_left(levels, n)]
-        form = self.ratio_geometric_form(q)
-        if form is None:
-            raise UnsupportedExactModeError(
-                f"{self.cli_string()!r} has no exact tail sum at q={q}; use approx mode"
-            )
-        c, r = form
-        scale = c / (1 - r)
-        return lambda n: scale * r**n
+        sums = self.__dict__.setdefault("_ratio_tails_by_q", {})
+        key = q.numerator, q.denominator  # a tuple hashes faster than a Fraction
+        if key not in sums:
+            atoms = self.atoms()
+            if atoms is not None:
+                sums[key] = _AtomSums([j for j, _ in atoms],
+                                      [p / q_bracket(j + 1, q) for j, p in atoms])
+            elif (form := self.ratio_geometric_form(q)) is not None:
+                c, r = form
+                sums[key] = _GeometricSums(c / (1 - r), r)
+            else:
+                raise UnsupportedExactModeError(
+                    f"{self.cli_string()!r} has no exact tail sum at q={q}; use approx mode"
+                )
+        return sums[key]
 
     def exact_capable(self, q: Rat) -> bool:
         return self.atoms() is not None or self.ratio_geometric_form(q) is not None
@@ -269,6 +283,36 @@ class InitialLaw:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.cli_string()!r})"
+
+
+class _AtomSums:
+    """Suffix sums of per-atom Fractions: the value at n is the sum over the
+    atoms at levels >= n, kept in lowest terms."""
+
+    def __init__(self, levels, values):
+        self.levels = levels
+        self.suffix = list(itertools.accumulate(reversed(values), initial=Fraction(0)))[::-1]
+
+    def fraction(self, n):
+        return self.suffix[bisect.bisect_left(self.levels, n)]
+
+    def pair(self, n):
+        value = self.fraction(n)
+        return value.numerator, value.denominator
+
+
+class _GeometricSums:
+    """C r^n for rationals C and r >= 0: the pair (C_num r_num^n, C_den r_den^n)."""
+
+    def __init__(self, scale, r):
+        self.cn, self.cd, self.rn, self.rd = (scale.numerator, scale.denominator,
+                                              r.numerator, r.denominator)
+
+    def fraction(self, n):
+        return Fraction(*self.pair(n))
+
+    def pair(self, n):
+        return self.cn * self.rn**n, self.cd * self.rd**n
 
 
 @dataclass(frozen=True, repr=False)
@@ -405,25 +449,36 @@ class QNegativeBinomial(InitialLaw):
         object.__setattr__(self, "_cf", float((1 - self.theta) * (1 - self.theta * self.q)))
         object.__setattr__(self, "_df", float(1 - self.theta * self.q))
         object.__setattr__(self, "_qf", float(self.q))
-        # exact tail = c * geometric_bracket_tail(theta, n, 0, q), built once:
-        # K1 theta^n - K2 (theta q)^n with K1 = (1 - theta q)/(1 - q) and
-        # K2 = q (1 - theta)/(1 - q), or theta^n (1 + n (1 - theta)) at q = 1
-        tq = self.theta * self.q
-        ks = ((1, 1 - self.theta) if self.q == 1 else
-              ((1 - tq) / (1 - self.q), self.q * (1 - self.theta) / (1 - self.q)))
-        object.__setattr__(self, "_tail_parts", (tq, *ks))
+        # the int parts of the exact values, built once, for q = a/b and
+        # theta = t/s: the pmf c [n+1]_q theta^n with c = (1 - theta)
+        # (1 - theta q), and the tail c * geometric_bracket_tail(theta, n, 0, q)
+        # = K1 theta^n - K2 (theta q)^n, K1 = (1 - theta q)/(1 - q) and
+        # K2 = q (1 - theta)/(1 - q), over D s^n b^n with K1 = k1/D,
+        # K2 = k2/D and D = s |b - a|; at q = 1 it is theta^n (1 + n (1 - theta))
+        a, b = self.q.numerator, self.q.denominator
+        t, s = self.theta.numerator, self.theta.denominator
+        c = (1 - self.theta) * (1 - self.theta * self.q)
+        sign = 1 if b >= a else -1
+        object.__setattr__(self, "_pmf_ints", (a, b, t, s, c.numerator, c.denominator))
+        object.__setattr__(self, "_tail_ints", (a, b, t, s, sign * (s * b - t * a),
+                                                sign * a * (s - t), sign * s * (b - a)))
 
     def pmf(self, n):
         if n < 0:
             return Fraction(0)
-        return q_bracket(n + 1, self.q) * self.theta**n * (1 - self.theta) * (1 - self.theta * self.q)
+        a, b, t, s, cn, cd = self._pmf_ints
+        return Fraction(bracket_int(n + 1, a, b) * t**n * cn, b**n * s**n * cd)
 
     def tail(self, n):
+        return Fraction(*self.tail_pair(n))
+
+    def tail_pair(self, n):
         n = max(n, 0)
-        tq, k1, k2 = self._tail_parts
-        if self.q == 1:
-            return self.theta**n * (k1 + n * k2)
-        return k1 * self.theta**n - k2 * tq**n
+        a, b, t, s, k1, k2, d = self._tail_ints
+        if a == b:
+            return t**n * (s + n * (s - t)), s ** (n + 1)
+        bn = b**n
+        return t**n * (k1 * bn - k2 * a**n), d * s**n * bn
 
     def pmf_float(self, n):
         return self._cf * self._r**n * bracket_ratio_float(n + 1, 1, self._log_b)

@@ -22,6 +22,7 @@ from .exact import (
     UNIT_ROUNDOFF,
     Approx,
     TailSumTable,
+    bracket_int,
     left_sum,
     prob_json,
     q_bracket,
@@ -46,7 +47,9 @@ from .transform import preimage_flips
 class LevelLaw(InitialLaw):
     """The law of a level G derived from an initial law by
     :func:`g_law_from_initial`: pmf and tail are closures, cached per level
-    on this object.  Exact closures return Fractions; float ones return
+    on this object.  Exact closures return Fractions, and the exact
+    ``pairs`` closures, read uncached by ``pmf_pair``/``tail_pair``, the same
+    values as int pairs (numerator, denominator); float ones return
     :class:`Approx`, whose value ``pmf``/``tail`` give and whose certified
     error ``pmf_err``/``tail_err`` give.
 
@@ -61,10 +64,11 @@ class LevelLaw(InitialLaw):
     def from_pmf(masses: dict) -> FiniteSupport:
         return FiniteSupport(tuple(masses.items()))
 
-    def __init__(self, pmf_fn, tail_fn, exact: bool, label: str):
+    def __init__(self, pmf_fn, tail_fn, exact: bool, label: str, pairs=None):
         self.exact, self._label = exact, label
         self._pmf_entry = functools.lru_cache(maxsize=None)(pmf_fn)
         self._tail_entry = functools.lru_cache(maxsize=None)(tail_fn)
+        self._pmf_pair, self._tail_pair = pairs or (None, None)
 
     def pmf(self, n: int):
         if n < 0:
@@ -76,6 +80,15 @@ class LevelLaw(InitialLaw):
         if n <= 0:
             return Fraction(1) if self.exact else 1.0
         return _value(self._tail_entry(n))
+
+    def pmf_pair(self, n: int):
+        """Exact mode: P(level = n) as an int pair (numerator, denominator
+        > 0), not always in lowest terms; not cached."""
+        return self._pmf_pair(n) if n >= 0 else (0, 1)
+
+    def tail_pair(self, n: int):
+        """Exact mode: P(level >= n) as an int pair, as ``pmf_pair``."""
+        return self._tail_pair(n) if n > 0 else (1, 1)
 
     def pmf_err(self, n: int) -> float:
         return _err(self._pmf_entry(n)) if n >= 0 else 0.0
@@ -106,8 +119,16 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
     P(G >= n) = P(X0 >= n) - [n]_q * tail_sum_ratio(law, n, q).
 
     In exact mode the initial law builds the parts of its sums once per q
-    (``InitialLaw.ratio_tail_exact``), so a level value costs O(1) Fraction
-    operations.
+    (``InitialLaw.ratio_tail_pair``), and a level value is an int pair: with
+    q = a/b, S(n) the ratio tail sn/sd, P(X0 >= n) = tn/td and [n]_q =
+    ``bracket_int(n, a, b)``/b^(n-1), P(G = n) is (a^n sn, b^n sd) and
+    P(G >= n) is (tn b^(n-1) sd - td bracket_int(n) sn, td b^(n-1) sd).  So
+    a level costs a few int products and no gcd (``LevelLaw.tail_pair``).
+    ``pmf`` and ``tail`` keep Fractions: for a law with a geometric form,
+    each pair normalised once; for a law with atoms, whose reduced suffix
+    sums carry the top atom's bracket, q^n S(n) and P(X0 >= n) - [n]_q S(n)
+    in Fractions, whose cross gcds cost O(n k) bit operations for an atom at
+    k, where one gcd of the pair costs O(k^2).
 
     In approx mode one :class:`TailSumTable`, built at the first read (so a
     verifier refuses its arguments before paying for it), serves every level
@@ -125,12 +146,26 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
     label = f"{which}[{law.cli_string()}]"
 
     if mode == "exact":
-        return LevelLaw(
-            lambda n: q**n * law.ratio_tail_exact(n, q),
-            lambda n: law.tail(n) - q_bracket(n, q) * law.ratio_tail_exact(n, q),
-            exact=True,
-            label=label,
-        )
+        a, b = q.numerator, q.denominator
+
+        def pmf_pair(n):
+            sn, sd = law.ratio_tail_pair(n, q)
+            return a**n * sn, b**n * sd
+
+        def tail_pair(n):
+            tn, td = law.tail_pair(n)
+            sn, sd = law.ratio_tail_pair(n, q)
+            if not sn:  # past the last atom
+                return tn, td
+            den = b ** (n - 1) * sd
+            return tn * den - td * (bracket_int(n, a, b) * sn), td * den
+
+        if law.atoms() is None:  # parts of O(n) bits: one gcd normalises a pair
+            fractions = [lambda n, pair=pair: Fraction(*pair(n)) for pair in (pmf_pair, tail_pair)]
+        else:  # an atom's bracket may be far longer than the level's: cross gcds of the parts
+            fractions = [lambda n: q**n * law.ratio_tail_exact(n, q),
+                         lambda n: law.tail(n) - q_bracket(n, q) * law.ratio_tail_exact(n, q)]
+        return LevelLaw(*fractions, exact=True, label=label, pairs=(pmf_pair, tail_pair))
 
     table = functools.cache(lambda: TailSumTable(law, q, trunc_n))
     qf, u = float(q), UNIT_ROUNDOFF
@@ -514,9 +549,13 @@ def damage_check(q, theta, nmax: int = 60) -> dict:
     pn = [p.numerator * qd[n] for n, p in enumerate(pmfs)]
     pd = [p.denominator * b for p, b in zip(pmfs, brackets)]
     violations, worst = 0, Fraction(0)
+    # the cross products per r, built once: q^r's numerator times the
+    # survivor's denominator, and the other way round
+    q_s = [x * y for x, y in zip(qn, sd)]
+    s_q = [x * y for x, y in zip(sn, qd)]
     for n in levels:
         for r in range(n + 1):
-            if pn[n] * qn[r] * sd[r] * dd[n - r] != sn[r] * dn[n - r] * pd[n] * qd[r]:
+            if pn[n] * q_s[r] * dd[n - r] != s_q[r] * dn[n - r] * pd[n]:
                 violations += 1
                 worst = max(worst, abs(Fraction(pn[n] * qn[r], pd[n] * qd[r])
                                        - Fraction(sn[r] * dn[n - r], sd[r] * dd[n - r])))
@@ -524,15 +563,16 @@ def damage_check(q, theta, nmax: int = 60) -> dict:
     # marginals straight from the joint: summing out d gives
     # P(R=r) = q^r * sum_{n>=r} pmf(n)/[n+1]_q, and summing out r gives
     # P(D=d) = q^-d * sum_{n>=d} pmf(n)/[n+1]_{1/q}
+    q_inv = 1 / q
     sums_r = [law.ratio_tail_exact(r, q) for r in levels]
-    sums_d = (law.ratio_tail_exact(d, 1 / q) for d in levels)
+    sums_d = (law.ratio_tail_exact(d, q_inv) for d in levels)
     marg_ok = (all(qn[r] * m.numerator * sd[r] == sn[r] * qd[r] * m.denominator
                    for r, m in zip(levels, sums_r))
                and all(m.numerator * qd[d] * dd[d] == dn[d] * qn[d] * m.denominator
                        for d, m in zip(levels, sums_d)))
 
     # Rao-Rubin: P(R=r, D=0)/P(D=0) against the marginal of R, both over q^r
-    p_d0 = law.ratio_tail_exact(0, 1 / q)
+    p_d0 = law.ratio_tail_exact(0, q_inv)
     rao_rubin = all(pn[r] * p_d0.denominator * m.denominator == m.numerator * pd[r] * p_d0.numerator
                     for r, m in zip(levels, sums_r))
 

@@ -378,8 +378,11 @@ def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
     Returns per-grid-point rows (x, exact, limit, diff) and the sup distance,
     which PASSes up to CONTINUITY_TOL.  The limit CDF is evaluated once, on
     the whole grid as an array (libm's expm1 for the power regime), with
-    the bits of a point-by-point evaluation; the exact side reads one tail
-    of a level law whose per-law parts are built once.
+    the bits of a point-by-point evaluation.  The exact side reads one tail
+    per point as the level law's int pair (num, den) (``LevelLaw.tail_pair``,
+    from per-law parts built once) and returns (den - num)/den, one correctly
+    rounded int division: the bits of float(1 - tail), with no gcd of the
+    pair's ints (about 350 000 bits in the power regime at N = 10^6).
     """
     sn, params = scaled_params(N, v)
     vf, grid = float(v), list(grid)
@@ -410,8 +413,10 @@ def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
         limit_fn = LimitLevelLaw(vf, mu).cdf
 
     glaw = g_law_from_initial(law, params, "G")
-    # P(G <= floor(x sqrt N)) as one minus one exact tail
-    exact = np.array([float(1 - glaw.tail(math.floor(x * sn) + 1)) for x in grid])
+    # P(G <= floor(x sqrt N)) as one minus one exact tail, from its int pair:
+    # int true division rounds correctly, as float(Fraction) does
+    pairs = (glaw.tail_pair(math.floor(x * sn) + 1) for x in grid)
+    exact = np.array([(den - num) / den for num, den in pairs])
     xs = np.array(grid, dtype=float)
     lims = limit_fn(xs)
     diffs = (exact - lims).tolist()

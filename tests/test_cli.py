@@ -537,7 +537,47 @@ def test_one_parser_serves_every_call_as_a_fresh_interpreter():
 
 
 class TestPointStartPrice:
-    """``law chain`` prices a point start's brackets before building them."""
+    """``law chain`` prices a point start's brackets before building them,
+    and every exact command prices its start law's top atom."""
+
+    BILLION = ("--rho", "1/2", "--initial", "point:1000000000")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "thm1", "--t", "1", *BILLION), ("verify", "thm2", "--t", "1", *BILLION),
+        ("verify", "two-sided", "--t", "1", *BILLION), ("law", "rhs", "--t", "1", *BILLION),
+        ("law", "level", *BILLION),
+        ("law", "chain", "--rho", "1/2", "--t", "1", "--initial", "finite:0=1/2,1000000000=1/2")],
+        ids=lambda argv: " ".join(argv[:2]))
+    def test_a_billion_level_atom_is_refused_within_a_second(self, capsys, argv):
+        from pitman_lab.cli import BRACKET_BUDGET_BITS
+
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        initial = argv[argv.index("--initial") + 1]
+        assert json.loads(err)["error"] == (
+            f"--initial {initial} has an atom at level 1000000000, whose q-bracket at q = 1/4 "
+            f"takes about 2000000002 bits, over the budget of {BRACKET_BUDGET_BITS} bits of "
+            "an exact start law; take a start law with smaller levels")
+
+    @pytest.mark.parametrize("rho,bits_per_level", [("1/2", 2), ("2", 2), ("1", 0)])
+    def test_the_budget_is_the_top_bracket_in_bits(self, rho, bits_per_level):
+        from pitman_lab.cli import BRACKET_BUDGET_BITS, _priced_start
+
+        def admitted(initial):
+            args = argparse.Namespace(rho=rho, sigma="1", initial=initial)
+            try:
+                return _priced_start(args) == parse_initial_law(initial)
+            except ValueError as exc:
+                assert f"over the budget of {BRACKET_BUDGET_BITS} bits" in str(exc)
+                return False
+
+        # q = 1/4 or 4: the top atom k prices 2 (k + 1) bits; q = 1 prices none
+        top = BRACKET_BUDGET_BITS // 2 - 1
+        assert admitted(f"point:{top}") and admitted(f"finite:0=1/2,{top}=1/2")
+        assert admitted(f"point:{top + 1}") == (bits_per_level == 0)
+        assert admitted("qnb:q=1/4,theta=1/2") and admitted("geo:99/100")
 
     def test_a_billion_level_start_is_refused_at_once(self):
         import os

@@ -32,7 +32,7 @@ from pitman_lab import (
     walk_path_prob,
 )
 from pitman_lab import exact, processes, representation, transform
-from pitman_lab.exact import geometric_tail, prob_json
+from pitman_lab.exact import geometric_bracket_tail, geometric_tail, prob_json
 from pitman_lab.paths import class_path, class_rows, path_classes
 from pitman_lab.representation import compare_routes
 
@@ -167,6 +167,55 @@ class TestGLaw:
                 assert glaw.tail(n) == law.tail(n) - q_bracket(n, q) * s, (law, n)
         assert exact == (len(laws) - 1 if rho == 1 else len(laws) - 2)
 
+    @pytest.mark.parametrize("rho", [F(2, 3), F(1), F(3, 2)])
+    @pytest.mark.parametrize("which", ["G", "Gtilde"])
+    def test_int_pairs_are_the_per_level_fractions(self, rho, which):
+        # every pair has a positive denominator and is, as a Fraction, the
+        # value the Fraction formulas give: the law's tail (its masses, or
+        # c times the bracket tail of a qnb law) and ratio tail, and the
+        # level law's pmf and tail at q and at 1/q; and a qnb pmf is the
+        # product of its Fraction factors
+        def ratio_sum(law, n, q):
+            if (atoms := law.atoms()) is not None:
+                return sum((p / q_bracket(j + 1, q) for j, p in atoms if j >= n), F(0))
+            c, r = law.ratio_geometric_form(q)
+            return c * geometric_tail(r, n)
+
+        def law_tail(law, n):
+            if (atoms := law.atoms()) is not None:
+                return sum((p for j, p in atoms if j >= n), F(0))
+            c = (1 - law.theta) * (1 - law.theta * law.q)
+            return c * geometric_bracket_tail(law.theta, max(n, 0), 0, law.q)
+
+        def value(pair):
+            assert pair[1] > 0
+            return F(*pair)
+
+        params = Params(rho, F(1))
+        q = params.q if which == "G" else 1 / params.q
+        finite = FiniteSupport(((1, F(1, 3)), (4, F(0)), (9, F(2, 3))))
+        laws = [PointMass(0), PointMass(7), FS3, finite, Geometric(F(0)),
+                QNegativeBinomial(params.q, F(1, 3)),
+                QNegativeBinomial(1 / params.q, F(1, 3)), QNegativeBinomial(params.q, F(0)),
+                NegativeBinomial(F(2, 5))]
+        for law in laws:
+            for n in range(-2, 41):
+                assert value(law.tail_pair(n)) == law_tail(law, n), (law, n)
+            if isinstance(law, QNegativeBinomial):
+                for n in range(-2, 41):
+                    assert law.pmf(n) == (
+                        q_bracket(n + 1, law.q) * law.theta**n * (1 - law.theta)
+                        * (1 - law.theta * law.q) if n >= 0 else 0), (law, n)
+            if not law.exact_capable(q):  # nb off q = 1
+                continue
+            glaw = g_law_from_initial(law, params, which)
+            for n in range(41):
+                s = ratio_sum(law, n, q)
+                assert value(law.ratio_tail_pair(n, q)) == s == law.ratio_tail_exact(n, q)
+                assert value(glaw.pmf_pair(n)) == q**n * s == glaw.pmf(n), (law, n)
+                assert value(glaw.tail_pair(n)) == law_tail(law, n) - q_bracket(n, q) * s, (law, n)
+            assert glaw.pmf_pair(-1) == (0, 1) and glaw.tail_pair(0) == (1, 1)
+
     def test_an_atom_bracket_is_built_once_per_law(self, monkeypatch):
         calls = []
         bracket = processes.q_bracket
@@ -290,6 +339,7 @@ class TestCountedPushforward:
         monkeypatch.setattr(transform, "preimage_stats", refuse)
         for module in (exact, processes, representation):
             monkeypatch.setattr(module, "q_bracket", refuse)
+            monkeypatch.setattr(module, "bracket_int", refuse)
         for glaw, table in zip(glaws, want):
             assert rhs_law_enumeration(6, glaw, params).values == table.values
 

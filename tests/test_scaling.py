@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 from scipy.integrate import quad
 
@@ -28,10 +29,12 @@ from pitman_lab import (
     ks_distance,
     limit_process_sample,
     parse_initial_law,
+    q_bracket,
     sample_chain,
     step_pmf,
     walk_law,
 )
+from pitman_lab.exact import geometric_bracket_tail
 from pitman_lab.scaling import (
     _dbinom,
     _em_coef,
@@ -320,6 +323,39 @@ class TestContinuity:
 
         assert bits(rep["rows"]) == bits(rows)
         assert float.hex(rep["sup_distance"]) == float.hex(sup)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 1000), st.sampled_from([
+        (F(1, 2), "point", {}), (F(0), "point", {}), (F(-1, 2), "point", {}),
+        (F(1, 2), "power", {}), (F(1, 3), "power", {}),
+        (F(-3, 10), "corollary", {"u": F(1)}), (F(1, 2), "corollary", {"u": F(1)})]),
+        st.lists(st.sampled_from([0.0, 0.01, 1.0, 5.0, 40.0])
+                 | st.floats(0, 40, allow_nan=False), min_size=1, max_size=4))
+    def test_exact_rows_are_one_minus_the_fraction_tail(self, sn, case, grid):
+        # the oracle: P(G >= m) = P(X0 >= m) - [m]_q S(m) in normalized
+        # Fractions, S(m) = sum over j >= m of P(X0 = j)/[j+1]_q, converted
+        # once; grid points include 0 and points past the point atoms at
+        # x = 1 and N^0.2; the corollary's tails, whose Fractions grow with
+        # m, are read up to x = 3
+        v, regime, kw = case
+        N = sn * sn
+        if regime == "corollary":
+            grid = [min(x, 3.0) for x in grid]
+        rep = continuity_check(N, v, regime, grid, **kw)
+        q = scaled_params(N, v)[1].q
+        law = parse_initial_law(rep["initial"])
+
+        def tail(m):
+            if isinstance(law, PointMass):
+                mass, ratio = (F(1), 1 / q_bracket(law.n + 1, q)) if m <= law.n else (F(0), F(0))
+            else:
+                c = (1 - law.theta) * (1 - law.theta * q)
+                mass = c * geometric_bracket_tail(law.theta, m, 0, q)
+                ratio = c * law.theta**m / (1 - law.theta)
+            return mass - q_bracket(m, q) * ratio
+
+        want = [float(1 - tail(math.floor(x * sn) + 1)) for x in grid]
+        assert [float.hex(row["exact"]) for row in rep["rows"]] == list(map(float.hex, want))
 
 
 # every scaling command, with a blocked scipy: an import of it raises
