@@ -2,11 +2,11 @@
 law table, scaling check and sampler.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage / out-of-regime
-parameters.  Each verdict and each refusal of a parameter's range comes
-from the library; this module parses arguments and prints reports.  All
-randomness is governed by --seed, one Philox stream per seed; every report
-embeds the schema tag, package version and the full parameter set, so runs
-are self-describing.
+parameters.  Each verdict comes from the library, and each refusal of a
+parameter's range but the start-law price (``_priced_start``); this module
+parses arguments and prints reports.  All randomness is governed by --seed,
+one Philox stream per seed; every report embeds the schema tag, package
+version and the full parameter set, so runs are self-describing.
 """
 
 from __future__ import annotations
@@ -182,10 +182,11 @@ def _cmd_law(args):
             for n in range(args.nmax + 1)})
         return {"check": "law", "params": params.to_json(),
                 "which": args.which, "pmf": entries, "status": "PASS"}
+    printed = _printable(args, table.to_json)
     # approx: the float sum of the printed entries (class values times sizes round apart)
-    mass = table.mass() if table.mode == "exact" else left_sum(table.entries.values())
+    mass = table.mass() if table.mode == "exact" else left_sum(printed["entries"].values())
     return {"check": "law", "params": params.to_json(),
-            "table": _printable(args, table.to_json), "mass": prob_json(mass), "status": "PASS"}
+            "table": printed, "mass": prob_json(mass), "status": "PASS"}
 
 
 def _printable(args, to_json):

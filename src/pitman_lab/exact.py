@@ -344,9 +344,9 @@ def tail_sum_ratio(law, n: int, q: Rat, mode: str = "exact", trunc_n=None):
     ``InitialLaw.ratio_geometric_form``); ``mode="approx"`` truncates once the
     remaining pmf mass is below ``APPROX_TAIL_TOL`` (or at the explicit cutoff
     ``trunc_n``) and returns an :class:`Approx` whose ``err`` covers the
-    truncation and the float rounding (derivation in :class:`TailSumTable`).
-    Past that cutoff the value is 0 within the law's tail bound, and no
-    table is built.
+    truncation and the float rounding (derivation in :class:`TailSumTable`),
+    read from the law's one table per (q, cutoff).  Past that cutoff the
+    value is 0 within the law's tail bound, and no table is built.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -358,4 +358,4 @@ def tail_sum_ratio(law, n: int, q: Rat, mode: str = "exact", trunc_n=None):
     top = trunc_n if trunc_n is not None else law.truncation_point()
     if n > top:
         return Approx(0.0, law.tail_bound(n))
-    return TailSumTable(law, q, top).at(n)
+    return law._tail_sum_table(q, top).at(n)

@@ -26,6 +26,7 @@ from .exact import (
     TERM_FLOOR,
     UNIT_ROUNDOFF,
     Rat,
+    TailSumTable,
     UnsupportedExactModeError,
     bracket_int,
     bracket_ratio_float,
@@ -240,6 +241,16 @@ class InitialLaw:
                     f"{self.cli_string()!r} has no exact tail sum at q={q}; use approx mode"
                 )
         return sums[key]
+
+    def _tail_sum_table(self, q: Rat, trunc_n: int = None) -> TailSumTable:
+        """The :class:`TailSumTable` at q to ``trunc_n`` (by default the
+        truncation point), one per (q, cutoff), kept as ``_ratio_tails``."""
+        top = trunc_n if trunc_n is not None else self.truncation_point()
+        tables = self.__dict__.setdefault("_tail_sum_tables", {})
+        key = q.numerator, q.denominator, top
+        if key not in tables:
+            tables[key] = TailSumTable(self, q, top)
+        return tables[key]
 
     def exact_capable(self, q: Rat) -> bool:
         return self.atoms() is not None or self.ratio_geometric_form(q) is not None

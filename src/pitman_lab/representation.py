@@ -21,7 +21,6 @@ import numpy as np
 from .exact import (
     UNIT_ROUNDOFF,
     Approx,
-    TailSumTable,
     bracket_int,
     left_sum,
     prob_json,
@@ -130,9 +129,10 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
     in Fractions, whose cross gcds cost O(n k) bit operations for an atom at
     k, where one gcd of the pair costs O(k^2).
 
-    In approx mode one :class:`TailSumTable`, built at the first read (so a
-    verifier refuses its arguments before paying for it), serves every level
-    of both pmf and tail.  Their errors add to the table's the rounding of the
+    In approx mode the initial law's one :class:`TailSumTable` at q (the
+    one ``tail_sum_ratio`` reads), fetched at the first read (so a verifier
+    refuses its arguments before paying for it), serves every level of both
+    pmf and tail.  Their errors add to the table's the rounding of the
     float factors q^n (float(q) to the power n, pow within one ulp, the product)
     and, for the tail, of P(X0 >= n) (the law's ``float_rel_err``), of [n]_q
     (``bracket_rel_err``), of the product and of the difference; the factor
@@ -167,7 +167,7 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
                          lambda n: law.tail(n) - q_bracket(n, q) * law.ratio_tail_exact(n, q)]
         return LevelLaw(*fractions, exact=True, label=label, pairs=(pmf_pair, tail_pair))
 
-    table = functools.cache(lambda: TailSumTable(law, q, trunc_n))
+    table = functools.cache(lambda: law._tail_sum_table(q, trunc_n))
     qf, u = float(q), UNIT_ROUNDOFF
     log_q = math.log(qf)
 
@@ -357,36 +357,60 @@ def _diff_json(diff):
 
 
 def compare_routes(check: str, horizons, pairs_at, stop_at_witness: bool = False):
-    """The loop every table verifier shares.  For each horizon t, ``pairs_at(t)``
-    gives labelled table pairs (label, table_a, table_b); keep the largest
-    difference and the witness {"pair", "path", "horizon"} that first reached
-    it, and return (difference, witness).
+    """The one loop and the one verdict of every table verifier.  For each
+    horizon t, ``pairs_at(t)`` gives labelled table pairs (label, table_a,
+    table_b).  A pair holds when its largest class difference is within the
+    sum of its tables' ``err`` times 1 + 4u, for the roundings of that sum,
+    its product and the subtraction, plus 2u where an exact entry (below 1)
+    is rounded to meet a float one; exact tables carry ``err`` 0, so they
+    must agree exactly.  Returns (largest difference, largest bound,
+    witness), the witness {"pair", "path", "horizon"} naming the first class
+    of the largest difference among broken pairs, None when every pair holds.
 
-    An exact table whose mass is not exactly 1 raises ArithmeticError: a route
-    that lost or double-counted paths must not PASS.  A table in several
-    pairs of one horizon is checked once.  ``stop_at_witness`` ends the loop
-    after the first horizon that has a witness, as a single witness settles a
-    converse question; later horizons' tables are not built.
+    A table whose mass is off 1 raises ArithmeticError, as a route that lost
+    or double-counted paths must not PASS: an exact mass must be 1, a float
+    one within ``err`` plus (classes + 1) u mass for its sum's rounding.  A
+    table in several pairs of one horizon is checked once.
+    ``stop_at_witness`` ends the loop after the first horizon with a
+    witness, which settles a converse question; later tables are not built.
     """
     horizons = list(horizons)
     if not horizons or min(horizons) < 1:
         raise ValueError(f"{check} needs horizons t >= 1 (--t >= 1), got "
                          f"{horizons or 'none'}: t=0 compares no table")
-    worst, witness = Fraction(0), None
+    worst, bound, witness, broken = Fraction(0), 0.0, None, 0
     for t in horizons:
         checked = set()
         for label, ta, tb in pairs_at(t):
             for table in (ta, tb):
-                if table.mode == "exact" and id(table) not in checked:
+                if id(table) not in checked:
                     checked.add(id(table))
-                    if (mass := table.mass()) != 1:
+                    mass = table.mass()
+                    room = 0 if table.mode == "exact" else (
+                        table.err + (len(table.sizes) + 1) * UNIT_ROUNDOFF * mass)
+                    if abs(mass - 1) > room:
                         raise ArithmeticError(f"{label}: a table of horizon {t} has mass {mass}")
             d, w = ta.max_abs_diff(tb)
-            if d > worst:
-                worst, witness = d, {"pair": label, "path": str(w), "horizon": t}
+            allowed = ((ta.err + tb.err) * (1 + 4 * UNIT_ROUNDOFF)
+                       + 2 * UNIT_ROUNDOFF * (ta.mode != tb.mode))
+            worst, bound = max(worst, d), max(bound, allowed)
+            if d > allowed and d > broken:
+                broken, witness = d, {"pair": label, "path": str(w), "horizon": t}
         if witness is not None and stop_at_witness:
             break
-    return worst, witness
+    return worst, bound, witness
+
+
+def _verdict(compared, exact: bool, held: str = "PASS", broke: str = "FAIL") -> dict:
+    """Report fields of a :func:`compare_routes` result; the status holds when
+    the witness is None, and float tables state their largest pair bound as
+    ``tolerance``."""
+    worst, bound, witness = compared
+    fields = {"max_abs_diff": _diff_json(worst), "witness": witness,
+              "status": held if witness is None else broke}
+    if not exact:
+        fields["tolerance"] = bound
+    return fields
 
 
 def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
@@ -395,61 +419,32 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
 
     Forward direction (candidate=None): derive the level law from the initial
     law and require the chain table, the preimage pushforward and the closed
-    form to agree (exactly, in exact mode).  The tables are class tables
+    form to agree, each pair within its tables' certified ``err`` (exactly,
+    in exact mode; see :func:`compare_routes`).  The tables are class tables
     (:meth:`DistTable.of_classes`); a witness is the representative of the
-    first class that reaches the worst difference.  Passing a candidate level law
-    instead turns this into the converse test: a wrong candidate produces a
-    witness path.  ``t_values`` restricts the horizons, so a caller can
-    verify chosen horizons without the ones below them.
-
-    In approx mode the tables are compared within a tolerance built from
-    their certified errors, reported with its parts:
-
-    * ``chain_err``: the largest ``err`` of the float chain tables;
-    * ``level_err``: the largest pmf_err(n) + tail_err(n) of the level law
-      over the levels n <= t_max the tables read.  A rhs entry is
-      P(G >= n) w0 + P(G = n) W, where w0 and W are walk probabilities of
-      disjoint paths (pref and pref * factor on the closed-form route), so
-      both are at most 1 and the entry is within pmf_err + tail_err;
-    * ``entry_rounding``: 8u per rhs table.  An entry takes at most five
-      float roundings of a value at most 1 (level values times exact
-      rationals, one sum), and the comparison one more.
-
-    A pair's distance is at most the sum of its two tables' bounds, so
-    tolerance = chain_err + 2 level_err + 2 entry_rounding covers all three
-    pairs.
+    first class that reaches the worst difference of a broken pair.  Passing
+    a candidate level law instead turns this into the converse test: a wrong
+    candidate produces a witness path.  ``t_values`` restricts the horizons,
+    so a caller can verify chosen horizons without the ones below them.
     """
     if part not in ("I", "II"):
         raise ValueError("part must be 'I' or 'II'")
-    horizons = list(t_values if t_values is not None else range(1, t_max + 1))
     walk_params = params if part == "I" else params.tilde()
     which = "G" if part == "I" else "Gtilde"
     glaw = candidate if candidate is not None else g_law_from_initial(law, params, which)
 
     exact = glaw.exact and law.exact and law.exact_capable(params.q)
-    chain_errs = [0.0]
 
     def routes(t):
         chain = chain_increment_law(t, law, params, mode="exact" if exact else "approx")
-        chain_errs.append(chain.err)
         enum = rhs_law_enumeration(t, glaw, walk_params)
         form = rhs_law_table_formula(t, glaw, walk_params)
         return (("chain_vs_enumeration", chain, enum), ("chain_vs_formula", chain, form),
                 ("enumeration_vs_formula", enum, form))
 
-    worst, witness = compare_routes("thm1", horizons, routes,
-                                    stop_at_witness=candidate is not None)
-    parts, tol = None, 0.0
-    if not exact:
-        parts = {
-            "chain_err": max(chain_errs),
-            "level_err": max(glaw.pmf_err(n) + glaw.tail_err(n)
-                             for n in range(max(horizons) + 1)),
-            "entry_rounding": 8 * UNIT_ROUNDOFF,
-        }
-        tol = parts["chain_err"] + 2 * parts["level_err"] + 2 * parts["entry_rounding"]
-    status = "PASS" if worst <= tol else "FAIL"
-    report = {
+    compared = compare_routes("thm1", t_values if t_values is not None else range(1, t_max + 1),
+                              routes, stop_at_witness=candidate is not None)
+    return {
         "check": "thm1",
         "part": part,
         "direction": "candidate" if candidate is not None else "forward",
@@ -458,14 +453,8 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
         "level_law": glaw.cli_string(),
         "t_max": t_max,
         "exact": exact,
-        "max_abs_diff": _diff_json(worst),
-        "witness": witness,
-        "status": status,
+        **_verdict(compared, exact),
     }
-    if parts is not None:
-        report["tolerance"] = tol
-        report["tolerance_parts"] = parts
-    return report
 
 
 def verify_two_sided(t_max: int, law: InitialLaw, params: Params) -> dict:
@@ -473,7 +462,7 @@ def verify_two_sided(t_max: int, law: InitialLaw, params: Params) -> dict:
     g = g_law_from_initial(law, params, "G")
     gt = g_law_from_initial(law, params, "Gtilde")
     tilde = params.tilde()
-    worst, witness = compare_routes(
+    compared = compare_routes(
         "two-sided", range(1, t_max + 1),
         lambda t: [("plain_vs_flipped", rhs_law_enumeration(t, g, params),
                     rhs_law_enumeration(t, gt, tilde))])
@@ -482,16 +471,14 @@ def verify_two_sided(t_max: int, law: InitialLaw, params: Params) -> dict:
         "params": params.to_json(),
         "initial": law.cli_string(),
         "t_max": t_max,
-        "max_abs_diff": _diff_json(worst),
-        "witness": witness,
-        "status": "PASS" if worst == 0 else "FAIL",
+        **_verdict(compared, g.exact and gt.exact),
     }
 
 
 def walk_match_report(glaw: InitialLaw, params: Params, t_max: int) -> dict:
     """Does 2(M-G)_+ - S reproduce the plain walk law?  (It should exactly when
     G is geometric with parameter rho^2 and rho < 1, and for no other law.)"""
-    worst, witness = compare_routes(
+    compared = compare_routes(
         "walk-match", range(1, t_max + 1),
         lambda t: [("transform_vs_walk", rhs_law_enumeration(t, glaw, params),
                     walk_law(t, params))],
@@ -501,9 +488,7 @@ def walk_match_report(glaw: InitialLaw, params: Params, t_max: int) -> dict:
         "level_law": glaw.cli_string(),
         "params": params.to_json(),
         "t_max": t_max,
-        "max_abs_diff": _diff_json(worst),
-        "witness": witness,
-        "status": "MATCH" if worst == 0 else "DIFFER",
+        **_verdict(compared, glaw.exact, "MATCH", "DIFFER"),
     }
 
 

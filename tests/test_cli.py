@@ -83,8 +83,18 @@ class TestVerifyCommands:
         code, rep, _ = run_json(capsys, "verify", "thm1", "--rho", "1/2", "--sigma", "1",
                                 "--t", "3", "--initial", "geo:1/3")
         assert code == 0 and rep["exact"] is False
-        assert set(rep["tolerance_parts"]) == {"chain_err", "level_err", "entry_rounding"}
-        assert rep["max_abs_diff"]["float"] <= rep["tolerance"]
+        assert rep["status"] == "PASS" and rep["witness"] is None
+        assert "tolerance_parts" not in rep
+        assert rep["max_abs_diff"]["float"] <= rep["tolerance"] < 1e-12
+
+    @pytest.mark.parametrize("argv", [["--rho", "1/2", "--t", "3", "--initial", "geo:1/3"],
+                                      ["--rho", "2/3", "--sigma", "1", "--t", "4",
+                                       "--initial", "spoisson:2"]])
+    def test_two_sided_approx_passes_within_its_tolerance(self, capsys, argv):
+        # a rounding-level difference between the float tables is within their err
+        code, rep, _ = run_json(capsys, "verify", "two-sided", *argv)
+        assert code == 0 and rep["status"] == "PASS" and rep["witness"] is None
+        assert 0 < rep["max_abs_diff"]["float"] <= rep["tolerance"] < 1e-12
 
     @pytest.mark.parametrize("samples", [0, 5, 19, 20, 1000])
     def test_tropical_runs_at_any_sample_count(self, capsys, samples):
@@ -170,6 +180,21 @@ class TestLawCommands:
         code, rep, _ = run_json(capsys, "law", "rhs", "--rho", "1/2", "--t", "2",
                                 "--glaw", glaw)
         assert code == 0 and rep["mass"] == "1/1"
+
+    @pytest.mark.parametrize("argv", [["chain", "--rho", "1/2", "--sigma", "1", "--t", "6",
+                                       "--initial", "geo:1/3"],
+                                      ["rhs", "--rho", "2/3", "--t", "5", "--initial", "spoisson:2"]])
+    def test_approx_mass_sums_the_printed_entries(self, capsys, monkeypatch, argv):
+        from pitman_lab import DistTable
+        from pitman_lab.exact import left_sum
+
+        def refused(self):
+            raise AssertionError("the per-path view was built")
+
+        monkeypatch.setattr(DistTable, "entries", property(refused))
+        code, rep, _ = run_json(capsys, "law", *argv)
+        assert code == 0 and rep["table"]["mode"] == "approx"
+        assert rep["mass"] == left_sum(rep["table"]["entries"].values())
 
     def test_rhs_of_a_float_level_law_carries_err(self, capsys):
         code, rep, _ = run_json(capsys, "law", "rhs", "--rho", "1/2", "--t", "2",

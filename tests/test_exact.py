@@ -125,6 +125,27 @@ class TestTailSumRatio:
         assert got == want and all(value == 0.0 for value, _ in got)
 
 
+    @pytest.mark.parametrize("trunc_n", [None, 30])
+    def test_one_table_per_law_q_and_cutoff(self, monkeypatch, trunc_n):
+        from pitman_lab import Params, g_law_from_initial
+
+        law, q = Geometric(F(99, 100)), F(1, 4)
+        fresh = exact.TailSumTable(law, q, trunc_n)
+        built = []
+        init = exact.TailSumTable.__init__
+        monkeypatch.setattr(exact.TailSumTable, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        got = [tail_sum_ratio(law, n, q, "approx", trunc_n) for n in range(12)]
+        glaw = g_law_from_initial(law, Params(F(1, 2)), "G", mode="approx", trunc_n=trunc_n)
+        levels = [(glaw.pmf(n), glaw.tail(n)) for n in range(12)]
+        assert len(built) == 1 and all(0 < pmf < tail for pmf, tail in levels[1:])
+        assert got == [fresh.at(n) for n in range(12)]  # value and err, bit for bit
+        # another cutoff or another q is another table
+        tail_sum_ratio(law, 0, q, "approx", 40)
+        tail_sum_ratio(law, 0, F(1, 9), "approx", trunc_n)
+        assert len(built) == 3
+
+
 class TestApproxErrCoversRounding:
     """Approx.err must bound the distance to the exact value, rounding included."""
 

@@ -461,18 +461,82 @@ class TestVerify:
         assert rep["status"] == "PASS" and rep["exact"] is False
 
     def test_approx_report_names_its_tolerance(self):
-        rep = verify_thm1(3, Geometric(F(1, 3)), Params(F(2, 3)), "I")
-        assert rep["status"] == "PASS"
-        parts = rep["tolerance_parts"]
-        assert set(parts) == {"chain_err", "level_err", "entry_rounding"}
-        assert all(v > 0 for v in parts.values())
-        assert rep["tolerance"] == (parts["chain_err"] + 2 * parts["level_err"]
-                                    + 2 * parts["entry_rounding"])
+        law, params = Geometric(F(1, 3)), Params(F(2, 3))
+        rep = verify_thm1(3, law, params, "I")
+        assert rep["status"] == "PASS" and rep["witness"] is None
+        assert "tolerance_parts" not in rep
+        # the largest pair bound: the sum of the pair's two tables' err, widened by 4u
+        glaw = g_law_from_initial(law, params, "G")
+        bounds = []
+        for t in (1, 2, 3):
+            chain = processes.chain_increment_law(t, law, params, mode="approx")
+            enum, form = rhs_law_enumeration(t, glaw, params), rhs_law_table_formula(t, glaw, params)
+            bounds += [(a.err + b.err) * (1 + 4 * exact.UNIT_ROUNDOFF)
+                       for a, b in ((chain, enum), (chain, form), (enum, form))]
+        assert rep["tolerance"] == max(bounds)
         assert rep["max_abs_diff"]["float"] <= rep["tolerance"] < 1e-12
 
     def test_exact_report_has_no_tolerance(self):
         rep = verify_thm1(2, PointMass(1), Params(F(1, 2)), "I")
         assert rep["exact"] is True and "tolerance" not in rep
+
+    @pytest.mark.parametrize("t, law, params", [
+        (3, Geometric(F(1, 3)), Params(F(1, 2))),
+        (3, Geometric(F(9, 10)), Params(F(3, 2), F(1, 2))),
+        (4, ShiftedPoisson(2.0), Params(F(2, 3), F(1)))])
+    def test_approx_two_sided_passes_within_its_tolerance(self, t, law, params):
+        rep = verify_two_sided(t, law, params)
+        assert rep["status"] == "PASS" and rep["witness"] is None
+        assert 0 < rep["max_abs_diff"]["float"] <= rep["tolerance"] < 1e-12
+
+    def test_exact_two_sided_and_walk_match_state_no_tolerance(self):
+        assert "tolerance" not in verify_two_sided(3, PointMass(2), Params(F(2, 3)))
+        params = Params(F(1, 2))
+        assert "tolerance" not in walk_match_report(LevelLaw.geometric(params.q), params, 3)
+
+    def test_approx_candidate_builds_every_horizon(self, monkeypatch):
+        law, params = Geometric(F(1, 3)), Params(F(2, 3), F(1))
+        built = []
+        chain = representation.chain_increment_law
+        monkeypatch.setattr(representation, "chain_increment_law",
+                            lambda t, *args, **kw: built.append(t) or chain(t, *args, **kw))
+        candidate = g_law_from_initial(law, params, "G", mode="approx")
+        rep = verify_thm1(6, law, params, "I", candidate=candidate)
+        assert rep["status"] == "PASS" and rep["witness"] is None and built == [1, 2, 3, 4, 5, 6]
+        built.clear()
+        wrong = g_law_from_initial(Geometric(F(1, 4)), params, "G", mode="approx")
+        rep = verify_thm1(6, law, params, "I", candidate=wrong)
+        assert rep["status"] == "FAIL" and rep["witness"]["horizon"] == 1 and built == [1]
+
+    def test_an_approx_pair_past_its_bound_fails(self, monkeypatch):
+        # the closed form's table with mass moved between its two largest
+        # classes: the mass holds, and the two classes move far past the pair bound
+        formula = representation.rhs_law_table_formula
+
+        def moved(t, glaw, params):
+            table = formula(t, glaw, params)
+            (k1, v1), (k2, _) = sorted(table.values.items(), key=lambda kv: -kv[1])[:2]
+            shift = 10 * v1 * 1e-12
+            table.values[k1] += shift / table.sizes[k1]
+            table.values[k2] -= shift / table.sizes[k2]
+            return table
+
+        monkeypatch.setattr(representation, "rhs_law_table_formula", moved)
+        rep = verify_thm1(3, Geometric(F(1, 3)), Params(F(2, 3)), "I")
+        assert rep["status"] == "FAIL" and rep["max_abs_diff"]["float"] > rep["tolerance"]
+        assert rep["witness"]["pair"] == "chain_vs_formula" and rep["witness"]["horizon"] == 1
+
+    def test_an_approx_table_short_of_a_class_raises(self, monkeypatch):
+        formula = representation.rhs_law_table_formula
+
+        def dropped(t, glaw, params):
+            table = formula(t, glaw, params)
+            del table.values[max(table.values, key=table.values.get)]
+            return table
+
+        monkeypatch.setattr(representation, "rhs_law_table_formula", dropped)
+        with pytest.raises(ArithmeticError, match="has mass"):
+            verify_thm1(2, Geometric(F(1, 3)), Params(F(2, 3)), "I")
 
     def test_no_horizon_is_an_error(self):
         with pytest.raises(ValueError, match="t=0"):
@@ -580,11 +644,15 @@ class TestDamage:
 
 
 class _FixedDiff:
-    """A float table whose difference to any table is (diff, witness)."""
-    mode = "approx"
+    """A float table of mass 1 and ``err``, whose difference to any table is
+    (diff, witness)."""
+    mode, sizes = "approx", {}
 
-    def __init__(self, diff, witness):
-        self.diff, self.witness = diff, witness
+    def __init__(self, diff, witness, err=0.0):
+        self.diff, self.witness, self.err = diff, witness, err
+
+    def mass(self):
+        return 1.0
 
     def max_abs_diff(self, other):
         return self.diff, self.witness
@@ -592,19 +660,50 @@ class _FixedDiff:
 
 def _pairs(rounds):
     """pairs_at for compare_routes: horizon t compares rounds[t - 1], a list
-    of (difference, witness), each pair labelled by its witness."""
-    return lambda t: [(w, _FixedDiff(d, w), _FixedDiff(d, w)) for d, w in rounds[t - 1]]
+    of (difference, witness) or (difference, witness, err of each table),
+    each pair labelled by its witness."""
+    return lambda t: [(w, _FixedDiff(d, w, *err), _FixedDiff(d, w, *err))
+                      for d, w, *err in rounds[t - 1]]
 
 
 class TestWorstDifference:
     def test_first_strict_maximum_keeps_its_witness(self):
         rounds = [[(F(1, 3), "a"), (F(1, 2), "b")], [(F(1, 2), "c")], [(F(0), "d")]]
         assert compare_routes("test", [1, 2, 3], _pairs(rounds)) == (
-            F(1, 2), {"pair": "b", "path": "b", "horizon": 1})
+            F(1, 2), 0.0, {"pair": "b", "path": "b", "horizon": 1})
 
     def test_no_difference_has_no_witness(self):
         rounds = [[(F(0), "a")], [(0.0, "b")]]
-        assert compare_routes("test", [1, 2], _pairs(rounds)) == (F(0), None)
+        assert compare_routes("test", [1, 2], _pairs(rounds)) == (F(0), 0.0, None)
+
+    def test_a_pair_within_its_tables_err_holds(self):
+        u = exact.UNIT_ROUNDOFF
+        bound = (1e-15 + 1e-15) * (1 + 4 * u)
+        rounds = [[(2e-15, "a", 1e-15)], [(bound, "b", 1e-15)]]
+        assert compare_routes("test", [1, 2], _pairs(rounds), stop_at_witness=True) == (
+            bound, bound, None)
+        # past the bound by one ulp
+        rounds = [[(math.nextafter(bound, 1), "c", 1e-15)]]
+        assert compare_routes("test", [1], _pairs(rounds)) == (
+            math.nextafter(bound, 1), bound, {"pair": "c", "path": "c", "horizon": 1})
+
+    def test_an_exact_entry_met_by_a_float_one_adds_its_rounding(self):
+        u = exact.UNIT_ROUNDOFF
+        exact_table, float_table = _FixedDiff(1e-16, "a"), _FixedDiff(1e-16, "a", 1e-15)
+        exact_table.mode = "exact"
+        bound = 1e-15 * (1 + 4 * u) + 2 * u
+        assert compare_routes("test", [1], lambda t: [("a", exact_table, float_table)]) == (
+            1e-16, bound, None)
+        no_err = _FixedDiff(1e-16, "a")  # a float table, err 0
+        assert compare_routes("test", [1], lambda t: [("a", no_err, float_table)]) == (
+            1e-16, 1e-15 * (1 + 4 * u), None)
+
+    def test_the_witness_is_the_largest_broken_difference(self):
+        # "a" differs most but holds; "b" and "c" break, "c" by more
+        rounds = [[(1e-13, "a", 1e-13), (1e-16, "b"), (2e-16, "c"), (2e-16, "d")]]
+        assert compare_routes("test", [1], _pairs(rounds)) == (
+            1e-13, 2e-13 * (1 + 4 * exact.UNIT_ROUNDOFF),
+            {"pair": "c", "path": "c", "horizon": 1})
 
     def test_stop_at_witness_builds_no_later_round(self):
         built = []
@@ -614,7 +713,7 @@ class TestWorstDifference:
             return [(t, _FixedDiff(F(t - 1, 10), t), _FixedDiff(F(t - 1, 10), t))]
 
         assert compare_routes("test", range(1, 5), pairs_at, stop_at_witness=True) == (
-            F(1, 10), {"pair": 2, "path": "2", "horizon": 2})
+            F(1, 10), 0.0, {"pair": 2, "path": "2", "horizon": 2})
         assert built == [1, 2]
 
     @pytest.mark.parametrize("horizons", [[], [0], [3, 0, 2], [-1]])
