@@ -5,7 +5,8 @@ sequence is materialized on construction.  Every law of the package depends
 on a path only through its class (K0, x_t, H): global minimum, end and number
 of flat steps.  ``path_classes`` yields each class key with the class size,
 O(t^3) classes against the 3^t paths of ``enumerate_paths``, and
-``class_path`` and ``class_rows`` the representatives; ``path_rows`` holds
+``class_path`` and ``class_rows`` the representatives, ``class_columns``
+the keys as int arrays; ``path_rows`` holds
 every path as the rows of one array.  The enumerations are capped at the
 same horizon (default 14, override with ``PITMAN_LAB_CAP``).
 """
@@ -190,6 +191,13 @@ def path_classes(t: int, allow_flat: bool = True) -> Iterator[tuple]:
             for k0 in range(min(0, end), (end - n) // 2 - 1, -1):
                 j = k0 + (n - end) // 2  # y = 2 K0 - x_t = 2j - n
                 yield (k0, end, h), (ending_at[j] - ending_at[j - 1]) * flats
+
+
+def class_columns(keys) -> np.ndarray:
+    """K0, x_t and H of each class key of ``keys`` (a sized collection, such
+    as a dict of ``path_classes``), in its order: the rows of an int array
+    of shape (3, len(keys)), by which a route gathers per-class values."""
+    return np.fromiter(itertools.chain.from_iterable(keys), np.intp, 3 * len(keys)).reshape(-1, 3).T
 
 
 def class_path(t: int, key: tuple) -> Path:

@@ -38,7 +38,7 @@ from .exact import (
     rat_str,
     rel_err,
 )
-from .paths import Path, _refuse_beyond_cap, class_path, path_classes, stats
+from .paths import Path, _refuse_beyond_cap, class_columns, class_path, path_classes, stats
 
 
 @dataclass(frozen=True)
@@ -640,6 +640,15 @@ def parse_initial_law(text: str) -> InitialLaw:
 # ---------------------------------------------------------------------------
 
 
+def class_sum(values, sizes: dict) -> float:
+    """The float sum of ``values[i]`` times the size of the i-th class of
+    ``sizes`` (a float64 array in its key order), added left to right as
+    ``left_sum`` adds: ``np.add.accumulate`` adds in sequence, where
+    ``np.sum`` adds pairwise and so rounds otherwise."""
+    weighted = values * np.fromiter(sizes.values(), float, len(sizes))
+    return float(np.add.accumulate(weighted)[-1])
+
+
 class DistTable:
     """Probability table over the paths of one horizon, keyed by the class
     (K0, x_t, H) from ``path_classes``; each of the ``sizes[key]`` paths of a
@@ -650,9 +659,12 @@ class DistTable:
       the values are Fractions, put over the lcm of their denominators (that
       form already).  The dict given is rewritten in place, so no second
       dict of numerators exists; ``values`` builds Fractions when read.
-    * approx: ``values``, a float per class, and ``err``, a bound on the
-      summed distance over every path to the exact law (truncated mass plus
-      rounding), and so on each entry's.
+    * approx: ``floats``, a float64 array of one value per class in the
+      key order of ``sizes`` (a class missing from a dict given reads 0.0),
+      and ``err``, a bound on the summed distance over every path to the
+      exact law (truncated mass plus rounding), and so on each entry's.
+      ``values`` builds the dict when read.  Two such tables compare, and a
+      mass sums, as array passes in that order.
 
     ``entries`` is the per-path view, built when read.  The one table keyed
     by path (``sizes`` None) is the rejection oracle's tally, read through
@@ -664,8 +676,14 @@ class DistTable:
     def __init__(self, horizon: int, mode: str, values: dict, err: float = 0.0,
                  sizes: dict = None, den: int = None):
         self.horizon, self.mode, self.err, self.sizes = horizon, mode, err, sizes
-        if mode != "exact":  # the instance dict shadows the ``values`` property
-            self.values = values
+        if mode != "exact":
+            if sizes is None:  # the instance dict shadows the ``values`` property
+                self.values = values
+            elif isinstance(values, np.ndarray):
+                self.floats = values
+            else:
+                self.floats = np.fromiter((values.get(key, 0.0) for key in sizes), float,
+                                          len(sizes))
             return
         if den is None:
             den = math.lcm(*(v.denominator for v in values.values()))
@@ -687,6 +705,8 @@ class DistTable:
 
     @functools.cached_property
     def values(self) -> dict:
+        if self.mode != "exact":
+            return dict(zip(self.sizes, self.floats.tolist()))
         return {key: Fraction(n, self.den) for key, n in self.nums.items()}
 
     @functools.cached_property
@@ -726,7 +746,7 @@ class DistTable:
     def mass(self):
         if self.mode == "exact":
             return Fraction(sum(n * self.sizes[x] for x, n in self.nums.items()), self.den)
-        return left_sum(v * self.sizes[x] for x, v in self.values.items())
+        return class_sum(self.floats, self.sizes)
 
     def __getitem__(self, path: Path):
         return self.entries.get(path, self._ZERO[self.mode])
@@ -735,7 +755,16 @@ class DistTable:
         """Largest class-by-class discrepancy and the representative
         (``class_path``) of the first class, in key order, that reaches it.
         Two exact tables compare canonical forms, then cross-multiplied
-        numerators, and form Fractions only where a class differs."""
+        numerators, and form Fractions only where a class differs; two
+        float tables subtract their arrays, and a NaN difference (of two
+        infinities) counts as none, as it is not above the worst."""
+        if self.mode == "approx" == other.mode:
+            with np.errstate(invalid="ignore"):  # fmax reads a NaN as 0
+                d = np.fmax(np.abs(self.floats - other.floats), 0.0)
+            i = int(np.argmax(d))  # the first class at the maximum
+            if not d[i]:
+                return 0.0, None
+            return float(d[i]), class_path(self.horizon, next(itertools.islice(self.sizes, i, None)))
         ints = self.mode == "exact" == other.mode
         if ints and (self.den, self.nums) == (other.den, other.nums):
             return Fraction(0), None
@@ -768,7 +797,7 @@ def walk_law(t: int, params: Params) -> DistTable:
 
 
 def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "formula",
-                        mode: str = None) -> DistTable:
+                        mode: str = None, sweep=None) -> DistTable:
     """Exact finite-dimensional law of the chain increments (X_j - X_0).
 
     formula route: per path x, sigma^H / (z^t rho^(x_t)) times the closed-form
@@ -790,7 +819,9 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     :meth:`DistTable.of_classes`; the product route builds each kernel entry
     once per (level, step) and multiplies their ints, one Fraction per atom,
     summed in lowest terms; the exact formula route is
-    ``_chain_law_formula_exact``.
+    ``_chain_law_formula_exact``.  The float formula route reads its level
+    sums from ``sweep``, a :func:`_chain_level_sweep` for a horizon >= t that
+    a verifier builds once for all its horizons, or by default builds its own.
     """
     q = params.q
     if mode is None:
@@ -799,7 +830,7 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
 
     if route == "formula":
         if mode != "exact":
-            return _chain_law_formula_float(t, law, params)
+            return _chain_law_formula_float(t, law, params, sweep)
         return DistTable.of_classes(t, allow_flat, mode, *_chain_law_formula_exact(t, law, params))
     if route != "product":
         raise ValueError(f"unknown route {route!r}")
@@ -840,8 +871,7 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
     if mode == "exact":
         return table
     m = 1 if law.exact else len(atoms)
-    rounding = left_sum(size * ((m + 3) * UNIT_ROUNDOFF * table.values[key] + m * TERM_FLOOR)
-                        for key, size in table.sizes.items())
+    rounding = class_sum((m + 3) * UNIT_ROUNDOFF * table.floats + m * TERM_FLOOR, table.sizes)
     table.err = err + 1.1 * (left_sum(law.pmf_err(k) for k, _ in atoms) + rounding)
     return table
 
@@ -922,33 +952,31 @@ def _chain_law_formula_exact(t, law, params):
     return formula, pref_den * level_den
 
 
-def _chain_law_formula_float(t, law, params):
-    """Float formula route: entry(x) = pref(x) * s(-K0, x_t) with
-    pref = sigma^H / (z^t rho^(x_t)) and s(a, x_t) the sum of
-    pmf(k) [x_t+k+1]_q / [k+1]_q over a <= k <= top.
+def _chain_level_sweep(t_max, law, params):
+    """The level sums of the float formula route for every horizon up to
+    t_max: (top, sums, errs), with ``sums[x_t + t_max, a]`` the sum s(a, x_t)
+    of pmf(k) [x_t+k+1]_q / [k+1]_q over a <= k <= top and ``errs`` its
+    rounding bound, for |x_t| <= t_max and max(0, -x_t) <= a <= t_max (0.0
+    where a > top); top is the law's truncation point.  Neither depends on
+    the horizon, so one sweep serves every table of a verifier call.
 
-    The pmf floats are read once per table, and for each end value x_t one
-    pass from top down (small terms first) yields s for every a <= t, so the
-    table costs O(top) per end value, not per class.
-
-    ``err`` bounds the summed distance of all entries to the exact law.  The
-    levels k > top carry total mass P(X0 > top) over all paths (the chain from
-    any level has mass 1).  Each entry adds its rounding, once per path of its
-    class: s is within 1.1 (E + u R) of the sum of its exact terms, as in
+    s is within 1.1 (E + u R) of the sum of its exact terms, as in
     ``exact.TailSumTable``, with term errors rel_err(law.float_rel_err(k),
-    ratio error, u), and pref is within rel_err((H + t + |x_t| + 9) u) (float
-    sigma, z, rho, their powers within one ulp, the product and the quotient
-    with s).
+    ratio error, u).  The pmf floats are read once, and one pass from top
+    down (small terms first) yields s for every a and x_t.
 
     Array form, bit for bit the floats of ``bracket_ratio_float`` and of a
-    level-by-level pass.  The levels run in blocks from the top down; for a
-    block every end value takes its terms, term errors and running sums as
-    float64 arrays, top down, accumulated with ``np.add.accumulate`` from the
-    sums carried down from the block above (E interleaves eta * term, or 0.0
-    for a zero term, with TERM_FLOOR, the scalar order).  The ratio
-    [a]_q/[b]_q with a = x_t+k+1, b = k+1 reads expm1(-m |log q|), mapped
-    once per block through libm's expm1 for every m the block needs and
-    shared by all end values, times the scalar exp(x_t log q) when q > 1; at
+    level-by-level pass.  The levels run in blocks from the top down, each
+    block one 2-D array with a row per end value, so that a block holds at
+    most ``_BLOCK_LEVELS`` cells.  A row takes its terms, term errors and
+    running sums top down, accumulated with ``np.add.accumulate`` along the
+    row (in sequence, row by row) from the sums carried down from the block
+    above; E interleaves eta * term, or 0.0 for a zero term, with
+    TERM_FLOOR, the scalar order.  A row's levels below -x_t, which no path
+    reads, come after its read levels and take the term 0 ([m]_q at m = 0).
+    The ratio [a]_q/[b]_q with a = x_t+k+1, b = k+1 reads expm1(-m |log q|),
+    mapped once per block through libm's expm1 for every m the block needs
+    and shared by all rows, times the scalar exp(x_t log q) when q > 1; at
     log q = 0 it is a/b, plain arithmetic.  Like the pmf floats, the
     transcendentals stay libm scalars: numpy's expm1 and exp differ from
     libm in the last bit for some arguments (see ``exact.TailSumTable``).
@@ -957,66 +985,79 @@ def _chain_law_formula_float(t, law, params):
     top = law.truncation_point()
     q_is_one = params.q == 1
     log_q = math.log(float(params.q))
+    ends = np.arange(-t_max, t_max + 1)[:, None]
+    sums, errs = np.zeros((2, len(ends), t_max + 1))
+    carried = np.zeros((3, len(ends)))  # s, e, r per row, from the blocks above
+    if log_q > 0:
+        scale = np.array([[math.exp(xt * log_q)] for xt in range(-t_max, t_max + 1)])
+    levels = max(1, _BLOCK_LEVELS // len(ends))
+    for hi in range(top + 1, 0, -levels):
+        b = max(0, hi - levels)
+        rows = slice(max(0, t_max + 1 - hi), None)  # the rows with a level here, x_t > -hi
+        xt = ends[rows]
+        k = np.arange(hi - 1, b - 1, -1)
+        m = np.maximum(k + (xt + 1), 0)
+        if log_q == 0.0:
+            ratio = m / (k + 1)
+        else:
+            # expm1(m * -|log q|) for m0 <= m <= hi + t_max: every bracket read here
+            m0 = max(b + 1 - t_max, 0)
+            args = (np.arange(m0, hi + t_max + 1) * -abs(log_q)).tolist()
+            em1 = np.fromiter(map(math.expm1, args), float, len(args))
+            ratio = em1[m - m0] / em1[k + (1 - m0)]
+            if log_q > 0:
+                ratio = scale[rows] * ratio
+        term = law._pmf_floats(b, hi)[::-1] * ratio
+        ratio_err = u if q_is_one else bracket_ratio_rel_err(k + (1 + np.maximum(xt, 0)), log_q)
+        eta = rel_err(law._float_rel_errs(b, hi)[::-1], ratio_err, u)
+        s, e, r = carried[:, rows]
+        steps = np.zeros((len(xt), 2 * len(k) + 1))
+        steps[:, 0] = e
+        np.multiply(eta, term, out=steps[:, 1::2], where=term != 0)
+        steps[:, 2::2] = TERM_FLOOR
+        e_run = np.add.accumulate(steps, axis=1, out=steps)[:, 2::2]
+        # the carried sum, then the terms: S, then R over the same buffer
+        run = np.concatenate((s[:, None], term), axis=1)
+        s_run = np.add.accumulate(run, axis=1, out=run)[:, 1:]
+        # the levels b <= a <= t_max, ascending: each row's last entries reversed
+        width = max(0, min(hi, t_max + 1) - b)
+        kept = np.s_[:, -1:-width - 1:-1]
+        sums[rows, b:b + width] = s_run[kept]
+        last_s, run[:, 0] = s_run[:, -1].copy(), r
+        r_run = np.add.accumulate(run, axis=1, out=run)[:, 1:]
+        errs[rows, b:b + width] = 1.1 * (e_run[kept] + u * r_run[kept])
+        carried[:, rows] = last_s, e_run[:, -1], r_run[:, -1]
+    return top, sums, errs
+
+
+def _chain_law_formula_float(t, law, params, sweep=None):
+    """Float formula route: entry(x) = pref(x) * s(-K0, x_t) with
+    pref = sigma^H / (z^t rho^(x_t)) and s(a, x_t) the level sum of
+    ``sweep``, a :func:`_chain_level_sweep` for a horizon >= t (by default
+    built for t).
+
+    ``err`` bounds the summed distance of all entries to the exact law.  The
+    levels k > top carry total mass P(X0 > top) over all paths (the chain from
+    any level has mass 1).  Each entry adds its rounding, once per path of its
+    class: s is within its sweep bound of the sum of its exact terms, and
+    pref is within rel_err((H + t + |x_t| + 9) u) (float sigma, z, rho, their
+    powers within one ulp, the product and the quotient with s).
+
+    The powers of sigma and rho are libm scalars, one per H and one per x_t;
+    each class gathers them and its s by index arrays, and the bounds,
+    times the class sizes, add left to right (:func:`class_sum`).
+    """
+    top, sums, errs = sweep or _chain_level_sweep(t, law, params)
+    t_sweep, u = sums.shape[1] - 1, UNIT_ROUNDOFF
     sig, zf, rhof = float(params.sigma), float(params.z), float(params.rho)
     allow_flat = params.sigma > 0
-    ends = range(-t, t + 1, 1 if allow_flat else 2)
-    # per end value: (s, e, r) carried down from the blocks above, and
-    # {a: (s(a, x_t), its rounding bound)} for the a a path can have,
-    # max(0, -x_t) <= a <= min(t, top)
-    carried = dict.fromkeys(ends, (0.0, 0.0, 0.0))
-    kept = {xt: {} for xt in ends}
-    for hi in range(top + 1, 0, -_BLOCK_LEVELS):
-        b = max(0, hi - _BLOCK_LEVELS)
-        pmfs = law._pmf_floats(b, hi)[::-1]
-        pmf_errs = law._float_rel_errs(b, hi)[::-1]
-        if log_q != 0.0:
-            # expm1(m * -|log q|) for m0 <= m <= hi + t: every bracket read here
-            m0 = max(b + 1 - t, 0)
-            args = (np.arange(m0, hi + t + 1) * -abs(log_q)).tolist()
-            em1 = np.fromiter(map(math.expm1, args), float, len(args))
-        for xt in ends:
-            lo = max(b, -xt)
-            if lo >= hi:
-                continue
-            n = hi - lo
-            k = np.arange(hi - 1, lo - 1, -1)
-            if log_q == 0.0:
-                ratio = (k + (xt + 1)) / (k + 1)
-            else:
-                ratio = em1[k + (xt + 1 - m0)] / em1[k + (1 - m0)]
-                if log_q > 0:
-                    ratio = math.exp(xt * log_q) * ratio
-            term = pmfs[:n] * ratio
-            ratio_err = u if q_is_one else bracket_ratio_rel_err(k + (1 + max(xt, 0)), log_q)
-            eta = rel_err(pmf_errs[:n], ratio_err, u)
-            s, e, r = carried[xt]
-            steps = np.zeros(2 * n + 1)
-            steps[0] = e
-            np.multiply(eta, term, out=steps[1::2], where=term != 0)
-            steps[2::2] = TERM_FLOOR
-            e_run = np.add.accumulate(steps, out=steps)[2::2]
-            # the levels k <= t are the block's last entries
-            first = hi - 1 - min(t, hi - 1)
-            # the carried sum, then the terms: S, then R over the same buffer
-            run = np.concatenate(([s], term))
-            np.add.accumulate(run, out=run)
-            s_kept = run[1 + first:].tolist()
-            s, run[0] = run[-1], r
-            r_run = np.add.accumulate(run, out=run)[1:]
-            carried[xt] = (s, e_run[-1], r_run[-1])
-            errs = 1.1 * (e_run[first:] + u * r_run[first:])
-            kept[xt].update(zip(range(hi - 1 - first, lo - 1, -1), zip(s_kept, errs.tolist())))
-
-    rounding = {}
-
-    def formula(key):
-        k0, end, h = key
-        s, s_err = kept[end].get(-k0, (0.0, 0.0))
-        pref = sig**h / (zf**t * rhof**end)
-        rounding[key] = pref * s_err + rel_err((h + t + abs(end) + 9) * u) * pref * s
-        return pref * s
-
-    table = DistTable.of_classes(t, allow_flat, "approx", formula)
-    table.err = law.tail_bound(top + 1) + 1.1 * left_sum(
-        table.sizes[key] * r for key, r in rounding.items())
+    sizes = dict(path_classes(t, allow_flat))
+    k0, end, h = class_columns(sizes)
+    sig_h = np.array([sig**hh for hh in range(t + 1)])
+    rho_e = np.array([rhof**e for e in range(-t, t + 1)])
+    pref = sig_h[h] / (zf**t * rho_e[end + t])
+    bound = rel_err((h + t + np.abs(end) + 9) * u) * pref
+    s, s_err = sums[end + t_sweep, -k0], errs[end + t_sweep, -k0]
+    table = DistTable(t, "approx", pref * s, sizes=sizes)
+    table.err = law.tail_bound(top + 1) + 1.1 * class_sum(pref * s_err + bound * s, sizes)
     return table

@@ -28,7 +28,7 @@ from .exact import (
     rat,
     rel_err,
 )
-from .paths import class_rows, path_classes
+from .paths import class_columns, class_rows, horizon_cap, path_classes
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -36,6 +36,7 @@ from .processes import (
     InitialLaw,
     Params,
     PointMass,
+    _chain_level_sweep,
     chain_increment_law,
     walk_law,
 )
@@ -207,9 +208,9 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
 # ---------------------------------------------------------------------------
 
 
-def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
-    """Closed form for P(2(M-G)_+ - S follows x) on horizon t, as a function
-    of the class key (K0, x_t, H), with n = -K and m = x_t - K <= t:
+def _rhs_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
+    """Closed form for P(2(M-G)_+ - S follows x) on horizon t, per class
+    (K0, x_t, H), with n = -K and m = x_t - K <= t:
 
         sigma^H rho^(x_t) / z^t * (P(G >= n) + P(G = n) (1 - q^-m)/(q - 1))
 
@@ -219,10 +220,10 @@ def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
     zd^t over (sd rn rd zn)^t.  An exact level law's values go over the lcm
     L of their denominators, so the level part L P(G >= n) qn^t +
     L P(G = n) F(m) is an int per (K, x_t), the prefactor one per (H, x_t),
-    and a class's numerator is their product: returns it with the
-    denominator.  A float level law's entry (denominator None) is
-    pref (P(G >= n) + P(G = n) factor), pref and factor each one correctly
-    rounded int quotient.
+    and a class's numerator is their product, over one denominator.  A
+    float level law's entry is pref (P(G >= n) + P(G = n) factor), pref and
+    factor each one correctly rounded int quotient: the prefactor once per
+    (H, x_t), the factor once per m, gathered per class by index arrays.
     """
     rn, rd = params.rho.numerator, params.rho.denominator
     sn, sd = params.sigma.numerator, params.sigma.denominator
@@ -236,17 +237,18 @@ def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
                                         initial=0))
     tails = [glaw.tail(n) for n in range(t + 1)]
     pmfs = [glaw.pmf(n) for n in range(t + 1)]
+    allow_flat = params.sigma > 0
 
     if not glaw.exact:
-        @functools.cache
-        def level_float(k0, end):
-            return tails[-k0] + pmfs[-k0] * (factors[end - k0] / qn_t)
-
-        def formula_float(key):
-            k0, end, h = key
-            return pref(h, end) / pref_den * level_float(k0, end)
-
-        return formula_float, None
+        sizes = dict(path_classes(t, allow_flat))
+        k0, end, h = class_columns(sizes)
+        prefs = np.zeros((t + 1, 2 * t + 1))
+        for hh in range(t + 1 if allow_flat else 1):
+            prefs[hh, hh:2 * t + 1 - hh:2] = [pref(hh, e) / pref_den
+                                              for e in range(hh - t, t - hh + 1, 2)]
+        factor = np.array([f / qn_t for f in factors])[end - k0]
+        level = np.array(tails)[-k0] + np.array(pmfs)[-k0] * factor
+        return DistTable(t, "approx", prefs[h, end + t] * level, sizes=sizes)
 
     lcm = math.lcm(*(v.denominator for v in tails + pmfs))
     tails = [v.numerator * (lcm // v.denominator) * qn_t for v in tails]
@@ -257,7 +259,7 @@ def _rhs_formula(t: int, glaw: InitialLaw, params: Params):
         k0, end, h = key
         return pref(h, end) * level(k0, end)
 
-    return formula, pref_den * lcm * qn_t
+    return DistTable.of_classes(t, allow_flat, "exact", formula, pref_den * lcm * qn_t)
 
 
 def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
@@ -274,7 +276,8 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     walk_prob is sigma^H rho^(D-U) / z^t, an int numerator over one
     denominator per table, and the members' sum is a difference of two
     prefix sums of those numerators over e per H.  A flip off a -1 step of
-    the ray, or other than x_t - K flips, raises ArithmeticError.
+    the ray, or other than x_t - K flips, raises ArithmeticError.  A float
+    level law's class values go into one array, in key order.
     """
     rn, rd = params.rho.numerator, params.rho.denominator
     sn, sd = params.sigma.numerator, params.sigma.denominator
@@ -291,7 +294,8 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     if glaw.exact:  # over the lcm of their denominators
         lcm = math.lcm(*(v.denominator for v in tails + pmfs))
         tails, pmfs = ([v.numerator * (lcm // v.denominator) for v in vs] for vs in (tails, pmfs))
-    values, keys = {}, list(sizes)
+    keys = list(sizes)
+    values = {} if glaw.exact else np.empty(len(keys))  # floats in key order
     step, dtype = block_rows(t + 1), _level_dtype(t)  # |x_j| <= t
     for start in range(0, len(keys), step):
         block = keys[start:start + step]
@@ -301,7 +305,8 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
         flips = preimage_flips(vals)
         per_row = (np.minimum.reduce(vals, axis=1), vals[:, -1], (steps == 0).sum(axis=1),
                    flips.sum(axis=1), (flips & (steps == 1)).sum(axis=1))
-        for key, k0, e, h, m, on_ray in zip(block, *(column.tolist() for column in per_row)):
+        for row, (key, k0, e, h, m, on_ray) in enumerate(
+                zip(block, *(column.tolist() for column in per_row)), start):
             if not m == on_ray == e - k0:
                 raise ArithmeticError(f"preimage of class {key}: {m} flips, {on_ray} on -1 steps "
                                       f"of the ray, not x_t - K0 = {e - k0}")
@@ -310,15 +315,13 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
             if glaw.exact:
                 values[key] = tails[-k0] * ray + pmfs[-k0] * members
             else:  # each walk probability rounded once, as float(Fraction) does
-                values[key] = tails[-k0] * (ray / denom) + pmfs[-k0] * (members / denom)
+                values[row] = tails[-k0] * (ray / denom) + pmfs[-k0] * (members / denom)
     return _with_level_err(DistTable(t, "exact" if glaw.exact else "approx", values,
                                      sizes=sizes, den=denom * lcm if glaw.exact else None), glaw)
 
 
 def rhs_law_table_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
-    return _with_level_err(DistTable.of_classes(t, params.sigma > 0,
-                                                "exact" if glaw.exact else "approx",
-                                                *_rhs_formula(t, glaw, params)), glaw)
+    return _with_level_err(_rhs_formula(t, glaw, params), glaw)
 
 
 def _with_level_err(table: DistTable, glaw: InitialLaw) -> DistTable:
@@ -370,7 +373,10 @@ def compare_routes(check: str, horizons, pairs_at, stop_at_witness: bool = False
     A table whose mass is off 1 raises ArithmeticError, as a route that lost
     or double-counted paths must not PASS: an exact mass must be 1, a float
     one within ``err`` plus (classes + 1) u mass for its sum's rounding.  A
-    table in several pairs of one horizon is checked once.
+    table in several pairs of one horizon is checked once.  Float tables
+    are read as float64 arrays in ``path_classes`` key order: a mass sums
+    left to right and a difference is one array pass (``DistTable.mass``,
+    ``DistTable.max_abs_diff``).
     ``stop_at_witness`` ends the loop after the first horizon with a
     witness, which settles a converse question; later tables are not built.
     """
@@ -425,7 +431,10 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
     first class that reaches the worst difference of a broken pair.  Passing
     a candidate level law instead turns this into the converse test: a wrong
     candidate produces a witness path.  ``t_values`` restricts the horizons,
-    so a caller can verify chosen horizons without the ones below them.
+    so a caller can verify chosen horizons without the ones below them.  In
+    approx mode the chain route sweeps the initial law's levels once per
+    call, for its largest horizon, and every horizon's table reads that
+    sweep (:func:`processes._chain_level_sweep`).
     """
     if part not in ("I", "II"):
         raise ValueError("part must be 'I' or 'II'")
@@ -434,16 +443,21 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
     glaw = candidate if candidate is not None else g_law_from_initial(law, params, which)
 
     exact = glaw.exact and law.exact and law.exact_capable(params.q)
+    horizons = list(t_values if t_values is not None else range(1, t_max + 1))
+    # the float chain route's level sums, built when the first table reads them,
+    # for the largest horizon a table can have
+    sweep = functools.cache(
+        lambda: _chain_level_sweep(min(max(horizons), horizon_cap()), law, params))
 
     def routes(t):
-        chain = chain_increment_law(t, law, params, mode="exact" if exact else "approx")
+        chain = chain_increment_law(t, law, params, mode="exact" if exact else "approx",
+                                    sweep=None if exact else sweep())
         enum = rhs_law_enumeration(t, glaw, walk_params)
         form = rhs_law_table_formula(t, glaw, walk_params)
         return (("chain_vs_enumeration", chain, enum), ("chain_vs_formula", chain, form),
                 ("enumeration_vs_formula", enum, form))
 
-    compared = compare_routes("thm1", t_values if t_values is not None else range(1, t_max + 1),
-                              routes, stop_at_witness=candidate is not None)
+    compared = compare_routes("thm1", horizons, routes, stop_at_witness=candidate is not None)
     return {
         "check": "thm1",
         "part": part,

@@ -251,3 +251,38 @@ class TestChainFormulaFloat:
         values, err = scalar_chain_formula(2, law, params)
         assert same_floats(list(table.values.values()), list(values.values()))
         assert same_floats([table.err], [err])
+
+
+def same_table(got, want):
+    """The same keys in the same order, and the same value and err bits."""
+    return (list(got.values) == list(want.values)
+            and same_floats(list(got.values.values()), list(want.values.values()))
+            and same_floats([got.err], [want.err]))
+
+
+class TestChainLevelSweep:
+    """The float chain route sums each level block as one 2-D array, a row
+    per end value, and one sweep serves every horizon of a verifier call.
+    Neither the block length nor the horizon the sweep was built for may
+    move a bit: each row adds its levels in sequence, and s(a, x_t) does not
+    depend on t."""
+
+    @pytest.mark.parametrize("law", [Geometric(F(99, 100)), ShiftedPoisson(2.0)], ids=law_id)
+    @pytest.mark.parametrize("block", [7, 100])
+    def test_block_length_moves_no_bit(self, monkeypatch, law, block):
+        cases = [(t, Params(rho, sigma)) for t in range(1, 7) for sigma in (F(0), F(1, 2))
+                 for rho in (F(1, 2), F(1), F(3, 2))]
+        want = [chain_increment_law(t, law, params, mode="approx") for t, params in cases]
+        monkeypatch.setattr(processes, "_BLOCK_LEVELS", block)
+        for (t, params), table in zip(cases, want):
+            assert same_table(chain_increment_law(t, law, params, mode="approx"), table), (t, params)
+
+    @pytest.mark.parametrize("law", LAWS, ids=law_id)
+    @pytest.mark.parametrize("rho, sigma", [(F(1, 2), F(0)), (F(1), F(1, 2)), (F(3, 2), F(0)),
+                                            (F(2, 3), F(1))], ids=str)
+    def test_a_larger_sweep_gives_each_table_alone(self, law, rho, sigma):
+        params = Params(rho, sigma)
+        sweep = processes._chain_level_sweep(7, law, params)
+        for t in range(1, 8):
+            assert same_table(processes._chain_law_formula_float(t, law, params, sweep),
+                              chain_increment_law(t, law, params, mode="approx")), t

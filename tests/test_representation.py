@@ -508,6 +508,18 @@ class TestVerify:
         rep = verify_thm1(6, law, params, "I", candidate=wrong)
         assert rep["status"] == "FAIL" and rep["witness"]["horizon"] == 1 and built == [1]
 
+    def test_approx_verify_sweeps_the_levels_once(self, monkeypatch):
+        # one level sweep per call, at its largest horizon, read by every table
+        law, params = Geometric(F(1, 3)), Params(F(2, 3), F(1))
+        sweeps = []
+        sweep = representation._chain_level_sweep
+        monkeypatch.setattr(representation, "_chain_level_sweep",
+                            lambda t_max, *args: sweeps.append(t_max) or sweep(t_max, *args))
+        assert verify_thm1(5, law, params, "I")["status"] == "PASS" and sweeps == [5]
+        sweeps.clear()
+        assert verify_thm1(5, law, params, "I", t_values=[2, 4])["status"] == "PASS"
+        assert sweeps == [4]
+
     def test_an_approx_pair_past_its_bound_fails(self, monkeypatch):
         # the closed form's table with mass moved between its two largest
         # classes: the mass holds, and the two classes move far past the pair bound
@@ -517,8 +529,9 @@ class TestVerify:
             table = formula(t, glaw, params)
             (k1, v1), (k2, _) = sorted(table.values.items(), key=lambda kv: -kv[1])[:2]
             shift = 10 * v1 * 1e-12
-            table.values[k1] += shift / table.sizes[k1]
-            table.values[k2] -= shift / table.sizes[k2]
+            keys = list(table.sizes)  # the order of the float array
+            table.floats[keys.index(k1)] += shift / table.sizes[k1]
+            table.floats[keys.index(k2)] -= shift / table.sizes[k2]
             return table
 
         monkeypatch.setattr(representation, "rhs_law_table_formula", moved)
@@ -530,8 +543,8 @@ class TestVerify:
         formula = representation.rhs_law_table_formula
 
         def dropped(t, glaw, params):
-            table = formula(t, glaw, params)
-            del table.values[max(table.values, key=table.values.get)]
+            table = formula(t, glaw, params)  # the largest class reads 0.0, as a missing one
+            table.floats[list(table.sizes).index(max(table.values, key=table.values.get))] = 0.0
             return table
 
         monkeypatch.setattr(representation, "rhs_law_table_formula", dropped)

@@ -439,6 +439,16 @@ class TestSpecialFunctions:
             room = 2.0**-51 * (n + abs(math.log(want)))
             assert abs(_dbinom(k, n, p, q) - want) <= room * want, k
 
+    def test_dbinom_off_the_mean_keeps_its_digits(self):
+        # n = 10^4, p = 1/2, k within 1000 of the mean: the deviance terms
+        # take the series up to |v| = 1/2, which the log form x log(x/m) + m - x
+        # cancels in (6.4e-13 relative there against 6.3e-14)
+        n, c = 10**4, math.comb(10**4, 4000)
+        for k in range(4000, 6001):
+            want = F(c, 2**n)
+            assert abs(F(_dbinom(k, n, 0.5, 0.5)) - want) <= F(1e-13) * want, k
+            c = c * (n - k) // (k + 1)
+
 
 class TestScalingConfig:
     def test_exact_rho(self):
