@@ -4,20 +4,22 @@ Paths are stored as increment tuples (compact dictionary keys); the value
 sequence is materialized on construction.  Every law of the package depends
 on a path only through its class (K0, x_t, H): global minimum, end and number
 of flat steps.  ``path_classes`` yields each class key with the class size,
-O(t^3) classes against the 3^t paths of ``enumerate_paths``, and
-``class_path`` and ``class_rows`` the representatives, ``class_columns``
-the keys as int arrays; ``path_rows`` holds
-every path as the rows of one array.  The enumerations are capped at the
-same horizon (default 14, override with ``PITMAN_LAB_CAP``).
+O(t^3) classes against the 3^t paths of ``enumerate_paths``; ``class_sizes``
+holds them once per horizon, ``class_path`` and ``class_rows`` give the
+representatives, ``class_columns`` the keys as int arrays; ``path_rows``
+holds every path as the rows of one array.  The enumerations are capped at
+the same horizon (default 14, override with ``PITMAN_LAB_CAP``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import os
-from typing import Iterator, NamedTuple
+import types
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -33,6 +35,8 @@ class HorizonCapError(ValueError):
 
 def horizon_cap() -> int:
     env = os.environ.get("PITMAN_LAB_CAP")
+    if env and not env.strip().isdecimal():
+        raise ValueError(f"PITMAN_LAB_CAP must be an integer >= 0, got {env!r}")
     return int(env) if env else DEFAULT_HORIZON_CAP
 
 
@@ -193,10 +197,21 @@ def path_classes(t: int, allow_flat: bool = True) -> Iterator[tuple]:
                 yield (k0, end, h), (ending_at[j] - ending_at[j - 1]) * flats
 
 
+def class_sizes(t: int, allow_flat: bool = True) -> Mapping:
+    """The read-only {(K0, x_t, H): size} of ``path_classes``, kept for the
+    latest (t, allow_flat) and shared by its tables; the cap is checked per call."""
+    _refuse_beyond_cap(t, allow_flat)
+    return _class_set(t, allow_flat)
+
+
+@functools.lru_cache(maxsize=1)
+def _class_set(t: int, allow_flat: bool) -> Mapping:
+    return types.MappingProxyType(dict(path_classes(t, allow_flat)))
+
+
 def class_columns(keys) -> np.ndarray:
-    """K0, x_t and H of each class key of ``keys`` (a sized collection, such
-    as a dict of ``path_classes``), in its order: the rows of an int array
-    of shape (3, len(keys)), by which a route gathers per-class values."""
+    """K0, x_t and H of each class key of sized ``keys``, such as ``class_sizes``,
+    in its order: the rows of an int array of shape (3, len(keys)), per class."""
     return np.fromiter(itertools.chain.from_iterable(keys), np.intp, 3 * len(keys)).reshape(-1, 3).T
 
 

@@ -15,8 +15,10 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .exact import (
     rat_str,
     rel_err,
 )
-from .paths import Path, _refuse_beyond_cap, class_columns, class_path, path_classes, stats
+from .paths import Path, _refuse_beyond_cap, class_columns, class_path, class_sizes, stats
 
 
 @dataclass(frozen=True)
@@ -640,7 +642,7 @@ def parse_initial_law(text: str) -> InitialLaw:
 # ---------------------------------------------------------------------------
 
 
-def class_sum(values, sizes: dict) -> float:
+def class_sum(values, sizes: Mapping) -> float:
     """The float sum of ``values[i]`` times the size of the i-th class of
     ``sizes`` (a float64 array in its key order), added left to right as
     ``left_sum`` adds: ``np.add.accumulate`` adds in sequence, where
@@ -650,49 +652,42 @@ def class_sum(values, sizes: dict) -> float:
 
 
 class DistTable:
-    """Probability table over the paths of one horizon, keyed by the class
-    (K0, x_t, H) from ``path_classes``; each of the ``sizes[key]`` paths of a
-    class has the class's value.  Two forms:
+    """Probability table over the paths of one horizon, one value per class
+    (K0, x_t, H) in the key order of ``sizes``, the horizon's
+    ``paths.class_sizes``; each of the ``sizes[key]`` paths of a class has
+    the class's value.  Two forms:
 
-    * exact: ``nums``, an int numerator per class over one ``den``, divided
-      by gcd(den, *nums), a form equal for equal tables.  Given no ``den``,
-      the values are Fractions, put over the lcm of their denominators (that
-      form already).  The dict given is rewritten in place, so no second
-      dict of numerators exists; ``values`` builds Fractions when read.
-    * approx: ``floats``, a float64 array of one value per class in the
-      key order of ``sizes`` (a class missing from a dict given reads 0.0),
-      and ``err``, a bound on the summed distance over every path to the
-      exact law (truncated mass plus rounding), and so on each entry's.
-      ``values`` builds the dict when read.  Two such tables compare, and a
-      mass sums, as array passes in that order.
+    * exact: ``nums``, a list of int numerators over one ``den``, divided
+      by gcd(den, *nums) in place, a form equal for equal tables.  Given no
+      ``den``, the values are Fractions, put over the lcm of their
+      denominators in place (that form already).  ``values`` builds
+      Fractions when read, and ``floats`` each n / den, correctly rounded.
+    * approx: ``floats``, a float64 array, and ``err``, a bound on the
+      summed distance over every path to the exact law (truncated mass plus
+      rounding), and so on each entry's.  ``values`` builds the dict when read.
 
     ``entries`` is the per-path view, built when read.  The one table keyed
     by path (``sizes`` None) is the rejection oracle's tally, read through
     ``entries`` and ``[path]`` only.
     """
 
-    _ZERO = {"exact": Fraction(0), "approx": 0.0}  # the missing entry per mode
-
-    def __init__(self, horizon: int, mode: str, values: dict, err: float = 0.0,
-                 sizes: dict = None, den: int = None):
+    def __init__(self, horizon: int, mode: str, values, err: float = 0.0,
+                 sizes: Mapping = None, den: int = None):
         self.horizon, self.mode, self.err, self.sizes = horizon, mode, err, sizes
+        if sizes is None:  # the instance dict shadows the ``entries`` property
+            self.entries = values
+            return
         if mode != "exact":
-            if sizes is None:  # the instance dict shadows the ``values`` property
-                self.values = values
-            elif isinstance(values, np.ndarray):
-                self.floats = values
-            else:
-                self.floats = np.fromiter((values.get(key, 0.0) for key in sizes), float,
-                                          len(sizes))
+            self.floats = np.asarray(values, float)
             return
         if den is None:
-            den = math.lcm(*(v.denominator for v in values.values()))
-            for key, v in values.items():
-                values[key] = v.numerator * (den // v.denominator)
-        elif (g := math.gcd(den, *values.values())) > 1:
+            den = math.lcm(*(v.denominator for v in values))
+            for i, v in enumerate(values):
+                values[i] = v.numerator * (den // v.denominator)
+        elif (g := math.gcd(den, *values)) > 1:
             den //= g
-            for key, n in values.items():
-                values[key] = n // g
+            for i, n in enumerate(values):
+                values[i] = n // g
         self.den, self.nums = den, values
 
     @classmethod
@@ -700,21 +695,24 @@ class DistTable:
         """The class table of ``value(key)``, one evaluation per class key
         (K0, x_t, H); a route that reads a path builds it with ``class_path``.
         With ``den``, the values are int numerators over it."""
-        sizes = dict(path_classes(t, allow_flat))
-        return cls(t, mode, {key: value(key) for key in sizes}, sizes=sizes, den=den)
+        sizes = class_sizes(t, allow_flat)
+        return cls(t, mode, list(map(value, sizes)), sizes=sizes, den=den)
 
     @functools.cached_property
     def values(self) -> dict:
         if self.mode != "exact":
             return dict(zip(self.sizes, self.floats.tolist()))
-        return {key: Fraction(n, self.den) for key, n in self.nums.items()}
+        return {key: Fraction(n, self.den) for key, n in zip(self.sizes, self.nums)}
+
+    @functools.cached_property
+    def floats(self) -> np.ndarray:
+        """An exact table's values n / den (an approx table holds its own)."""
+        return np.array([n / self.den for n in self.nums])
 
     @functools.cached_property
     def entries(self) -> dict:
         """Every path of the horizon with the value of its class, in the
-        order of ``enumerate_paths``; the tally itself for a per-path table."""
-        if self.sizes is None:
-            return self.values
+        order of ``enumerate_paths``."""
         steps, prefixes, leaves = self._lex_walk(self.values)
         paths = itertools.product(steps, repeat=self.horizon)
         values = (v for key, _ in prefixes for _, v in leaves[key])
@@ -745,41 +743,39 @@ class DistTable:
 
     def mass(self):
         if self.mode == "exact":
-            return Fraction(sum(n * self.sizes[x] for x, n in self.nums.items()), self.den)
+            return Fraction(sum(map(operator.mul, self.nums, self.sizes.values())), self.den)
         return class_sum(self.floats, self.sizes)
 
     def __getitem__(self, path: Path):
-        return self.entries.get(path, self._ZERO[self.mode])
+        return self.entries.get(path, Fraction(0) if self.mode == "exact" else 0.0)
 
     def max_abs_diff(self, other: "DistTable"):
         """Largest class-by-class discrepancy and the representative
         (``class_path``) of the first class, in key order, that reaches it.
         Two exact tables compare canonical forms, then cross-multiplied
-        numerators, and form Fractions only where a class differs; two
-        float tables subtract their arrays, and a NaN difference (of two
-        infinities) counts as none, as it is not above the worst."""
-        if self.mode == "approx" == other.mode:
-            with np.errstate(invalid="ignore"):  # fmax reads a NaN as 0
-                d = np.fmax(np.abs(self.floats - other.floats), 0.0)
-            i = int(np.argmax(d))  # the first class at the maximum
-            if not d[i]:
-                return 0.0, None
-            return float(d[i]), class_path(self.horizon, next(itertools.islice(self.sizes, i, None)))
-        ints = self.mode == "exact" == other.mode
-        if ints and (self.den, self.nums) == (other.den, other.nums):
-            return Fraction(0), None
-        a_of, b_of = (self.nums, other.nums) if ints else (self.values, other.values)
-        worst, witness = Fraction(0) if ints else 0.0, None
-        for key in {**a_of, **b_of}:
-            a, b = a_of.get(key, self._ZERO[self.mode]), b_of.get(key, other._ZERO[other.mode])
-            if (a * other.den == b * self.den) if ints else a == b:
-                continue  # no subtraction where the entries agree (all, in a PASS)
-            if ints:
-                a, b = Fraction(a, self.den), Fraction(b, other.den)
-            d = abs(a - b)
-            if d > worst:
-                worst, witness = d, key
-        return worst, witness and class_path(self.horizon, witness)
+        numerators, and form Fractions only where a class differs.  Any
+        other pair subtracts float arrays, an exact table's ``floats`` being
+        the bits Fraction - float rounds to, and a NaN difference (of two
+        infinities) counts as none, as it is not above the worst.  Tables
+        over different class sets raise ValueError."""
+        if self.sizes is not other.sizes and self.sizes.keys() != other.sizes.keys():
+            raise ValueError(f"different classes: horizons {self.horizon}, {other.horizon}")
+        if self.mode == "exact" == other.mode:
+            if (self.den, self.nums) == (other.den, other.nums):
+                return Fraction(0), None
+            worst, witness = Fraction(0), None
+            for key, a, b in zip(self.sizes, self.nums, other.nums):
+                if a * other.den != b * self.den:  # no Fraction where the entries agree
+                    d = abs(Fraction(a, self.den) - Fraction(b, other.den))
+                    if d > worst:
+                        worst, witness = d, key
+            return worst, witness and class_path(self.horizon, witness)
+        with np.errstate(invalid="ignore"):  # fmax reads a NaN as 0
+            d = np.fmax(np.abs(self.floats - other.floats), 0.0)
+        i = int(np.argmax(d))  # the first class at the maximum
+        if not d[i]:
+            return 0.0, None
+        return float(d[i]), class_path(self.horizon, next(itertools.islice(self.sizes, i, None)))
 
     def to_json(self):
         """Every entry keyed by its path's values as text, in entry order;
@@ -1050,14 +1046,12 @@ def _chain_law_formula_float(t, law, params, sweep=None):
     top, sums, errs = sweep or _chain_level_sweep(t, law, params)
     t_sweep, u = sums.shape[1] - 1, UNIT_ROUNDOFF
     sig, zf, rhof = float(params.sigma), float(params.z), float(params.rho)
-    allow_flat = params.sigma > 0
-    sizes = dict(path_classes(t, allow_flat))
+    sizes = class_sizes(t, params.sigma > 0)
     k0, end, h = class_columns(sizes)
     sig_h = np.array([sig**hh for hh in range(t + 1)])
     rho_e = np.array([rhof**e for e in range(-t, t + 1)])
     pref = sig_h[h] / (zf**t * rho_e[end + t])
     bound = rel_err((h + t + np.abs(end) + 9) * u) * pref
     s, s_err = sums[end + t_sweep, -k0], errs[end + t_sweep, -k0]
-    table = DistTable(t, "approx", pref * s, sizes=sizes)
-    table.err = law.tail_bound(top + 1) + 1.1 * class_sum(pref * s_err + bound * s, sizes)
-    return table
+    err = law.tail_bound(top + 1) + 1.1 * class_sum(pref * s_err + bound * s, sizes)
+    return DistTable(t, "approx", pref * s, err=err, sizes=sizes)

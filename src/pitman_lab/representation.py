@@ -28,7 +28,7 @@ from .exact import (
     rat,
     rel_err,
 )
-from .paths import class_columns, class_rows, horizon_cap, path_classes
+from .paths import class_columns, class_rows, class_sizes, horizon_cap
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -48,10 +48,9 @@ class LevelLaw(InitialLaw):
     """The law of a level G derived from an initial law by
     :func:`g_law_from_initial`: pmf and tail are closures, cached per level
     on this object.  Exact closures return Fractions, and the exact
-    ``pairs`` closures, read uncached by ``pmf_pair``/``tail_pair``, the same
-    values as int pairs (numerator, denominator); float ones return
-    :class:`Approx`, whose value ``pmf``/``tail`` give and whose certified
-    error ``pmf_err``/``tail_err`` give.
+    ``tail_pair`` closure, read uncached, the tails as int pairs (numerator,
+    denominator); float ones return :class:`Approx`, whose value
+    ``pmf``/``tail`` give and whose certified error ``pmf_err``/``tail_err`` give.
 
     Every other level law is a catalog law; ``point``, ``from_pmf`` and
     ``geometric`` build the catalog's PointMass, FiniteSupport and Geometric.
@@ -64,11 +63,10 @@ class LevelLaw(InitialLaw):
     def from_pmf(masses: dict) -> FiniteSupport:
         return FiniteSupport(tuple(masses.items()))
 
-    def __init__(self, pmf_fn, tail_fn, exact: bool, label: str, pairs=None):
-        self.exact, self._label = exact, label
+    def __init__(self, pmf_fn, tail_fn, exact: bool, label: str, tail_pair=None):
+        self.exact, self._label, self._tail_pair = exact, label, tail_pair
         self._pmf_entry = functools.lru_cache(maxsize=None)(pmf_fn)
         self._tail_entry = functools.lru_cache(maxsize=None)(tail_fn)
-        self._pmf_pair, self._tail_pair = pairs or (None, None)
 
     def pmf(self, n: int):
         if n < 0:
@@ -81,13 +79,9 @@ class LevelLaw(InitialLaw):
             return Fraction(1) if self.exact else 1.0
         return _value(self._tail_entry(n))
 
-    def pmf_pair(self, n: int):
-        """Exact mode: P(level = n) as an int pair (numerator, denominator
-        > 0), not always in lowest terms; not cached."""
-        return self._pmf_pair(n) if n >= 0 else (0, 1)
-
     def tail_pair(self, n: int):
-        """Exact mode: P(level >= n) as an int pair, as ``pmf_pair``."""
+        """Exact mode: P(level >= n) as an int pair (numerator, denominator
+        > 0), not always in lowest terms; not cached."""
         return self._tail_pair(n) if n > 0 else (1, 1)
 
     def pmf_err(self, n: int) -> float:
@@ -166,7 +160,7 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
         else:  # an atom's bracket may be far longer than the level's: cross gcds of the parts
             fractions = [lambda n: q**n * law.ratio_tail_exact(n, q),
                          lambda n: law.tail(n) - q_bracket(n, q) * law.ratio_tail_exact(n, q)]
-        return LevelLaw(*fractions, exact=True, label=label, pairs=(pmf_pair, tail_pair))
+        return LevelLaw(*fractions, exact=True, label=label, tail_pair=tail_pair)
 
     table = functools.cache(lambda: law._tail_sum_table(q, trunc_n))
     qf, u = float(q), UNIT_ROUNDOFF
@@ -208,7 +202,7 @@ def g_law_from_initial(law: InitialLaw, params: Params, which: str = "G",
 # ---------------------------------------------------------------------------
 
 
-def _rhs_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
+def rhs_law_table_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     """Closed form for P(2(M-G)_+ - S follows x) on horizon t, per class
     (K0, x_t, H), with n = -K and m = x_t - K <= t:
 
@@ -240,7 +234,7 @@ def _rhs_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     allow_flat = params.sigma > 0
 
     if not glaw.exact:
-        sizes = dict(path_classes(t, allow_flat))
+        sizes = class_sizes(t, allow_flat)
         k0, end, h = class_columns(sizes)
         prefs = np.zeros((t + 1, 2 * t + 1))
         for hh in range(t + 1 if allow_flat else 1):
@@ -248,7 +242,7 @@ def _rhs_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
                                               for e in range(hh - t, t - hh + 1, 2)]
         factor = np.array([f / qn_t for f in factors])[end - k0]
         level = np.array(tails)[-k0] + np.array(pmfs)[-k0] * factor
-        return DistTable(t, "approx", prefs[h, end + t] * level, sizes=sizes)
+        return _with_level_err(DistTable(t, "approx", prefs[h, end + t] * level, sizes=sizes), glaw)
 
     lcm = math.lcm(*(v.denominator for v in tails + pmfs))
     tails = [v.numerator * (lcm // v.denominator) * qn_t for v in tails]
@@ -276,8 +270,9 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     walk_prob is sigma^H rho^(D-U) / z^t, an int numerator over one
     denominator per table, and the members' sum is a difference of two
     prefix sums of those numerators over e per H.  A flip off a -1 step of
-    the ray, or other than x_t - K flips, raises ArithmeticError.  A float
-    level law's class values go into one array, in key order.
+    the ray, or other than x_t - K flips, raises ArithmeticError.  The class
+    values go by row, in key order, into a list of ints or, for a float
+    level law, an array.
     """
     rn, rd = params.rho.numerator, params.rho.denominator
     sn, sd = params.sigma.numerator, params.sigma.denominator
@@ -285,7 +280,7 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
     zd_t = z.denominator**t
     denom = (sd * rn * rd * z.numerator) ** t
     allow_flat = params.sigma > 0
-    sizes = dict(path_classes(t, allow_flat))
+    sizes = class_sizes(t, allow_flat)
     # walk numerators per H over D - U = -n, -n+2, ..., n (n = t - H), and their prefix sums
     walk = [[sn**h * sd ** (t - h) * rn ** (t + e) * rd ** (t - e) * zd_t
              for e in range(h - t, t - h + 1, 2)] for h in range(t + 1 if allow_flat else 1)]
@@ -295,7 +290,7 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
         lcm = math.lcm(*(v.denominator for v in tails + pmfs))
         tails, pmfs = ([v.numerator * (lcm // v.denominator) for v in vs] for vs in (tails, pmfs))
     keys = list(sizes)
-    values = {} if glaw.exact else np.empty(len(keys))  # floats in key order
+    values = [0] * len(keys) if glaw.exact else np.empty(len(keys))  # in key order
     step, dtype = block_rows(t + 1), _level_dtype(t)  # |x_j| <= t
     for start in range(0, len(keys), step):
         block = keys[start:start + step]
@@ -312,16 +307,11 @@ def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
                                       f"of the ray, not x_t - K0 = {e - k0}")
             i = (e + t - h) // 2
             ray, members = walk[h][i], prefix[h][i] - prefix[h][i - m]
-            if glaw.exact:
-                values[key] = tails[-k0] * ray + pmfs[-k0] * members
-            else:  # each walk probability rounded once, as float(Fraction) does
-                values[row] = tails[-k0] * (ray / denom) + pmfs[-k0] * (members / denom)
+            if not glaw.exact:  # each walk probability rounded once, as float(Fraction) does
+                ray, members = ray / denom, members / denom
+            values[row] = tails[-k0] * ray + pmfs[-k0] * members
     return _with_level_err(DistTable(t, "exact" if glaw.exact else "approx", values,
                                      sizes=sizes, den=denom * lcm if glaw.exact else None), glaw)
-
-
-def rhs_law_table_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable:
-    return _with_level_err(_rhs_formula(t, glaw, params), glaw)
 
 
 def _with_level_err(table: DistTable, glaw: InitialLaw) -> DistTable:
@@ -373,10 +363,10 @@ def compare_routes(check: str, horizons, pairs_at, stop_at_witness: bool = False
     A table whose mass is off 1 raises ArithmeticError, as a route that lost
     or double-counted paths must not PASS: an exact mass must be 1, a float
     one within ``err`` plus (classes + 1) u mass for its sum's rounding.  A
-    table in several pairs of one horizon is checked once.  Float tables
-    are read as float64 arrays in ``path_classes`` key order: a mass sums
-    left to right and a difference is one array pass (``DistTable.mass``,
-    ``DistTable.max_abs_diff``).
+    table in several pairs of one horizon is checked once.  The tables of a
+    horizon share its ``class_sizes`` and hold their values in its key
+    order: a float mass sums left to right, and a pair with a float table
+    is one array pass (``DistTable.mass``, ``DistTable.max_abs_diff``).
     ``stop_at_witness`` ends the loop after the first horizon with a
     witness, which settles a converse question; later tables are not built.
     """

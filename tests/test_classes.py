@@ -1,7 +1,7 @@
 """The class-lumped engine against per-path enumeration, its oracle at small t.
 
 Every route reads a path only through its class (K0, x_t, H).  Feeding the
-same route every path with weight 1 in place of ``path_classes``, each path
+same route every path with weight 1 in place of ``class_sizes``, each path
 as a key of its own that ``class_path`` (and ``class_rows``, for the
 pushforward's step rows) turns back into the path, evaluates it path by
 path; the class table must give each path exactly that value, and its
@@ -33,6 +33,7 @@ from pitman_lab import (
     conditioned_walk_law,
     enumerate_paths,
     g_law_from_initial,
+    paths,
     processes,
     representation,
     rhs_law_enumeration,
@@ -40,7 +41,10 @@ from pitman_lab import (
     stats,
     v_law_from_initial,
     verify_thm1,
+    verify_thm2,
+    verify_two_sided,
     walk_law,
+    walk_match_report,
 )
 from pitman_lab.exact import prob_json
 from pitman_lab.paths import class_path, path_classes
@@ -68,7 +72,7 @@ class PathKey(tuple):
 
 
 def every_path(t, allow_flat=True):
-    return ((PathKey(x), 1) for x in enumerate_paths(t, allow_flat))
+    return {PathKey(x): 1 for x in enumerate_paths(t, allow_flat)}
 
 
 def path_of_key(t, key):
@@ -142,8 +146,8 @@ def per_path_oracle(build):
     stored values; its own ``entries`` would lump the paths back into
     classes."""
     classes = build()
-    with mock.patch.object(processes, "path_classes", every_path), \
-            mock.patch.object(representation, "path_classes", every_path), \
+    with mock.patch.object(processes, "class_sizes", every_path), \
+            mock.patch.object(representation, "class_sizes", every_path), \
             mock.patch.object(processes, "class_path", path_of_key), \
             mock.patch.object(representation, "class_rows", rows_of_keys):
         oracle = build()
@@ -219,8 +223,8 @@ def test_a_dropped_class_fails_the_mass_check(monkeypatch):
     build = representation.rhs_law_table_formula
 
     def dropping_a_class(t, glaw, walk_params):
-        table = build(t, glaw, walk_params)  # a table of ints: drop a numerator
-        del table.nums[max(table.nums, key=table.nums.get)]
+        table = build(t, glaw, walk_params)  # a table of ints: zero its largest numerator
+        table.nums[table.nums.index(max(table.nums))] = 0
         return table
 
     monkeypatch.setattr(representation, "rhs_law_table_formula", dropping_a_class)
@@ -444,14 +448,89 @@ def test_wrong_numerators_fail_with_the_fraction_tables_witness(monkeypatch, rou
         table = build(t, glaw, walk_params)
         if t != 4:
             return table
-        nums = {key: n * scale for key, n in table.nums.items()}
-        keys = list(nums)
-        a, b = keys[len(keys) // 3], keys[2 * len(keys) // 3]
-        nums[a] += table.sizes[b]
-        nums[b] -= table.sizes[a]
+        nums = [n * scale for n in table.nums]
+        keys = list(table.sizes)
+        a, b = len(keys) // 3, 2 * len(keys) // 3
+        nums[a] += table.sizes[keys[b]]
+        nums[b] -= table.sizes[keys[a]]
         return DistTable(t, "exact", nums, sizes=table.sizes, den=table.den * scale)
 
     monkeypatch.setattr(representation, route, moved)
     rep = verify_thm1(5, law, params, "II")
     assert rep["status"] == "FAIL" and rep["max_abs_diff"]["value"] == diff
     assert rep["witness"] == {"pair": pair, "path": "0,-1,0,1,2", "horizon": 4}
+
+
+# ---------------------------------------------------------------------------
+# one class set per horizon
+# ---------------------------------------------------------------------------
+
+
+QNB_CELL = Params(F(2, 3), F(1))
+VERIFIERS = {
+    "thm1 exact": lambda: verify_thm1(4, QNegativeBinomial(QNB_CELL.q, F(1, 2)), QNB_CELL),
+    "thm1 exact, part II": lambda: verify_thm1(4, QNegativeBinomial(QNB_CELL.q, F(1, 2)),
+                                               QNB_CELL, "II"),
+    "thm1 approx": lambda: verify_thm1(4, ShiftedPoisson(1.5), QNB_CELL),
+    "thm1 approx, no flat step": lambda: verify_thm1(4, Geometric(F(1, 3)), Params(F(1, 2))),
+    "thm2": lambda: verify_thm2(4, QNegativeBinomial(QNB_CELL.q, F(1, 2)), QNB_CELL),
+    "two-sided": lambda: verify_two_sided(4, QNegativeBinomial(QNB_CELL.q, F(1, 2)), QNB_CELL),
+    "walk-match": lambda: walk_match_report(Geometric(QNB_CELL.q), QNB_CELL, 4),
+}
+
+
+@pytest.mark.parametrize("check", VERIFIERS)
+def test_each_verifier_builds_one_class_set_per_horizon(monkeypatch, check):
+    """Every route of a horizon reads one ``class_sizes``: ``path_classes``
+    runs once per horizon, whichever tables the verifier builds."""
+    built = Counter()
+    real = paths.path_classes
+
+    def counted(t, allow_flat=True):
+        built[t] += 1
+        return real(t, allow_flat)
+
+    monkeypatch.setattr(paths, "path_classes", counted)
+    paths._class_set.cache_clear()
+    report = VERIFIERS[check]()
+    assert report["status"] in ("PASS", "MATCH"), report
+    assert built == {t: 1 for t in range(1, 5)}
+
+
+def test_the_tables_of_a_horizon_share_one_read_only_class_set():
+    t, params = 5, QNB_CELL
+    law = QNegativeBinomial(params.q, F(1, 2))
+    glaw, vlaw = g_law_from_initial(law, params, "G"), v_law_from_initial(law, params, "I")
+    float_glaw = g_law_from_initial(law, params, "G", mode="approx")
+    tables = [chain_increment_law(t, law, params),
+              chain_increment_law(t, law, params, mode="approx"),
+              chain_increment_law(t, PointMass(2), params, route="product"),
+              rhs_law_enumeration(t, glaw, params), rhs_law_table_formula(t, glaw, params),
+              rhs_law_enumeration(t, float_glaw, params),
+              rhs_law_table_formula(t, float_glaw, params),
+              walk_law(t, params), conditioned_walk_law(t, vlaw, params, "I")]
+    sizes = tables[0].sizes
+    assert all(table.sizes is sizes for table in tables)
+    assert list(sizes.items()) == list(path_classes(t))
+    with pytest.raises(TypeError):
+        sizes[0, 0, t] = 2
+    with pytest.raises(AttributeError):
+        sizes.pop((0, 0, t))
+
+
+def test_tables_of_another_class_set_do_not_compare():
+    """A table of another horizon, or of the other flat mode, has other
+    classes: comparing it raises, in either mode.  The same classes built
+    again, as another mapping, still compare."""
+    law = PointMass(1)
+    flat, no_flat = Params(F(2, 3), F(1)), Params(F(2, 3), F(0))
+    four = chain_increment_law(4, law, flat)
+    others = [chain_increment_law(5, law, flat), chain_increment_law(4, law, no_flat),
+              chain_increment_law(3, law, flat, mode="approx")]
+    for other in others:
+        for a, b in ((four, other), (other, four)):
+            with pytest.raises(ValueError, match="different classes"):
+                a.max_abs_diff(b)
+    again = chain_increment_law(4, law, flat, mode="approx")
+    assert again.sizes is not four.sizes and again.sizes == four.sizes
+    assert four.max_abs_diff(again)[0] < 1e-15

@@ -215,6 +215,14 @@ class TestLawCommands:
         code, _, err = run(capsys, "law", "chain", "--rho", "1", "--initial", "junk:1")
         assert code == 2
 
+    @pytest.mark.parametrize("cap", ["abc", "1.5", "-3"])
+    def test_a_malformed_cap_exits_two_naming_the_variable(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("PITMAN_LAB_CAP", cap)
+        code, out, err = run(capsys, "verify", "thm1", "--rho", "1/2", "--t", "1",
+                             "--initial", "point:0")
+        assert code == 2 and not out.strip()
+        assert json.loads(err)["error"] == f"PITMAN_LAB_CAP must be an integer >= 0, got {cap!r}"
+
     @pytest.mark.parametrize("obj, missing", [
         (("chain",), "--initial"), (("level",), "--initial"), (("rhs", "--t", "2"), "--glaw"),
     ])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pitman_lab import HorizonCapError, Path, enumerate_paths, path_count, stats
-from pitman_lab.paths import path_rows
+from pitman_lab.paths import horizon_cap, path_rows
 
 
 def naive_stats(path):
@@ -124,6 +124,19 @@ class TestEnumeration:
             list(enumerate_paths(14 + 1))
         monkeypatch.setenv("PITMAN_LAB_CAP", "15")
         next(enumerate_paths(15))  # cap lifted via env override
+
+    @pytest.mark.parametrize("cap", ["abc", "1.5", "-3", " ", "1e3"])
+    def test_a_malformed_cap_is_refused_by_name(self, monkeypatch, cap):
+        monkeypatch.setenv("PITMAN_LAB_CAP", cap)
+        with pytest.raises(ValueError, match="^PITMAN_LAB_CAP must be an integer >= 0"):
+            horizon_cap()
+        with pytest.raises(ValueError, match="PITMAN_LAB_CAP"):
+            next(enumerate_paths(1))
+
+    @pytest.mark.parametrize("cap, want", [("", 14), ("0", 0), (" 20 ", 20)])
+    def test_a_cap_is_a_decimal_integer(self, monkeypatch, cap, want):
+        monkeypatch.setenv("PITMAN_LAB_CAP", cap)
+        assert horizon_cap() == want
 
     @pytest.mark.parametrize("t", [0, 1, 2, 5, 7])
     def test_path_rows_are_the_enumeration(self, t):

@@ -1,8 +1,9 @@
 """DistTable's mass and max_abs_diff against the plain loops they replace:
 exact mass as a left-to-right Fraction sum, approx mass as the same float sum
 bit for bit, and the difference and witness of subtracting every class value
-(the witness is the class's representative path).  An exact table holds int
-numerators over one denominator, in the dict it was given."""
+(the witness is the class's representative path).  A class table takes one
+value per class in the key order of its ``sizes``; an exact table holds int
+numerators over one denominator, in the list it was given."""
 
 from fractions import Fraction as F
 
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import math
 
+import pytest
+
 from pitman_lab import DistTable
-from pitman_lab.paths import class_path, path_classes
+from pitman_lab.paths import class_path, class_sizes, path_classes
 
 # dyadic and non-dyadic denominators, so some exact entries equal a float
 exact_values = st.builds(F, st.integers(0, 10**12),
@@ -36,8 +39,7 @@ def keys_and_sizes(draw):
 def tables(draw):
     t, keys, sizes = draw(keys_and_sizes())
     mode = draw(st.sampled_from(["exact", "approx"]))
-    entries = {x: draw(values(mode)) for x in keys}
-    return DistTable(t, mode, entries, sizes=sizes)
+    return DistTable(t, mode, [draw(values(mode)) for _ in keys], sizes=sizes)
 
 
 def float_sum(table):
@@ -58,20 +60,21 @@ def test_mass_equals_the_entry_sum(table):
 
 
 def test_exact_mass_of_an_empty_table():
-    assert DistTable(0, "exact", {}).mass() == 0
+    assert DistTable(0, "exact", [], sizes={}).mass() == 0
 
 
 @st.composite
 def table_pairs(draw):
     """Two tables over the same keys: per key the entries agree, differ (by
-    less than a float can show, for "nearly"), or one or both sides lack it;
-    each side exact or approx."""
+    less than a float can show, for "nearly"), or one or both sides are 0
+    (a class a table leaves out); each side exact or approx."""
     t, keys, sizes = draw(keys_and_sizes())
     mode_a, mode_b = (draw(st.sampled_from(["exact", "approx"])) for _ in "ab")
     # a few kinds per pair, so the small differences are often the largest
     kinds = draw(st.lists(st.sampled_from(["equal", "nearly", "differ", "only a", "only b",
                                            "neither"]), min_size=1, max_size=3, unique=True))
-    a, b = {}, {}
+    zero = {"exact": F(0), "approx": 0.0}
+    a, b = dict.fromkeys(keys, zero[mode_a]), dict.fromkeys(keys, zero[mode_b])
     for x in keys:
         kind = draw(st.sampled_from(kinds))
         if kind == "equal":
@@ -86,7 +89,8 @@ def table_pairs(draw):
             a[x] = draw(values(mode_a))
         if kind in ("differ", "only b"):
             b[x] = draw(values(mode_b))
-    return DistTable(t, mode_a, a, sizes=sizes), DistTable(t, mode_b, b, sizes=sizes)
+    return (DistTable(t, mode_a, list(a.values()), sizes=sizes),
+            DistTable(t, mode_b, list(b.values()), sizes=sizes))
 
 
 def subtract_every_entry(ta, tb):
@@ -111,31 +115,40 @@ def test_max_abs_diff_equals_subtracting_every_entry(pair):
         assert type(got[0]) is type(expected[0])
 
 
-def test_an_exact_table_keeps_the_dict_it_was_given():
+def test_an_exact_table_keeps_the_list_it_was_given():
     """The numerators are divided in place, and Fractions go over their lcm
-    in place: no second dict of numerators."""
-    sizes = dict(path_classes(2, False))
-    nums = dict(zip(sizes, (6, 12, 18, 0)))
+    in place: no second list of numerators."""
+    sizes = class_sizes(2, False)
+    nums = [6, 12, 18, 0]
     table = DistTable(2, "exact", nums, sizes=sizes, den=36)
-    assert table.nums is nums and nums == dict(zip(sizes, (1, 2, 3, 0))) and table.den == 6
-    fractions = dict(zip(sizes, (F(1, 4), F(1, 2), F(1, 8), F(1, 8))))
+    assert table.nums is nums and nums == [1, 2, 3, 0] and table.den == 6
+    assert table.values == dict(zip(sizes, (F(1, 6), F(1, 3), F(1, 2), F(0))))
+    fractions = [F(1, 4), F(1, 2), F(1, 8), F(1, 8)]
     table = DistTable(2, "exact", fractions, sizes=sizes)
-    assert table.nums is fractions and fractions == dict(zip(sizes, (2, 4, 1, 1)))
+    assert table.nums is fractions and fractions == [2, 4, 1, 1]
     assert table.den == 8 and table.mass() == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_a_class_table_refuses_a_dict(mode):
+    """Values in key order only: a dict of class values is refused."""
+    sizes = class_sizes(2, False)
+    with pytest.raises((TypeError, AttributeError)):
+        DistTable(2, mode, dict.fromkeys(sizes, F(1, 4)), sizes=sizes)
 
 
 @st.composite
 def int_table_pairs(draw):
     """Two exact class tables of ints over one horizon's classes, a class
-    missing on either side: independent, the first's numerators over another
-    denominator, or the first's values over a multiple of its denominator
-    with some numerators moved."""
+    left out (a 0 numerator) on either side: independent, the first's
+    numerators over another denominator, or the first's values over a
+    multiple of its denominator with some numerators moved."""
     t = draw(st.integers(0, 7))
     sizes = dict(path_classes(t, draw(st.booleans())))
     nums, dens = st.integers(-10**6, 10**30), st.integers(1, 10**30)
 
     def kept(table):
-        return {k: n for k, n in table.items() if draw(st.integers(0, 9))}
+        return {k: n if draw(st.integers(0, 9)) else 0 for k, n in table.items()}
 
     a, den_a = kept({k: draw(nums) for k in sizes}), draw(dens)
     kind = draw(st.sampled_from(["independent", "same numerators", "moved"]))
@@ -147,8 +160,8 @@ def int_table_pairs(draw):
         m = draw(st.integers(1, 4))
         b = kept({k: n * m + draw(st.sampled_from([0, 0, 0, 1, -7])) for k, n in a.items()})
         den_b = den_a * m
-    return (DistTable(t, "exact", dict(a), sizes=sizes, den=den_a),
-            DistTable(t, "exact", dict(b), sizes=sizes, den=den_b),
+    return (DistTable(t, "exact", list(a.values()), sizes=sizes, den=den_a),
+            DistTable(t, "exact", list(b.values()), sizes=sizes, den=den_b),
             (t, a, den_a, b, den_b, sizes))
 
 
@@ -159,12 +172,12 @@ def test_tables_of_ints_compare_and_sum_as_their_fractions(pair):
     of the same values: the same Fraction sum, difference and witness."""
     ta, tb, (t, a, den_a, b, den_b, sizes) = pair
     for table, nums, den in ((ta, a, den_a), (tb, b, den_b)):
-        assert math.gcd(table.den, *table.nums.values()) == 1  # canonical
+        assert math.gcd(table.den, *table.nums) == 1  # canonical
         assert table.values == {k: F(n, den) for k, n in nums.items()}
         assert all(type(v) is F for v in table.values.values())
         assert table.mass() == F(sum(n * sizes[k] for k, n in nums.items()), den)
-    fa = DistTable(t, "exact", {k: F(n, den_a) for k, n in a.items()}, sizes=sizes)
-    fb = DistTable(t, "exact", {k: F(n, den_b) for k, n in b.items()}, sizes=sizes)
+    fa = DistTable(t, "exact", [F(n, den_a) for n in a.values()], sizes=sizes)
+    fb = DistTable(t, "exact", [F(n, den_b) for n in b.values()], sizes=sizes)
     for x, y, fx, fy in ((ta, tb, fa, fb), (tb, ta, fb, fa)):
         got, expected = x.max_abs_diff(y), subtract_every_entry(fx, fy)
         assert got == expected and type(got[0]) is F
@@ -177,14 +190,13 @@ def test_tables_of_scaled_numerators_are_equal(t, allow_flat, den, scale, draws)
     same den and nums, so the tables compare equal without a per-class
     Fraction."""
     sizes = dict(path_classes(t, allow_flat))
-    nums = {k: draws[i % len(draws)] for i, k in enumerate(sizes)}
-    a = DistTable(t, "exact", dict(nums), sizes=sizes, den=den)
-    b = DistTable(t, "exact", {k: n * scale for k, n in nums.items()}, sizes=sizes,
-                  den=den * scale)
+    nums = [draws[i % len(draws)] for i in range(len(sizes))]
+    a = DistTable(t, "exact", list(nums), sizes=sizes, den=den)
+    b = DistTable(t, "exact", [n * scale for n in nums], sizes=sizes, den=den * scale)
     assert (a.den, a.nums) == (b.den, b.nums)
     assert a.max_abs_diff(b) == b.max_abs_diff(a) == (0, None)
     assert a.mass() == b.mass()
     assert "values" not in vars(a) and "values" not in vars(b)  # no Fraction was built
-    if any(nums.values()):  # the same numerators over another denominator differ
-        c = DistTable(t, "exact", dict(nums), sizes=sizes, den=den + 1)
+    if any(nums):  # the same numerators over another denominator differ
+        c = DistTable(t, "exact", list(nums), sizes=sizes, den=den + 1)
         assert a.max_abs_diff(c)[0] > 0
