@@ -89,9 +89,9 @@ def q_bracket(n: int, q: Rat) -> Rat:
 
 
 def bracket_int(m: int, a: int, b: int) -> int:
-    """[m]_q b^(m-1) for q = a/b and m >= 1: the int (b^m - a^m)/(b - a),
-    a sum of m positive terms, and m itself at q = 1.  Over b^(m-1) it is
-    [m]_q, a pair in lowest terms for coprime a and b."""
+    """[m]_q b^(m-1) for q = a/b and m >= 0: the int (b^m - a^m)/(b - a),
+    a sum of m positive terms (0 at m = 0), and m itself at q = 1.  Over
+    b^(m-1) it is [m]_q, a pair in lowest terms for coprime a and b."""
     return m if a == b else (b**m - a**m) // (b - a)
 
 

@@ -103,14 +103,19 @@ def chain_transition(k: int, delta: int, params: Params) -> Rat:
     """One-step chain probability from level k to k + delta.
 
     The [0]_q = 0 factor kills the down step at k = 0, so the chain never
-    leaves Z>=0; rows sum to 1 exactly.
+    leaves Z>=0; rows sum to 1 exactly.  One Fraction of ints: the step
+    law's pn/pd (1/(rho z), sigma/z, rho/z) times B(k+delta+1) qd^k over
+    B(k+1) qd^(k+delta), with B(m) = [m]_q qd^(m-1) (``bracket_int``).
     """
     if k < 0:
         raise ValueError("chain level must be >= 0")
     if delta not in (-1, 0, 1):
         raise ValueError("delta must be in {-1, 0, +1}")
-    q = params.q
-    return step_pmf(params)[delta] * q_bracket(k + delta + 1, q) / q_bracket(k + 1, q)
+    (rn, rd), sigma, z = params.rho.as_integer_ratio(), params.sigma, params.z
+    qn, qd = rn * rn, rd * rd
+    pn, pd = {1: (rd, rn), 0: sigma.as_integer_ratio(), -1: (rn, rd)}[delta]
+    return Fraction(pn * z.denominator * bracket_int(k + delta + 1, qn, qd) * qd ** (delta < 0),
+                    pd * z.numerator * bracket_int(k + 1, qn, qd) * qd ** (delta > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -813,11 +818,12 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
 
     Either route is evaluated once per class (K0, x_t, H), see
     :meth:`DistTable.of_classes`; the product route builds each kernel entry
-    once per (level, step) and multiplies their ints, one Fraction per atom,
-    summed in lowest terms; the exact formula route is
-    ``_chain_law_formula_exact``.  The float formula route reads its level
-    sums from ``sweep``, a :func:`_chain_level_sweep` for a horizon >= t that
-    a verifier builds once for all its horizons, or by default builds its own.
+    once per (level, step), multiplies their ints and sums the atoms, each
+    in lowest terms, over the lcm of their denominators: one Fraction per
+    class.  The exact formula route is ``_chain_law_formula_exact``.  The
+    float formula route reads its level sums from ``sweep``, a
+    :func:`_chain_level_sweep` for a horizon >= t that a verifier builds
+    once for all its horizons, or by default builds its own.
     """
     q = params.q
     if mode is None:
@@ -852,15 +858,22 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
         # atom, each (level, step) entry's ints to the power of its count on the path
         x = class_path(t, key)
         moves = collections.Counter(zip(x.values, x.steps)).items()
-        exact_sum, total = Fraction(0), 0.0
+        num, den, total = 0, 1, 0.0
         for k, w in atoms:
-            if k + min(x.values) >= 0:
-                pn, pd = (math.prod(kernel(k + a, d)[i] ** c for (a, d), c in moves)
-                          for i in (0, 1))
-                if law.exact:  # in lowest terms atom by atom, so no denominator piles up
-                    exact_sum += Fraction(w.numerator * pn, w.denominator * pd)
+            if k + key[0] >= 0:  # K0 = min(x): the atom's path stays at levels >= 0
+                pn = pd = 1
+                for (a, d), c in moves:
+                    kn, kd = kernel(k + a, d)
+                    pn, pd = pn * kn**c, pd * kd**c
+                if law.exact:  # in lowest terms, over the lcm of the atoms so far
+                    pn, pd = w.numerator * pn, w.denominator * pd
+                    g = math.gcd(pn, pd)
+                    pn, pd = pn // g, pd // g
+                    g = math.gcd(den, pd)
+                    num, den = num * (pd // g) + pn * (den // g), den * (pd // g)
                 else:  # fl(w fl(pn / pd)), summed left to right
                     total += w * (pn / pd)
+        exact_sum = Fraction(num, den)
         return exact_sum if mode == "exact" else float(exact_sum) if law.exact else total
 
     table = DistTable.of_classes(t, allow_flat, mode, product)
@@ -948,13 +961,15 @@ def _chain_law_formula_exact(t, law, params):
     return formula, pref_den * level_den
 
 
-def _chain_level_sweep(t_max, law, params):
+def _chain_level_sweep(t_max, law, params, horizons=None):
     """The level sums of the float formula route for every horizon up to
     t_max: (top, sums, errs), with ``sums[x_t + t_max, a]`` the sum s(a, x_t)
     of pmf(k) [x_t+k+1]_q / [k+1]_q over a <= k <= top and ``errs`` its
     rounding bound, for |x_t| <= t_max and max(0, -x_t) <= a <= t_max (0.0
     where a > top); top is the law's truncation point.  Neither depends on
-    the horizon, so one sweep serves every table of a verifier call.
+    the horizon, so one sweep serves every table of a verifier call.  At
+    sigma = 0, x_t has the parity of t: for ``horizons`` of one parity only
+    its rows are summed, and the others hold NaN.
 
     s is within 1.1 (E + u R) of the sum of its exact terms, as in
     ``exact.TailSumTable``, with term errors rel_err(law.float_rel_err(k),
@@ -986,10 +1001,15 @@ def _chain_level_sweep(t_max, law, params):
     carried = np.zeros((3, len(ends)))  # s, e, r per row, from the blocks above
     if log_q > 0:
         scale = np.array([[math.exp(xt * log_q)] for xt in range(-t_max, t_max + 1)])
-    levels = max(1, _BLOCK_LEVELS // len(ends))
+    stride, first = 1, 0  # the rows read: x_t + t_max = first, first + stride, ...
+    if params.sigma == 0 and horizons and len(parity := {t % 2 for t in horizons}) == 1:
+        stride, first = 2, (t_max + parity.pop()) % 2
+        sums[1 - first::2] = errs[1 - first::2] = np.nan
+    levels = max(1, _BLOCK_LEVELS // len(ends[first::stride]))
     for hi in range(top + 1, 0, -levels):
         b = max(0, hi - levels)
-        rows = slice(max(0, t_max + 1 - hi), None)  # the rows with a level here, x_t > -hi
+        lo = max(0, t_max + 1 - hi)  # the rows with a level here, x_t > -hi
+        rows = slice(lo + (lo - first) % stride, None, stride)
         xt = ends[rows]
         k = np.arange(hi - 1, b - 1, -1)
         m = np.maximum(k + (xt + 1), 0)
@@ -1043,7 +1063,7 @@ def _chain_law_formula_float(t, law, params, sweep=None):
     each class gathers them and its s by index arrays, and the bounds,
     times the class sizes, add left to right (:func:`class_sum`).
     """
-    top, sums, errs = sweep or _chain_level_sweep(t, law, params)
+    top, sums, errs = sweep or _chain_level_sweep(t, law, params, [t])
     t_sweep, u = sums.shape[1] - 1, UNIT_ROUNDOFF
     sig, zf, rhof = float(params.sigma), float(params.z), float(params.rho)
     sizes = class_sizes(t, params.sigma > 0)

@@ -435,9 +435,9 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
     exact = glaw.exact and law.exact and law.exact_capable(params.q)
     horizons = list(t_values if t_values is not None else range(1, t_max + 1))
     # the float chain route's level sums, built when the first table reads them,
-    # for the largest horizon a table can have
+    # for the largest horizon a table can have (and the rows its horizons read)
     sweep = functools.cache(
-        lambda: _chain_level_sweep(min(max(horizons), horizon_cap()), law, params))
+        lambda: _chain_level_sweep(min(max(horizons), horizon_cap()), law, params, horizons))
 
     def routes(t):
         chain = chain_increment_law(t, law, params, mode="exact" if exact else "approx",

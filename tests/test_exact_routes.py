@@ -240,6 +240,19 @@ def test_product_route_equals_the_fraction_loop(kind, mode, rho, sigma):
         assert table.err.hex() == oracle.err.hex()
 
 
+@pytest.mark.parametrize("spec", ["finite:0=1/2,40=1/2", "finite:0=1/6,2=1/3,5=1/2"])
+@pytest.mark.parametrize("rho,sigma", [(F(2, 3), F(1)), (F(1), F(0)), (F(3, 2), F(1, 2))])
+def test_product_route_equals_the_formula_at_depth(spec, rho, sigma):
+    """At t = 10, from starts up to level 40, the kernel products equal the
+    chain formula in canonical form (the six cases take about 0.02 s)."""
+    params, law = Params(rho, sigma), processes.parse_initial_law(spec)
+    product = chain_increment_law(10, law, params, route="product")
+    formula = chain_increment_law(10, law, params, route="formula")
+    assert product.mode == formula.mode == "exact" and product.sizes is formula.sizes
+    assert (product.den, product.nums) == (formula.den, formula.nums)
+    assert product.mass() == 1
+
+
 # the closed form on both parts' level laws: G at (rho, sigma) and Gtilde on
 # the flipped walk; geo's level laws are float laws, whose bits must match
 CLOSED_CASES = [

@@ -286,3 +286,19 @@ class TestChainLevelSweep:
         for t in range(1, 8):
             assert same_table(processes._chain_law_formula_float(t, law, params, sweep),
                               chain_increment_law(t, law, params, mode="approx")), t
+
+    @pytest.mark.parametrize("law", [Geometric(F(99, 100)), ShiftedPoisson(2.0)], ids=law_id)
+    @pytest.mark.parametrize("rho, sigma", [(F(1, 2), F(0)), (F(3, 2), F(0)), (F(1), F(1, 2))],
+                             ids=str)
+    @pytest.mark.parametrize("horizons", [[7], [2, 4, 6], [3, 4]], ids=str)
+    def test_horizons_of_one_parity_sum_only_their_rows(self, law, rho, sigma, horizons):
+        # at sigma = 0, x_t has the parity of t: the other rows are NaN, and
+        # every row summed keeps the bits of a sweep of all rows
+        params = Params(rho, sigma)
+        _, all_sums, all_errs = processes._chain_level_sweep(7, law, params)
+        _, sums, errs = processes._chain_level_sweep(7, law, params, horizons)
+        parities = {t % 2 for t in horizons} if sigma == 0 else {0, 1}
+        read = [x % 2 in parities for x in range(-7, 8)]
+        assert same_floats(sums[read], all_sums[read]) and same_floats(errs[read], all_errs[read])
+        assert np.isnan(sums[np.logical_not(read)]).all()
+        assert np.isnan(errs[np.logical_not(read)]).all()

@@ -3,7 +3,11 @@ whose 2x10^4 chains of 2500 steps take seconds), plus an approx level law,
 an explicit --glaw table, three more `sample` commands, and seven approx
 verifier reports and tables (`verify thm1` at q < 1 and q > 1, sigma = 0
 and > 0, parts I and II; `verify two-sided` from spoisson:2; `law chain` and
-`law rhs` from geo:1/3), which pin the float routes' bits.
+`law rhs` from geo:1/3), which pin the float routes' bits, and three `law
+chain --route product` cases, one per branch of the product route (exact
+from a finite law, exact weights in a float table from geo:1/3, float
+weights from spoisson:1.5), recorded before its kernel entries were built
+from int q-brackets.
 
 tests/data/cli_golden.json holds the stdout and exit code of each command as
 recorded before the law types were merged into one; a refactor must leave

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import special
 
 from pitman_lab import (
@@ -105,6 +105,23 @@ class TestChainTransition:
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
             chain_transition(-1, 1, Params(F(1)))
+
+    @given(k=st.integers(0, 60), delta=st.sampled_from([-1, 0, 1]),
+           rho=st.sampled_from([F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(5, 2)]),
+           sigma=st.sampled_from([F(0), F(1, 2), F(1), F(2)]))
+    @example(k=0, delta=-1, rho=F(2, 3), sigma=F(1))  # the down step from 0: exactly 0
+    @example(k=0, delta=1, rho=F(1), sigma=F(0))  # q = 1
+    @example(k=60, delta=-1, rho=F(1), sigma=F(1, 2))
+    @example(k=60, delta=1, rho=F(5, 2), sigma=F(2))
+    def test_entry_is_its_definition(self, k, delta, rho, sigma):
+        # the entry from int brackets against p_delta [k+delta+1]_q / [k+1]_q in Fractions
+        params = Params(rho, sigma)
+        q = params.q
+        want = step_pmf(params)[delta] * q_bracket(k + delta + 1, q) / q_bracket(k + 1, q)
+        got = chain_transition(k, delta, params)
+        assert type(got) is F and got == want
+        assert (got == 0) == (k == 0 and delta == -1 or sigma == 0 and delta == 0)
+        assert sum(chain_transition(k, d, params) for d in (-1, 0, 1)) == 1
 
 
 class TestInitialLaws:
