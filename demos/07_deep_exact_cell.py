@@ -2,11 +2,12 @@
 
 The three routes of the representation identity (chain formula, preimage
 pushforward, closed form) are evaluated once per class (K0, x_t, H), so a
-horizon of 3^32 paths costs a few thousand class entries.  Inside one table
-each sub-result is computed once: the level sums of the chain formula and the
-closed form once per (K0, x_t), their prefactors sigma^H rho^(+-x_t) / z^t
-once per (H, x_t), each as an int over one denominator per table, so a class
-is one int numerator.  The pushforward builds no path: it reads the
+horizon of 3^32 paths costs a few thousand class entries.  The chain formula
+and the closed form are factored routes: each builds its level sums once per
+distinct (K0, x_t) and its prefactors sigma^H rho^(+-x_t) / z^t once per
+distinct (H, x_t), as ints over one denominator per table, and one shared
+combine (``paths.combine_factors``) multiplies a class's two factors into its
+int numerator.  The pushforward builds no path: it reads the
 representatives as rows of one step array, finds each row's flips from its
 values and sums the members' walk probabilities as int numerators over one
 denominator per table.  Each exact table keeps its ints over one denominator

@@ -14,13 +14,12 @@ reduces to the same formulas at 1/rho.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .exact import Rat, RegimeError, UnsupportedExactModeError, prob_json, q_bracket
-from .paths import Path
+from .paths import Path, class_sizes, combine_factors, factor_pairs
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -86,7 +85,7 @@ def v_law_from_initial(law: InitialLaw, params: Params, part: str = "I") -> Init
 
 def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "I") -> DistTable:
     """Exact law of the first t steps of the walk conditioned on
-    inf_u (S_u + V) >= 0 (sign-flipped walk for part II), evaluated once per
+    inf_u (S_u + V) >= 0 (sign-flipped walk for part II), one value per
     class (K0, x_t, H).
 
     The entry is pref(H, x_t) V(-K0, x_t) / V(0, 0) with pref = sigma^H /
@@ -105,14 +104,16 @@ def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "
       ((gd qd - gn qn) qd^t - (gd - gn) qn^(a+e+1) qd^(t-a-e)) over
       gd^(t+1) qd^t (qd - qn).
 
-    Each level part is an int per (K0, x_t), each prefactor one per (H, x_t),
-    and a class's numerator is their product."""
+    Each factor is an int per pair of ``paths.factor_pairs``, and
+    ``paths.combine_factors`` multiplies them."""
     eff = _effective_params(params, part)
-    rn, rd = eff.rho.numerator, eff.rho.denominator
-    sn, sd = eff.sigma.numerator, eff.sigma.denominator
-    z = eff.z
+    (rn, rd), (sn, sd), (zn, zd) = (v.as_integer_ratio() for v in (eff.rho, eff.sigma, eff.z))
     qn, qd = rn * rn, rd * rd
     atoms = vlaw.atoms()
+    if atoms is None and not isinstance(vlaw, Geometric):
+        raise UnsupportedExactModeError(f"no closed-form bracket sum for {vlaw.cli_string()!r}")
+    sizes = class_sizes(t, eff.sigma > 0)
+    pairs = factor_pairs(sizes)
     if atoms is not None:
         top = atoms[-1][0]
         lcm = math.lcm(*(p.denominator for _, p in atoms))
@@ -123,29 +124,18 @@ def conditioned_walk_law(t: int, vlaw: InitialLaw, params: Params, part: str = "
             return sum(w * (full - qn ** (j + e + 1) * qd ** (top + t - j - e))
                        for j, w in masses if j >= a)
 
+        level = [level_num(a, e) for a, e in zip(*pairs.levels.tolist())]
         level_den = level_num(0, 0)
-    elif isinstance(vlaw, Geometric):
-        gn, gd = vlaw.p.numerator, vlaw.p.denominator
-        first = (gd * qd - gn * qn) * qd**t
-
-        def level_num(a, e):
-            return gn**a * gd ** (t - a) * (first - (gd - gn) * qn ** (a + e + 1)
-                                            * qd ** (t - a - e))
-
-        level_den = gd ** (t + 1) * qd**t * (qd - qn)
     else:
-        raise UnsupportedExactModeError(f"no closed-form bracket sum for {vlaw.cli_string()!r}")
-    zd_t = z.denominator**t
-    pref = functools.cache(
-        lambda h, e: sn**h * sd ** (t - h) * rd ** (t + e) * rn ** (t - e) * zd_t)
-    level = functools.cache(level_num)
-
-    def conditioned(key):
-        k0, end, h = key
-        return pref(h, end) * level(-k0, end)
-
-    return DistTable.of_classes(t, eff.sigma > 0, "exact", conditioned,
-                                (sd * rn * rd * z.numerator) ** t * level_den)
+        gn, gd = vlaw.p.numerator, vlaw.p.denominator
+        level = [gn**a * gd ** (t - a) * ((gd * qd - gn * qn) * qd**t
+                                          - (gd - gn) * qn ** (a + e + 1) * qd ** (t - a - e))
+                 for a, e in zip(*pairs.levels.tolist())]
+        level_den = gd ** (t + 1) * qd**t * (qd - qn)
+    pref = np.array([sn**h * sd ** (t - h) * rd ** (t + e) * rn ** (t - e) * zd**t
+                     for h, e in zip(*pairs.prefs.tolist())], dtype=object)
+    return DistTable(t, "exact", combine_factors(sizes, pref, np.array(level, dtype=object)),
+                     sizes=sizes, den=(sd * rn * rd * zn) ** t * level_den)
 
 
 def verify_thm2(t_max: int, law: InitialLaw, params: Params, part: str = "I",

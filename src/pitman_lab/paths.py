@@ -6,13 +6,16 @@ on a path only through its class (K0, x_t, H): global minimum, end and number
 of flat steps.  ``path_classes`` yields each class key with the class size,
 O(t^3) classes against the 3^t paths of ``enumerate_paths``; ``class_sizes``
 holds them once per horizon, ``class_path`` and ``class_rows`` give the
-representatives, ``class_columns`` the keys as int arrays; ``path_rows``
-holds every path as the rows of one array.  The enumerations are capped at
-the same horizon (default 14, override with ``PITMAN_LAB_CAP``).
+representatives; ``path_rows`` holds every path as the rows of one array.  A
+route whose class value is a prefactor in (H, x_t) times a level part in
+(-K0, x_t) builds each factor once per pair of ``factor_pairs``, and
+``combine_factors`` multiplies them per class.  The enumerations are capped
+at the same horizon (default 14, override with ``PITMAN_LAB_CAP``).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -209,12 +212,6 @@ def _class_set(t: int, allow_flat: bool) -> Mapping:
     return types.MappingProxyType(dict(path_classes(t, allow_flat)))
 
 
-def class_columns(keys) -> np.ndarray:
-    """K0, x_t and H of each class key of sized ``keys``, such as ``class_sizes``,
-    in its order: the rows of an int array of shape (3, len(keys)), per class."""
-    return np.fromiter(itertools.chain.from_iterable(keys), np.intp, 3 * len(keys)).reshape(-1, 3).T
-
-
 def class_path(t: int, key: tuple) -> Path:
     """The representative of class (K0, x_t, H): flats, down to K0, up to x_t, up-down pairs."""
     k0, end, h = key
@@ -228,3 +225,34 @@ def class_rows(t: int, keys) -> np.ndarray:
     rows = b"".join(b"\x00" * h + b"\xff" * -k0 + b"\x01" * (end - k0)
                     + b"\x01\xff" * ((t - h + 2 * k0 - end) // 2) for k0, end, h in keys)
     return np.frombuffer(rows, dtype=np.int8).reshape(len(keys), t)
+
+
+FactorPairs = collections.namedtuple("FactorPairs", "prefs levels pref_index level_index")
+
+_pairs_kept = [None, None]  # the latest mapping and its FactorPairs
+
+
+def factor_pairs(sizes) -> FactorPairs:
+    """The distinct (H, x_t) and (-K0, x_t) of the class keys of ``sizes``,
+    ``prefs`` and ``levels``, as the columns of int arrays of shape (2, pairs)
+    in the order they first occur, and the columns of each class's two
+    pairs, in key order, ``pref_index`` and ``level_index``.  Kept for the
+    latest mapping, which for a route is the horizon's ``class_sizes``."""
+    if _pairs_kept[0] is not sizes:
+        prefs, levels = {}, {}  # pair -> column
+        pref_index = [prefs.setdefault((h, e), len(prefs)) for _, e, h in sizes]
+        level_index = [levels.setdefault((-k0, e), len(levels)) for k0, e, _ in sizes]
+        _pairs_kept[:] = sizes, FactorPairs(
+            *(np.array(list(pairs), np.intp).T for pairs in (prefs, levels)),
+            *(np.array(index, np.intp) for index in (pref_index, level_index)))
+    return _pairs_kept[1]
+
+
+def combine_factors(sizes, pref: np.ndarray, level: np.ndarray):
+    """pref[i] * level[j] for each class of ``sizes`` in key order, i and j
+    the columns of its (H, x_t) and (-K0, x_t) in ``factor_pairs(sizes)``:
+    one product per class.  Factors of dtype object (Python ints) give a
+    list of ints, float64 factors a float64 array."""
+    pairs = factor_pairs(sizes)
+    values = pref[pairs.pref_index] * level[pairs.level_index]
+    return values.tolist() if values.dtype == object else values

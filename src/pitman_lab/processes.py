@@ -40,7 +40,8 @@ from .exact import (
     rat_str,
     rel_err,
 )
-from .paths import Path, _refuse_beyond_cap, class_columns, class_path, class_sizes, stats
+from .paths import (Path, _refuse_beyond_cap, class_path, class_sizes, combine_factors,
+                    factor_pairs, stats)
 
 
 @dataclass(frozen=True)
@@ -664,9 +665,9 @@ class DistTable:
 
     * exact: ``nums``, a list of int numerators over one ``den``, divided
       by gcd(den, *nums) in place, a form equal for equal tables.  Given no
-      ``den``, the values are Fractions, put over the lcm of their
-      denominators in place (that form already).  ``values`` builds
-      Fractions when read, and ``floats`` each n / den, correctly rounded.
+      ``den`` (:meth:`of_classes`), the values are Fractions, put over the
+      lcm of their denominators in place.  ``values`` builds Fractions when
+      read, and ``floats`` each n / den, correctly rounded.
     * approx: ``floats``, a float64 array, and ``err``, a bound on the
       summed distance over every path to the exact law (truncated mass plus
       rounding), and so on each entry's.  ``values`` builds the dict when read.
@@ -696,12 +697,11 @@ class DistTable:
         self.den, self.nums = den, values
 
     @classmethod
-    def of_classes(cls, t: int, allow_flat: bool, mode: str, value, den: int = None) -> "DistTable":
-        """The class table of ``value(key)``, one evaluation per class key
-        (K0, x_t, H); a route that reads a path builds it with ``class_path``.
-        With ``den``, the values are int numerators over it."""
+    def of_classes(cls, t: int, allow_flat: bool, mode: str, value) -> "DistTable":
+        """The class table of ``value(key)``, one Fraction or float per class
+        key (K0, x_t, H), for a route that reads a path (``class_path``)."""
         sizes = class_sizes(t, allow_flat)
-        return cls(t, mode, list(map(value, sizes)), sizes=sizes, den=den)
+        return cls(t, mode, list(map(value, sizes)), sizes=sizes)
 
     @functools.cached_property
     def values(self) -> dict:
@@ -807,33 +807,31 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
 
     product route: mixes the kernel products P_k(x) over the levels k <= top
     directly; exact for finite-support laws, truncated at top =
-    ``law.truncation_point()`` otherwise.  In approx mode ``err`` bounds the
-    summed distance of the entries to the exact law: ``tail_bound(top + 1)``
-    for the levels past top, the sum of pmf_err(k) for float weights w_k
-    (the P_k(x) sum to at most 1 over the paths), and per path its entry
-    s's rounding, (m + 3) u s + m TERM_FLOOR: m = 1 for one rounded
-    Fraction sum, else a float sum of m <= len(atoms) terms fl(w_k fl(P_k)),
-    each within rel_err(2u) of w_k P_k, whose running sums stay below s.
-    The factor 1.1 covers the float sums that make ``err``.
+    ``law.truncation_point()`` otherwise, with the float weights w_k =
+    ``pmf_float(k)``.  In approx mode ``err`` bounds the summed distance of
+    the entries to the exact law: ``tail_bound(top + 1)`` for the levels
+    past top, the sum of float_rel_err(k) w_k for the float weights (the
+    P_k(x) sum to at most 1 over the paths), and per path its entry s's
+    rounding, (m + 3) u s + m TERM_FLOOR: m = 1 for one rounded Fraction
+    sum over a finite support, else a float sum of m <= len(atoms) terms
+    fl(w_k fl(P_k)), each within rel_err(2u) of w_k P_k, whose running sums
+    stay below s.  The factor 1.1 covers the float sums that make ``err``.
 
-    Either route is evaluated once per class (K0, x_t, H), see
-    :meth:`DistTable.of_classes`; the product route builds each kernel entry
-    once per (level, step), multiplies their ints and sums the atoms, each
-    in lowest terms, over the lcm of their denominators: one Fraction per
-    class.  The exact formula route is ``_chain_law_formula_exact``.  The
-    float formula route reads its level sums from ``sweep``, a
-    :func:`_chain_level_sweep` for a horizon >= t that a verifier builds
-    once for all its horizons, or by default builds its own.
+    The product route reads each class's representative once
+    (:meth:`DistTable.of_classes`), builds each kernel entry once per
+    (level, step) and multiplies their ints.  The formula route is
+    ``_chain_law_formula_exact``, or ``_chain_law_formula_float``, which
+    reads its level sums from ``sweep``, a :func:`_chain_level_sweep` for a
+    horizon >= t that a verifier builds once for all its horizons, or by
+    default builds its own.
     """
     q = params.q
     if mode is None:
         mode = "exact" if (law.exact and law.exact_capable(q)) else "approx"
-    allow_flat = params.sigma > 0
 
     if route == "formula":
-        if mode != "exact":
-            return _chain_law_formula_float(t, law, params, sweep)
-        return DistTable.of_classes(t, allow_flat, mode, *_chain_law_formula_exact(t, law, params))
+        return (_chain_law_formula_exact(t, law, params) if mode == "exact"
+                else _chain_law_formula_float(t, law, params, sweep))
     if route != "product":
         raise ValueError(f"unknown route {route!r}")
 
@@ -842,11 +840,11 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
         raise UnsupportedExactModeError(
             "product route is exact only for finite-support laws; use mode='approx'"
         )
-    err = 0.0
-    if atoms is None:
+    summed_exactly, err = atoms is not None, 0.0
+    if atoms is None:  # truncated, in float weights
         top = law.truncation_point()
         err = law.tail_bound(top + 1)
-        atoms = [(k, w) for k in range(top + 1) if (w := law.pmf(k))]
+        atoms = [(k, w) for k in range(top + 1) if (w := law.pmf_float(k))]
 
     @functools.cache
     def kernel(k, d):  # each (level, step) entry once: its int numerator and denominator
@@ -865,7 +863,7 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
                 for (a, d), c in moves:
                     kn, kd = kernel(k + a, d)
                     pn, pd = pn * kn**c, pd * kd**c
-                if law.exact:  # in lowest terms, over the lcm of the atoms so far
+                if summed_exactly:  # in lowest terms, over the lcm of the atoms so far
                     pn, pd = w.numerator * pn, w.denominator * pd
                     g = math.gcd(pn, pd)
                     pn, pd = pn // g, pd // g
@@ -873,22 +871,22 @@ def chain_increment_law(t: int, law: InitialLaw, params: Params, route: str = "f
                     num, den = num * (pd // g) + pn * (den // g), den * (pd // g)
                 else:  # fl(w fl(pn / pd)), summed left to right
                     total += w * (pn / pd)
-        exact_sum = Fraction(num, den)
-        return exact_sum if mode == "exact" else float(exact_sum) if law.exact else total
+        return total if not summed_exactly else Fraction(num, den) if mode == "exact" else num / den
 
-    table = DistTable.of_classes(t, allow_flat, mode, product)
+    table = DistTable.of_classes(t, params.sigma > 0, mode, product)
     if mode == "exact":
         return table
-    m = 1 if law.exact else len(atoms)
+    m = 1 if summed_exactly else len(atoms)
     rounding = class_sum((m + 3) * UNIT_ROUNDOFF * table.floats + m * TERM_FLOOR, table.sizes)
-    table.err = err + 1.1 * (left_sum(law.pmf_err(k) for k, _ in atoms) + rounding)
+    weights = 0.0 if summed_exactly else left_sum(law.float_rel_err(k) * w for k, w in atoms)
+    table.err = err + 1.1 * (weights + rounding)
     return table
 
 
 def _chain_law_formula_exact(t, law, params):
-    """Exact formula route on horizon t, as the class value function:
-    entry(x) = pref(H, x_t) S(-K0, x_t) with pref = sigma^H / (z^t rho^(x_t))
-    and S(a, e) the sum of pmf(k) [k+e+1]_q / [k+1]_q over k >= a.
+    """Exact formula route on horizon t: entry(x) = pref(H, x_t) S(-K0, x_t)
+    with pref = sigma^H / (z^t rho^(x_t)) and S(a, e) the sum of pmf(k)
+    [k+e+1]_q / [k+1]_q over k >= a.
 
     Both factors are ints over one denominator per table, from the integer
     parts of rho, sigma and z (q = rho^2 = qn/qd in lowest terms) and from
@@ -904,18 +902,17 @@ def _chain_law_formula_exact(t, law, params):
       q = 1; either is c.numerator gn^a gd^(t+1-a) inner(a+e) over a
       per-table denominator.
 
-    Each level part is built once per (K0, x_t), each prefactor once per
-    (H, x_t), and a class multiplies the two ints.  Returns the class
-    numerator function and the table's denominator.
+    Each factor is an int per pair of ``paths.factor_pairs``, and
+    ``paths.combine_factors`` multiplies them.
     """
-    rn, rd = params.rho.numerator, params.rho.denominator
-    sn, sd = params.sigma.numerator, params.sigma.denominator
-    z = params.z
+    (rn, rd), (sn, sd), (zn, zd) = (
+        v.as_integer_ratio() for v in (params.rho, params.sigma, params.z))
     qn, qd = rn * rn, rd * rd
-    zd_t = z.denominator**t
-    pref = functools.cache(
-        lambda h, e: sn**h * sd ** (t - h) * rd ** (t + e) * rn ** (t - e) * zd_t)
-    pref_den = (sd * rn * rd * z.numerator) ** t
+    sizes = class_sizes(t, params.sigma > 0)
+    pairs = factor_pairs(sizes)
+    pref = np.array([sn**h * sd ** (t - h) * rd ** (t + e) * rn ** (t - e) * zd**t
+                     for h, e in zip(*pairs.prefs.tolist())], dtype=object)
+    levels = list(zip(*pairs.levels.tolist()))
 
     @functools.cache
     def bracket(m):  # [m]_q qd^(m-1)
@@ -927,9 +924,8 @@ def _chain_law_formula_exact(t, law, params):
         lcm = math.lcm(*dens)
         weights = [(k, p.numerator * (lcm // d)) for (k, p), d in zip(atoms, dens)]
         level_den = lcm * qd**t
-
-        def level_num(a, e):
-            return qd ** (t - e) * sum(w * bracket(k + e + 1) for k, w in weights if k >= a)
+        level = [qd ** (t - e) * sum(w * bracket(k + e + 1) for k, w in weights if k >= a)
+                 for a, e in levels]
     else:
         form = law.ratio_geometric_form(params.q)
         if form is None:
@@ -939,26 +935,16 @@ def _chain_law_formula_exact(t, law, params):
         gn, gd = r.numerator, r.denominator
         if qn == qd:
             level_den = c.denominator * gd**t * (gd - gn) ** 2
-
-            def inner(m):  # ((m+1)(1-r) + r) gd
-                return (m + 1) * (gd - gn) + gn
+            inner = [(a + e + 1) * (gd - gn) + gn for a, e in levels]  # ((m+1)(1-r) + r) gd
         else:
             top = qd**t * (gd * qd - gn * qn)
             level_den = c.denominator * (qd - qn) * gd**t * top * (gd - gn)
-
-            def inner(m):  # (1/(1-r) - q^(m+1)/(1-rq)) qd^(t+1) (gd-gn)(gd qd-gn qn) / gd
-                return qd * (top - qn ** (m + 1) * qd ** (t - m) * (gd - gn))
-
-        def level_num(a, e):
-            return c.numerator * gn**a * gd ** (t + 1 - a) * inner(a + e)
-
-    level = functools.cache(level_num)
-
-    def formula(key):
-        k0, end, h = key
-        return pref(h, end) * level(-k0, end)
-
-    return formula, pref_den * level_den
+            # (1/(1-r) - q^(m+1)/(1-rq)) qd^(t+1) (gd-gn)(gd qd-gn qn) / gd, m = a + e
+            inner = [qd * (top - qn ** (a + e + 1) * qd ** (t - a - e) * (gd - gn))
+                     for a, e in levels]
+        level = [c.numerator * gn**a * gd ** (t + 1 - a) * i for (a, _), i in zip(levels, inner)]
+    return DistTable(t, "exact", combine_factors(sizes, pref, np.array(level, dtype=object)),
+                     sizes=sizes, den=(sd * rn * rd * zn) ** t * level_den)
 
 
 def _chain_level_sweep(t_max, law, params, horizons=None):
@@ -1060,18 +1046,23 @@ def _chain_law_formula_float(t, law, params, sweep=None):
     powers within one ulp, the product and the quotient with s).
 
     The powers of sigma and rho are libm scalars, one per H and one per x_t;
-    each class gathers them and its s by index arrays, and the bounds,
-    times the class sizes, add left to right (:func:`class_sum`).
+    pref and its bound are arrays over the (H, x_t) of ``paths.factor_pairs``,
+    s and s_err over its (-K0, x_t), and ``paths.combine_factors`` forms the
+    values pref s and the bounds pref s_err + bound s, two products, whose
+    sum times the class sizes adds left to right (:func:`class_sum`).
     """
     top, sums, errs = sweep or _chain_level_sweep(t, law, params, [t])
     t_sweep, u = sums.shape[1] - 1, UNIT_ROUNDOFF
     sig, zf, rhof = float(params.sigma), float(params.z), float(params.rho)
     sizes = class_sizes(t, params.sigma > 0)
-    k0, end, h = class_columns(sizes)
+    pairs = factor_pairs(sizes)
+    h, e = pairs.prefs
     sig_h = np.array([sig**hh for hh in range(t + 1)])
-    rho_e = np.array([rhof**e for e in range(-t, t + 1)])
-    pref = sig_h[h] / (zf**t * rho_e[end + t])
-    bound = rel_err((h + t + np.abs(end) + 9) * u) * pref
-    s, s_err = sums[end + t_sweep, -k0], errs[end + t_sweep, -k0]
-    err = law.tail_bound(top + 1) + 1.1 * class_sum(pref * s_err + bound * s, sizes)
-    return DistTable(t, "approx", pref * s, err=err, sizes=sizes)
+    rho_e = np.array([rhof**ee for ee in range(-t, t + 1)])
+    pref = sig_h[h] / (zf**t * rho_e[e + t])
+    bound = rel_err((h + t + np.abs(e) + 9) * u) * pref
+    a, e = pairs.levels
+    s, s_err = sums[e + t_sweep, a], errs[e + t_sweep, a]
+    err = law.tail_bound(top + 1) + 1.1 * class_sum(
+        combine_factors(sizes, pref, s_err) + combine_factors(sizes, bound, s), sizes)
+    return DistTable(t, "approx", combine_factors(sizes, pref, s), err=err, sizes=sizes)

@@ -28,7 +28,7 @@ from .exact import (
     rat,
     rel_err,
 )
-from .paths import class_columns, class_rows, class_sizes, horizon_cap
+from .paths import class_rows, class_sizes, combine_factors, factor_pairs, horizon_cap
 from .processes import (
     DistTable,
     FiniteSupport,
@@ -211,49 +211,38 @@ def rhs_law_table_formula(t: int, glaw: InitialLaw, params: Params) -> DistTable
     The factor is q^-1 + ... + q^-m (m at q = 1), the int F(m) = sum over
     1 <= j <= m of qd^j qn^(t-j) over qn^t, for q = rho^2 = qn/qd in lowest
     terms; the prefactor is the int sn^H sd^(t-H) rn^(t+x_t) rd^(t-x_t)
-    zd^t over (sd rn rd zn)^t.  An exact level law's values go over the lcm
-    L of their denominators, so the level part L P(G >= n) qn^t +
-    L P(G = n) F(m) is an int per (K, x_t), the prefactor one per (H, x_t),
-    and a class's numerator is their product, over one denominator.  A
-    float level law's entry is pref (P(G >= n) + P(G = n) factor), pref and
-    factor each one correctly rounded int quotient: the prefactor once per
-    (H, x_t), the factor once per m, gathered per class by index arrays.
+    zd^t over (sd rn rd zn)^t.  Both modes take one path: the prefactor and
+    the level part P(G >= n) + P(G = n) F(m) are arrays over the pair
+    columns of ``paths.factor_pairs``, which ``paths.combine_factors``
+    multiplies.  An exact level law's values go over the lcm L of their
+    denominators, so a level part L P(G >= n) qn^t + L P(G = n) F(m) is an
+    int; for a float level law the prefactor and F(m) / qn^t are each one
+    correctly rounded int quotient.
     """
-    rn, rd = params.rho.numerator, params.rho.denominator
-    sn, sd = params.sigma.numerator, params.sigma.denominator
-    z = params.z
+    (rn, rd), (sn, sd), (zn, zd) = (
+        v.as_integer_ratio() for v in (params.rho, params.sigma, params.z))
     qn, qd = rn * rn, rd * rd
-    zd_t, qn_t = z.denominator**t, qn**t
-    pref = functools.cache(
-        lambda h, e: sn**h * sd ** (t - h) * rn ** (t + e) * rd ** (t - e) * zd_t)
-    pref_den = (sd * rn * rd * z.numerator) ** t
-    factors = list(itertools.accumulate((qd**j * qn ** (t - j) for j in range(1, t + 1)),
-                                        initial=0))
-    tails = [glaw.tail(n) for n in range(t + 1)]
-    pmfs = [glaw.pmf(n) for n in range(t + 1)]
-    allow_flat = params.sigma > 0
-
-    if not glaw.exact:
-        sizes = class_sizes(t, allow_flat)
-        k0, end, h = class_columns(sizes)
-        prefs = np.zeros((t + 1, 2 * t + 1))
-        for hh in range(t + 1 if allow_flat else 1):
-            prefs[hh, hh:2 * t + 1 - hh:2] = [pref(hh, e) / pref_den
-                                              for e in range(hh - t, t - hh + 1, 2)]
-        factor = np.array([f / qn_t for f in factors])[end - k0]
-        level = np.array(tails)[-k0] + np.array(pmfs)[-k0] * factor
-        return _with_level_err(DistTable(t, "approx", prefs[h, end + t] * level, sizes=sizes), glaw)
-
-    lcm = math.lcm(*(v.denominator for v in tails + pmfs))
-    tails = [v.numerator * (lcm // v.denominator) * qn_t for v in tails]
-    pmfs = [v.numerator * (lcm // v.denominator) for v in pmfs]
-    level = functools.cache(lambda k0, end: tails[-k0] + pmfs[-k0] * factors[end - k0])
-
-    def formula(key):
-        k0, end, h = key
-        return pref(h, end) * level(k0, end)
-
-    return DistTable.of_classes(t, allow_flat, "exact", formula, pref_den * lcm * qn_t)
+    qn_t = qn**t
+    sizes = class_sizes(t, params.sigma > 0)
+    pairs = factor_pairs(sizes)
+    pref = np.array([sn**h * sd ** (t - h) * rn ** (t + e) * rd ** (t - e) * zd**t
+                     for h, e in zip(*pairs.prefs.tolist())], dtype=object)
+    den = (sd * rn * rd * zn) ** t
+    factors = np.array(list(itertools.accumulate(
+        (qd**j * qn ** (t - j) for j in range(1, t + 1)), initial=0)), dtype=object)
+    tails, pmfs = ([value(n) for n in range(t + 1)] for value in (glaw.tail, glaw.pmf))
+    if glaw.exact:
+        lcm = math.lcm(*(v.denominator for v in tails + pmfs))
+        tails = np.array([v.numerator * (lcm // v.denominator) * qn_t for v in tails], dtype=object)
+        pmfs = np.array([v.numerator * (lcm // v.denominator) for v in pmfs], dtype=object)
+        den *= lcm * qn_t
+    else:
+        tails, pmfs = np.array(tails), np.array(pmfs)
+        pref, factors = (pref / den).astype(float), (factors / qn_t).astype(float)
+    a, e = pairs.levels
+    values = combine_factors(sizes, pref, tails[a] + pmfs[a] * factors[a + e])
+    return _with_level_err(DistTable(t, "exact" if glaw.exact else "approx", values,
+                                     sizes=sizes, den=den), glaw)
 
 
 def rhs_law_enumeration(t: int, glaw: InitialLaw, params: Params) -> DistTable:
@@ -417,7 +406,7 @@ def verify_thm1(t_max: int, law: InitialLaw, params: Params, part: str = "I",
     law and require the chain table, the preimage pushforward and the closed
     form to agree, each pair within its tables' certified ``err`` (exactly,
     in exact mode; see :func:`compare_routes`).  The tables are class tables
-    (:meth:`DistTable.of_classes`); a witness is the representative of the
+    (:class:`DistTable`); a witness is the representative of the
     first class that reaches the worst difference of a broken pair.  Passing
     a candidate level law instead turns this into the converse test: a wrong
     candidate produces a witness path.  ``t_values`` restricts the horizons,

@@ -31,6 +31,7 @@ from pitman_lab import (
     ShiftedPoisson,
     chain_increment_law,
     conditioned_walk_law,
+    conditioning,
     enumerate_paths,
     g_law_from_initial,
     paths,
@@ -148,6 +149,7 @@ def per_path_oracle(build):
     classes = build()
     with mock.patch.object(processes, "class_sizes", every_path), \
             mock.patch.object(representation, "class_sizes", every_path), \
+            mock.patch.object(conditioning, "class_sizes", every_path), \
             mock.patch.object(processes, "class_path", path_of_key), \
             mock.patch.object(representation, "class_rows", rows_of_keys):
         oracle = build()
@@ -215,6 +217,37 @@ def test_every_route_is_constant_on_every_class(t, rho, sigma, kind):
         part = "I" if rho < 1 else "II"
         vlaw = v_law_from_initial(law, params, part)
         per_path_oracle(lambda: conditioned_walk_law(t, vlaw, params, part))
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.integers(0, 8), allow_flat=st.booleans(), path_keyed=st.booleans(),
+       exact=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_combine_is_pref_times_level_per_key(t, allow_flat, path_keyed, exact, seed):
+    """``combine_factors`` against the per-key product pref[H, x_t] *
+    level[-K0, x_t] of two random grids, on a horizon's class set and on the
+    path-keyed mapping of ``per_path_oracle``: big ints give ints, floats
+    give the float64 products' bits."""
+    rng = np.random.default_rng(seed)
+    grids = rng.integers(1, 2**62, size=(2, t + 1, 2 * t + 1))
+    if exact:  # past int64, so no product fits a machine word
+        pref_grid, level_grid = (grid.astype(object) << 70 for grid in grids)
+    else:
+        pref_grid, level_grid = grids / 2.0**62
+    sizes = every_path(t, allow_flat) if path_keyed else paths.class_sizes(t, allow_flat)
+    pairs = paths.factor_pairs(sizes)
+    assert paths.factor_pairs(sizes) is pairs  # kept with the mapping
+    pref_pairs, level_pairs = (list(zip(*cols.tolist())) for cols in (pairs.prefs, pairs.levels))
+    assert pref_pairs == list(dict.fromkeys((h, e) for _, e, h in sizes))  # each pair once
+    assert level_pairs == list(dict.fromkeys((-k0, e) for k0, e, _ in sizes))
+    pref = np.array([pref_grid[h, e + t] for h, e in pref_pairs], dtype=pref_grid.dtype)
+    level = np.array([level_grid[a, e + t] for a, e in level_pairs], dtype=level_grid.dtype)
+    got = paths.combine_factors(sizes, pref, level)
+    want = [pref_grid[h, e + t] * level_grid[-k0, e + t] for k0, e, h in sizes]
+    if exact:
+        assert type(got) is list and got == want
+        assert all(type(v) is int for v in got)
+    else:
+        assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
 
 
 def test_a_dropped_class_fails_the_mass_check(monkeypatch):

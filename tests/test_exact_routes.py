@@ -114,12 +114,14 @@ def conditioned_oracle(t, vlaw, params, part):
 
 def product_oracle(t, law, params, mode):
     """The product route as a Fraction loop: one Fraction multiply per step
-    and atom, the kernel entries built once per table."""
+    and atom, the kernel entries built once per table; a truncated law's
+    float weights times the rounded products, summed in floats."""
     atoms, err = law.atoms(), 0.0
-    if atoms is None:
+    finite = atoms is not None
+    if not finite:
         top = law.truncation_point()
         err = law.tail_bound(top + 1)
-        atoms = [(k, w) for k in range(top + 1) if (w := law.pmf(k))]
+        atoms = [(k, w) for k in range(top + 1) if (w := law.pmf_float(k))]
     kernel = functools.cache(lambda k, d: processes.chain_transition(k, d, params))
 
     def product(key):
@@ -134,10 +136,11 @@ def product_oracle(t, law, params, mode):
 
     table = DistTable.of_classes(t, params.sigma > 0, mode, product)
     if mode != "exact":
-        m = 1 if law.exact else len(atoms)
+        m = 1 if finite else len(atoms)
         rounding = left_sum(size * ((m + 3) * UNIT_ROUNDOFF * table.values[key] + m * TERM_FLOOR)
                             for key, size in table.sizes.items())
-        table.err = err + 1.1 * (left_sum(law.pmf_err(k) for k, _ in atoms) + rounding)
+        weights = 0.0 if finite else left_sum(law.float_rel_err(k) * w for k, w in atoms)
+        table.err = err + 1.1 * (weights + rounding)
     return table
 
 
@@ -217,7 +220,7 @@ def test_chain_formula_equals_its_oracle(kind, rho, sigma):
 
 
 # (law, mode, rho, sigma): finite laws exact and in floats; truncated laws in
-# floats, with exact weights (geo, qnb) and float weights (spoisson)
+# floats, with float weights from exact laws (geo, qnb) and a float law (spoisson)
 PRODUCT_CASES = [
     ("point", "exact", F(1, 2), F(0)), ("finite", "exact", F(2, 3), F(1)),
     ("finite", "exact", F(1), F(1, 2)), ("finite", "exact", F(3, 2), F(0)),
@@ -238,6 +241,20 @@ def test_product_route_equals_the_fraction_loop(kind, mode, rho, sigma):
         oracle = product_oracle(t, law, params, mode)
         same_table(table, oracle)
         assert table.err.hex() == oracle.err.hex()
+
+
+def test_product_route_from_a_long_truncated_law_is_within_err_of_the_formula():
+    """geo:99/100 truncates past three thousand levels: the product route
+    sums their float weights (summed exactly over a running lcm, the atoms
+    of geo:39/40 alone took 35 s), and each entry lies within the two
+    tables' err of the formula route's."""
+    params, law = Params(F(1, 2)), Geometric(F(99, 100))
+    product = chain_increment_law(1, law, params, route="product")
+    formula = chain_increment_law(1, law, params)
+    assert product.mode == formula.mode == "approx" and law.truncation_point() > 3000
+    assert 0 < product.err < 1e-12
+    difference, _ = product.max_abs_diff(formula)
+    assert difference <= product.err + formula.err
 
 
 @pytest.mark.parametrize("spec", ["finite:0=1/2,40=1/2", "finite:0=1/6,2=1/3,5=1/2"])
@@ -376,26 +393,43 @@ def refuse(monkeypatch, names):
     assert found == set(names) - REMOVED and not found & REMOVED
 
 
+#: the entry points of the three factored routes: the routes share
+#: ``paths.combine_factors``, and none may reach another's factors
+CHAIN_FORMULA = ["chain_increment_law", "_chain_law_formula_exact", "_chain_law_formula_float",
+                 "_chain_level_sweep"]
+CLOSED_FORM = ["rhs_law_table_formula"]
+CONDITIONED_WALK = ["conditioned_walk_law"]
+
+
 def test_chain_formula_reaches_no_other_level_code(monkeypatch):
     params = Params(F(2, 3), F(1))
     laws = [QNegativeBinomial(params.q, F(1, 2)), FiniteSupport(((0, F(1, 3)), (3, F(2, 3))))]
+    float_laws = [QNegativeBinomial(params.q, F(1, 2)), Geometric(F(1, 3))]  # closed-form floats
     want = [chain_increment_law(6, law, params) for law in laws]
+    want_float = [chain_increment_law(6, law, params, mode="approx") for law in float_laws]
     refuse(monkeypatch, ["pmf", "tail", "ratio_tail_exact", "bracket_tail", "preimage",
                          "q_bracket", "chain_transition", "tail_pair", "ratio_tail_pair",
-                         "bracket_int"])
+                         "bracket_int", *CLOSED_FORM, *CONDITIONED_WALK])
     for law, table in zip(laws, want):
         assert chain_increment_law(6, law, params).values == table.values
+    for law, table in zip(float_laws, want_float):
+        got = chain_increment_law(6, law, params, mode="approx")
+        assert got.floats.tobytes() == table.floats.tobytes() and got.err == table.err
 
 
 def test_closed_form_reaches_no_other_level_code(monkeypatch):
     params = Params(F(2, 3), F(1))
     glaws = [LevelLaw.geometric(F(1, 3)), LevelLaw.from_pmf({0: F(1, 2), 3: F(1, 2)}),
-             g_law_from_initial(QNegativeBinomial(params.q, F(1, 2)), params, "G")]
+             g_law_from_initial(QNegativeBinomial(params.q, F(1, 2)), params, "G"),
+             g_law_from_initial(Geometric(F(1, 3)), params, "G", mode="approx")]
     want = [rhs_law_table_formula(6, glaw, params) for glaw in glaws]
+    assert want[-1].mode == "approx"
     refuse(monkeypatch, ["bracket_ratio_sum_exact", "bracket_tail", "chain_transition",
-                         "preimage", "atoms", "ratio_geometric_form"])
+                         "preimage", "atoms", "ratio_geometric_form", *CHAIN_FORMULA,
+                         *CONDITIONED_WALK])
     for glaw, table in zip(glaws, want):
-        assert rhs_law_table_formula(6, glaw, params).values == table.values
+        got = rhs_law_table_formula(6, glaw, params)
+        assert got.values == table.values and got.err == table.err
 
 
 def test_conditioned_walk_reaches_no_other_level_code(monkeypatch):
@@ -405,7 +439,7 @@ def test_conditioned_walk_reaches_no_other_level_code(monkeypatch):
     want = [conditioned_walk_law(6, vlaw, params, "I") for vlaw in vlaws]
     refuse(monkeypatch, ["bracket_ratio_sum_exact", "ratio_tail_exact", "pmf", "tail",
                          "q_bracket", "chain_transition", "preimage", "tail_pair",
-                         "ratio_tail_pair", "bracket_int"])
+                         "ratio_tail_pair", "bracket_int", *CHAIN_FORMULA, *CLOSED_FORM])
     for vlaw, table in zip(vlaws, want):
         assert conditioned_walk_law(6, vlaw, params, "I").values == table.values
 

@@ -4,14 +4,14 @@ an explicit --glaw table, three more `sample` commands, and seven approx
 verifier reports and tables (`verify thm1` at q < 1 and q > 1, sigma = 0
 and > 0, parts I and II; `verify two-sided` from spoisson:2; `law chain` and
 `law rhs` from geo:1/3), which pin the float routes' bits, and three `law
-chain --route product` cases, one per branch of the product route (exact
-from a finite law, exact weights in a float table from geo:1/3, float
-weights from spoisson:1.5), recorded before its kernel entries were built
-from int q-brackets.
+chain --route product` cases, one per kind of start the product route
+reads (exact from a finite law, the float weights of an exact law from
+geo:1/3, the float weights of a float law from spoisson:1.5), recorded
+before its kernel entries were built from int q-brackets.
 
 tests/data/cli_golden.json holds the stdout and exit code of each command as
 recorded before the law types were merged into one; a refactor must leave
-every byte of it unchanged.  Cases were re-recorded twice since.  The
+every byte of it unchanged.  Cases were re-recorded three times since.  The
 `sample chain` cases were re-recorded when the chain sampler began to read
 its uniforms 16 bits at a time: a new stream, so new paths
 (tests/test_sampling.py checks them step for step against an int64
@@ -23,6 +23,12 @@ chain case at another seed.  The `scaling kernel` case was re-recorded when
 its binomials moved from log-gamma differences to Loader's saddle-point
 form: both `finite` values moved closer to exact path counts (relative
 error 1.9e-14 -> 1.9e-16 at N = 100, 2.9e-13 -> 4.3e-15 at N = 10^4).
+The geo:1/3 product case was re-recorded when a law with infinite support
+came to be summed in its float weights, each weight's error counted in
+`err`, where its exact weights had been summed over a running lcm and
+rounded once: `err` went from 1.0281576585705016e-15 to
+5.3910565895912055e-15, and 12 of its 27 entries moved by two to five
+units in the last place; `mass` kept its bytes.
 """
 
 import json
