@@ -360,6 +360,101 @@ def limit_measure(law: InitialLaw, params: Params, sn: int, who: str) -> MuMeasu
 CONTINUITY_REGIMES = ("point", "power", "corollary")
 CONTINUITY_TOL = 0.02  # the largest sup distance continuity_check passes
 KERNEL_TOL = 0.05  # the largest relative error at a ladder's last N that passes
+_ENCLOSURE_BITS = 128  # fixed-point bits of continuity_check's enclosures of P(G < n)
+
+
+# Enclosures are int pairs (lo, hi) with lo <= value * 2^_ENCLOSURE_BITS <= hi:
+# each operation floors its lower end and ceils its upper end.
+
+def _scale(x: tuple, num: int, den: int) -> tuple:
+    """An enclosure of x * num/den for ints num and den != 0."""
+    if den < 0:
+        num, den = -num, -den
+    ends = x[0] * num, x[1] * num
+    return min(ends) // den, -(-max(ends) // den)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """An enclosure of a product: the least and greatest corner products."""
+    corners = x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1]
+    return min(corners) >> _ENCLOSURE_BITS, -(-max(corners) >> _ENCLOSURE_BITS)
+
+
+def _powers(num: int, den: int):
+    """n -> an enclosure of (num/den)^n, n >= 0, num >= 0 < den, by binary
+    powering; the squares of the base are kept across calls."""
+    bits = _ENCLOSURE_BITS
+    squares = [_scale((1 << bits, 1 << bits), num, den)]
+
+    def power(n):
+        lo = hi = 1 << bits
+        i = 0
+        while n:
+            if i == len(squares):
+                s_lo, s_hi = squares[-1]
+                squares.append((s_lo * s_lo >> bits, -(-s_hi * s_hi >> bits)))
+            if n & 1:
+                s_lo, s_hi = squares[i]
+                lo, hi = lo * s_lo >> bits, -(-hi * s_hi >> bits)
+            n, i = n >> 1, i + 1
+        return lo, hi
+
+    return power
+
+
+def _level_cdf_enclosure(law: InitialLaw, q: Fraction):
+    """n -> an enclosure of P(G < n) for the level law G of a start law that
+    ``limit_measure`` admits (``g_law_from_initial(law, params, "G")`` with
+    q = params.q).
+
+    P(G < n) = 1 - P(X0 >= n) + [n]_q S(n), [n]_q = (q^n - 1)/(q - 1) (n at
+    q = 1), read for point:k as [n]_q/[k+1]_q up to k and 1 past it, and for
+    the matched qnb law from P(X0 >= n) = K1 theta^n - K2 (theta q)^n (its
+    ``_tail_ints``) and S(n) = (1 - theta q) theta^n.  [k+1]_q is enclosed
+    once; a point costs a few products of ints of about _ENCLOSURE_BITS bits
+    (more where q > 1 and q^n is large), and no Fraction.  Both ends are
+    clamped to [0, 2^_ENCLOSURE_BITS].
+    """
+    one = 1 << _ENCLOSURE_BITS
+    a, b = q.numerator, q.denominator
+    q_pow = _powers(a, b)
+
+    def bracket(m):
+        if a == b:
+            return m << _ENCLOSURE_BITS, m << _ENCLOSURE_BITS
+        lo, hi = q_pow(m)
+        return _scale((lo - one, hi - one), b, a - b)
+
+    if isinstance(law, PointMass):
+        k, top = law.n, bracket(law.n + 1)
+
+        def value(n):
+            if n > k:
+                return one, one
+            if top[0] <= 0:  # too coarse to divide by: a probability's bounds
+                return 0, one
+            lo, hi = bracket(n)
+            return lo * one // top[1], -(-hi * one // top[0])
+    else:
+        _, _, t, s, k1, k2, d = law._tail_ints
+        theta_pow, theta_q_pow = _powers(t, s), _powers(t * a, s * b)
+
+        def value(n):
+            theta_n = theta_pow(n)
+            k1_term, k2_term = _scale(theta_n, k1, d), _scale(theta_q_pow(n), k2, d)
+            ratio = _scale(theta_n, s * b - t * a, s * b)
+            lo, hi = _mul(bracket(n), ratio)
+            return one - k1_term[1] + k2_term[0] + lo, one - k1_term[0] + k2_term[1] + hi
+
+    def enclosure(n):
+        if n < 1:
+            return 0, 0
+        lo, hi = value(n)
+        # P(G < n) lies in [0, 1]: where q > 1 the ends' rounding grows with
+        # [n]_q, and past about q^n = 2^1152 an unclamped hi has no float
+        return max(lo, 0), min(hi, one)
+
+    return enclosure
 
 
 def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
@@ -378,11 +473,19 @@ def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
     Returns per-grid-point rows (x, exact, limit, diff) and the sup distance,
     which PASSes up to CONTINUITY_TOL.  The limit CDF is evaluated once, on
     the whole grid as an array (libm's expm1 for the power regime), with
-    the bits of a point-by-point evaluation.  The exact side reads one tail
-    per point as the level law's int pair (num, den) (``LevelLaw.tail_pair``,
-    from per-law parts built once) and returns (den - num)/den, one correctly
-    rounded int division: the bits of float(1 - tail), with no gcd of the
-    pair's ints (about 350 000 bits in the power regime at N = 10^6).
+    the bits of a point-by-point evaluation.  The exact side is P(G < n),
+    n = floor(x sqrt N) + 1, correctly rounded, by Ziv's rounding test: an
+    enclosure [lo, hi] of P(G < n) 2^_ENCLOSURE_BITS in ints
+    (``_level_cdf_enclosure``) gives two int true divisions by
+    2^_ENCLOSURE_BITS, each correctly rounded; rounding is monotone, so if
+    they agree, that float is the value.  Only a point where they differ
+    takes the exact tail's int pair (num, den) (``LevelLaw.tail_pair``, the
+    level law built at the first such point) and returns (den - num)/den.
+    So each value has the bits of float(1 - tail), with no O(n)-bit int on
+    the decided path: at N = 10^8 a call takes under a millisecond in the
+    point and power regimes and about 3 ms in the corollary regime (mostly
+    the limit CDF), where the exact pairs took 30-39 s and 11 s (2 shared
+    vCPUs).
     """
     sn, params = scaled_params(N, v)
     vf, grid = float(v), list(grid)
@@ -412,11 +515,21 @@ def continuity_check(N: int, v, regime: str, grid, u=None) -> dict:
         mu = limit_measure(law, params, sn, f"the {regime} regime")
         limit_fn = LimitLevelLaw(vf, mu).cdf
 
-    glaw = g_law_from_initial(law, params, "G")
-    # P(G <= floor(x sqrt N)) as one minus one exact tail, from its int pair:
-    # int true division rounds correctly, as float(Fraction) does
-    pairs = (glaw.tail_pair(math.floor(x * sn) + 1) for x in grid)
-    exact = np.array([(den - num) / den for num, den in pairs])
+    # P(G < n), n = floor(x sqrt N) + 1: int true division rounds correctly,
+    # and monotonely, so both ends of an enclosure rounding to one float
+    # decide it; where they do not, the exact tail's int pair does
+    one, glaw, exact = 1 << _ENCLOSURE_BITS, None, []
+    enclosure = _level_cdf_enclosure(law, params.q)
+    for n in (math.floor(x * sn) + 1 for x in grid):
+        lo, hi = enclosure(n)
+        if lo / one == hi / one:
+            exact.append(lo / one)
+            continue
+        if glaw is None:
+            glaw = g_law_from_initial(law, params, "G")
+        num, den = glaw.tail_pair(n)
+        exact.append((den - num) / den)
+    exact = np.array(exact)
     xs = np.array(grid, dtype=float)
     lims = limit_fn(xs)
     diffs = (exact - lims).tolist()

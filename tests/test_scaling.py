@@ -35,6 +35,7 @@ from pitman_lab import (
     walk_law,
 )
 from pitman_lab.exact import geometric_bracket_tail
+from pitman_lab import scaling
 from pitman_lab.scaling import (
     _dbinom,
     _em_coef,
@@ -356,6 +357,74 @@ class TestContinuity:
 
         want = [float(1 - tail(math.floor(x * sn) + 1)) for x in grid]
         assert [float.hex(row["exact"]) for row in rep["rows"]] == list(map(float.hex, want))
+        enclosure = scaling._level_cdf_enclosure(law, q)
+        for m in (math.floor(x * sn) + 1 for x in grid):
+            lo, hi = enclosure(m)
+            assert lo <= (1 - tail(m)) * 2**scaling._ENCLOSURE_BITS <= hi
+
+    def test_enclosures_past_float_range_are_clamped(self):
+        # q = 9/4 > 1: past about x = 9.85 the unclamped upper end grows past
+        # 2^1152 units ([n]_q times a rounded theta^n), and reading it as a
+        # float would overflow; clamped to [0, 1], every point still decides
+        N, v = 10**4, F(-50)
+        grid = [0.0, 0.5, 1.0, 5.0, 9.9, 10.0, 11.0]
+        rep = continuity_check(N, v, "corollary", grid, u=F(60))
+        sn, params = scaled_params(N, v)
+        law = parse_initial_law(rep["initial"])
+        assert params.q == F(9, 4)
+        glaw, enclosure = g_law_from_initial(law, params, "G"), scaling._level_cdf_enclosure(law, params.q)
+        ms = [math.floor(x * sn) + 1 for x in grid]
+        want = [float(1 - glaw.tail(m)) for m in ms]
+        assert [float.hex(row["exact"]) for row in rep["rows"]] == list(map(float.hex, want))
+        one = 2**scaling._ENCLOSURE_BITS
+        for m in ms:
+            lo, hi = enclosure(m)
+            assert 0 <= lo <= (1 - glaw.tail(m)) * one <= hi <= one
+
+    # the level-laws benchmark's four regimes, at three grid offsets
+    BENCH_CASES = [(10**4, F(1, 2), "point", {}), (10**4, F(0), "point", {}),
+                   (10**4, F(1, 2), "power", {}), (10**4, F(-3, 10), "corollary", {"u": F(1)})]
+    BENCH_GRIDS = [[(i + offset) / 10 for i in range(1, 30)] for offset in (0.0, 0.37, 0.999)]
+
+    @staticmethod
+    def _spy_level_laws(monkeypatch):
+        built = []
+
+        def spy(*args, **kw):
+            built.append(args[0].cli_string())
+            return g_law_from_initial(*args, **kw)
+
+        monkeypatch.setattr(scaling, "g_law_from_initial", spy)
+        return built
+
+    @pytest.mark.parametrize("N,v,regime,kw", BENCH_CASES + [
+        (2500, F(-1, 2), "point", {}), (100, F(1, 3), "power", {}),
+        (400, F(1, 2), "corollary", {"u": F(3)})])
+    def test_coarse_enclosures_fall_back_to_the_same_bits(self, monkeypatch, N, v, regime, kw):
+        # at 4 bits no enclosure of a value in (0, 1) decides its float: those
+        # points take the exact int pair, and every row keeps its bits
+        grid = [0.0, 0.013, 0.5, 0.999, 1.0, 1.7, 2.9, 40.0]
+        want = continuity_check(N, v, regime, grid, **kw)
+        built = self._spy_level_laws(monkeypatch)
+        monkeypatch.setattr(scaling, "_ENCLOSURE_BITS", 4)
+        got = continuity_check(N, v, regime, grid, **kw)
+        assert built == [got["initial"]]
+        assert [{k: float.hex(x) for k, x in row.items()} for row in got["rows"]] == [
+            {k: float.hex(x) for k, x in row.items()} for row in want["rows"]]
+        # and a coarse enclosure still holds its value
+        sn, params = scaled_params(N, v)
+        law = parse_initial_law(got["initial"])
+        glaw, enclosure = g_law_from_initial(law, params, "G"), scaling._level_cdf_enclosure(law, params.q)
+        for m in range(1, 3 * sn):
+            lo, hi = enclosure(m)
+            assert lo <= (1 - glaw.tail(m)) * 16 <= hi
+
+    @pytest.mark.parametrize("grid", BENCH_GRIDS)
+    def test_benchmark_regimes_build_no_level_law(self, monkeypatch, grid):
+        built = self._spy_level_laws(monkeypatch)
+        for N, v, regime, kw in self.BENCH_CASES:
+            assert continuity_check(N, v, regime, grid, **kw)["status"] == "PASS"
+        assert built == []
 
 
 # every scaling command, with a blocked scipy: an import of it raises
